@@ -1,8 +1,9 @@
 """Write perfbench/reference.json: the verdict counts and forecast quality
-of `intelgp.run` on every workload for a range of seeds.  The benchmark's
-correctness gate compares each run against these values.
+of `intelgp.run` on every workload for every seed in
+`measure.REFERENCE_SEEDS`.  The benchmark's correctness gate compares each
+run against these values, and refuses a table that lacks any of them.
 
-    python3 perfbench/make_reference.py --seeds 0-63
+    python3 perfbench/make_reference.py
 
 Regenerate only with a change that is meant to alter the program's
 outputs, and say so where that change is described.
@@ -10,7 +11,6 @@ outputs, and say so where that change is described.
 
 from __future__ import annotations
 
-import argparse
 import json
 from collections import Counter
 
@@ -18,18 +18,15 @@ from run import bootstrap
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="0-63", help="inclusive range, e.g. 0-63")
-    first, last = (int(x) for x in parser.parse_args().seeds.split("-"))
     bootstrap()
     from intelgp import run
-    from measure import QUALITY_RTOL, REFERENCE
+    from measure import QUALITY_RTOL, REFERENCE, REFERENCE_SEEDS
     from workloads import WORKLOADS
 
     table: dict[str, dict[str, dict]] = {}
     for name, workload in WORKLOADS.items():
         table[name] = {}
-        for seed in range(first, last + 1):
+        for seed in REFERENCE_SEEDS:
             result = run(workload.config, workload.series(seed), normalization=workload.normalization)
             counts = Counter(r["verdict"] for r in result.records)
             table[name][str(seed)] = {

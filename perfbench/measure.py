@@ -30,6 +30,8 @@ from intelgp.harness import records_to_jsonl, step_record
 from intelgp.metrics import compute_stats, evaluate
 
 REFERENCE = Path(__file__).with_name("reference.json")
+# The seeds reference.json must hold for every workload.
+REFERENCE_SEEDS = range(0, 64)
 # nll, mae and mse may drift this much, relative, from the stored values;
 # verdict counts must match exactly.
 QUALITY_RTOL = 1e-6
@@ -37,19 +39,21 @@ MIN_PASSES = 3
 MIN_TRACED_PASSES = 2  # one traced, one untraced for the overhead ratio
 
 
-class GateError(RuntimeError):
-    """The reference run itself could not be produced."""
+class ReferenceTableError(RuntimeError):
+    """reference.json does not hold every workload and seed it must hold."""
 
 
 @dataclass
 class Pass:
     """One pass's figures.  Times are scaled to the reference machine speed
-    (speed.py); `slowdown` is this pass's median probe time over the
-    reference's, so raw time is roughly scaled time times `slowdown`."""
+    (speed.py), except `raw_stream_ns`, the unscaled time spent in `step`.
+    `slowdown` is this pass's median stream probe time over the
+    reference's."""
 
     setup_s: float
     run_s: float
     step_ns: np.ndarray
+    raw_stream_ns: int
     slowdown: float
     jsonl_bytes: int
     fit_iterations: int
@@ -58,6 +62,10 @@ class Pass:
     @property
     def steps_per_s(self) -> float:
         return self.step_ns.size / (self.step_ns.sum() / 1e9)
+
+    @property
+    def raw_steps_per_s(self) -> float:
+        return self.step_ns.size / (self.raw_stream_ns / 1e9)
 
 
 def one_pass(workload, series: np.ndarray, tracer: spans.Tracer | None = None):
@@ -74,7 +82,7 @@ def one_pass(workload, series: np.ndarray, tracer: spans.Tracer | None = None):
     step_ns = []
     windows = []
 
-    before_setup = speed.phase_probe()
+    before_setup = speed.phase_probe(speed.fit_probe)
     t0 = perf_counter_ns()
     with span("metrics.compute_stats"):
         stats = compute_stats(series if workload.normalization == "full" else series[:init])
@@ -82,9 +90,9 @@ def one_pass(workload, series: np.ndarray, tracer: spans.Tracer | None = None):
     with span("engine.initialize"):
         state = initialize(np.arange(init), z[:init], config)
     t1 = perf_counter_ns()
-    after_setup = speed.phase_probe()
+    after_setup = speed.phase_probe(speed.fit_probe)
 
-    probes = speed.StreamProbes(after_setup)
+    probes = speed.StreamProbes(speed.phase_probe())
     if tracer is None:
         for k, y in enumerate(z[init:]):
             start = perf_counter_ns()
@@ -122,7 +130,7 @@ def one_pass(workload, series: np.ndarray, tracer: spans.Tracer | None = None):
     t3 = perf_counter_ns()
     after_finish = speed.phase_probe()
 
-    setup_scale = speed.REFERENCE_PROBE_NS / ((before_setup + after_setup) / 2)
+    setup_scale = speed.REFERENCE_FIT_PROBE_NS / ((before_setup + after_setup) / 2)
     finish_scale = speed.REFERENCE_PROBE_NS / ((after_stream + after_finish) / 2)
     scaled_steps = np.array(step_ns) * probes.step_scale(len(step_ns))
     setup_s = (t1 - t0) / 1e9 * setup_scale
@@ -130,6 +138,7 @@ def one_pass(workload, series: np.ndarray, tracer: spans.Tracer | None = None):
         setup_s=setup_s,
         run_s=setup_s + scaled_steps.sum() / 1e9 + (t3 - t2) / 1e9 * finish_scale,
         step_ns=scaled_steps,
+        raw_stream_ns=sum(step_ns),
         slowdown=probes.median_ns() / speed.REFERENCE_PROBE_NS,
         jsonl_bytes=len(text.encode()),
         fit_iterations=state.fit.iterations,
@@ -156,11 +165,24 @@ def output_mismatch(records: list[dict], metrics, reference) -> str | None:
     return None
 
 
-def reference_mismatch(reference, workload_name: str, seed: int) -> list[str] | None:
+def load_reference(workload_names) -> dict:
+    """The stored values per workload and seed.  Refuses a table that lacks
+    any of the workloads or of REFERENCE_SEEDS, so that a narrower table
+    cannot quietly drop the check for the seeds it leaves out."""
+    table = json.loads(REFERENCE.read_text())["workloads"]
+    for name in workload_names:
+        missing = [seed for seed in REFERENCE_SEEDS if str(seed) not in table.get(name, {})]
+        if missing:
+            raise ReferenceTableError(
+                f"{REFERENCE.name} lacks {len(missing)} of seeds {REFERENCE_SEEDS.start}-"
+                f"{REFERENCE_SEEDS.stop - 1} for {name}; rewrite it with make_reference.py"
+            )
+    return table
+
+
+def reference_mismatch(reference, stored: dict | None) -> list[str] | None:
     """Differences from the stored verdict counts and quality for this seed,
     or None when no values are stored for it."""
-    table = json.loads(REFERENCE.read_text())["workloads"]
-    stored = table.get(workload_name, {}).get(str(seed))
     if stored is None:
         return None
     counts = Counter(r["verdict"] for r in reference.records)
@@ -176,14 +198,6 @@ def reference_mismatch(reference, workload_name: str, seed: int) -> list[str] | 
     return problems
 
 
-def reference_run(workload, series: np.ndarray):
-    """The program's own `run` on the same input, for the gate; untimed."""
-    try:
-        return harness.run(workload.config, series, normalization=workload.normalization)
-    except Exception as exc:
-        raise GateError(f"intelgp.run raised on {workload.name}: {exc!r}") from exc
-
-
 @dataclass
 class Outcome:
     correct: bool
@@ -193,18 +207,24 @@ class Outcome:
     notes: list[str]
 
 
-def measure(workload, seed: int, seconds: float, trace: bool, series: np.ndarray,
-            full_length: bool) -> Outcome:
+def measure(workload, seconds: float, trace: bool, series: np.ndarray,
+            stored: dict | None) -> Outcome:
     """Repeat passes until `seconds` have gone by, then report medians.
 
-    Every pass is compared with `intelgp.run` on the same series; a pass
-    that raises or differs counts as failed.  The reference run is also
-    compared with the stored values for this seed when there are any.
+    Every pass is compared with `intelgp.run` on the same series, run
+    untimed; a pass that raises or differs counts as failed.  That
+    reference run is also compared with `stored`, the values reference.json
+    holds for this workload and seed, when there are any.  If the reference
+    run raises, it counts as the one attempt, failed, and no pass is made.
     """
     notes: list[str] = []
-    reference = reference_run(workload, series)
+    try:
+        reference = harness.run(workload.config, series, normalization=workload.normalization)
+    except Exception:
+        notes.append(f"intelgp.run raised on {workload.name}:\n" + traceback.format_exc())
+        return Outcome(correct=False, attempted=1, failed=1, metrics={}, notes=notes)
     attempted, failed = 1, 0
-    problems = reference_mismatch(reference, workload.name, seed) if full_length else None
+    problems = reference_mismatch(reference, stored)
     if problems is None:
         notes.append("no stored reference for this seed and length; gate is intelgp.run equality")
     elif problems:
@@ -270,6 +290,7 @@ def end_to_end_figures(passes: list[Pass], reference) -> dict[str, float]:
         "step_p99_us": float(np.percentile(latencies_us, 99)),
         "step_samples": latencies_us.size * len(passes),
         "run_s": _median(p.run_s for p in passes),
+        "raw_steps_per_s": _median(p.raw_steps_per_s for p in passes),
         "slowdown": _median(p.slowdown for p in passes),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "nll": reference.metrics.nll,
@@ -288,6 +309,8 @@ def layer_figures(traced: list[Pass], plain: list[Pass], reference) -> dict[str,
         "harness.jsonl_bytes": traced[0].jsonl_bytes,
         "trace.overhead_ratio": _median(p.steps_per_s for p in traced)
         / _median(p.steps_per_s for p in plain),
+        "bench.raw_steps_per_s": _median(p.raw_steps_per_s for p in plain),
+        "bench.slowdown": _median(p.slowdown for p in plain),
     })
     return figures
 

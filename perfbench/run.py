@@ -17,9 +17,10 @@ Standard output: an environment record, one line per figure with its
 unit, and as the last line one JSON object with the keys `correct`,
 `attempted`, `failed` and `metrics`.
 
-Exit codes: 0 correct; 1 an output failed the correctness gate; 2 the
-program or an argument is missing; 3 the reference run raised or a layer
-boundary the trace wraps has moved.
+Exit codes: 0 correct; 1 the program raised or an output failed the
+correctness gate (the result line says correct: false); 2 the program or
+an argument is missing; 3 the benchmark itself needs updating: a layer
+boundary the trace wraps has moved, or reference.json lacks a seed.
 """
 
 from __future__ import annotations
@@ -156,11 +157,10 @@ def main(argv=None) -> int:
 
     print(json.dumps({"environment": environment(), "workload": workload.name, "seed": args.seed}))
     try:
-        outcome = measure.measure(
-            workload, args.seed, args.seconds, bool(args.trace), series,
-            full_length=args.steps is None,
-        )
-    except (measure.GateError, spans.BoundaryError) as exc:
+        table = measure.load_reference(WORKLOADS)
+        stored = table[workload.name].get(str(args.seed)) if args.steps is None else None
+        outcome = measure.measure(workload, args.seconds, bool(args.trace), series, stored)
+    except (measure.ReferenceTableError, spans.BoundaryError) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 3
     for note in outcome.notes:
@@ -172,6 +172,7 @@ def main(argv=None) -> int:
     }
     if "step_samples" in outcome.metrics:
         extras["step_samples"] = (outcome.metrics["step_samples"], "count")
+        extras["raw_steps_per_s"] = (outcome.metrics["raw_steps_per_s"], "1/s")
         extras["slowdown"] = (outcome.metrics["slowdown"], "ratio")
     reported = {}
     for m in wanted:

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 HERE = Path(__file__).resolve().parent
@@ -33,6 +34,7 @@ PER_LAYER = [
     "engine.step_self_us_p50", "engine.outliers", "engine.change_points",
     "harness.record_us_p50", "harness.jsonl_s", "harness.jsonl_bytes",
     "metrics.evaluate_s", "trace.overhead_ratio",
+    "bench.raw_steps_per_s", "bench.slowdown",
 ]
 
 
@@ -78,14 +80,20 @@ def test_refuses_to_run_without_the_program(tmp_path):
     assert '"correct"' not in done.stdout
 
 
-def test_reference_gate_flags_changed_outputs():
+def _benchmark_modules():
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
     try:
         import measure
+        import workloads
     finally:
         del sys.path[:2]
-    table = json.loads(measure.REFERENCE.read_text())["workloads"]["cpu_shift_2m"]
-    seed, stored = next(iter(table.items()))
+    return measure, workloads
+
+
+def test_reference_gate_flags_changed_outputs():
+    measure, workloads = _benchmark_modules()
+    table = measure.load_reference(workloads.WORKLOADS)
+    stored = table["cpu_shift_2m"][str(measure.REFERENCE_SEEDS.start)]
 
     class Run:
         records = (
@@ -95,6 +103,28 @@ def test_reference_gate_flags_changed_outputs():
         )
         metrics = SimpleNamespace(nll=stored["nll"] * (1 + 1e-4), mae=stored["mae"], mse=stored["mse"])
 
-    problems = measure.reference_mismatch(Run, "cpu_shift_2m", int(seed))
+    problems = measure.reference_mismatch(Run, stored)
     assert [p.split()[0] for p in problems] == ["inlier", "outlier", "nll"]
-    assert measure.reference_mismatch(Run, "cpu_shift_2m", 10**9) is None
+    assert measure.reference_mismatch(Run, None) is None
+
+
+def test_reference_table_must_cover_every_seed(tmp_path, monkeypatch):
+    measure, workloads = _benchmark_modules()
+    table = json.loads(measure.REFERENCE.read_text())
+    del table["workloads"]["glitchy_27m"][str(measure.REFERENCE_SEEDS.stop - 1)]
+    narrow = tmp_path / "reference.json"
+    narrow.write_text(json.dumps(table))
+    monkeypatch.setattr(measure, "REFERENCE", narrow)
+    with pytest.raises(measure.ReferenceTableError, match="glitchy_27m"):
+        measure.load_reference(workloads.WORKLOADS)
+
+
+def test_program_that_raises_counts_as_failed():
+    measure, workloads = _benchmark_modules()
+    workload = workloads.WORKLOADS["cpu_shift_2m"]
+    series = workload.series(1)[: workload.config.init_count + 5].copy()
+    series[-1] = np.inf
+    with np.errstate(invalid="ignore"):
+        outcome = measure.measure(workload, 0.0, False, series, None)
+    assert (outcome.correct, outcome.attempted, outcome.failed) == (False, 1, 1)
+    assert outcome.metrics == {}

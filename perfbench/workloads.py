@@ -35,7 +35,11 @@ GL_PHI = 0.97  # the walk reverts slowly to its mean
 GL_DF = 5  # Student-t innovations; heavy tails with a finite fourth moment
 GL_QUIET = 30  # rows without glitches before each level shift
 GL_SHIFT = 18.0  # in units of the history's spread
-GL_GLITCH = 5.0
+GL_GLITCH = 15.0  # beyond 3 sigma of the widest model, so every glitch is flagged
+# Rows between glitches: 2 to 13, twelve times each.  With 32 adjacent
+# pairs among the 145 units that makes 177 glitches, 12% of the stream.
+GL_SPACINGS = np.repeat(np.arange(2, 14), 12)
+GL_PAIRS = 32
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,27 @@ def _isolated_positions(rng, allowed: np.ndarray, count: int) -> np.ndarray:
         raise ValueError(f"cannot place {count} isolated rows")
     chosen = np.sort(rng.choice(starts, size=count, replace=False))
     return chosen + rng.integers(0, 2, size=count)
+
+
+def _glitch_rows(rng, allowed: np.ndarray, spacings, pairs: int) -> np.ndarray:
+    """Rows where `allowed` holds for len(spacings) + 1 units, each a single
+    glitch or, for `pairs` of them, two adjacent glitches.
+
+    From the last row of one unit to the first of the next is a spacing,
+    counted in allowed rows; a spacing of 2 leaves one clean row.  The
+    spacings are the same for every seed.  The seed picks their order,
+    which units are pairs and where the first unit falls.
+    """
+    units = len(spacings) + 1
+    size = np.ones(units, dtype=int)
+    size[rng.choice(units, size=pairs, replace=False)] = 2
+    starts = np.concatenate(([0], np.cumsum(size[:-1] - 1 + rng.permutation(spacings))))
+    index = np.concatenate((starts, starts[size == 2] + 1))
+    rows = np.flatnonzero(allowed)
+    slack = rows.size - index.max()
+    if slack < 1:
+        raise ValueError(f"cannot place {index.size} glitches in {rows.size} rows")
+    return np.sort(rows[index + rng.integers(0, slack)])
 
 
 def _clear_of(length: int, first: int, events, before: int = 6, after: int = 6) -> np.ndarray:
@@ -117,8 +142,11 @@ def _cpu_shift(rng, length: int) -> np.ndarray:
 
 
 def _glitchy(rng, length: int) -> np.ndarray:
-    """Mean-reverting heavy-tailed walk with ~12% isolated glitches and 6
-    level shifts; glitches leave gaps in the training window."""
+    """Mean-reverting heavy-tailed walk with 12% glitches and 6 level shifts.
+
+    Glitches fall at irregular spacings, alone or in adjacent pairs, so the
+    gaps they leave in the training window form many different patterns.
+    """
     steps = _draws(rng, 200, length, lambda g, n: g.standard_t(GL_DF, size=n))
     y = np.empty(length)
     level = 0.0
@@ -129,7 +157,8 @@ def _glitchy(rng, length: int) -> np.ndarray:
     shifts = np.sort(rng.choice(np.arange(300, length - 50, 50), size=6, replace=False))
     for at in shifts:
         y[at:] += rng.choice([-1.0, 1.0]) * GL_SHIFT
-    glitches = _isolated_positions(rng, _clear_of(length, 220, shifts, before=GL_QUIET), (length - 220) * 12 // 100)
+    allowed = _clear_of(length, 220, shifts, before=GL_QUIET)
+    glitches = _glitch_rows(rng, allowed, GL_SPACINGS, GL_PAIRS)
     y[glitches] += rng.choice([-1.0, 1.0], size=glitches.size) * GL_GLITCH
     return y
 

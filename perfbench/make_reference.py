@@ -1,7 +1,9 @@
 """Write perfbench/reference.json: the verdict counts and forecast quality
 of `intelgp.run` on every workload for every seed in
-`measure.REFERENCE_SEEDS`.  The benchmark's correctness gate compares each
-run against these values, and refuses a table that lacks any of them.
+`measure.REFERENCE_SEEDS`, one row per stream of the seed's quality set
+(`"5"` for stream 0 of seed 5, `"5.1"` for its stream 1).  The
+benchmark's correctness gate compares each run against these values, and
+refuses a table that lacks any of them.
 
     python3 perfbench/make_reference.py
 
@@ -20,24 +22,27 @@ from run import bootstrap
 def main() -> None:
     bootstrap()
     from intelgp import run
-    from measure import QUALITY_RTOL, REFERENCE, REFERENCE_SEEDS
+    from measure import QUALITY_RTOL, REFERENCE, REFERENCE_SEEDS, reference_key
     from workloads import WORKLOADS
 
     table: dict[str, dict[str, dict]] = {}
     for name, workload in WORKLOADS.items():
         table[name] = {}
         for seed in REFERENCE_SEEDS:
-            result = run(workload.config, workload.series(seed), normalization=workload.normalization)
-            counts = Counter(r["verdict"] for r in result.records)
-            table[name][str(seed)] = {
-                "inlier": counts["inlier"],
-                "outlier": counts["outlier"],
-                "change_point": counts["change_point"],
-                "nll": result.metrics.nll,
-                "mae": result.metrics.mae,
-                "mse": result.metrics.mse,
-            }
-            print(name, seed, table[name][str(seed)], flush=True)
+            for stream in range(workload.quality_streams):
+                series = workload.series(seed, stream)
+                result = run(workload.config, series, normalization=workload.normalization)
+                counts = Counter(r["verdict"] for r in result.records)
+                key = reference_key(seed, stream)
+                table[name][key] = {
+                    "inlier": counts["inlier"],
+                    "outlier": counts["outlier"],
+                    "change_point": counts["change_point"],
+                    "nll": result.metrics.nll,
+                    "mae": result.metrics.mae,
+                    "mse": result.metrics.mse,
+                }
+                print(name, key, table[name][key], flush=True)
     about = ("intelgp.run outputs per workload and seed; verdict counts must "
              f"match exactly, nll/mae/mse within a relative {QUALITY_RTOL:g}")
     REFERENCE.write_text(format_table(about, table))

@@ -165,16 +165,27 @@ def output_mismatch(records: list[dict], metrics, reference) -> str | None:
     return None
 
 
-def load_reference(workload_names) -> dict:
+def reference_key(seed: int, stream: int) -> str:
+    """The row of reference.json that holds a seed's stream."""
+    return str(seed) if stream == 0 else f"{seed}.{stream}"
+
+
+def load_reference(workloads: dict) -> dict:
     """The stored values per workload and seed.  Refuses a table that lacks
-    any of the workloads or of REFERENCE_SEEDS, so that a narrower table
-    cannot quietly drop the check for the seeds it leaves out."""
+    any of the workloads, or any stream of REFERENCE_SEEDS, so that a
+    narrower table cannot quietly drop the check for the rows it leaves
+    out."""
     table = json.loads(REFERENCE.read_text())["workloads"]
-    for name in workload_names:
-        missing = [seed for seed in REFERENCE_SEEDS if str(seed) not in table.get(name, {})]
+    for name, workload in workloads.items():
+        missing = [
+            key
+            for seed in REFERENCE_SEEDS
+            for key in (reference_key(seed, j) for j in range(workload.quality_streams))
+            if key not in table.get(name, {})
+        ]
         if missing:
             raise ReferenceTableError(
-                f"{REFERENCE.name} lacks {len(missing)} of seeds {REFERENCE_SEEDS.start}-"
+                f"{REFERENCE.name} lacks {len(missing)} rows of seeds {REFERENCE_SEEDS.start}-"
                 f"{REFERENCE_SEEDS.stop - 1} for {name}; rewrite it with make_reference.py"
             )
     return table
@@ -207,29 +218,42 @@ class Outcome:
     notes: list[str]
 
 
-def measure(workload, seconds: float, trace: bool, series: np.ndarray,
-            stored: dict | None) -> Outcome:
-    """Repeat passes until `seconds` have gone by, then report medians.
+def measure(workload, seconds: float, trace: bool, streams: list[np.ndarray],
+            stored: list[dict | None]) -> Outcome:
+    """Repeat passes over `streams[0]` until `seconds` have gone by, then
+    report medians.
 
-    Every pass is compared with `intelgp.run` on the same series, run
-    untimed; a pass that raises or differs counts as failed.  That
-    reference run is also compared with `stored`, the values reference.json
-    holds for this workload and seed, when there are any.  If the reference
-    run raises, it counts as the one attempt, failed, and no pass is made.
+    `intelgp.run` runs once, untimed, on each of `streams`.  Every pass is
+    compared with its run on `streams[0]`; a pass that raises or differs
+    counts as failed.  Each run is also compared with its entry in
+    `stored`, the values reference.json holds for this workload, seed and
+    stream, when there are any.  Forecast quality is the mean over the
+    runs.  If a run raises, it counts as failed and no pass is made.
     """
     notes: list[str] = []
-    try:
-        reference = harness.run(workload.config, series, normalization=workload.normalization)
-    except Exception:
-        notes.append(f"intelgp.run raised on {workload.name}:\n" + traceback.format_exc())
-        return Outcome(correct=False, attempted=1, failed=1, metrics={}, notes=notes)
-    attempted, failed = 1, 0
-    problems = reference_mismatch(reference, stored)
-    if problems is None:
-        notes.append("no stored reference for this seed and length; gate is intelgp.run equality")
-    elif problems:
-        failed += 1
-        notes.extend(f"reference: {p}" for p in problems)
+    quality = []  # each run's RunMetrics; only the first run's records are kept
+    attempted, failed = 0, 0
+    for j, (stream, want) in enumerate(zip(streams, stored)):
+        attempted += 1
+        try:
+            run = harness.run(workload.config, stream, normalization=workload.normalization)
+        except Exception:
+            notes.append(f"intelgp.run raised on {workload.name} stream {j}:\n"
+                         + traceback.format_exc())
+            return Outcome(correct=False, attempted=attempted, failed=failed + 1, metrics={},
+                           notes=notes)
+        problems = reference_mismatch(run, want)
+        if problems is None:
+            notes.append(f"stream {j}: no stored reference for this seed and length; "
+                         "gate is intelgp.run equality")
+        elif problems:
+            failed += 1
+            notes.extend(f"reference stream {j}: {p}" for p in problems)
+        quality.append(run.metrics)
+        if j == 0:
+            reference = run
+        del run
+    series = streams[0]
 
     plain: list[Pass] = []
     traced: list[Pass] = []
@@ -264,7 +288,7 @@ def measure(workload, seconds: float, trace: bool, series: np.ndarray,
     metrics: dict[str, float] = {}
     if plain and (traced or not trace):
         metrics = (layer_figures(traced, plain, reference) if trace
-                   else end_to_end_figures(plain, reference))
+                   else end_to_end_figures(plain, quality))
     return Outcome(
         correct=failed == 0 and bool(metrics),
         attempted=attempted,
@@ -278,7 +302,7 @@ def _median(values) -> float:
     return float(statistics.median(values))
 
 
-def end_to_end_figures(passes: list[Pass], reference) -> dict[str, float]:
+def end_to_end_figures(passes: list[Pass], quality) -> dict[str, float]:
     # step is pure, so step k does the same work in every pass.  Its latency
     # is the median over the passes, which drops a burst that hit one pass;
     # the percentiles are then taken over the steps.
@@ -293,9 +317,11 @@ def end_to_end_figures(passes: list[Pass], reference) -> dict[str, float]:
         "raw_steps_per_s": _median(p.raw_steps_per_s for p in passes),
         "slowdown": _median(p.slowdown for p in passes),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "nll": reference.metrics.nll,
-        "mae": reference.metrics.mae,
-        "mse": reference.metrics.mse,
+        # The streams are of one length, so these are the means over all
+        # their observations.
+        "nll": float(np.mean([q.nll for q in quality])),
+        "mae": float(np.mean([q.mae for q in quality])),
+        "mse": float(np.mean([q.mse for q in quality])),
     }
 
 

@@ -8,6 +8,8 @@ One process, one thread, one closed-loop stream.  The series is generated
 from --seed (perfbench/workloads.py); the program sees only that series
 and an EngineConfig.  Passes repeat for --seconds and the run reports
 medians, in time calibrated against a fixed probe (perfbench/speed.py).
+Forecast quality is averaged over a few more streams from the same seed
+where one stream's quality varies too much from seed to seed.
 --trace 0 reports the end-to-end metrics of BENCHMARK.json, --trace 1 the
 per-layer ones from passes with spans at the layer boundaries
 (perfbench/spans.py).  Every pass is checked against `intelgp.run` and
@@ -151,15 +153,18 @@ def main(argv=None) -> int:
         print(f"perfbench: unknown workload {args.workload!r}; have {sorted(WORKLOADS)}", file=sys.stderr)
         return 2
     workload = WORKLOADS[args.workload]
-    series = workload.series(args.seed)
+    streams = [workload.series(args.seed, j) for j in range(workload.quality_streams)]
     if args.steps is not None:
-        series = series[: workload.config.init_count + args.steps]
+        streams = [s[: workload.config.init_count + args.steps] for s in streams]
 
     print(json.dumps({"environment": environment(), "workload": workload.name, "seed": args.seed}))
     try:
         table = measure.load_reference(WORKLOADS)
-        stored = table[workload.name].get(str(args.seed)) if args.steps is None else None
-        outcome = measure.measure(workload, args.seconds, bool(args.trace), series, stored)
+        stored = [
+            table[workload.name].get(measure.reference_key(args.seed, j)) if args.steps is None else None
+            for j in range(len(streams))
+        ]
+        outcome = measure.measure(workload, args.seconds, bool(args.trace), streams, stored)
     except (measure.ReferenceTableError, spans.BoundaryError) as exc:
         print(f"perfbench: {exc}", file=sys.stderr)
         return 3

@@ -108,10 +108,11 @@ def test_reference_gate_flags_changed_outputs():
     assert measure.reference_mismatch(Run, None) is None
 
 
-def test_reference_table_must_cover_every_seed(tmp_path, monkeypatch):
+@pytest.mark.parametrize("stream", [0, 5])
+def test_reference_table_must_cover_every_seed(tmp_path, monkeypatch, stream):
     measure, workloads = _benchmark_modules()
     table = json.loads(measure.REFERENCE.read_text())
-    del table["workloads"]["glitchy_27m"][str(measure.REFERENCE_SEEDS.stop - 1)]
+    del table["workloads"]["glitchy_27m"][measure.reference_key(measure.REFERENCE_SEEDS.stop - 1, stream)]
     narrow = tmp_path / "reference.json"
     narrow.write_text(json.dumps(table))
     monkeypatch.setattr(measure, "REFERENCE", narrow)
@@ -125,6 +126,6 @@ def test_program_that_raises_counts_as_failed():
     series = workload.series(1)[: workload.config.init_count + 5].copy()
     series[-1] = np.inf
     with np.errstate(invalid="ignore"):
-        outcome = measure.measure(workload, 0.0, False, series, None)
+        outcome = measure.measure(workload, 0.0, False, [series], [None])
     assert (outcome.correct, outcome.attempted, outcome.failed) == (False, 1, 1)
     assert outcome.metrics == {}

@@ -51,10 +51,14 @@ class Workload:
     row_start: int
     generate: object  # Callable[[np.random.Generator, int], np.ndarray]
     length: int
+    # Streams per seed whose forecast quality is averaged (see README).
+    # Stream 0 is the one that is timed and traced.
+    quality_streams: int = 1
 
-    def series(self, seed: int) -> np.ndarray:
+    def series(self, seed: int, stream: int = 0) -> np.ndarray:
         """The stream the program sees: generated, then cut at `row_start`."""
-        rng = np.random.default_rng([seed, self.salt])
+        key = [seed, self.salt] if stream == 0 else [seed, self.salt, stream]
+        rng = np.random.default_rng(key)
         return self.generate(rng, self.length)[self.row_start:]
 
 
@@ -178,6 +182,7 @@ WORKLOADS = {
             row_start=100,
             generate=_well_log,
             length=4050,
+            quality_streams=2,
         ),
         Workload(
             name="cpu_shift_2m",
@@ -204,6 +209,7 @@ WORKLOADS = {
             row_start=0,
             generate=_glitchy,
             length=1700,
+            quality_streams=6,
         ),
     )
 }

@@ -159,12 +159,16 @@ def predict_next(state: EngineState) -> FusedPrediction:
 
     Pure: evaluates every model over the current window with the shared
     mean, flattens the weights by the forgetting parameter, and fuses.
+    The only writes go to the model set's predictor caches, whose entries
+    depend on their keys alone.
     """
     t_star = state.current_t + 1
     ms = state.model_set
+    ts = np.asarray(state.window.times, dtype=float)
+    ys = np.asarray(state.window.values, dtype=float)
     per_model = tuple(
-        gp_predict(state.window.times, state.window.values, ms.shared_mean, h, t_star)
-        for h in ms.models
+        gp_predict(ts, ys, ms.shared_mean, h, t_star, cache)
+        for h, cache in zip(ms.models, ms.caches)
     )
     w_hat = predictive_weights(ms.weights, state.alpha)
     fused = fuse_poe(per_model, w_hat)

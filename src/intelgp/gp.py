@@ -24,6 +24,11 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+# Entries a predictor cache holds.  The bound keeps memory flat on streams
+# whose windows rarely repeat an offset pattern; on a full, contiguous
+# window the pattern repeats almost every step.
+PREDICTOR_CACHE_SIZE = 128
+
 
 class NumericalError(RuntimeError):
     """Cholesky factorization failed even at the maximum jitter level."""
@@ -160,12 +165,6 @@ def noisy_covariance(spec: KernelSpec, xs, noise_scale: float) -> np.ndarray:
     return V
 
 
-def cross_covariance(spec: KernelSpec, xs, x_star: float) -> np.ndarray:
-    """Kernel vector between each input location and a single test input."""
-    xs = np.asarray(xs, dtype=float)
-    return _kernel_of_dist(spec, np.abs(xs - float(x_star)))
-
-
 def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of V, retrying with escalating diagonal jitter.
 
@@ -188,38 +187,63 @@ def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     )
 
 
+def predictor(offsets: np.ndarray, hyper: Hyperparameters) -> tuple[np.ndarray, float]:
+    """Predictor weights K^-1 k* and the floored predictive variance for
+    training inputs at `offsets` = t* - t_i from the test input.
+
+    The kernel is stationary, so both depend on the inputs only through
+    these offsets: a window shifted in time has the same predictor.
+    """
+    spec = hyper.kernel
+    prior_var = (
+        spec.signal_scale * spec.signal_scale + hyper.noise_scale * hyper.noise_scale
+    )
+    if offsets.size == 0:
+        return np.zeros(0), max(prior_var, VAR_FLOOR)
+    V = noisy_covariance(spec, offsets, hyper.noise_scale)
+    L = chol_with_jitter(V)
+    k_star = _kernel_of_dist(spec, np.abs(offsets))
+    weights = cho_solve((L, True), k_star, check_finite=False)
+    v = solve_triangular(L, k_star, lower=True, check_finite=False)
+    return weights, max(prior_var - float(v @ v), VAR_FLOOR)
+
+
 def gp_predict(
     train_t,
     train_y,
     mean: MeanFunction,
     hyper: Hyperparameters,
     t_star: float,
+    cache: dict | None = None,
 ) -> PredictiveDistribution:
     """One-step posterior predictive of the observation at `t_star`.
 
     The returned variance is in observation space: it includes the noise
     variance at the test point, so the prior (empty training set) is
     signal_scale**2 + noise_scale**2.
+
+    `cache` maps offset patterns to this model's predictors (see
+    `predictor`); it must only ever be used with one `hyper`.  Each entry
+    is a function of its key alone, so a cache can be shared by any
+    number of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a
+    full cache drops its oldest entry for the new one.
     """
     ts = np.asarray(train_t, dtype=float)
     ys = np.asarray(train_y, dtype=float)
     if ts.shape != ys.shape:
         raise ValueError("train_t and train_y must have the same length")
-    spec = hyper.kernel
-    prior_var = (
-        spec.signal_scale * spec.signal_scale + hyper.noise_scale * hyper.noise_scale
-    )
-    if ts.size == 0:
-        return PredictiveDistribution(mean.constant, max(prior_var, VAR_FLOOR))
-    V = noisy_covariance(spec, ts, hyper.noise_scale)
-    L = chol_with_jitter(V)
-    resid = ys - mean.constant
-    alpha = cho_solve((L, True), resid, check_finite=False)
-    k_star = cross_covariance(spec, ts, t_star)
-    m = mean.constant + float(k_star @ alpha)
-    v = solve_triangular(L, k_star, lower=True, check_finite=False)
-    var = prior_var - float(v @ v)
-    return PredictiveDistribution(m, max(var, VAR_FLOOR))
+    offsets = t_star - ts
+    if cache is None:
+        weights, var = predictor(offsets, hyper)
+    else:
+        key = offsets.tobytes()
+        hit = cache.get(key)
+        if hit is None:
+            if len(cache) >= PREDICTOR_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            hit = cache[key] = predictor(offsets, hyper)
+        weights, var = hit
+    return PredictiveDistribution(mean.constant + float(weights @ (ys - mean.constant)), var)
 
 
 def log_marginal_likelihood(

@@ -222,8 +222,10 @@ def slice_series(series: np.ndarray, entry: dict) -> np.ndarray:
 def bench(bench_config: dict, dataset_dir) -> BenchResult:
     """Run both modes over every configured dataset.
 
-    Per-dataset failures are reported in `skipped`; the remaining datasets
-    still run.  Each row carries the dataset name, mode, and metrics.
+    Per-dataset failures (bad input or config, a missing key, a numerical
+    failure) are reported in `skipped`; the remaining datasets still run.
+    Any other exception is a fault in the program and propagates.  Each
+    row carries the dataset name, mode, and metrics.
     """
     dataset_dir = Path(dataset_dir)
     defaults = bench_config.get("defaults", {})
@@ -253,7 +255,7 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
                         "change_points": result.summary["change_points"],
                     }
                 )
-        except Exception as exc:
+        except (ValueError, KeyError, NumericalError) as exc:
             log.warning("bench: skipping %s: %s", name, exc)
             skipped.append({"dataset": name, "error": str(exc)})
     return BenchResult(rows=rows, skipped=skipped)

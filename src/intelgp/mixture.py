@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,17 +52,28 @@ SINGLETON_FACTORS = VariantFactors()
 @dataclass
 class ModelSet:
     """The template model (index 0), its variants, their weights, and the
-    mean function shared by all of them."""
+    mean function shared by all of them.
+
+    `caches` holds one predictor cache per model (see `gp.gp_predict`).  A
+    new model set starts with empty ones; `replace` shares them, so a
+    stream and its forks fill the same caches.
+    """
 
     models: tuple[Hyperparameters, ...]
     weights: np.ndarray
     shared_mean: MeanFunction
+    caches: tuple[dict, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.caches is None:
+            self.caches = tuple({} for _ in self.models)
 
     def replace(self, weights=None, shared_mean=None) -> "ModelSet":
         return ModelSet(
             models=self.models,
             weights=self.weights if weights is None else np.asarray(weights, float),
             shared_mean=self.shared_mean if shared_mean is None else shared_mean,
+            caches=self.caches,
         )
 
 

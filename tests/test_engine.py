@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import flat_stream, shift_stream, spike_stream
 
+from intelgp import gp
 from intelgp.engine import (
     Classification,
     EngineConfig,
@@ -18,12 +19,22 @@ from intelgp.engine import (
     step,
 )
 from intelgp.gp import PredictiveDistribution, gp_predict
-from intelgp.mixture import VariantFactors, fuse_poe, predictive_weights
+from intelgp.mixture import ModelSet, VariantFactors, fuse_poe, predictive_weights
 
 SINGLETON = EngineConfig(init_count=60, factors=VariantFactors(), seed=0)
 EIGHT_MODEL = EngineConfig(
     init_count=60, factors=VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)), seed=0
 )
+
+
+def gapped_shift_stream(seed: int):
+    """Flat stream with two isolated spikes three rows apart (two gaps in
+    one window) and a sustained shift later on (a change point)."""
+    history, stream = flat_stream(seed)
+    stream = stream.copy()
+    stream[[30, 33]] += 3.0
+    stream[70:] += 3.0
+    return history, stream
 
 
 def stream_through(state, values):
@@ -371,3 +382,69 @@ class TestMeanRefresh:
         for k in (9, 19, 29):
             expected = float(np.mean(stream[k - 9 : k + 1]))
             assert outputs[k].mean_const == pytest.approx(expected, abs=1e-12)
+
+
+class TestPredictorCache:
+    def test_matches_uncached_gp_predict_at_every_step(self, monkeypatch):
+        # A small limit makes the caches evict entries within the stream.
+        monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 4)
+        history, stream = gapped_shift_stream(52)
+        state = initialize(np.arange(60), history, EIGHT_MODEL)
+        assert all(len(c) == 0 for c in state.model_set.caches)
+        verdicts, most_gaps, fullest = [], 0, 0
+        for y in stream:
+            pred = predict_next(state)
+            ms = state.model_set
+            for h, got in zip(ms.models, pred.per_model):
+                want = gp_predict(
+                    state.window.times, state.window.values, ms.shared_mean, h,
+                    state.current_t + 1,
+                )
+                assert got == want
+            times = state.window.times
+            most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
+            state, out = step(state, y)
+            verdicts.append(out.verdict)
+            fullest = max(fullest, *(len(c) for c in state.model_set.caches))
+            assert fullest <= gp.PREDICTOR_CACHE_SIZE
+        assert most_gaps == 2
+        assert verdicts.count(Verdict.OUTLIER) >= 2
+        assert Verdict.CHANGE_POINT in verdicts
+        assert fullest == gp.PREDICTOR_CACHE_SIZE
+
+    def test_every_initialize_starts_cold(self):
+        history, stream = flat_stream(53)
+        first = initialize(np.arange(60), history, EIGHT_MODEL)
+        stream_through(first, stream[:20])
+        assert all(len(c) > 0 for c in first.model_set.caches)
+        second = initialize(np.arange(60), history, EIGHT_MODEL)
+        assert all(len(c) == 0 for c in second.model_set.caches)
+        assert not {id(c) for c in first.model_set.caches} & {
+            id(c) for c in second.model_set.caches
+        }
+
+    def test_cache_is_out_of_equality_and_repr(self):
+        history, _ = flat_stream(54)
+        state = initialize(np.arange(60), history, SINGLETON)
+        predict_next(state)
+        ms = state.model_set
+        assert "caches" not in repr(ms)
+        assert ModelSet(ms.models, ms.weights, ms.shared_mean) == ms
+        assert ms.replace(weights=ms.weights).caches is ms.caches
+
+
+class TestTimeShiftInvariance:
+    def test_shifted_history_gives_identical_outputs(self):
+        history, stream = gapped_shift_stream(55)
+        base = initialize(np.arange(60), history, EIGHT_MODEL)
+        moved = initialize(np.arange(60) + 10_000, history, EIGHT_MODEL)
+        assert moved.model_set.models == base.model_set.models
+        _, want = stream_through(base, stream)
+        _, got = stream_through(moved, stream)
+        assert Verdict.CHANGE_POINT in [o.verdict for o in want]
+        for a, b in zip(got, want):
+            assert a.t == b.t + 10_000
+            assert a.fused == b.fused
+            assert a.per_model == b.per_model
+            assert a.verdict is b.verdict
+            np.testing.assert_array_equal(a.weights_after, b.weights_after)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import regime_change_series
 
+from intelgp import harness
 from intelgp.engine import EngineConfig, Mode
 from intelgp.harness import (
     InputError,
@@ -226,6 +227,16 @@ class TestBench:
         assert len(result.rows) == 2
         assert len(result.skipped) == 1
         assert result.skipped[0]["dataset"] == "broken"
+
+    def test_programming_errors_are_not_skipped(self, tmp_path, monkeypatch):
+        cfg = self.make_dataset(tmp_path)
+
+        def broken_run(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(harness, "run", broken_run)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            bench(cfg, tmp_path)
 
     def test_table_formatting(self, tmp_path):
         cfg = self.make_dataset(tmp_path)

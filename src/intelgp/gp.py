@@ -25,9 +25,10 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Entries a predictor cache holds.  The bound keeps memory flat on streams
-# whose windows rarely repeat an offset pattern; on a full, contiguous
-# window the pattern repeats almost every step.
-PREDICTOR_CACHE_SIZE = 128
+# whose windows rarely repeat an offset pattern (an entry holds a tau x tau
+# factor); on a full, contiguous window the pattern repeats almost every
+# step, and the least recently used entries go first.
+PREDICTOR_CACHE_SIZE = 64
 
 
 class NumericalError(RuntimeError):
@@ -187,25 +188,26 @@ def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     )
 
 
-def predictor(offsets: np.ndarray, hyper: Hyperparameters) -> tuple[np.ndarray, float]:
-    """Predictor weights K^-1 k* and the floored predictive variance for
-    training inputs at `offsets` = t* - t_i from the test input.
+def predictor(offsets: np.ndarray, hyper: Hyperparameters):
+    """Lower Cholesky factor L of the noisy kernel matrix, the kernel vector
+    k* and the floored predictive variance for training inputs at
+    `offsets` = t* - t_i from the test input; L and k* are None for an
+    empty training set.
 
-    The kernel is stationary, so both depend on the inputs only through
-    these offsets: a window shifted in time has the same predictor.
+    The kernel is stationary, so all three depend on the inputs only
+    through these offsets: a window shifted in time has the same predictor.
     """
     spec = hyper.kernel
     prior_var = (
         spec.signal_scale * spec.signal_scale + hyper.noise_scale * hyper.noise_scale
     )
     if offsets.size == 0:
-        return np.zeros(0), max(prior_var, VAR_FLOOR)
+        return None, None, max(prior_var, VAR_FLOOR)
     V = noisy_covariance(spec, offsets, hyper.noise_scale)
     L = chol_with_jitter(V)
     k_star = _kernel_of_dist(spec, np.abs(offsets))
-    weights = cho_solve((L, True), k_star, check_finite=False)
     v = solve_triangular(L, k_star, lower=True, check_finite=False)
-    return weights, max(prior_var - float(v @ v), VAR_FLOOR)
+    return L, k_star, max(prior_var - float(v @ v), VAR_FLOOR)
 
 
 def gp_predict(
@@ -226,7 +228,9 @@ def gp_predict(
     `predictor`); it must only ever be used with one `hyper`.  Each entry
     is a function of its key alone, so a cache can be shared by any
     number of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a
-    full cache drops its oldest entry for the new one.
+    full cache drops its least recently used entry for the new one.  The
+    mean is solved from the residuals with the entry's factor, so a cached
+    prediction equals an uncached one bit for bit.
     """
     ts = np.asarray(train_t, dtype=float)
     ys = np.asarray(train_y, dtype=float)
@@ -234,16 +238,20 @@ def gp_predict(
         raise ValueError("train_t and train_y must have the same length")
     offsets = t_star - ts
     if cache is None:
-        weights, var = predictor(offsets, hyper)
+        L, k_star, var = predictor(offsets, hyper)
     else:
         key = offsets.tobytes()
-        hit = cache.get(key)
+        hit = cache.pop(key, None)
         if hit is None:
             if len(cache) >= PREDICTOR_CACHE_SIZE:
                 del cache[next(iter(cache))]
-            hit = cache[key] = predictor(offsets, hyper)
-        weights, var = hit
-    return PredictiveDistribution(mean.constant + float(weights @ (ys - mean.constant)), var)
+            hit = predictor(offsets, hyper)
+        cache[key] = hit
+        L, k_star, var = hit
+    if L is None:
+        return PredictiveDistribution(mean.constant, var)
+    alpha = cho_solve((L, True), ys - mean.constant, check_finite=False)
+    return PredictiveDistribution(mean.constant + float(k_star @ alpha), var)
 
 
 def log_marginal_likelihood(

@@ -423,6 +423,17 @@ class TestPredictorCache:
             id(c) for c in second.model_set.caches
         }
 
+    def test_full_cache_drops_least_recently_used(self, monkeypatch):
+        monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
+        hyper = initialize(np.arange(60), flat_stream(56)[0], SINGLETON).model_set.models[0]
+        mean = gp.MeanFunction(0.0)
+        cache = {}
+        windows = [np.arange(n, 20.0) for n in (0, 1, 2)]
+        for ts in (windows[0], windows[1], windows[0], windows[2]):
+            got = gp_predict(ts, np.sin(ts), mean, hyper, 20.0, cache)
+            assert got == gp_predict(ts, np.sin(ts), mean, hyper, 20.0)
+        assert list(cache) == [(20.0 - windows[i]).tobytes() for i in (0, 2)]
+
     def test_cache_is_out_of_equality_and_repr(self):
         history, _ = flat_stream(54)
         state = initialize(np.arange(60), history, SINGLETON)

@@ -142,7 +142,8 @@ class StepOutput:
     verdict: Verdict
     weights_after: np.ndarray
     mean_const: float
-    per_model: tuple[PredictiveDistribution, ...]
+    means: np.ndarray  # per model, in model order
+    variances: np.ndarray
     regime_start: Optional[int] = None
 
 
@@ -158,21 +159,20 @@ def predict_next(state: EngineState) -> FusedPrediction:
     """Fused one-step-ahead prediction for time current_t + 1.
 
     Pure: evaluates every model over the current window with the shared
-    mean, flattens the weights by the forgetting parameter, and fuses.
-    The only writes go to the model set's predictor caches, whose entries
-    depend on their keys alone.
+    mean in one batched prediction, flattens the weights by the forgetting
+    parameter, and fuses.  The only writes go to the model set's predictor
+    cache, whose entries depend on their keys alone.
     """
-    t_star = state.current_t + 1
     ms = state.model_set
-    ts = np.asarray(state.window.times, dtype=float)
-    ys = np.asarray(state.window.values, dtype=float)
-    per_model = tuple(
-        gp_predict(ts, ys, ms.shared_mean, h, t_star, cache)
-        for h, cache in zip(ms.models, ms.caches)
+    means, variances = gp_predict(
+        state.window.times, state.window.values, ms.shared_mean, ms.models,
+        state.current_t + 1, ms.cache,
     )
     w_hat = predictive_weights(ms.weights, state.alpha)
-    fused = fuse_poe(per_model, w_hat)
-    return FusedPrediction(fused=fused, per_model=per_model, predictive_weights=w_hat)
+    fused = fuse_poe(means, variances, w_hat)
+    return FusedPrediction(
+        fused=fused, means=means, variances=variances, predictive_weights=w_hat
+    )
 
 
 def refresh_mean_periodic(state: EngineState) -> MeanFunction:
@@ -226,7 +226,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
             verdict = Verdict.OUTLIER
             log.info("outlier declared at t=%d", t_next)
 
-    likelihoods = step_likelihoods(prediction.per_model, y_next)
+    likelihoods = step_likelihoods(prediction.means, prediction.variances, y_next)
     weights = update_weights(prediction.predictive_weights, likelihoods)
 
     window = window.trimmed(t_next + 1 - window.tau)
@@ -248,7 +248,8 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         verdict=verdict,
         weights_after=weights,
         mean_const=mean.constant,
-        per_model=prediction.per_model,
+        means=prediction.means,
+        variances=prediction.variances,
         regime_start=regime_start,
     )
     return new_state, output

@@ -1,9 +1,9 @@
 """Exact Gaussian-process machinery on scalar inputs.
 
-Kernels, covariance assembly, one-step posterior prediction, and the log
-marginal likelihood with analytic gradients in log-parameter space.  All
-solves go through a Cholesky factorization with an escalating diagonal
-jitter; an explicit matrix inverse is never formed on the prediction path.
+Kernels, covariance assembly, one-step posterior prediction for a whole
+model set at once, and the log marginal likelihood with analytic gradients
+in log-parameter space.  All solves go through a Cholesky factorization;
+an explicit matrix inverse is never formed on the prediction path.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Entries a predictor cache holds.  The bound keeps memory flat on streams
-# whose windows rarely repeat an offset pattern (an entry holds a tau x tau
-# factor); on a full, contiguous window the pattern repeats almost every
+# whose windows rarely repeat an offset pattern (an entry holds M tau x tau
+# factors); on a full, contiguous window the pattern repeats almost every
 # step, and the least recently used entries go first.
 PREDICTOR_CACHE_SIZE = 64
 
@@ -129,23 +129,25 @@ class PredictiveDistribution:
 _MAX_SCALED_DIST = 705.0
 
 
-def _kernel_of_dist(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of pairwise distance |xi - xj|."""
+def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) -> np.ndarray:
+    """Kernel value as a function of pairwise distance |xi - xj|.  The
+    scales are floats, or arrays that broadcast against `d` to evaluate
+    several models at once."""
     # x * x instead of x**2: Python float pow raises OverflowError where
     # IEEE multiplication yields inf, and inf is handled at the Cholesky gate
-    sf2 = spec.signal_scale * spec.signal_scale
-    if spec.kind is KernelKind.MATERN52:
-        u = np.minimum((math.sqrt(5.0) / spec.length_scale) * d, _MAX_SCALED_DIST)
+    sf2 = signal_scale * signal_scale
+    if kind is KernelKind.MATERN52:
+        u = np.minimum((math.sqrt(5.0) / length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    if spec.kind is KernelKind.SQUARED_EXPONENTIAL:
-        s = np.minimum((d / spec.length_scale) ** 2, _MAX_SCALED_DIST)
+    if kind is KernelKind.SQUARED_EXPONENTIAL:
+        s = np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST)
         return sf2 * np.exp(-s)
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def kernel_eval(spec: KernelSpec, xi: float, xj: float) -> float:
-    """Evaluate the kernel at a pair of scalar inputs."""
-    return float(_kernel_of_dist(spec, np.abs(np.asarray(xi - xj, dtype=float))))
+def _kernel_of_dist(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """Kernel value as a function of pairwise distance |xi - xj|."""
+    return _kernel_values(spec.kind, spec.signal_scale, spec.length_scale, d)
 
 
 def covariance_matrix(spec: KernelSpec, xs) -> np.ndarray:
@@ -169,12 +171,23 @@ def noisy_covariance(spec: KernelSpec, xs, noise_scale: float) -> np.ndarray:
 def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of V, retrying with escalating diagonal jitter.
 
+    A stack of matrices, shape (M, n, n), is factored with
+    np.linalg.cholesky and no jitter: one call for the whole stack, or one
+    per matrix once that call fails.  A matrix of the stack that is not
+    positive definite comes back filled with NaN, for the caller to factor
+    on its own.
+
     Raises NumericalError on non-finite input or once the ladder is
     exhausted.
     """
-    n = V.shape[0]
+    n = V.shape[-1]
     if not np.all(np.isfinite(V)):
         raise NumericalError("covariance matrix contains non-finite values")
+    if V.ndim == 3:
+        try:
+            return np.linalg.cholesky(V)
+        except np.linalg.LinAlgError:
+            return np.array([_cholesky_or_nan(A) for A in V])
     for jitter in _JITTERS:
         try:
             if jitter == 0.0:
@@ -188,49 +201,88 @@ def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     )
 
 
-def predictor(offsets: np.ndarray, hyper: Hyperparameters):
-    """Lower Cholesky factor L of the noisy kernel matrix, the kernel vector
-    k* and the floored predictive variance for training inputs at
-    `offsets` = t* - t_i from the test input; L and k* are None for an
-    empty training set.
+def _cholesky_or_nan(A: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return np.full_like(A, np.nan)
+
+
+def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
+    """Each model's noisy kernel matrix over training inputs at `offsets`
+    from the test input, followed by the test input itself (offset 0):
+    an (M, n+1, n+1) stack for n offsets."""
+    kind = models[0].kernel.kind
+    if any(h.kernel.kind is not kind for h in models):
+        raise ValueError("the models of one prediction must share a kernel kind")
+    sf, ell, sn = np.array(
+        [(h.kernel.signal_scale, h.kernel.length_scale, h.noise_scale) for h in models]
+    ).T
+    x = np.append(offsets, 0.0)
+    # The kernel is evaluated once per distinct distance, then spread out.
+    d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
+    V = _kernel_values(kind, sf[:, None], ell[:, None], d)[:, where]
+    V = V.reshape(len(models), x.size, x.size)
+    i = np.arange(x.size)
+    V[:, i, i] += (sn * sn)[:, None]
+    return V
+
+
+def predictor(offsets: np.ndarray, models):
+    """Per model, for training inputs at `offsets` = t* - t_i from the test
+    input: the lower Cholesky factor L of the noisy kernel matrix, v = L⁻¹k*
+    and the floored predictive variance, as read-only arrays of shapes
+    (M, n, n), (M, n) and (M,).
 
     The kernel is stationary, so all three depend on the inputs only
     through these offsets: a window shifted in time has the same predictor.
+    They come from one factorization of each model's covariance over the
+    window plus the test input (`_augmented_covariances`): L is its leading
+    block, v its last row, and the variance the square of its last diagonal
+    entry.  A model whose augmented matrix is not positive definite has its
+    window matrix factored on its own with the jitter ladder, and v solved
+    from that factor.
     """
-    spec = hyper.kernel
-    prior_var = (
-        spec.signal_scale * spec.signal_scale + hyper.noise_scale * hyper.noise_scale
-    )
-    if offsets.size == 0:
-        return None, None, max(prior_var, VAR_FLOOR)
-    V = noisy_covariance(spec, offsets, hyper.noise_scale)
-    L = chol_with_jitter(V)
-    k_star = _kernel_of_dist(spec, np.abs(offsets))
-    v = solve_triangular(L, k_star, lower=True, check_finite=False)
-    return L, k_star, max(prior_var - float(v @ v), VAR_FLOOR)
+    n = offsets.size
+    V = _augmented_covariances(offsets, models)
+    F = chol_with_jitter(V)
+    L = np.ascontiguousarray(F[:, :n, :n])
+    v = F[:, n, :n].copy()
+    var = F[:, n, n] * F[:, n, n]
+    for m in np.flatnonzero(np.isnan(var)):
+        L[m] = Lm = chol_with_jitter(V[m, :n, :n])
+        v[m] = solve_triangular(Lm, V[m, :n, n], lower=True, check_finite=False)
+        var[m] = V[m, n, n] - v[m] @ v[m]
+    var = np.maximum(var, VAR_FLOOR)
+    for a in (L, v, var):
+        a.flags.writeable = False
+    return L, v, var
 
 
 def gp_predict(
     train_t,
     train_y,
     mean: MeanFunction,
-    hyper: Hyperparameters,
+    models,
     t_star: float,
     cache: dict | None = None,
-) -> PredictiveDistribution:
-    """One-step posterior predictive of the observation at `t_star`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-step posterior predictive of the observation at `t_star` under
+    each of `models` (Hyperparameters of one kernel kind): the M means and
+    the M variances, as arrays.
 
-    The returned variance is in observation space: it includes the noise
+    The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
     signal_scale**2 + noise_scale**2.
 
-    `cache` maps offset patterns to this model's predictors (see
-    `predictor`); it must only ever be used with one `hyper`.  Each entry
-    is a function of its key alone, so a cache can be shared by any
-    number of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a
-    full cache drops its least recently used entry for the new one.  The
-    mean is solved from the residuals with the entry's factor, so a cached
-    prediction equals an uncached one bit for bit.
+    `cache` maps offset patterns to predictors of `models` (see
+    `predictor`); it must only ever be used with one model set.  Each entry
+    is a function of its key alone, so a cache can be shared by any number
+    of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a full
+    cache drops its least recently used entry for the new one.  Each
+    model's mean is c + v·L⁻¹(y - c), solved from the residuals with the
+    entry's factor, so a cached prediction equals an uncached one bit for
+    bit.
     """
     ts = np.asarray(train_t, dtype=float)
     ys = np.asarray(train_y, dtype=float)
@@ -238,20 +290,22 @@ def gp_predict(
         raise ValueError("train_t and train_y must have the same length")
     offsets = t_star - ts
     if cache is None:
-        L, k_star, var = predictor(offsets, hyper)
+        L, v, var = predictor(offsets, models)
     else:
         key = offsets.tobytes()
         hit = cache.pop(key, None)
         if hit is None:
             if len(cache) >= PREDICTOR_CACHE_SIZE:
                 del cache[next(iter(cache))]
-            hit = predictor(offsets, hyper)
+            hit = predictor(offsets, models)
         cache[key] = hit
-        L, k_star, var = hit
-    if L is None:
-        return PredictiveDistribution(mean.constant, var)
-    alpha = cho_solve((L, True), ys - mean.constant, check_finite=False)
-    return PredictiveDistribution(mean.constant + float(k_star @ alpha), var)
+        L, v, var = hit
+    c = mean.constant
+    if ts.size == 0:
+        return np.full(var.size, c), var
+    r = ys - c
+    z = np.array([solve_triangular(Lm, r, lower=True, check_finite=False) for Lm in L])
+    return c + np.vecdot(v, z), var
 
 
 def log_marginal_likelihood(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EngineConfig, Mode, StepOutput, Verdict, initialize, step
-from .gp import NumericalError
+from .gp import KernelKind, NumericalError
 from .metrics import RunMetrics, compute_stats, evaluate
 from .mixture import VariantFactors
 
@@ -208,6 +208,7 @@ def _config_from_entry(defaults: dict, entry: dict, mode: Mode) -> EngineConfig:
         init_count=int(merged.get("init_count", 200)),
         factors=parse_factors(merged.get("factors", {"f": 0.2, "l": 0.2, "n": 5.0})),
         mode=mode,
+        kernel_kind=KernelKind(merged.get("kernel", "matern52")),
         seed=int(merged.get("seed", 0)),
     )
 

@@ -1,5 +1,8 @@
 """Model set construction, the forgetting-plus-Bayes weight recursion, and
-precision-weighted fusion of per-model Gaussian predictions."""
+precision-weighted fusion of per-model Gaussian predictions.
+
+Per-model predictions travel as two (M,) arrays, the means and the
+variances, in model order."""
 
 from __future__ import annotations
 
@@ -54,33 +57,37 @@ class ModelSet:
     """The template model (index 0), its variants, their weights, and the
     mean function shared by all of them.
 
-    `caches` holds one predictor cache per model (see `gp.gp_predict`).  A
-    new model set starts with empty ones; `replace` shares them, so a
-    stream and its forks fill the same caches.
+    `cache` is the predictor cache of the whole set (see `gp.gp_predict`).
+    A new model set starts with an empty one; `replace` shares it, so a
+    stream and its forks fill the same cache.
     """
 
     models: tuple[Hyperparameters, ...]
     weights: np.ndarray
     shared_mean: MeanFunction
-    caches: tuple[dict, ...] = field(default=None, compare=False, repr=False)
+    cache: dict = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.caches is None:
-            self.caches = tuple({} for _ in self.models)
+        if self.cache is None:
+            self.cache = {}
 
     def replace(self, weights=None, shared_mean=None) -> "ModelSet":
         return ModelSet(
             models=self.models,
             weights=self.weights if weights is None else np.asarray(weights, float),
             shared_mean=self.shared_mean if shared_mean is None else shared_mean,
-            caches=self.caches,
+            cache=self.cache,
         )
 
 
 @dataclass(frozen=True)
 class FusedPrediction:
+    """The fused forecast, and the per-model means and variances it fuses
+    with the predictive weights."""
+
     fused: PredictiveDistribution
-    per_model: tuple[PredictiveDistribution, ...]
+    means: np.ndarray
+    variances: np.ndarray
     predictive_weights: np.ndarray
 
 
@@ -143,50 +150,39 @@ def update_weights(pred_weights, likelihoods) -> np.ndarray:
     return np.maximum(w, WEIGHT_FLOOR)
 
 
-def model_log_likelihood(pred: PredictiveDistribution, y: float) -> float:
-    """Gaussian log density of the observation under one model's predictive."""
-    resid = y - pred.mean
-    return -0.5 * (resid * resid / pred.variance + math.log(pred.variance) + _LOG_2PI)
+def model_log_likelihood(means, variances, y: float):
+    """Gaussian log density of the observation under each model's
+    predictive; works elementwise on arrays and on scalars."""
+    resid = y - means
+    return -0.5 * (resid * resid / variances + np.log(variances) + _LOG_2PI)
 
 
-def model_likelihood(pred: PredictiveDistribution, y: float) -> float:
-    """Gaussian density of the observation under one model's predictive."""
-    return math.exp(model_log_likelihood(pred, y))
+def model_likelihood(means, variances, y: float):
+    """Gaussian density of the observation under each model's predictive."""
+    return np.exp(model_log_likelihood(means, variances, y))
 
 
-def step_likelihoods(per_model, y: float) -> np.ndarray:
+def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.ndarray:
     """Per-model likelihoods rescaled by the per-step maximum log density.
 
     Working in log space and exponentiating after subtracting the maximum
     prevents underflow when the observation is far in every model's tail;
     the common factor cancels in the weight update.
     """
-    logs = np.array([model_log_likelihood(p, y) for p in per_model])
-    return np.exp(logs - logs.max())
+    resid = y - means
+    q = resid * resid / variances + np.log(variances)  # -2 log density, less a constant
+    return np.exp(0.5 * (q.min() - q))
 
 
-def fuse_poe(per_model, pred_weights) -> PredictiveDistribution:
+def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> PredictiveDistribution:
     """Weighted product-of-experts fusion of Gaussian predictions.
 
     Each model contributes its precision scaled by its predictive weight;
     the fused mean is the precision-and-weight-weighted mean.
     """
     w = np.asarray(pred_weights, dtype=float)
-    if len(per_model) != w.size:
-        raise ValueError("per_model and pred_weights must have the same length")
-    means = np.array([p.mean for p in per_model])
-    precisions = np.array([1.0 / p.variance for p in per_model])
-    wp = w * precisions
+    if not (w.shape == means.shape == variances.shape):
+        raise ValueError("means, variances and pred_weights must have the same length")
+    wp = w / variances
     total = wp.sum()
-    mean = float((means * wp).sum() / total)
-    return PredictiveDistribution(mean, max(1.0 / total, VAR_FLOOR))
-
-
-def fuse_unweighted_poe(per_model) -> PredictiveDistribution:
-    """Plain product-of-experts fusion: precisions add, means are
-    precision-weighted.  Kept for comparison against the weighted form."""
-    means = np.array([p.mean for p in per_model])
-    precisions = np.array([1.0 / p.variance for p in per_model])
-    total = precisions.sum()
-    mean = float((means * precisions).sum() / total)
-    return PredictiveDistribution(mean, max(1.0 / total, VAR_FLOOR))
+    return PredictiveDistribution(means @ wp / total, max(1.0 / total, VAR_FLOOR))

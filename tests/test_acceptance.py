@@ -21,9 +21,7 @@ from intelgp.gp import (
     KernelKind,
     KernelSpec,
     MeanFunction,
-    PredictiveDistribution,
     chol_with_jitter,
-    gp_predict,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -35,7 +33,7 @@ from intelgp.mixture import (
     predictive_weights,
     update_weights,
 )
-from test_gp import oracle_predict
+from test_gp import oracle_predict, predict_one
 
 WELL_LOG = DATA_DIR / "well_log.csv"
 CPU_USAGE = DATA_DIR / "cpu_usage.csv"
@@ -81,10 +79,10 @@ def test_gp_correctness_oracle():
             ys = rng.normal(size=n)
             c = rng.normal()
             t_star = float(rng.uniform(0, 28))
-            pred = gp_predict(ts, ys, MeanFunction(c), hyper, t_star)
+            mean, var = predict_one(ts, ys, MeanFunction(c), hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
-            assert abs(pred.mean - m_ref) < 1e-8
-            assert abs(pred.variance - v_ref) < 1e-8
+            assert abs(mean - m_ref) < 1e-8
+            assert abs(var - v_ref) < 1e-8
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -149,25 +147,20 @@ def test_hyperparameter_recovery():
 
 def test_fusion_identities():
     with criterion("fusion-identities"):
-        preds = [
-            PredictiveDistribution(-1.2, 0.4),
-            PredictiveDistribution(0.9, 2.5),
-            PredictiveDistribution(3.1, 0.03),
-        ]
+        means = np.array([-1.2, 0.9, 3.1])
+        variances = np.array([0.4, 2.5, 0.03])
         for j in range(3):
             one_hot = np.zeros(3)
             one_hot[j] = 1.0
-            fused = fuse_poe(preds, one_hot)
-            assert abs(fused.mean - preds[j].mean) < 1e-12
-            assert abs(fused.variance - preds[j].variance) < 1e-12
+            fused = fuse_poe(means, variances, one_hot)
+            assert abs(fused.mean - means[j]) < 1e-12
+            assert abs(fused.variance - variances[j]) < 1e-12
 
-        same = [PredictiveDistribution(0.6, 1.7)] * 5
-        fused = fuse_poe(same, np.array([0.05, 0.1, 0.15, 0.3, 0.4]))
+        fused = fuse_poe(np.full(5, 0.6), np.full(5, 1.7), np.array([0.05, 0.1, 0.15, 0.3, 0.4]))
         assert abs(fused.mean - 0.6) < 1e-12
         assert abs(fused.variance - 1.7) < 1e-12
 
-        pair = [PredictiveDistribution(0.0, 1.0), PredictiveDistribution(2.0, 1.0)]
-        fused = fuse_poe(pair, np.array([0.5, 0.5]))
+        fused = fuse_poe(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert fused.mean == 1.0
         assert fused.variance == 1.0
 

@@ -132,32 +132,29 @@ class TestPredictNext:
         history, _ = flat_stream(34)
         state = initialize(np.arange(60), history, SINGLETON)
         fused = predict_next(state)
-        direct = gp_predict(
+        means, variances = gp_predict(
             state.window.times,
             state.window.values,
             state.model_set.shared_mean,
-            state.model_set.models[0],
+            state.model_set.models,
             state.current_t + 1,
         )
-        assert fused.fused.mean == direct.mean
-        assert fused.fused.variance == direct.variance
+        assert fused.fused.mean == means[0]
+        assert fused.fused.variance == variances[0]
 
     def test_matches_hand_rolled_pipeline(self):
         history, _ = flat_stream(35)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         fused = predict_next(state)
-        per_model = [
-            gp_predict(
-                state.window.times,
-                state.window.values,
-                state.model_set.shared_mean,
-                h,
-                state.current_t + 1,
-            )
-            for h in state.model_set.models
-        ]
+        means, variances = gp_predict(
+            state.window.times,
+            state.window.values,
+            state.model_set.shared_mean,
+            state.model_set.models,
+            state.current_t + 1,
+        )
         w_hat = predictive_weights(state.model_set.weights, state.alpha)
-        ref = fuse_poe(per_model, w_hat)
+        ref = fuse_poe(means, variances, w_hat)
         assert fused.fused.mean == pytest.approx(ref.mean, abs=1e-15)
         assert fused.fused.variance == pytest.approx(ref.variance, abs=1e-15)
 
@@ -386,26 +383,26 @@ class TestMeanRefresh:
 
 class TestPredictorCache:
     def test_matches_uncached_gp_predict_at_every_step(self, monkeypatch):
-        # A small limit makes the caches evict entries within the stream.
+        # A small limit makes the cache evict entries within the stream.
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 4)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert all(len(c) == 0 for c in state.model_set.caches)
+        assert len(state.model_set.cache) == 0
         verdicts, most_gaps, fullest = [], 0, 0
         for y in stream:
             pred = predict_next(state)
             ms = state.model_set
-            for h, got in zip(ms.models, pred.per_model):
-                want = gp_predict(
-                    state.window.times, state.window.values, ms.shared_mean, h,
-                    state.current_t + 1,
-                )
-                assert got == want
+            means, variances = gp_predict(
+                state.window.times, state.window.values, ms.shared_mean, ms.models,
+                state.current_t + 1,
+            )
+            assert pred.means.tobytes() == means.tobytes()
+            assert pred.variances.tobytes() == variances.tobytes()
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
             state, out = step(state, y)
             verdicts.append(out.verdict)
-            fullest = max(fullest, *(len(c) for c in state.model_set.caches))
+            fullest = max(fullest, len(state.model_set.cache))
             assert fullest <= gp.PREDICTOR_CACHE_SIZE
         assert most_gaps == 2
         assert verdicts.count(Verdict.OUTLIER) >= 2
@@ -416,22 +413,22 @@ class TestPredictorCache:
         history, stream = flat_stream(53)
         first = initialize(np.arange(60), history, EIGHT_MODEL)
         stream_through(first, stream[:20])
-        assert all(len(c) > 0 for c in first.model_set.caches)
+        assert len(first.model_set.cache) > 0
         second = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert all(len(c) == 0 for c in second.model_set.caches)
-        assert not {id(c) for c in first.model_set.caches} & {
-            id(c) for c in second.model_set.caches
-        }
+        assert len(second.model_set.cache) == 0
+        assert second.model_set.cache is not first.model_set.cache
 
     def test_full_cache_drops_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
-        hyper = initialize(np.arange(60), flat_stream(56)[0], SINGLETON).model_set.models[0]
+        models = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).model_set.models
         mean = gp.MeanFunction(0.0)
         cache = {}
         windows = [np.arange(n, 20.0) for n in (0, 1, 2)]
         for ts in (windows[0], windows[1], windows[0], windows[2]):
-            got = gp_predict(ts, np.sin(ts), mean, hyper, 20.0, cache)
-            assert got == gp_predict(ts, np.sin(ts), mean, hyper, 20.0)
+            got = gp_predict(ts, np.sin(ts), mean, models, 20.0, cache)
+            want = gp_predict(ts, np.sin(ts), mean, models, 20.0)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
         assert list(cache) == [(20.0 - windows[i]).tobytes() for i in (0, 2)]
 
     def test_cache_is_out_of_equality_and_repr(self):
@@ -439,9 +436,9 @@ class TestPredictorCache:
         state = initialize(np.arange(60), history, SINGLETON)
         predict_next(state)
         ms = state.model_set
-        assert "caches" not in repr(ms)
+        assert "cache" not in repr(ms)
         assert ModelSet(ms.models, ms.weights, ms.shared_mean) == ms
-        assert ms.replace(weights=ms.weights).caches is ms.caches
+        assert ms.replace(weights=ms.weights).cache is ms.cache
 
 
 class TestTimeShiftInvariance:
@@ -456,6 +453,7 @@ class TestTimeShiftInvariance:
         for a, b in zip(got, want):
             assert a.t == b.t + 10_000
             assert a.fused == b.fused
-            assert a.per_model == b.per_model
+            assert a.means.tobytes() == b.means.tobytes()
+            assert a.variances.tobytes() == b.variances.tobytes()
             assert a.verdict is b.verdict
             np.testing.assert_array_equal(a.weights_after, b.weights_after)

@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
+from intelgp import gp
 from intelgp.gp import (
     VAR_FLOOR,
     Hyperparameters,
@@ -22,10 +26,10 @@ from intelgp.gp import (
     chol_with_jitter,
     covariance_matrix,
     gp_predict,
-    kernel_eval,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
+    predictor,
 )
 
 # Frozen from a 30-digit evaluation of (1 + sqrt(5) + 5/3) * exp(-sqrt(5)).
@@ -60,6 +64,17 @@ def oracle_predict(hyper, mean_const, ts, ys, t_star):
     m = mean_const + k @ V_inv @ (np.asarray(ys) - mean_const)
     var = joint[n, n] - k @ V_inv @ k
     return float(m), float(var)
+
+
+def kernel_eval(spec: KernelSpec, xi: float, xj: float) -> float:
+    """The kernel at a pair of scalar inputs, through the package's kernel."""
+    return float(gp._kernel_of_dist(spec, np.abs(np.asarray(xi - xj, dtype=float))))
+
+
+def predict_one(ts, ys, mean, hyper, t_star):
+    """One model's predictive (mean, variance) from the batched predictor."""
+    means, variances = gp_predict(ts, ys, mean, (hyper,), t_star)
+    return float(means[0]), float(variances[0])
 
 
 def random_hyper(rng) -> Hyperparameters:
@@ -162,16 +177,16 @@ class TestNoisyCovariance:
 class TestGpPredict:
     def test_empty_training_set_returns_prior(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
-        pred = gp_predict([], [], MeanFunction(0.0), hyper, 7.0)
-        assert pred.mean == 0.0
-        assert pred.variance == pytest.approx(1.01, abs=1e-15)
+        mean, var = predict_one([], [], MeanFunction(0.0), hyper, 7.0)
+        assert mean == 0.0
+        assert var == pytest.approx(1.01, abs=1e-15)
 
     def test_interpolation_limit(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 1e-6)
         ts = np.arange(5.0)
         ys = np.array([0.3, -0.1, 0.8, 0.2, -0.5])
-        pred = gp_predict(ts, ys, MeanFunction(0.0), hyper, 2.0)
-        assert pred.mean == pytest.approx(0.8, abs=1e-4)
+        mean, _ = predict_one(ts, ys, MeanFunction(0.0), hyper, 2.0)
+        assert mean == pytest.approx(0.8, abs=1e-4)
 
     def test_matches_conditioning_oracle(self):
         rng = np.random.default_rng(4)
@@ -182,10 +197,10 @@ class TestGpPredict:
             ys = rng.normal(size=n)
             c = rng.normal()
             t_star = float(ts[-1] + rng.uniform(0.5, 3.0))
-            pred = gp_predict(ts, ys, MeanFunction(c), hyper, t_star)
+            mean, var = predict_one(ts, ys, MeanFunction(c), hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
-            assert pred.mean == pytest.approx(m_ref, abs=1e-8)
-            assert pred.variance == pytest.approx(v_ref, abs=1e-8)
+            assert mean == pytest.approx(m_ref, abs=1e-8)
+            assert var == pytest.approx(v_ref, abs=1e-8)
 
     def test_variance_monotone_in_training_points(self):
         rng = np.random.default_rng(5)
@@ -196,19 +211,121 @@ class TestGpPredict:
             ys = rng.normal(size=n)
             t_star = float(ts[-1] + 1.0)
             mean = MeanFunction(0.0)
-            var_subset = gp_predict(ts[:-1], ys[:-1], mean, hyper, t_star).variance
-            var_full = gp_predict(ts, ys, mean, hyper, t_star).variance
+            _, var_subset = predict_one(ts[:-1], ys[:-1], mean, hyper, t_star)
+            _, var_full = predict_one(ts, ys, mean, hyper, t_star)
             assert var_full <= var_subset + 1e-10
 
     def test_variance_floor(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 1e-5)
-        pred = gp_predict([0.0], [0.5], MeanFunction(0.0), hyper, 0.0)
-        assert pred.variance >= VAR_FLOOR
+        _, var = predict_one([0.0], [0.5], MeanFunction(0.0), hyper, 0.0)
+        assert var >= VAR_FLOOR
 
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], MeanFunction(0.0), hyper, 2.0)
+            gp_predict([0.0, 1.0], [0.5], MeanFunction(0.0), (hyper,), 2.0)
+
+    def test_mixed_kernel_kinds_rejected(self):
+        models = (
+            Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1),
+            Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0), 0.1),
+        )
+        with pytest.raises(ValueError):
+            gp_predict([0.0, 1.0], [0.5, 0.2], MeanFunction(0.0), models, 2.0)
+
+
+@st.composite
+def batched_cases(draw):
+    """A model set of one kernel kind, a window of up to 20 of the 40 times
+    before t* = 1000 (so it can have gaps), its values, a mean constant and
+    an integer time shift."""
+    kind = draw(st.sampled_from(list(KernelKind)))
+    n_models = draw(st.sampled_from([1, 2, 8, 27]))
+    log_scales = st.tuples(
+        st.floats(-1.5, 1.5), st.floats(-1.0, 2.0), st.floats(-3.0, 0.0)
+    )
+    models = tuple(
+        Hyperparameters(KernelSpec(kind, math.exp(f), math.exp(l)), math.exp(n))
+        for f, l, n in draw(st.lists(log_scales, min_size=n_models, max_size=n_models))
+    )
+    offsets = draw(st.lists(st.integers(1, 40), max_size=20, unique=True))
+    ts = np.sort(1000.0 - np.array(offsets, dtype=float))
+    ys = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=ts.size, max_size=ts.size)))
+    c = draw(st.floats(-2.0, 2.0))
+    shift = draw(st.integers(-1_000_000, 1_000_000))
+    return models, ts, ys, MeanFunction(c), shift
+
+
+def as_bytes(prediction):
+    means, variances = prediction
+    return means.tobytes(), variances.tobytes()
+
+
+class TestBatchedPredictor:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(batched_cases())
+    def test_matches_oracle_cache_and_time_shift(self, case):
+        models, ts, ys, mean, shift = case
+        uncached = gp_predict(ts, ys, mean, models, 1000.0)
+        means, variances = uncached
+        assert means.shape == variances.shape == (len(models),)
+        for h, m, v in zip(models, means, variances):
+            m_ref, v_ref = oracle_predict(h, mean.constant, ts, ys, 1000.0)
+            assert m == pytest.approx(m_ref, abs=1e-8)
+            assert v == pytest.approx(v_ref, abs=1e-8)
+        cache = {}
+        for _ in range(2):  # a miss, then a hit
+            cached = gp_predict(ts, ys, mean, models, 1000.0, cache)
+            assert as_bytes(cached) == as_bytes(uncached)
+        shifted = gp_predict(ts + shift, ys, mean, models, 1000.0 + shift)
+        assert as_bytes(shifted) == as_bytes(uncached)
+
+    def test_predictor_arrays_are_read_only(self):
+        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.1)
+        for a in predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2))):
+            assert not a.flags.writeable
+
+
+class TestStackFallback:
+    # Tiny noise and a huge length scale: the window matrix is numerically
+    # rank one, so its unjittered Cholesky fails and the ladder takes over.
+    BAD = Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4), 1e-9)
+    GOOD = Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 3.0), 0.1)
+
+    def test_failing_model_goes_through_its_own_ladder(self):
+        ts = np.arange(20.0)
+        ys = np.sin(ts)
+        mean = MeanFunction(0.1)
+        offsets = 20.0 - ts
+        bad = self.BAD
+        V = noisy_covariance(bad.kernel, offsets, bad.noise_scale)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(V)
+        models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
+
+        L, v, var = predictor(offsets, models)
+        L_bad = chol_with_jitter(V)
+        k_star = gp._kernel_of_dist(bad.kernel, np.abs(offsets))
+        v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
+        prior = bad.kernel.signal_scale**2 + bad.noise_scale**2
+        assert L[1].tobytes() == L_bad.tobytes()
+        assert v[1].tobytes() == v_bad.tobytes()
+        assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
+
+        means, variances = gp_predict(ts, ys, mean, models, 20.0)
+        for m, h in enumerate(models):
+            alone_means, alone_variances = gp_predict(ts, ys, mean, (h,), 20.0)
+            assert means[m].tobytes() == alone_means[0].tobytes()
+            assert variances[m].tobytes() == alone_variances[0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_stack_raises(self):
+        with pytest.raises(NumericalError):
+            chol_with_jitter(np.full((2, 3, 3), np.nan))
+        # A signal scale whose square overflows to inf.
+        huge = self.GOOD.scaled(f=1e200)
+        with pytest.raises(NumericalError):
+            gp_predict([0.0, 1.0], [0.5, 0.2], MeanFunction(0.0), (self.GOOD, huge), 2.0)
 
 
 class TestLogMarginalLikelihood:

@@ -8,6 +8,7 @@ from conftest import regime_change_series
 
 from intelgp import harness
 from intelgp.engine import EngineConfig, Mode
+from intelgp.gp import KernelKind
 from intelgp.harness import (
     InputError,
     bench,
@@ -227,6 +228,29 @@ class TestBench:
         assert len(result.rows) == 2
         assert len(result.skipped) == 1
         assert result.skipped[0]["dataset"] == "broken"
+
+    def test_kernel_key_reaches_the_fit(self, tmp_path, monkeypatch):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"][0]["kernel"] = "se"
+        kinds = []
+        real_run = harness.run
+
+        def recording_run(config, *args, **kwargs):
+            kinds.append(config.kernel_kind)
+            return real_run(config, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        result = bench(cfg, tmp_path)
+        assert not result.skipped
+        assert kinds == [KernelKind.SQUARED_EXPONENTIAL] * 2
+
+    def test_unknown_kernel_skips_the_dataset(self, tmp_path):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"].append({**cfg["datasets"][0], "name": "typo", "kernel": "rbf"})
+        result = bench(cfg, tmp_path)
+        assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
+        assert [s["dataset"] for s in result.skipped] == ["typo"]
+        assert "rbf" in result.skipped[0]["error"]
 
     def test_programming_errors_are_not_skipped(self, tmp_path, monkeypatch):
         cfg = self.make_dataset(tmp_path)

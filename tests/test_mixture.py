@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from intelgp.gp import (
+    VAR_FLOOR,
     Hyperparameters,
     KernelKind,
     KernelSpec,
@@ -17,7 +18,6 @@ from intelgp.mixture import (
     VariantFactors,
     build_model_set,
     fuse_poe,
-    fuse_unweighted_poe,
     model_likelihood,
     model_log_likelihood,
     predictive_weights,
@@ -27,6 +27,21 @@ from intelgp.mixture import (
 
 TEMPLATE = Hyperparameters(KernelSpec(KernelKind.MATERN52, 2.0, 5.0), 0.4)
 MEAN = MeanFunction(0.0)
+
+
+def fuse_unweighted_poe(means, variances) -> PredictiveDistribution:
+    """Plain product-of-experts fusion: precisions add, means are
+    precision-weighted.  The reference the weighted form is checked
+    against."""
+    precisions = 1.0 / np.asarray(variances)
+    total = precisions.sum()
+    mean = float((np.asarray(means) * precisions).sum() / total)
+    return PredictiveDistribution(mean, max(1.0 / total, VAR_FLOOR))
+
+
+def random_preds(rng, n):
+    """Means and variances of n random Gaussian predictions."""
+    return rng.normal(size=n), rng.uniform(0.1, 3.0, n)
 
 
 def random_simplex(rng, n):
@@ -149,55 +164,52 @@ class TestUpdateWeights:
 
 class TestModelLikelihood:
     def test_density_one_at_mean_with_unit_normalizer(self):
-        pred = PredictiveDistribution(0.4, 1.0 / (2.0 * math.pi))
-        assert model_likelihood(pred, 0.4) == pytest.approx(1.0, abs=1e-14)
+        var = 1.0 / (2.0 * math.pi)
+        assert model_likelihood(0.4, var, 0.4) == pytest.approx(1.0, abs=1e-14)
 
     def test_symmetric_about_mean(self):
-        pred = PredictiveDistribution(1.5, 0.7)
-        assert model_likelihood(pred, 1.5 + 0.3) == pytest.approx(
-            model_likelihood(pred, 1.5 - 0.3), abs=1e-15
+        assert model_likelihood(1.5, 0.7, 1.5 + 0.3) == pytest.approx(
+            model_likelihood(1.5, 0.7, 1.5 - 0.3), abs=1e-15
         )
 
     def test_standard_normal_at_one(self):
-        pred = PredictiveDistribution(0.0, 1.0)
         expected = math.exp(-0.5) / math.sqrt(2.0 * math.pi)
-        assert model_likelihood(pred, 1.0) == pytest.approx(expected, abs=1e-15)
+        assert model_likelihood(0.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-15)
+
+    def test_elementwise_over_models(self):
+        means, variances = random_preds(np.random.default_rng(27), 5)
+        lik = model_likelihood(means, variances, 0.3)
+        for m, v, got in zip(means, variances, lik):
+            assert got == pytest.approx(model_likelihood(m, v, 0.3), rel=1e-14)
 
     def test_step_likelihoods_survive_extreme_tails(self):
         # Raw densities underflow to zero this far out; the rescaled form
         # must stay finite with a maximum of one.
-        preds = [
-            PredictiveDistribution(0.0, 1e-6),
-            PredictiveDistribution(0.1, 1e-6),
-        ]
-        lik = step_likelihoods(preds, 1000.0)
+        means = np.array([0.0, 0.1])
+        variances = np.array([1e-6, 1e-6])
+        lik = step_likelihoods(means, variances, 1000.0)
         assert np.all(np.isfinite(lik))
         assert lik.max() == 1.0
         # consistency with the raw log densities
-        logs = [model_log_likelihood(p, 1000.0) for p in preds]
+        logs = [model_log_likelihood(m, v, 1000.0) for m, v in zip(means, variances)]
         np.testing.assert_allclose(lik, np.exp(logs - np.max(logs)))
 
 
 class TestFusePoe:
     def test_one_hot_reproduces_selected_model(self):
-        preds = [
-            PredictiveDistribution(-1.0, 0.5),
-            PredictiveDistribution(2.0, 3.0),
-            PredictiveDistribution(0.3, 0.01),
-        ]
-        fused = fuse_poe(preds, np.array([0.0, 1.0, 0.0]))
+        means = np.array([-1.0, 2.0, 0.3])
+        variances = np.array([0.5, 3.0, 0.01])
+        fused = fuse_poe(means, variances, np.array([0.0, 1.0, 0.0]))
         assert fused.mean == pytest.approx(2.0, abs=1e-12)
         assert fused.variance == pytest.approx(3.0, abs=1e-12)
 
     def test_identical_inputs_are_idempotent(self):
-        preds = [PredictiveDistribution(0.7, 1.3)] * 4
-        fused = fuse_poe(preds, np.array([0.1, 0.2, 0.3, 0.4]))
+        fused = fuse_poe(np.full(4, 0.7), np.full(4, 1.3), np.array([0.1, 0.2, 0.3, 0.4]))
         assert fused.mean == pytest.approx(0.7, abs=1e-12)
         assert fused.variance == pytest.approx(1.3, abs=1e-12)
 
     def test_two_model_worked_example(self):
-        preds = [PredictiveDistribution(0.0, 1.0), PredictiveDistribution(2.0, 1.0)]
-        fused = fuse_poe(preds, np.array([0.5, 0.5]))
+        fused = fuse_poe(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert fused.mean == pytest.approx(1.0, abs=1e-15)
         assert fused.variance == pytest.approx(1.0, abs=1e-15)
 
@@ -205,48 +217,41 @@ class TestFusePoe:
         rng = np.random.default_rng(24)
         for _ in range(100):
             n = rng.integers(2, 9)
-            preds = [
-                PredictiveDistribution(rng.normal(), rng.uniform(0.01, 5.0))
-                for _ in range(n)
-            ]
+            means = rng.normal(size=n)
+            variances = rng.uniform(0.01, 5.0, n)
             w = random_simplex(rng, n)
-            fused = fuse_poe(preds, w)
-            means = [p.mean for p in preds]
-            assert min(means) - 1e-12 <= fused.mean <= max(means) + 1e-12
+            fused = fuse_poe(means, variances, w)
+            assert means.min() - 1e-12 <= fused.mean <= means.max() + 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(25)
-        preds = [
-            PredictiveDistribution(rng.normal(), rng.uniform(0.1, 2.0))
-            for _ in range(6)
-        ]
+        means, variances = random_preds(rng, 6)
         w = random_simplex(rng, 6)
-        fused = fuse_poe(preds, w)
+        fused = fuse_poe(means, variances, w)
         perm = rng.permutation(6)
-        fused_p = fuse_poe([preds[i] for i in perm], w[perm])
+        fused_p = fuse_poe(means[perm], variances[perm], w[perm])
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            fuse_poe(np.zeros(2), np.ones(2), np.array([1.0]))
 
 
 class TestFuseUnweighted:
     def test_single_model_identity(self):
-        pred = PredictiveDistribution(0.9, 2.2)
-        fused = fuse_unweighted_poe([pred])
+        fused = fuse_unweighted_poe([0.9], [2.2])
         assert fused.mean == pytest.approx(0.9)
         assert fused.variance == pytest.approx(2.2)
 
     def test_two_identical_unit_variances_halve(self):
-        preds = [PredictiveDistribution(0.0, 1.0)] * 2
-        assert fuse_unweighted_poe(preds).variance == pytest.approx(0.5)
+        assert fuse_unweighted_poe([0.0, 0.0], [1.0, 1.0]).variance == pytest.approx(0.5)
 
     def test_relation_to_weighted_form(self):
         rng = np.random.default_rng(26)
         n = 5
-        preds = [
-            PredictiveDistribution(rng.normal(), rng.uniform(0.1, 3.0))
-            for _ in range(n)
-        ]
-        unweighted = fuse_unweighted_poe(preds)
-        weighted = fuse_poe(preds, np.full(n, 1.0 / n))
+        means, variances = random_preds(rng, n)
+        unweighted = fuse_unweighted_poe(means, variances)
+        weighted = fuse_poe(means, variances, np.full(n, 1.0 / n))
         assert weighted.variance == pytest.approx(n * unweighted.variance, rel=1e-12)
         assert weighted.mean == pytest.approx(unweighted.mean, abs=1e-12)

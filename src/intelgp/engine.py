@@ -44,11 +44,6 @@ class Mode(Enum):
     SINTEL = "sintel"
 
 
-class Classification(Enum):
-    INLIER = "inlier"
-    OUTLIER_CANDIDATE = "outlier_candidate"
-
-
 class Verdict(Enum):
     INLIER = "inlier"
     OUTLIER = "outlier"
@@ -147,12 +142,11 @@ class StepOutput:
     regime_start: Optional[int] = None
 
 
-def classify(pred: PredictiveDistribution, y: float) -> Classification:
-    """Inlier iff y lies strictly inside the open 3-sigma interval."""
+def classify(pred: PredictiveDistribution, y: float) -> bool:
+    """Whether y is an inlier: it lies strictly inside the open 3-sigma
+    interval.  Otherwise it is an outlier candidate."""
     half_width = 3.0 * pred.std
-    if pred.mean - half_width < y < pred.mean + half_width:
-        return Classification.INLIER
-    return Classification.OUTLIER_CANDIDATE
+    return bool(pred.mean - half_width < y < pred.mean + half_width)
 
 
 def predict_next(state: EngineState) -> FusedPrediction:
@@ -195,7 +189,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     t_next = state.current_t + 1
 
     prediction = predict_next(state)
-    label = classify(prediction.fused, y_next)
+    inlier = classify(prediction.fused, y_next)
 
     window = state.window
     bucket = state.bucket
@@ -203,7 +197,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     inliers = state.inliers_since_refresh
     regime_start: Optional[int] = None
 
-    if label is Classification.INLIER:
+    if inlier:
         verdict = Verdict.INLIER
         window = window.appended(t_next, y_next)
         bucket = bucket.emptied()

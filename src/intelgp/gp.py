@@ -25,10 +25,10 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Entries a predictor cache holds.  The bound keeps memory flat on streams
-# whose windows rarely repeat an offset pattern (an entry holds M tau x tau
-# factors); on a full, contiguous window the pattern repeats almost every
-# step, and the least recently used entries go first.
-PREDICTOR_CACHE_SIZE = 64
+# whose windows rarely repeat an offset pattern (an entry holds M x tau mean
+# weights and M variances); on a full, contiguous window the pattern
+# repeats almost every step, and the least recently used entries go first.
+PREDICTOR_CACHE_SIZE = 1024
 
 
 class NumericalError(RuntimeError):
@@ -230,33 +230,35 @@ def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
 
 def predictor(offsets: np.ndarray, models):
     """Per model, for training inputs at `offsets` = t* - t_i from the test
-    input: the lower Cholesky factor L of the noisy kernel matrix, v = L⁻¹k*
-    and the floored predictive variance, as read-only arrays of shapes
-    (M, n, n), (M, n) and (M,).
+    input: the mean weights a = K⁻¹k* and the floored predictive variance,
+    as read-only arrays of shapes (M, n) and (M,).  A model's mean is
+    c + a·(y - c).
 
-    The kernel is stationary, so all three depend on the inputs only
-    through these offsets: a window shifted in time has the same predictor.
-    They come from one factorization of each model's covariance over the
-    window plus the test input (`_augmented_covariances`): L is its leading
-    block, v its last row, and the variance the square of its last diagonal
-    entry.  A model whose augmented matrix is not positive definite has its
-    window matrix factored on its own with the jitter ladder, and v solved
-    from that factor.
+    The kernel is stationary, so both depend on the inputs only through
+    these offsets: a window shifted in time has the same predictor.  They
+    come from one factorization of each model's covariance over the window
+    plus the test input (`_augmented_covariances`): with L its leading
+    block and v = L⁻¹k* its last row, a = L⁻ᵀv, and the variance is the
+    square of its last diagonal entry.  A model whose augmented matrix is
+    not positive definite has its window matrix factored on its own with
+    the jitter ladder, and v solved from that factor.
     """
     n = offsets.size
     V = _augmented_covariances(offsets, models)
     F = chol_with_jitter(V)
-    L = np.ascontiguousarray(F[:, :n, :n])
-    v = F[:, n, :n].copy()
     var = F[:, n, n] * F[:, n, n]
-    for m in np.flatnonzero(np.isnan(var)):
-        L[m] = Lm = chol_with_jitter(V[m, :n, :n])
-        v[m] = solve_triangular(Lm, V[m, :n, n], lower=True, check_finite=False)
-        var[m] = V[m, n, n] - v[m] @ v[m]
+    failed = np.isnan(var)
+    a = np.empty((len(models), n))
+    for m in range(len(models)):
+        L, v = F[m, :n, :n], F[m, n, :n]
+        if failed[m]:
+            L = chol_with_jitter(V[m, :n, :n])
+            v = solve_triangular(L, V[m, :n, n], lower=True, check_finite=False)
+            var[m] = V[m, n, n] - v @ v
+        a[m] = solve_triangular(L, v, lower=True, trans="T", check_finite=False)
     var = np.maximum(var, VAR_FLOOR)
-    for a in (L, v, var):
-        a.flags.writeable = False
-    return L, v, var
+    a.flags.writeable = var.flags.writeable = False
+    return a, var
 
 
 def gp_predict(
@@ -279,10 +281,12 @@ def gp_predict(
     `predictor`); it must only ever be used with one model set.  Each entry
     is a function of its key alone, so a cache can be shared by any number
     of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a full
-    cache drops its least recently used entry for the new one.  Each
-    model's mean is c + v·L⁻¹(y - c), solved from the residuals with the
-    entry's factor, so a cached prediction equals an uncached one bit for
-    bit.
+    cache drops its least recently used entry for the new one.  The means
+    are c + a·(y - c), one row-wise product for all models with the
+    entry's mean weights, so a cached prediction equals an uncached one
+    bit for bit.  Each row is its own dot product (a matrix-vector product
+    rounds a row differently depending on how many rows there are), so a
+    model's mean does not depend on the other models of the set.
     """
     ts = np.asarray(train_t, dtype=float)
     ys = np.asarray(train_y, dtype=float)
@@ -290,7 +294,7 @@ def gp_predict(
         raise ValueError("train_t and train_y must have the same length")
     offsets = t_star - ts
     if cache is None:
-        L, v, var = predictor(offsets, models)
+        a, var = predictor(offsets, models)
     else:
         key = offsets.tobytes()
         hit = cache.pop(key, None)
@@ -299,13 +303,9 @@ def gp_predict(
                 del cache[next(iter(cache))]
             hit = predictor(offsets, models)
         cache[key] = hit
-        L, v, var = hit
+        a, var = hit
     c = mean.constant
-    if ts.size == 0:
-        return np.full(var.size, c), var
-    r = ys - c
-    z = np.array([solve_triangular(Lm, r, lower=True, check_finite=False) for Lm in L])
-    return c + np.vecdot(v, z), var
+    return c + np.vecdot(a, ys - c), var
 
 
 def log_marginal_likelihood(

@@ -59,17 +59,27 @@ class ModelSet:
 
     `cache` is the predictor cache of the whole set (see `gp.gp_predict`).
     A new model set starts with an empty one; `replace` shares it, so a
-    stream and its forks fill the same cache.
+    stream and its forks fill the same cache.  It is left out of equality,
+    which compares the weights by value.
     """
 
     models: tuple[Hyperparameters, ...]
     weights: np.ndarray
     shared_mean: MeanFunction
-    cache: dict = field(default=None, compare=False, repr=False)
+    cache: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.cache is None:
             self.cache = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, ModelSet):
+            return NotImplemented
+        return (
+            self.models == other.models
+            and np.array_equal(self.weights, other.weights)
+            and self.shared_mean == other.shared_mean
+        )
 
     def replace(self, weights=None, shared_mean=None) -> "ModelSet":
         return ModelSet(

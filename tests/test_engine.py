@@ -8,7 +8,6 @@ from conftest import flat_stream, shift_stream, spike_stream
 
 from intelgp import gp
 from intelgp.engine import (
-    Classification,
     EngineConfig,
     Mode,
     Verdict,
@@ -47,29 +46,17 @@ def stream_through(state, values):
 
 class TestClassify:
     def test_center_is_inlier(self):
-        assert classify(PredictiveDistribution(0.0, 1.0), 0.0) is Classification.INLIER
+        assert classify(PredictiveDistribution(0.0, 1.0), 0.0) is True
 
     def test_boundary_is_excluded(self):
-        assert (
-            classify(PredictiveDistribution(0.0, 1.0), 3.0)
-            is Classification.OUTLIER_CANDIDATE
-        )
-        assert (
-            classify(PredictiveDistribution(0.0, 1.0), -3.0)
-            is Classification.OUTLIER_CANDIDATE
-        )
+        assert classify(PredictiveDistribution(0.0, 1.0), 3.0) is False
+        assert classify(PredictiveDistribution(0.0, 1.0), -3.0) is False
 
     def test_three_point_two_sigma_is_candidate(self):
-        assert (
-            classify(PredictiveDistribution(0.0, 0.25), -1.6)
-            is Classification.OUTLIER_CANDIDATE
-        )
+        assert classify(PredictiveDistribution(0.0, 0.25), -1.6) is False
 
     def test_just_inside_is_inlier(self):
-        assert (
-            classify(PredictiveDistribution(0.0, 1.0), 2.999999)
-            is Classification.INLIER
-        )
+        assert classify(PredictiveDistribution(0.0, 1.0), 2.999999) is True
 
 
 class TestInitialize:
@@ -433,12 +420,17 @@ class TestPredictorCache:
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, _ = flat_stream(54)
-        state = initialize(np.arange(60), history, SINGLETON)
+        state = initialize(np.arange(60), history, EIGHT_MODEL)
         predict_next(state)
         ms = state.model_set
         assert "cache" not in repr(ms)
         assert ModelSet(ms.models, ms.weights, ms.shared_mean) == ms
         assert ms.replace(weights=ms.weights).cache is ms.cache
+        # Equal weights held in another array, and different weights.
+        assert ms == ms.replace(weights=ms.weights.copy())
+        other = np.full(ms.weights.size, 0.5 / (ms.weights.size - 1))
+        other[0] = 0.5
+        assert ms != ms.replace(weights=other)
 
 
 class TestTimeShiftInvariance:

@@ -282,8 +282,30 @@ class TestBatchedPredictor:
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.1)
-        for a in predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2))):
-            assert not a.flags.writeable
+        a, var = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))
+        for x in (a, var):
+            assert not x.flags.writeable
+
+    def test_full_cache_holds_no_factors(self):
+        # Each entry is the (M, n) mean weights and the (M,) variances.
+        # 64 entries of M tau x tau factors would take 64·M·tau²·8 bytes;
+        # a full cache of entries without a factor stays below that.
+        tau, hyper = 20, Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 5.0), 0.1)
+        factors = (1.0, 0.5, 2.0)
+        models = tuple(
+            hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
+        )
+        rng = np.random.default_rng(0)
+        cache = {}
+        while len(cache) < gp.PREDICTOR_CACHE_SIZE:
+            ts = np.sort(1000.0 - rng.choice(np.arange(1.0, 41.0), tau, replace=False))
+            gp_predict(ts, np.sin(ts), MeanFunction(0.0), models, 1000.0, cache)
+        total = 0
+        for a, var in cache.values():
+            assert a.shape == (len(models), tau)
+            assert var.shape == (len(models),)
+            total += a.nbytes + var.nbytes
+        assert total < 64 * len(models) * tau**2 * 8
 
 
 class TestStackFallback:
@@ -303,13 +325,13 @@ class TestStackFallback:
             np.linalg.cholesky(V)
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
-        L, v, var = predictor(offsets, models)
+        a, var = predictor(offsets, models)
         L_bad = chol_with_jitter(V)
         k_star = gp._kernel_of_dist(bad.kernel, np.abs(offsets))
         v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
+        a_bad = solve_triangular(L_bad, v_bad, lower=True, trans="T", check_finite=False)
         prior = bad.kernel.signal_scale**2 + bad.noise_scale**2
-        assert L[1].tobytes() == L_bad.tobytes()
-        assert v[1].tobytes() == v_bad.tobytes()
+        assert a[1].tobytes() == a_bad.tobytes()
         assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
 
         means, variances = gp_predict(ts, ys, mean, models, 20.0)

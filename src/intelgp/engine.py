@@ -30,6 +30,7 @@ from .mixture import (
     ModelSet,
     VariantFactors,
     build_model_set,
+    eq_by_value,
     fuse_poe,
     predictive_weights,
     step_likelihoods,
@@ -140,6 +141,8 @@ class StepOutput:
     means: np.ndarray  # per model, in model order
     variances: np.ndarray
     regime_start: Optional[int] = None
+
+    __eq__ = eq_by_value
 
 
 def classify(pred: PredictiveDistribution, y: float) -> bool:

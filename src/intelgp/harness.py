@@ -87,10 +87,6 @@ def records_to_jsonl(records) -> str:
     return "".join(json.dumps(r) + "\n" for r in records)
 
 
-def parse_jsonl(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
 @dataclass(frozen=True)
 class RunResult:
     records: list[dict]

@@ -7,8 +7,7 @@ variances, in model order."""
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,8 +16,6 @@ from .gp import VAR_FLOOR, Hyperparameters, MeanFunction, PredictiveDistribution
 # Weights never fall below this; a weight driven to exact zero by one
 # extreme likelihood ratio could otherwise never recover.
 WEIGHT_FLOOR = 1e-10
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _ones_first(factors) -> tuple[float, ...]:
@@ -52,6 +49,22 @@ class VariantFactors:
 SINGLETON_FACTORS = VariantFactors()
 
 
+def eq_by_value(a, b):
+    """Equality of two dataclass instances with their array fields compared
+    by value.  The generated __eq__ compares field tuples, which raises for
+    arrays of more than one element.  Fields with compare=False are left
+    out."""
+    if type(a) is not type(b):
+        return NotImplemented
+    for f in fields(a):
+        if not f.compare:
+            continue
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
+            return False
+    return True
+
+
 @dataclass
 class ModelSet:
     """The template model (index 0), its variants, their weights, and the
@@ -66,20 +79,13 @@ class ModelSet:
     models: tuple[Hyperparameters, ...]
     weights: np.ndarray
     shared_mean: MeanFunction
-    cache: dict = field(default=None, repr=False)
+    cache: dict = field(default=None, repr=False, compare=False)
+
+    __eq__ = eq_by_value
 
     def __post_init__(self):
         if self.cache is None:
             self.cache = {}
-
-    def __eq__(self, other):
-        if not isinstance(other, ModelSet):
-            return NotImplemented
-        return (
-            self.models == other.models
-            and np.array_equal(self.weights, other.weights)
-            and self.shared_mean == other.shared_mean
-        )
 
     def replace(self, weights=None, shared_mean=None) -> "ModelSet":
         return ModelSet(
@@ -99,6 +105,8 @@ class FusedPrediction:
     means: np.ndarray
     variances: np.ndarray
     predictive_weights: np.ndarray
+
+    __eq__ = eq_by_value
 
 
 def build_model_set(
@@ -158,18 +166,6 @@ def update_weights(pred_weights, likelihoods) -> np.ndarray:
     # Renormalization can push a floored entry infinitesimally below the
     # floor again; the final clamp restores it at a sum cost << 1e-12.
     return np.maximum(w, WEIGHT_FLOOR)
-
-
-def model_log_likelihood(means, variances, y: float):
-    """Gaussian log density of the observation under each model's
-    predictive; works elementwise on arrays and on scalars."""
-    resid = y - means
-    return -0.5 * (resid * resid / variances + np.log(variances) + _LOG_2PI)
-
-
-def model_likelihood(means, variances, y: float):
-    """Gaussian density of the observation under each model's predictive."""
-    return np.exp(model_log_likelihood(means, variances, y))
 
 
 def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.ndarray:

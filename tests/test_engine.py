@@ -1,5 +1,6 @@
 """Tests for the streaming engine state machine."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -431,6 +432,22 @@ class TestPredictorCache:
         other = np.full(ms.weights.size, 0.5 / (ms.weights.size - 1))
         other[0] = 0.5
         assert ms != ms.replace(weights=other)
+
+
+class TestStepOutputEquality:
+    def test_arrays_compare_by_value(self):
+        history, stream = flat_stream(57)
+        two_model = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
+        state = initialize(np.arange(60), history, two_model)
+        assert len(state.model_set.models) == 2
+        _, first = step(state, stream[0])
+        _, again = step(state, stream[0])
+        assert first.weights_after is not again.weights_after
+        assert first == again
+        for name in ("weights_after", "means", "variances"):
+            changed = getattr(again, name).copy()
+            changed[1] *= 0.5
+            assert first != dataclasses.replace(again, **{name: changed})
 
 
 class TestTimeShiftInvariance:

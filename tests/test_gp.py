@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
@@ -256,6 +256,18 @@ def batched_cases(draw):
     return models, ts, ys, MeanFunction(c), shift
 
 
+def fixed_case(n_models, offsets):
+    """A case of the shape `batched_cases` draws, for window lengths and
+    model counts that must always be covered."""
+    hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 5.0), 0.1)
+    factors = (1.0, 0.2, 5.0)
+    models = tuple(
+        hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
+    )[:n_models]
+    ts = np.sort(1000.0 - np.array(list(offsets), dtype=float))
+    return models, ts, np.sin(ts), MeanFunction(0.3), 12_345
+
+
 def as_bytes(prediction):
     means, variances = prediction
     return means.tobytes(), variances.tobytes()
@@ -264,6 +276,11 @@ def as_bytes(prediction):
 class TestBatchedPredictor:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(batched_cases())
+    @example(fixed_case(27, []))
+    @example(fixed_case(1, [1]))
+    @example(fixed_case(2, [3]))
+    @example(fixed_case(8, range(1, 21)))
+    @example(fixed_case(27, range(1, 40, 2)))
     def test_matches_oracle_cache_and_time_shift(self, case):
         models, ts, ys, mean, shift = case
         uncached = gp_predict(ts, ys, mean, models, 1000.0)
@@ -279,6 +296,19 @@ class TestBatchedPredictor:
             assert as_bytes(cached) == as_bytes(uncached)
         shifted = gp_predict(ts + shift, ys, mean, models, 1000.0 + shift)
         assert as_bytes(shifted) == as_bytes(uncached)
+        # Each model whose augmented matrix factors without jitter has the
+        # mean weights scipy's solve_triangular gives, bit for bit.
+        offsets = 1000.0 - ts
+        a, _ = predictor(offsets, models)
+        V = gp._augmented_covariances(offsets, models)
+        n = ts.size
+        for m in range(len(models)):
+            try:
+                F = np.linalg.cholesky(V[m])
+            except np.linalg.LinAlgError:
+                continue  # the model falls back to the jitter ladder
+            want = solve_triangular(F[:n, :n], F[n, :n], lower=True, trans="T")
+            assert a[m].tobytes() == want.tobytes()
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.1)

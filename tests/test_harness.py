@@ -15,12 +15,15 @@ from intelgp.harness import (
     format_bench_table,
     load_csv,
     parse_factors,
-    parse_jsonl,
     records_to_jsonl,
     run,
     slice_series,
 )
 from intelgp.mixture import VariantFactors
+
+
+def parse_jsonl(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def write_csv(path, rows, header="timestamp,value"):

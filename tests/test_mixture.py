@@ -1,5 +1,6 @@
 """Tests for model-set construction, the weight recursion, and fusion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,10 @@ from intelgp.gp import (
 )
 from intelgp.mixture import (
     WEIGHT_FLOOR,
+    FusedPrediction,
     VariantFactors,
     build_model_set,
     fuse_poe,
-    model_likelihood,
-    model_log_likelihood,
     predictive_weights,
     step_likelihoods,
     update_weights,
@@ -27,6 +27,18 @@ from intelgp.mixture import (
 
 TEMPLATE = Hyperparameters(KernelSpec(KernelKind.MATERN52, 2.0, 5.0), 0.4)
 MEAN = MeanFunction(0.0)
+
+
+def model_log_likelihood(means, variances, y: float):
+    """Gaussian log density of the observation under each model's
+    predictive; works elementwise on arrays and on scalars."""
+    resid = y - means
+    return -0.5 * (resid * resid / variances + np.log(variances) + math.log(2.0 * math.pi))
+
+
+def model_likelihood(means, variances, y: float):
+    """Gaussian density of the observation under each model's predictive."""
+    return np.exp(model_log_likelihood(means, variances, y))
 
 
 def fuse_unweighted_poe(means, variances) -> PredictiveDistribution:
@@ -236,6 +248,25 @@ class TestFusePoe:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fuse_poe(np.zeros(2), np.ones(2), np.array([1.0]))
+
+
+class TestFusedPredictionEquality:
+    @staticmethod
+    def two_model():
+        return FusedPrediction(
+            PredictiveDistribution(0.5, 1.0), np.array([0.2, 0.9]),
+            np.array([1.0, 2.0]), np.array([0.25, 0.75]),
+        )
+
+    def test_arrays_compare_by_value(self):
+        a, b = self.two_model(), self.two_model()
+        assert a.means is not b.means
+        assert a == b
+        for name in ("means", "variances", "predictive_weights"):
+            changed = getattr(b, name).copy()
+            changed[1] += 0.125
+            assert a != dataclasses.replace(b, **{name: changed})
+        assert a != dataclasses.replace(b, fused=PredictiveDistribution(0.5, 2.0))
 
 
 class TestFuseUnweighted:

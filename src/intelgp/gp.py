@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs
 
 # Predictive variances are floored here so downstream precision sums and
 # log densities stay finite.
@@ -244,12 +244,11 @@ def predictor(offsets: np.ndarray, models):
     come from one factorization of each model's covariance over the window
     plus the test input (`_augmented_covariances`): with L its leading
     block and v = L⁻¹k* its last row, a = L⁻ᵀv, and the variance is the
-    square of its last diagonal entry.  Each model's a is one direct
-    LAPACK trtrs call (`_solve_lower_transposed`), bitwise equal to scipy's
-    solve_triangular without its per-call wrapper.  A model whose augmented
-    matrix is not positive definite has its window matrix factored on its
-    own with the jitter ladder, and v and a solved from that factor with
-    scipy's solve_triangular.
+    square of its last diagonal entry.  A model whose augmented matrix is
+    not positive definite has its window matrix factored on its own with
+    the jitter ladder, and v solved from that factor.  Every triangular
+    solve is one direct LAPACK trtrs call (`solve_triangular`), bitwise
+    equal to scipy's solve_triangular without its per-call wrapper.
     """
     n = offsets.size
     V = _augmented_covariances(offsets, models)
@@ -258,27 +257,32 @@ def predictor(offsets: np.ndarray, models):
     failed = np.isnan(var)
     a = np.empty((len(models), n))
     for m in range(len(models)):
+        L, v = F[m, :n, :n], F[m, n, :n]
         if failed[m]:
             L = chol_with_jitter(V[m, :n, :n])
-            v = solve_triangular(L, V[m, :n, n], lower=True, check_finite=False)
+            v = solve_triangular(L, V[m, :n, n])
             var[m] = V[m, n, n] - v @ v
-            a[m] = solve_triangular(L, v, lower=True, trans="T", check_finite=False)
-        elif n:
-            a[m] = _solve_lower_transposed(F[m, :n, :n], F[m, n, :n])
+        a[m] = solve_triangular(L, v, trans=1)
     var = np.maximum(var, VAR_FLOOR)
     a.flags.writeable = var.flags.writeable = False
     return a, var
 
 
-def _solve_lower_transposed(L: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """L⁻ᵀv for a non-empty lower-triangular L: the LAPACK call that
-    solve_triangular(L, v, lower=True, trans="T") makes, with the same
-    arguments, so the result is the same bit for bit."""
+def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with Lx = b (trans=0) or Lᵀx = b (trans=1), for a lower-triangular L.
+
+    The LAPACK call that scipy's solve_triangular(L, b, lower=True,
+    trans=trans) makes, with the same arguments, so the result is the same
+    bit for bit; only scipy's per-call checks and routine lookup are left
+    out.
+    """
+    if not b.size:
+        return np.empty(0)
     if L.flags.f_contiguous:
-        x, info = _trtrs(L, v, lower=1, trans=1)
+        x, info = _trtrs(L, b, lower=1, trans=trans)
     else:
         # trtrs expects Fortran order: solve the transposed, upper system
-        x, info = _trtrs(L.T, v, lower=0, trans=0)
+        x, info = _trtrs(L.T, b, lower=0, trans=1 - trans)
     if info != 0:
         raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
     return x

@@ -310,6 +310,19 @@ class TestBatchedPredictor:
             want = solve_triangular(F[:n, :n], F[n, :n], lower=True, trans="T")
             assert a[m].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_direct_solve_matches_scipy(self, n, order, trans):
+        # np.linalg.cholesky gives C-ordered factors, scipy's cholesky in
+        # the jitter ladder Fortran-ordered ones; both take the direct call.
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        L = np.asarray(np.linalg.cholesky(A @ A.T + n * np.eye(n)), order=order)
+        b = rng.standard_normal(n)
+        want = solve_triangular(L, b, lower=True, trans=trans)
+        assert gp.solve_triangular(L, b, trans=trans).tobytes() == want.tobytes()
+
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.1)
         a, var = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))

@@ -14,22 +14,23 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .engine import EngineConfig, Mode
 from .fit import FitError
-from .gp import KernelKind, NumericalError
+from .gp import NumericalError
 from .harness import (
     InputError,
     bench,
+    config_from_mapping,
     format_bench_table,
     load_csv,
-    parse_factors,
     records_to_jsonl,
     run,
     slice_series,
 )
 from .metrics import DegenerateDataError
+from .mixture import VariantFactors
 
 log = logging.getLogger("intelgp")
 
@@ -83,55 +84,29 @@ def _load_config_file(path) -> dict:
     return doc
 
 
-def _build_run_config(args, file_cfg: dict) -> tuple[EngineConfig, dict]:
-    merged = dict(file_cfg)
-    for key, flag in (
-        ("tau", args.tau),
-        ("alpha", args.alpha),
-        ("n_outliers", args.n_outliers),
-        ("mean_period", args.mean_period),
-        ("init_count", args.init_count),
-        ("seed", args.seed),
-        ("mode", args.mode),
-        ("kernel", args.kernel),
-        ("normalization", args.normalization),
-        ("row_start", args.row_start),
-        ("row_end", args.row_end),
-        ("column", args.column),
+def _cmd_run(args) -> int:
+    merged = _load_config_file(args.config)
+    for key in (
+        "tau", "alpha", "n_outliers", "mean_period", "init_count", "seed", "mode",
+        "kernel", "normalization", "row_start", "row_end", "column",
     ):
-        if flag is not None:
+        if (flag := getattr(args, key)) is not None:
             merged[key] = flag
     if args.factors is not None:
         merged["factors"] = parse_factor_flag(args.factors)
 
     if "init_count" not in merged:
         raise ConfigError("init_count is required (flag --init-count or config file)")
-    try:
-        config = EngineConfig(
-            tau=int(merged.get("tau", 20)),
-            alpha=float(merged.get("alpha", 0.9)),
-            n_outliers=int(merged.get("n_outliers", 3)),
-            mean_period=int(merged.get("mean_period", 10)),
-            init_count=int(merged["init_count"]),
-            factors=parse_factors(merged.get("factors", {"f": 0.2, "l": 0.2, "n": 5.0})),
-            mode=Mode(merged.get("mode", "intel")),
-            kernel_kind=KernelKind(merged.get("kernel", "matern52")),
-            seed=int(merged.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return config, merged
+    # SINTEL is INTEL with the template model alone
+    mode = merged.pop("mode", "intel")
+    if mode not in ("intel", "sintel"):
+        raise ConfigError(f"mode must be intel or sintel; got {mode!r}")
+    config, data = config_from_mapping(merged)
+    if mode == "sintel":
+        config = replace(config, factors=VariantFactors())
 
-
-def _cmd_run(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    config, merged = _build_run_config(args, file_cfg)
-    column = merged.get("column", "value")
-    normalization = merged.get("normalization", "init")
-
-    series = load_csv(args.input, column)
-    series = slice_series(series, merged)
-    result = run(config, series, normalization=normalization)
+    series = slice_series(load_csv(args.input, data["column"]), data)
+    result = run(config, series, normalization=data["normalization"])
 
     summary = dict(result.summary)
     wall = summary.pop("wall_time_s")  # volatile; reruns must be byte-identical

@@ -17,15 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .fit import FitError, FitResult, fit_template, heuristic_hyperparameters
-from .gp import (
-    KernelKind,
-    MeanFunction,
-    PredictiveDistribution,
-    gp_predict,
-    log_marginal_likelihood,
-)
+from .gp import KernelKind, PredictiveDistribution, gp_predict, log_marginal_likelihood
 from .mixture import (
-    SINGLETON_FACTORS,
     FusedPrediction,
     ModelSet,
     VariantFactors,
@@ -40,11 +33,6 @@ from .mixture import (
 log = logging.getLogger("intelgp")
 
 
-class Mode(Enum):
-    INTEL = "intel"
-    SINTEL = "sintel"
-
-
 class Verdict(Enum):
     INLIER = "inlier"
     OUTLIER = "outlier"
@@ -53,7 +41,9 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Streaming parameters; the defaults are the reference operating point."""
+    """Streaming parameters; the defaults are the reference operating point.
+
+    SINTEL, the template model alone, is `factors=VariantFactors()`."""
 
     tau: int = 20
     alpha: float = 0.9
@@ -61,7 +51,6 @@ class EngineConfig:
     mean_period: int = 10
     init_count: int = 200
     factors: VariantFactors = VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0))
-    mode: Mode = Mode.INTEL
     kernel_kind: KernelKind = KernelKind.MATERN52
     seed: int = 0
 
@@ -78,41 +67,23 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class TrainingWindow:
-    """The adaptive training set: at most `tau` of the most recent retained
-    observations, times strictly increasing."""
+    """Observations in time order, times strictly increasing.  A state has
+    two: the adaptive training set (at most `tau` of the most recent
+    retained observations) and the bucket of consecutively declared
+    outliers, which turns into a change point once it holds `n_outliers`."""
 
-    times: tuple[int, ...]
-    values: tuple[float, ...]
-    tau: int
+    times: tuple[int, ...] = ()
+    values: tuple[float, ...] = ()
 
     def appended(self, t: int, y: float) -> "TrainingWindow":
-        return TrainingWindow(self.times + (t,), self.values + (y,), self.tau)
+        return TrainingWindow(self.times + (t,), self.values + (y,))
 
     def trimmed(self, horizon: int) -> "TrainingWindow":
         """Drop entries with time index below `horizon`."""
         keep = next((i for i, t in enumerate(self.times) if t >= horizon), len(self.times))
         if keep == 0:
             return self
-        return TrainingWindow(self.times[keep:], self.values[keep:], self.tau)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
-@dataclass(frozen=True)
-class ChangeBucket:
-    """Consecutively declared outliers; filling it to `threshold` converts
-    the streak into a change point."""
-
-    times: tuple[int, ...]
-    values: tuple[float, ...]
-    threshold: int
-
-    def appended(self, t: int, y: float) -> "ChangeBucket":
-        return ChangeBucket(self.times + (t,), self.values + (y,), self.threshold)
-
-    def emptied(self) -> "ChangeBucket":
-        return ChangeBucket((), (), self.threshold)
+        return TrainingWindow(self.times[keep:], self.values[keep:])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -121,10 +92,9 @@ class ChangeBucket:
 @dataclass(frozen=True)
 class EngineState:
     window: TrainingWindow
-    bucket: ChangeBucket
+    bucket: TrainingWindow
     model_set: ModelSet
-    alpha: float
-    mean_period: int
+    config: EngineConfig
     inliers_since_refresh: int
     current_t: int
     fit: Optional[FitResult] = None
@@ -165,18 +135,17 @@ def predict_next(state: EngineState) -> FusedPrediction:
         state.window.times, state.window.values, ms.shared_mean, ms.models,
         state.current_t + 1, ms.cache,
     )
-    w_hat = predictive_weights(ms.weights, state.alpha)
+    w_hat = predictive_weights(ms.weights, state.config.alpha)
     fused = fuse_poe(means, variances, w_hat)
     return FusedPrediction(
         fused=fused, means=means, variances=variances, predictive_weights=w_hat
     )
 
 
-def refresh_mean_periodic(state: EngineState) -> MeanFunction:
+def refresh_mean_periodic(state: EngineState) -> float:
     """Constant mean set to the average of the last `mean_period` values
     appended to the window."""
-    vals = state.window.values[-state.mean_period:]
-    return MeanFunction(float(np.mean(vals)))
+    return float(np.mean(state.window.values[-state.config.mean_period:]))
 
 
 def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
@@ -194,6 +163,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     prediction = predict_next(state)
     inlier = classify(prediction.fused, y_next)
 
+    config = state.config
     window = state.window
     bucket = state.bucket
     mean = state.model_set.shared_mean
@@ -203,20 +173,20 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     if inlier:
         verdict = Verdict.INLIER
         window = window.appended(t_next, y_next)
-        bucket = bucket.emptied()
+        bucket = TrainingWindow()
         inliers += 1
-        if inliers >= state.mean_period:
+        if inliers >= config.mean_period:
             state_for_refresh = replace(state, window=window)
             mean = refresh_mean_periodic(state_for_refresh)
             inliers = 0
     else:
         bucket = bucket.appended(t_next, y_next)
-        if len(bucket) >= bucket.threshold:
+        if len(bucket) >= config.n_outliers:
             verdict = Verdict.CHANGE_POINT
             regime_start = bucket.times[0]
-            window = TrainingWindow(bucket.times, bucket.values, window.tau)
-            mean = MeanFunction(float(np.mean(bucket.values)))
-            bucket = bucket.emptied()
+            window = bucket
+            mean = float(np.mean(bucket.values))
+            bucket = TrainingWindow()
             inliers = 0
             log.info("change point declared at t=%d (regime start t=%d)", t_next, regime_start)
         else:
@@ -226,14 +196,13 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     likelihoods = step_likelihoods(prediction.means, prediction.variances, y_next)
     weights = update_weights(prediction.predictive_weights, likelihoods)
 
-    window = window.trimmed(t_next + 1 - window.tau)
+    window = window.trimmed(t_next + 1 - config.tau)
 
     new_state = EngineState(
         window=window,
         bucket=bucket,
         model_set=state.model_set.replace(weights=weights, shared_mean=mean),
-        alpha=state.alpha,
-        mean_period=state.mean_period,
+        config=config,
         inliers_since_refresh=inliers,
         current_t=t_next,
         fit=state.fit,
@@ -244,7 +213,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         fused=prediction.fused,
         verdict=verdict,
         weights_after=weights,
-        mean_const=mean.constant,
+        mean_const=mean,
         means=prediction.means,
         variances=prediction.variances,
         regime_start=regime_start,
@@ -268,11 +237,9 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     if not np.all(np.isfinite(ys)):
         raise ValueError("history observations must be finite")
 
-    mean = MeanFunction(float(np.mean(ys)))
+    mean = float(np.mean(ys))
     try:
-        fit = fit_template(
-            ts, ys, mean.constant, kind=config.kernel_kind, seed=config.seed
-        )
+        fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
     except FitError:
         log.warning("template fit failed on every start; using heuristic scales")
         hyper = heuristic_hyperparameters(ts, ys, config.kernel_kind)
@@ -283,22 +250,18 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
             converged=False,
         )
 
-    factors = SINGLETON_FACTORS if config.mode is Mode.SINTEL else config.factors
-    model_set = build_model_set(fit.hyper, factors, mean)
+    model_set = build_model_set(fit.hyper, config.factors, mean)
 
     keep = min(config.tau, len(ts))
     window = TrainingWindow(
         times=tuple(int(t) for t in history_t[-keep:]),
         values=tuple(float(y) for y in ys[-keep:]),
-        tau=config.tau,
     )
-    bucket = ChangeBucket((), (), config.n_outliers)
     return EngineState(
         window=window,
-        bucket=bucket,
+        bucket=TrainingWindow(),
         model_set=model_set,
-        alpha=config.alpha,
-        mean_period=config.mean_period,
+        config=config,
         inliers_since_refresh=0,
         current_t=int(history_t[-1]),
         fit=fit,

@@ -17,7 +17,6 @@ from .gp import (
     Hyperparameters,
     KernelKind,
     KernelSpec,
-    MeanFunction,
     NumericalError,
     lml_gradient,
     log_marginal_likelihood,
@@ -73,7 +72,6 @@ def fit_template(
     starts: int = DEFAULT_STARTS,
     kind: KernelKind = KernelKind.MATERN52,
     seed: int = 0,
-    max_iter: int = MAX_ITER,
 ) -> FitResult:
     """Fit hyperparameters by multi-start maximization of the LML.
 
@@ -90,8 +88,6 @@ def fit_template(
     if starts < 1:
         raise ValueError("starts must be >= 1")
 
-    mean = MeanFunction(mean_const)
-
     def objective(x: np.ndarray):
         # ValueError covers scales that underflowed to zero after exp();
         # OverflowError covers Python-float pow on absurd trial scales.
@@ -99,8 +95,8 @@ def fit_template(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 hyper = Hyperparameters.from_log_vector(kind, x)
-                value = log_marginal_likelihood(hyper, mean, ts, ys)
-                grad = lml_gradient(hyper, mean, ts, ys)
+                value = log_marginal_likelihood(hyper, mean_const, ts, ys)
+                grad = lml_gradient(hyper, mean_const, ts, ys)
         except (NumericalError, ValueError, OverflowError):
             return _FAILED_OBJECTIVE, np.zeros(3)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -120,7 +116,7 @@ def fit_template(
             start,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": IMPROVEMENT_TOL, "gtol": GRAD_TOL},
+            options={"maxiter": MAX_ITER, "ftol": IMPROVEMENT_TOL, "gtol": GRAD_TOL},
         )
         if res.fun >= _FAILED_OBJECTIVE or not np.isfinite(res.fun):
             log.debug("fit start %d failed numerically", i)
@@ -132,7 +128,7 @@ def fit_template(
         raise FitError(f"all {starts} optimizer starts failed numerically")
 
     hyper = Hyperparameters.from_log_vector(kind, best.x)
-    gnorm = float(np.linalg.norm(lml_gradient(hyper, mean, ts, ys)))
+    gnorm = float(np.linalg.norm(lml_gradient(hyper, mean_const, ts, ys)))
     # L-BFGS-B status 0 means it stopped on its own ftol/gtol criteria.
     converged = gnorm < GRAD_TOL or (best.status == 0 and gnorm < 1e-4)
     lml = float(-best.fun)

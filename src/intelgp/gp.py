@@ -98,19 +98,6 @@ class Hyperparameters:
 
 
 @dataclass(frozen=True)
-class MeanFunction:
-    """Constant mean function; evaluation at any input returns `constant`."""
-
-    constant: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "constant", float(self.constant))
-
-    def __call__(self, t) -> float:
-        return self.constant
-
-
-@dataclass(frozen=True)
 class PredictiveDistribution:
     """A Gaussian one-step forecast."""
 
@@ -291,14 +278,14 @@ def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray
 def gp_predict(
     train_t,
     train_y,
-    mean: MeanFunction,
+    mean: float,
     models,
     t_star: float,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step posterior predictive of the observation at `t_star` under
-    each of `models` (Hyperparameters of one kernel kind): the M means and
-    the M variances, as arrays.
+    each of `models` (Hyperparameters of one kernel kind) with the constant
+    prior mean `mean`: the M means and the M variances, as arrays.
 
     The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
@@ -309,7 +296,7 @@ def gp_predict(
     is a function of its key alone, so a cache can be shared by any number
     of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a full
     cache drops its least recently used entry for the new one.  The means
-    are c + a·(y - c), one row-wise product for all models with the
+    are mean + a·(y - mean), one row-wise product for all models with the
     entry's mean weights, so a cached prediction equals an uncached one
     bit for bit.  Each row is its own dot product (a matrix-vector product
     rounds a row differently depending on how many rows there are), so a
@@ -331,13 +318,12 @@ def gp_predict(
             hit = predictor(offsets, models)
         cache[key] = hit
         a, var = hit
-    c = mean.constant
-    return c + np.vecdot(a, ys - c), var
+    return mean + np.vecdot(a, ys - mean), var
 
 
 def log_marginal_likelihood(
     hyper: Hyperparameters,
-    mean: MeanFunction,
+    mean: float,
     ts,
     ys,
 ) -> float:
@@ -351,7 +337,7 @@ def log_marginal_likelihood(
         raise ValueError("log_marginal_likelihood requires at least one data point")
     V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
     L = chol_with_jitter(V)
-    resid = ys - mean.constant
+    resid = ys - mean
     alpha = cho_solve((L, True), resid, check_finite=False)
     return float(
         -0.5 * resid @ alpha
@@ -374,7 +360,7 @@ def _dK_dlog_length(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
 
 def lml_gradient(
     hyper: Hyperparameters,
-    mean: MeanFunction,
+    mean: float,
     ts,
     ys,
 ) -> np.ndarray:
@@ -393,7 +379,7 @@ def lml_gradient(
     K = _kernel_of_dist(spec, d)
     V = K + noise2 * np.eye(ts.size)
     L = chol_with_jitter(V)
-    resid = ys - mean.constant
+    resid = ys - mean
     alpha = cho_solve((L, True), resid, check_finite=False)
     V_inv = cho_solve((L, True), np.eye(ts.size), check_finite=False)
     B = np.outer(alpha, alpha) - V_inv

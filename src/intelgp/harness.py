@@ -6,12 +6,12 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .engine import EngineConfig, Mode, StepOutput, Verdict, initialize, step
+from .engine import EngineConfig, StepOutput, Verdict, initialize, step
 from .gp import KernelKind, NumericalError
 from .metrics import RunMetrics, compute_stats, evaluate
 from .mixture import VariantFactors
@@ -137,7 +137,6 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
         "init_count": config.init_count,
         "n_evaluated": metrics.n_evaluated,
         "n_models": len(state.model_set.models),
-        "mode": config.mode.value,
         "outliers": sum(v is Verdict.OUTLIER for v in verdicts),
         "change_points": sum(v is Verdict.CHANGE_POINT for v in verdicts),
         "normalization": normalization,
@@ -167,8 +166,6 @@ def parse_factors(spec) -> VariantFactors:
     A bare number is shorthand for [1, number]; the factor 1 is always
     included.  Keys other than f/l/n are rejected.
     """
-    if isinstance(spec, VariantFactors):
-        return spec
     unknown = set(spec) - {"f", "l", "n"}
     if unknown:
         raise ValueError(f"unknown factor keys {sorted(unknown)}; expected f, l, n")
@@ -194,19 +191,30 @@ class BenchResult:
     skipped: list[dict]
 
 
-def _config_from_entry(defaults: dict, entry: dict, mode: Mode) -> EngineConfig:
-    merged = {**defaults, **entry}
-    return EngineConfig(
-        tau=int(merged.get("tau", 20)),
-        alpha=float(merged.get("alpha", 0.9)),
-        n_outliers=int(merged.get("n_outliers", 3)),
-        mean_period=int(merged.get("mean_period", 10)),
-        init_count=int(merged.get("init_count", 200)),
-        factors=parse_factors(merged.get("factors", {"f": 0.2, "l": 0.2, "n": 5.0})),
-        mode=mode,
-        kernel_kind=KernelKind(merged.get("kernel", "matern52")),
-        seed=int(merged.get("seed", 0)),
-    )
+# Config keys, each with the parser of its value.  The engine keys are
+# EngineConfig fields ("kernel" sets kernel_kind); the rest select the data.
+_ENGINE_KEYS = {
+    "tau": int, "alpha": float, "n_outliers": int, "mean_period": int,
+    "init_count": int, "factors": parse_factors, "kernel": KernelKind, "seed": int,
+}
+_DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
+
+
+def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
+    """The engine config and the data selection a config mapping names.
+
+    Absent engine keys take EngineConfig's defaults, absent data keys those
+    of `_DATA_DEFAULTS`.  Raises ValueError naming any other key.
+    """
+    unknown = set(doc) - set(_ENGINE_KEYS) - set(_DATA_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    engine = {
+        "kernel_kind" if key == "kernel" else key: parse(doc[key])
+        for key, parse in _ENGINE_KEYS.items() if key in doc
+    }
+    data = {key: doc.get(key, default) for key, default in _DATA_DEFAULTS.items()}
+    return EngineConfig(**engine), data
 
 
 def slice_series(series: np.ndarray, entry: dict) -> np.ndarray:
@@ -217,12 +225,15 @@ def slice_series(series: np.ndarray, entry: dict) -> np.ndarray:
 
 
 def bench(bench_config: dict, dataset_dir) -> BenchResult:
-    """Run both modes over every configured dataset.
+    """Run INTEL and SINTEL (the template model alone) over every
+    configured dataset.
 
-    Per-dataset failures (bad input or config, a missing key, a numerical
-    failure) are reported in `skipped`; the remaining datasets still run.
-    Any other exception is a fault in the program and propagates.  Each
-    row carries the dataset name, mode, and metrics.
+    A dataset's config is `defaults` overlaid with its entry, less the
+    entry's `name` and `file` (see `config_from_mapping`).  Per-dataset
+    failures (bad input or config, a missing key, a numerical failure) are
+    reported in `skipped`; the remaining datasets still run.  Any other
+    exception is a fault in the program and propagates.  Each row carries
+    the dataset name, mode, and metrics.
     """
     dataset_dir = Path(dataset_dir)
     defaults = bench_config.get("defaults", {})
@@ -232,18 +243,17 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
     for entry in entries:
         name = entry.get("name") or entry.get("file", "<unnamed>")
         try:
-            series = load_csv(dataset_dir / entry["file"], entry.get("column", "value"))
-            series = slice_series(series, entry)
-            normalization = entry.get(
-                "normalization", defaults.get("normalization", "init")
+            config, data = config_from_mapping(
+                {**defaults, **{k: v for k, v in entry.items() if k not in ("name", "file")}}
             )
-            for mode in (Mode.INTEL, Mode.SINTEL):
-                config = _config_from_entry(defaults, entry, mode)
-                result = run(config, series, normalization=normalization)
+            series = slice_series(load_csv(dataset_dir / entry["file"], data["column"]), data)
+            sintel = replace(config, factors=VariantFactors())
+            for mode, cfg in (("intel", config), ("sintel", sintel)):
+                result = run(cfg, series, normalization=data["normalization"])
                 rows.append(
                     {
                         "dataset": name,
-                        "mode": mode.value,
+                        "mode": mode,
                         "nll": result.metrics.nll,
                         "mae": result.metrics.mae,
                         "mse": result.metrics.mse,

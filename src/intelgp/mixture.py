@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gp import VAR_FLOOR, Hyperparameters, MeanFunction, PredictiveDistribution
+from .gp import VAR_FLOOR, Hyperparameters, PredictiveDistribution
 
 # Weights never fall below this; a weight driven to exact zero by one
 # extreme likelihood ratio could otherwise never recover.
@@ -46,9 +46,6 @@ class VariantFactors:
         return len(self.signal) * len(self.length) * len(self.noise)
 
 
-SINGLETON_FACTORS = VariantFactors()
-
-
 def eq_by_value(a, b):
     """Equality of two dataclass instances with their array fields compared
     by value.  The generated __eq__ compares field tuples, which raises for
@@ -68,7 +65,7 @@ def eq_by_value(a, b):
 @dataclass
 class ModelSet:
     """The template model (index 0), its variants, their weights, and the
-    mean function shared by all of them.
+    constant mean shared by all of them.
 
     `cache` is the predictor cache of the whole set (see `gp.gp_predict`).
     A new model set starts with an empty one; `replace` shares it, so a
@@ -78,7 +75,7 @@ class ModelSet:
 
     models: tuple[Hyperparameters, ...]
     weights: np.ndarray
-    shared_mean: MeanFunction
+    shared_mean: float
     cache: dict = field(default=None, repr=False, compare=False)
 
     __eq__ = eq_by_value
@@ -112,7 +109,7 @@ class FusedPrediction:
 def build_model_set(
     template: Hyperparameters,
     factors: VariantFactors,
-    mean: MeanFunction,
+    mean: float,
 ) -> ModelSet:
     """Cartesian product of the factor lists applied multiplicatively to the
     template's (signal, length, noise) scales; uniform initial weights."""

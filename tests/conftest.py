@@ -6,9 +6,15 @@ amplitude/sqrt(3), which keeps every clean observation strictly inside the
 band and makes anomaly counts deterministic for a fixed seed.
 """
 
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread, set before numpy loads it: a second thread makes the
+# small factorizations here slower, several times so next to other load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 

@@ -14,13 +14,12 @@ import numpy as np
 import pytest
 from conftest import DATA_DIR, flat_stream, regime_change_series, shift_stream, spike_stream
 
-from intelgp.engine import EngineConfig, Mode, Verdict, initialize, step
+from intelgp.engine import EngineConfig, Verdict, initialize, step
 from intelgp.fit import fit_template
 from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     KernelSpec,
-    MeanFunction,
     chol_with_jitter,
     lml_gradient,
     log_marginal_likelihood,
@@ -79,7 +78,7 @@ def test_gp_correctness_oracle():
             ys = rng.normal(size=n)
             c = rng.normal()
             t_star = float(rng.uniform(0, 28))
-            mean, var = predict_one(ts, ys, MeanFunction(c), hyper, t_star)
+            mean, var = predict_one(ts, ys, c, hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
             assert abs(mean - m_ref) < 1e-8
             assert abs(var - v_ref) < 1e-8
@@ -108,7 +107,7 @@ def test_gradient_check():
             n = rng.integers(5, 15)
             ts = np.sort(rng.uniform(0, 30, size=n))
             ys = rng.normal(size=n)
-            mean = MeanFunction(rng.normal() * 0.3)
+            mean = rng.normal() * 0.3
             g = lml_gradient(hyper, mean, ts, ys)
             x0 = hyper.to_log_vector()
             for i in range(3):
@@ -247,9 +246,11 @@ def test_paper_reproduction_well_log():
             seed=0,
         )
         t0 = time.perf_counter()
-        r_intel = run(EngineConfig(mode=Mode.INTEL, **base), sliced, normalization="full")
+        r_intel = run(EngineConfig(**base), sliced, normalization="full")
         elapsed = time.perf_counter() - t0
-        r_sintel = run(EngineConfig(mode=Mode.SINTEL, **base), sliced, normalization="full")
+        r_sintel = run(
+            EngineConfig(**{**base, "factors": VariantFactors()}), sliced, normalization="full"
+        )
         mae, mse = r_intel.metrics.mae, r_intel.metrics.mse
         assert 0.75 * 0.2129 <= mae <= 1.25 * 0.2129, f"mae={mae:.4f}"
         assert 0.75 * 0.0706 <= mse <= 1.25 * 0.0706, f"mse={mse:.4f}"
@@ -264,7 +265,6 @@ def test_paper_reproduction_cpu_usage():
     with criterion("paper-reproduction-cpu-usage"):
         series = load_csv(CPU_USAGE, "value")
         config = EngineConfig(
-            mode=Mode.INTEL,
             init_count=200,
             factors=VariantFactors(signal=(1.0, 0.2)),
             seed=0,
@@ -290,13 +290,12 @@ def test_ablation_dominance():
         base = dict(init_count=init_count // 2, seed=0)
         r_intel = run(
             EngineConfig(
-                mode=Mode.INTEL,
                 factors=VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)),
                 **base,
             ),
             series,
         )
-        r_sintel = run(EngineConfig(mode=Mode.SINTEL, **base), series)
+        r_sintel = run(EngineConfig(factors=VariantFactors(), **base), series)
         assert r_intel.metrics.nll <= r_sintel.metrics.nll, (
             f"nll intel={r_intel.metrics.nll:.4f} sintel={r_sintel.metrics.nll:.4f}"
         )

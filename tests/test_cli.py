@@ -6,6 +6,9 @@ import pytest
 from conftest import regime_change_series
 
 from intelgp.cli import ConfigError, main, parse_factor_flag
+from intelgp.engine import EngineConfig
+from intelgp.harness import load_csv, records_to_jsonl, run
+from intelgp.mixture import VariantFactors
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,36 @@ class TestRunCommand:
         doc = json.loads((tmp_path / "r" / "metrics.json").read_text())
         assert doc["summary"]["n_observations"] == 200
         assert doc["metrics"]["n_evaluated"] == 150
+
+    def test_unknown_config_key_is_config_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"init_count": 80, "alpah": 0.5}))
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert "alpah" in capsys.readouterr().err
+
+    def test_sintel_mode_is_the_template_model_alone(self, dataset, tmp_path):
+        code = main(
+            [
+                "run",
+                "--input", str(dataset),
+                "--init-count", "80",
+                "--mode", "sintel",
+                "--out", str(tmp_path / "s"),
+            ]
+        )
+        assert code == 0
+        result = run(
+            EngineConfig(init_count=80, factors=VariantFactors()), load_csv(dataset, "value")
+        )
+        assert (tmp_path / "s" / "steps.jsonl").read_text() == records_to_jsonl(result.records)
+
+    def test_bad_mode_in_config_file_is_config_error(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "mode.json"
+        cfg.write_text(json.dumps({"init_count": 80, "mode": "sintle"}))
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert "sintle" in capsys.readouterr().err
 
     def test_bad_config_json_is_config_error(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -10,7 +10,6 @@ from conftest import flat_stream, shift_stream, spike_stream
 from intelgp import gp
 from intelgp.engine import (
     EngineConfig,
-    Mode,
     Verdict,
     classify,
     initialize,
@@ -82,38 +81,20 @@ class TestInitialize:
         history = np.full(50, 3.25)
         history += np.concatenate([np.zeros(49), [1e-9]])  # avoid degenerate fit data
         state = initialize(np.arange(50), history, EIGHT_MODEL)
-        assert state.model_set.shared_mean.constant == pytest.approx(3.25, abs=1e-9)
+        assert state.model_set.shared_mean == pytest.approx(3.25, abs=1e-9)
         np.testing.assert_allclose(state.model_set.weights, 1.0 / 8.0)
-
-    def test_sintel_mode_forces_singleton(self):
-        history, _ = flat_stream(32)
-        config = EngineConfig(
-            init_count=60,
-            factors=VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)),
-            mode=Mode.SINTEL,
-            seed=0,
-        )
-        state = initialize(np.arange(60), history, config)
-        assert len(state.model_set.models) == 1
 
 
 class TestPredictNext:
     def test_empty_window_fused_mean_is_constant(self):
         history, _ = flat_stream(33)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
-        state_empty = type(state)(
-            window=type(state.window)((), (), state.window.tau),
-            bucket=state.bucket,
-            model_set=state.model_set,
-            alpha=state.alpha,
-            mean_period=state.mean_period,
-            inliers_since_refresh=0,
-            current_t=state.current_t,
-            fit=state.fit,
+        state_empty = dataclasses.replace(
+            state, window=type(state.window)(), inliers_since_refresh=0
         )
         fused = predict_next(state_empty)
         assert fused.fused.mean == pytest.approx(
-            state.model_set.shared_mean.constant, abs=1e-12
+            state.model_set.shared_mean, abs=1e-12
         )
 
     def test_single_model_fusion_is_identity(self):
@@ -141,7 +122,7 @@ class TestPredictNext:
             state.model_set.models,
             state.current_t + 1,
         )
-        w_hat = predictive_weights(state.model_set.weights, state.alpha)
+        w_hat = predictive_weights(state.model_set.weights, state.config.alpha)
         ref = fuse_poe(means, variances, w_hat)
         assert fused.fused.mean == pytest.approx(ref.mean, abs=1e-15)
         assert fused.fused.variance == pytest.approx(ref.variance, abs=1e-15)
@@ -317,7 +298,7 @@ class TestMeanRefresh:
             init_count=60, mean_period=10, factors=VariantFactors(), seed=0
         )
         state = initialize(np.arange(60), history, config)
-        c0 = state.model_set.shared_mean.constant
+        c0 = state.model_set.shared_mean
         shifted = stream[:10] + offset
         for i, y in enumerate(shifted):
             state, out = step(state, y)
@@ -333,17 +314,11 @@ class TestMeanRefresh:
         window = state.window
         for i in range(10):
             window = window.appended(60 + i, 1.75)
-        state2 = type(state)(
-            window=window,
-            bucket=state.bucket,
-            model_set=state.model_set,
-            alpha=state.alpha,
-            mean_period=10,
-            inliers_since_refresh=0,
-            current_t=69,
-            fit=state.fit,
+        assert state.config.mean_period == 10
+        state2 = dataclasses.replace(
+            state, window=window, inliers_since_refresh=0, current_t=69
         )
-        assert refresh_mean_periodic(state2).constant == 1.75
+        assert refresh_mean_periodic(state2) == 1.75
 
     def test_refresh_two_values(self):
         history, _ = flat_stream(50)
@@ -409,7 +384,7 @@ class TestPredictorCache:
     def test_full_cache_drops_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
         models = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).model_set.models
-        mean = gp.MeanFunction(0.0)
+        mean = 0.0
         cache = {}
         windows = [np.arange(n, 20.0) for n in (0, 1, 2)]
         for ts in (windows[0], windows[1], windows[0], windows[2]):

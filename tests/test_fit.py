@@ -8,7 +8,6 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     KernelSpec,
-    MeanFunction,
     chol_with_jitter,
     lml_gradient,
     log_marginal_likelihood,
@@ -44,7 +43,7 @@ class TestFitTemplate:
         true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 0.8, 4.0), 0.2)
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=10)
-        mean = MeanFunction(0.0)
+        mean = 0.0
         fit = fit_template(ts, ys, 0.0, starts=2, seed=2)
         start1 = heuristic_hyperparameters(ts, ys)
         assert fit.lml >= log_marginal_likelihood(start1, mean, ts, ys) - 1e-9
@@ -55,7 +54,7 @@ class TestFitTemplate:
         ys = np.sin(ts / 4.0) + 0.01 * np.cos(7 * ts)
         fit = fit_template(ts, ys, float(np.mean(ys)), starts=2, seed=3)
         recomputed = log_marginal_likelihood(
-            fit.hyper, MeanFunction(float(np.mean(ys))), ts, ys
+            fit.hyper, float(np.mean(ys)), ts, ys
         )
         assert fit.lml == pytest.approx(recomputed, abs=1e-10)
 
@@ -66,7 +65,7 @@ class TestFitTemplate:
         fit = fit_template(ts, ys, 0.0, starts=3, seed=4)
         if fit.converged:
             gnorm = np.linalg.norm(
-                lml_gradient(fit.hyper, MeanFunction(0.0), ts, ys)
+                lml_gradient(fit.hyper, 0.0, ts, ys)
             )
             assert gnorm < 1e-4
 
@@ -92,7 +91,7 @@ class TestFitTemplate:
         true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 4.0), 0.2)
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=13)
-        mean = MeanFunction(0.0)
+        mean = 0.0
         kind = KernelKind.MATERN52
 
         def objective(x):

@@ -21,7 +21,6 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     KernelSpec,
-    MeanFunction,
     NumericalError,
     chol_with_jitter,
     covariance_matrix,
@@ -177,7 +176,7 @@ class TestNoisyCovariance:
 class TestGpPredict:
     def test_empty_training_set_returns_prior(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
-        mean, var = predict_one([], [], MeanFunction(0.0), hyper, 7.0)
+        mean, var = predict_one([], [], 0.0, hyper, 7.0)
         assert mean == 0.0
         assert var == pytest.approx(1.01, abs=1e-15)
 
@@ -185,7 +184,7 @@ class TestGpPredict:
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 1e-6)
         ts = np.arange(5.0)
         ys = np.array([0.3, -0.1, 0.8, 0.2, -0.5])
-        mean, _ = predict_one(ts, ys, MeanFunction(0.0), hyper, 2.0)
+        mean, _ = predict_one(ts, ys, 0.0, hyper, 2.0)
         assert mean == pytest.approx(0.8, abs=1e-4)
 
     def test_matches_conditioning_oracle(self):
@@ -197,7 +196,7 @@ class TestGpPredict:
             ys = rng.normal(size=n)
             c = rng.normal()
             t_star = float(ts[-1] + rng.uniform(0.5, 3.0))
-            mean, var = predict_one(ts, ys, MeanFunction(c), hyper, t_star)
+            mean, var = predict_one(ts, ys, c, hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
             assert mean == pytest.approx(m_ref, abs=1e-8)
             assert var == pytest.approx(v_ref, abs=1e-8)
@@ -210,20 +209,20 @@ class TestGpPredict:
             ts = np.sort(rng.uniform(0, 15, size=n))
             ys = rng.normal(size=n)
             t_star = float(ts[-1] + 1.0)
-            mean = MeanFunction(0.0)
+            mean = 0.0
             _, var_subset = predict_one(ts[:-1], ys[:-1], mean, hyper, t_star)
             _, var_full = predict_one(ts, ys, mean, hyper, t_star)
             assert var_full <= var_subset + 1e-10
 
     def test_variance_floor(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 1e-5)
-        _, var = predict_one([0.0], [0.5], MeanFunction(0.0), hyper, 0.0)
+        _, var = predict_one([0.0], [0.5], 0.0, hyper, 0.0)
         assert var >= VAR_FLOOR
 
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], MeanFunction(0.0), (hyper,), 2.0)
+            gp_predict([0.0, 1.0], [0.5], 0.0, (hyper,), 2.0)
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
@@ -231,7 +230,7 @@ class TestGpPredict:
             Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0), 0.1),
         )
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5, 0.2], MeanFunction(0.0), models, 2.0)
+            gp_predict([0.0, 1.0], [0.5, 0.2], 0.0, models, 2.0)
 
 
 @st.composite
@@ -253,7 +252,7 @@ def batched_cases(draw):
     ys = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=ts.size, max_size=ts.size)))
     c = draw(st.floats(-2.0, 2.0))
     shift = draw(st.integers(-1_000_000, 1_000_000))
-    return models, ts, ys, MeanFunction(c), shift
+    return models, ts, ys, c, shift
 
 
 def fixed_case(n_models, offsets):
@@ -265,7 +264,7 @@ def fixed_case(n_models, offsets):
         hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
     )[:n_models]
     ts = np.sort(1000.0 - np.array(list(offsets), dtype=float))
-    return models, ts, np.sin(ts), MeanFunction(0.3), 12_345
+    return models, ts, np.sin(ts), 0.3, 12_345
 
 
 def as_bytes(prediction):
@@ -287,7 +286,7 @@ class TestBatchedPredictor:
         means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
         for h, m, v in zip(models, means, variances):
-            m_ref, v_ref = oracle_predict(h, mean.constant, ts, ys, 1000.0)
+            m_ref, v_ref = oracle_predict(h, mean, ts, ys, 1000.0)
             assert m == pytest.approx(m_ref, abs=1e-8)
             assert v == pytest.approx(v_ref, abs=1e-8)
         cache = {}
@@ -342,7 +341,7 @@ class TestBatchedPredictor:
         cache = {}
         while len(cache) < gp.PREDICTOR_CACHE_SIZE:
             ts = np.sort(1000.0 - rng.choice(np.arange(1.0, 41.0), tau, replace=False))
-            gp_predict(ts, np.sin(ts), MeanFunction(0.0), models, 1000.0, cache)
+            gp_predict(ts, np.sin(ts), 0.0, models, 1000.0, cache)
         total = 0
         for a, var in cache.values():
             assert a.shape == (len(models), tau)
@@ -360,7 +359,7 @@ class TestStackFallback:
     def test_failing_model_goes_through_its_own_ladder(self):
         ts = np.arange(20.0)
         ys = np.sin(ts)
-        mean = MeanFunction(0.1)
+        mean = 0.1
         offsets = 20.0 - ts
         bad = self.BAD
         V = noisy_covariance(bad.kernel, offsets, bad.noise_scale)
@@ -390,20 +389,20 @@ class TestStackFallback:
         # A signal scale whose square overflows to inf.
         huge = self.GOOD.scaled(f=1e200)
         with pytest.raises(NumericalError):
-            gp_predict([0.0, 1.0], [0.5, 0.2], MeanFunction(0.0), (self.GOOD, huge), 2.0)
+            gp_predict([0.0, 1.0], [0.5, 0.2], 0.0, (self.GOOD, huge), 2.0)
 
 
 class TestLogMarginalLikelihood:
     def test_single_point_closed_form(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 3.0), 1.0)
-        lml = log_marginal_likelihood(hyper, MeanFunction(0.0), [5.0], [0.0])
+        lml = log_marginal_likelihood(hyper, 0.0, [5.0], [0.0])
         expected = -0.5 * math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
         assert lml == pytest.approx(expected, abs=1e-12)
 
     def test_zero_observations_leave_only_determinant_terms(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.2, 2.0), 0.4)
         ts = np.arange(6.0)
-        mean = MeanFunction(0.0)
+        mean = 0.0
         lml = log_marginal_likelihood(hyper, mean, ts, np.zeros(6))
         V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
         expected = -0.5 * np.linalg.slogdet(V)[1] - 3.0 * math.log(2.0 * math.pi)
@@ -418,13 +417,13 @@ class TestLogMarginalLikelihood:
             c = rng.normal()
             V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
             ref = multivariate_normal(mean=np.full(8, c), cov=V).logpdf(ys)
-            lml = log_marginal_likelihood(hyper, MeanFunction(c), ts, ys)
+            lml = log_marginal_likelihood(hyper, c, ts, ys)
             assert lml == pytest.approx(ref, abs=1e-8)
 
     def test_empty_rejected(self):
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
         with pytest.raises(ValueError):
-            log_marginal_likelihood(hyper, MeanFunction(0.0), [], [])
+            log_marginal_likelihood(hyper, 0.0, [], [])
 
 
 class TestLmlGradient:
@@ -453,7 +452,7 @@ class TestLmlGradient:
             n = rng.integers(4, 12)
             ts = np.sort(rng.uniform(0, 30, size=n))
             ys = rng.normal(size=n)
-            mean = MeanFunction(rng.normal())
+            mean = rng.normal()
             g = lml_gradient(hyper, mean, ts, ys)
             fd = self.finite_difference(hyper, mean, ts, ys)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
@@ -464,7 +463,7 @@ class TestLmlGradient:
         # and the length-scale derivative vanishes.
         sf, sn, y, c = 1.3, 0.6, 0.9, 0.2
         hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, sf, 2.0), sn)
-        g = lml_gradient(hyper, MeanFunction(c), [4.0], [y])
+        g = lml_gradient(hyper, c, [4.0], [y])
         v = sf**2 + sn**2
         r2 = (y - c) ** 2
         assert g[0] == pytest.approx(sf**2 * (r2 / v - 1.0) / v, abs=1e-12)

@@ -1,17 +1,19 @@
 """Tests for CSV ingestion, the run loop, and the benchmark harness."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import regime_change_series
 
 from intelgp import harness
-from intelgp.engine import EngineConfig, Mode
+from intelgp.engine import EngineConfig, Verdict
 from intelgp.gp import KernelKind
 from intelgp.harness import (
     InputError,
     bench,
+    config_from_mapping,
     format_bench_table,
     load_csv,
     parse_factors,
@@ -89,9 +91,43 @@ class TestParseFactors:
         with pytest.raises(ValueError, match="unknown factor keys"):
             parse_factors({"q": 2})
 
-    def test_passthrough(self):
-        v = VariantFactors((1.0, 0.5))
-        assert parse_factors(v) is v
+
+class TestConfigFromMapping:
+    def test_empty_mapping_gives_the_defaults(self):
+        config, data = config_from_mapping({})
+        assert config == EngineConfig()
+        assert data == {
+            "column": "value", "normalization": "init", "row_start": None, "row_end": None
+        }
+
+    def test_every_key_reaches_its_field(self):
+        config, data = config_from_mapping(
+            {
+                "tau": 7, "alpha": 0.5, "n_outliers": 2, "mean_period": 4,
+                "init_count": 90, "factors": {"l": 0.2}, "kernel": "se", "seed": 3,
+                "column": "reading", "normalization": "full",
+                "row_start": 5, "row_end": 50,
+            }
+        )
+        assert config == EngineConfig(
+            tau=7, alpha=0.5, n_outliers=2, mean_period=4, init_count=90,
+            factors=VariantFactors(length=(1.0, 0.2)),
+            kernel_kind=KernelKind.SQUARED_EXPONENTIAL, seed=3,
+        )
+        assert data == {
+            "column": "reading", "normalization": "full", "row_start": 5, "row_end": 50
+        }
+
+    def test_paper_bench_config_parses(self):
+        doc = json.loads((Path(__file__).parent.parent / "benchmarks" / "paper.json").read_text())
+        for entry in doc["datasets"]:
+            entry = {k: v for k, v in entry.items() if k not in ("name", "file")}
+            config_from_mapping({**doc["defaults"], **entry})
+
+    @pytest.mark.parametrize("key", ["alpah", "mode", "name", "kernel_kind"])
+    def test_unknown_key_is_named(self, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_mapping({"init_count": 80, key: 1})
 
 
 @pytest.fixture(scope="module")
@@ -116,13 +152,14 @@ class TestRun:
         parsed = parse_jsonl(text)
         assert parsed == result.records
 
-    def test_sintel_equals_intel_with_singleton_factors(self, series):
-        base = dict(init_count=120, seed=0)
-        r_sintel = run(EngineConfig(mode=Mode.SINTEL, **base), series)
-        r_single = run(
-            EngineConfig(mode=Mode.INTEL, factors=VariantFactors(), **base), series
-        )
-        assert r_sintel.records == r_single.records
+    @pytest.mark.parametrize("a, b", [(1e3, -7.0), (1e-3, 5.0), (3.7, 1e4)])
+    def test_verdicts_invariant_under_affine_rescaling(self, series, a, b):
+        config = EngineConfig(init_count=130)
+        plain = run(config, series[:400])
+        rescaled = run(config, a * series[:400] + b)
+        verdicts = [o.verdict for o in plain.outputs]
+        assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= set(verdicts)
+        assert [o.verdict for o in rescaled.outputs] == verdicts
 
     def test_deterministic_rerun(self, series):
         config = EngineConfig(init_count=120, seed=3)
@@ -254,6 +291,26 @@ class TestBench:
         assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
         assert [s["dataset"] for s in result.skipped] == ["typo"]
         assert "rbf" in result.skipped[0]["error"]
+
+    @pytest.mark.parametrize("key, value", [("alpah", 0.5), ("mode", "sintel")])
+    def test_unknown_entry_key_skips_the_dataset(self, tmp_path, key, value):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"].append({**cfg["datasets"][0], "name": "typo", key: value})
+        result = bench(cfg, tmp_path)
+        assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
+        assert [s["dataset"] for s in result.skipped] == ["typo"]
+        assert key in result.skipped[0]["error"]
+
+    def test_data_keys_in_defaults_are_honoured(self, tmp_path):
+        cfg = self.make_dataset(tmp_path)
+        series, _ = regime_change_series(seed=7, n_smooth=160, n_rough=120)
+        lines = [f"{i},{v:.8f}" for i, v in enumerate(series)]
+        write_csv(tmp_path / "reading.csv", lines, header="timestamp,reading")
+        cfg["defaults"].update(column="reading", row_start=30)
+        cfg["datasets"] = [{"name": "reading", "file": "reading.csv"}]
+        result = bench(cfg, tmp_path)
+        assert not result.skipped
+        assert [r["n_evaluated"] for r in result.rows] == [len(series) - 30 - 80] * 2
 
     def test_programming_errors_are_not_skipped(self, tmp_path, monkeypatch):
         cfg = self.make_dataset(tmp_path)

@@ -11,7 +11,6 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     KernelSpec,
-    MeanFunction,
     PredictiveDistribution,
 )
 from intelgp.mixture import (
@@ -26,7 +25,7 @@ from intelgp.mixture import (
 )
 
 TEMPLATE = Hyperparameters(KernelSpec(KernelKind.MATERN52, 2.0, 5.0), 0.4)
-MEAN = MeanFunction(0.0)
+MEAN = 0.0
 
 
 def model_log_likelihood(means, variances, y: float):

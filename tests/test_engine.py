@@ -84,6 +84,15 @@ class TestInitialize:
         assert state.model_set.shared_mean == pytest.approx(3.25, abs=1e-9)
         np.testing.assert_allclose(state.model_set.weights, 1.0 / 8.0)
 
+    def test_sintel_mode_forces_singleton(self):
+        # SINTEL is the same config with the template model alone
+        history, _ = flat_stream(32)
+        intel = initialize(np.arange(60), history, EIGHT_MODEL)
+        sintel_config = dataclasses.replace(EIGHT_MODEL, factors=VariantFactors())
+        sintel = initialize(np.arange(60), history, sintel_config)
+        assert len(sintel.model_set.models) == 1
+        assert sintel.model_set.models[0] == intel.model_set.models[0]
+
 
 class TestPredictNext:
     def test_empty_window_fused_mean_is_constant(self):

@@ -152,6 +152,28 @@ class TestRun:
         parsed = parse_jsonl(text)
         assert parsed == result.records
 
+    def test_sintel_equals_intel_with_singleton_factors(self, series, tmp_path):
+        lines = [f"{i},{v:.8f}" for i, v in enumerate(series)]
+        write_csv(tmp_path / "s.csv", lines)
+        result = bench(
+            {
+                "defaults": {"init_count": 120, "seed": 0},
+                "datasets": [{"name": "s", "file": "s.csv", "factors": {"l": 0.2}}],
+            },
+            tmp_path,
+        )
+        sintel = next(r for r in result.rows if r["mode"] == "sintel")
+        single = run(
+            EngineConfig(init_count=120, seed=0, factors=VariantFactors()),
+            load_csv(tmp_path / "s.csv", "value"),
+        )
+        assert sintel["n_evaluated"] == single.metrics.n_evaluated
+        assert (sintel["nll"], sintel["mae"], sintel["mse"]) == (
+            single.metrics.nll, single.metrics.mae, single.metrics.mse
+        )
+        assert sintel["outliers"] == single.summary["outliers"]
+        assert sintel["change_points"] == single.summary["change_points"]
+
     @pytest.mark.parametrize("a, b", [(1e3, -7.0), (1e-3, 5.0), (3.7, 1e4)])
     def test_verdicts_invariant_under_affine_rescaling(self, series, a, b):
         config = EngineConfig(init_count=130)

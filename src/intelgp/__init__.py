@@ -10,7 +10,6 @@ from .engine import (
     classify,
     initialize,
     predict_next,
-    refresh_mean_periodic,
     step,
 )
 from .fit import FitError, FitResult, fit_template
@@ -18,10 +17,8 @@ from .gp import (
     VAR_FLOOR,
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     NumericalError,
     PredictiveDistribution,
-    covariance_matrix,
     gp_predict,
     lml_gradient,
     log_marginal_likelihood,
@@ -38,7 +35,6 @@ from .metrics import (
 from .mixture import (
     WEIGHT_FLOOR,
     FusedPrediction,
-    ModelSet,
     VariantFactors,
     build_model_set,
     fuse_poe,
@@ -57,7 +53,6 @@ __all__ = [
     "classify",
     "initialize",
     "predict_next",
-    "refresh_mean_periodic",
     "step",
     "FitError",
     "FitResult",
@@ -65,10 +60,8 @@ __all__ = [
     "VAR_FLOOR",
     "Hyperparameters",
     "KernelKind",
-    "KernelSpec",
     "NumericalError",
     "PredictiveDistribution",
-    "covariance_matrix",
     "gp_predict",
     "lml_gradient",
     "log_marginal_likelihood",
@@ -86,7 +79,6 @@ __all__ = [
     "evaluate",
     "WEIGHT_FLOOR",
     "FusedPrediction",
-    "ModelSet",
     "VariantFactors",
     "build_model_set",
     "fuse_poe",

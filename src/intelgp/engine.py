@@ -10,17 +10,22 @@ identical outputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
 from .fit import FitError, FitResult, fit_template, heuristic_hyperparameters
-from .gp import KernelKind, PredictiveDistribution, gp_predict, log_marginal_likelihood
+from .gp import (
+    Hyperparameters,
+    KernelKind,
+    PredictiveDistribution,
+    gp_predict,
+    log_marginal_likelihood,
+)
 from .mixture import (
     FusedPrediction,
-    ModelSet,
     VariantFactors,
     build_model_set,
     eq_by_value,
@@ -91,13 +96,28 @@ class TrainingWindow:
 
 @dataclass(frozen=True)
 class EngineState:
+    """Where a stream stands after its last observation.
+
+    `models` are the template (model 0) and its variants, `weights` their
+    weights, `shared_mean` the constant prior mean of all of them.  `cache`
+    is the predictor cache of `models` (see `gp.gp_predict`).  Each
+    `initialize` starts an empty one and `step` passes it on, so a stream
+    and its forks fill the same cache.  It is left out of equality, which
+    compares the weights by value, and out of the repr.
+    """
+
     window: TrainingWindow
     bucket: TrainingWindow
-    model_set: ModelSet
+    models: tuple[Hyperparameters, ...]
+    weights: np.ndarray
+    shared_mean: float
     config: EngineConfig
     inliers_since_refresh: int
     current_t: int
     fit: Optional[FitResult] = None
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    __eq__ = eq_by_value
 
 
 @dataclass(frozen=True)
@@ -127,25 +147,18 @@ def predict_next(state: EngineState) -> FusedPrediction:
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
-    parameter, and fuses.  The only writes go to the model set's predictor
+    parameter, and fuses.  The only writes go to the state's predictor
     cache, whose entries depend on their keys alone.
     """
-    ms = state.model_set
     means, variances = gp_predict(
-        state.window.times, state.window.values, ms.shared_mean, ms.models,
-        state.current_t + 1, ms.cache,
+        state.window.times, state.window.values, state.shared_mean, state.models,
+        state.current_t + 1, state.cache,
     )
-    w_hat = predictive_weights(ms.weights, state.config.alpha)
+    w_hat = predictive_weights(state.weights, state.config.alpha)
     fused = fuse_poe(means, variances, w_hat)
     return FusedPrediction(
         fused=fused, means=means, variances=variances, predictive_weights=w_hat
     )
-
-
-def refresh_mean_periodic(state: EngineState) -> float:
-    """Constant mean set to the average of the last `mean_period` values
-    appended to the window."""
-    return float(np.mean(state.window.values[-state.config.mean_period:]))
 
 
 def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
@@ -166,7 +179,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     config = state.config
     window = state.window
     bucket = state.bucket
-    mean = state.model_set.shared_mean
+    mean = state.shared_mean
     inliers = state.inliers_since_refresh
     regime_start: Optional[int] = None
 
@@ -176,8 +189,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         bucket = TrainingWindow()
         inliers += 1
         if inliers >= config.mean_period:
-            state_for_refresh = replace(state, window=window)
-            mean = refresh_mean_periodic(state_for_refresh)
+            mean = float(np.mean(window.values[-config.mean_period:]))
             inliers = 0
     else:
         bucket = bucket.appended(t_next, y_next)
@@ -201,11 +213,14 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     new_state = EngineState(
         window=window,
         bucket=bucket,
-        model_set=state.model_set.replace(weights=weights, shared_mean=mean),
+        models=state.models,
+        weights=weights,
+        shared_mean=mean,
         config=config,
         inliers_since_refresh=inliers,
         current_t=t_next,
         fit=state.fit,
+        cache=state.cache,
     )
     output = StepOutput(
         t=t_next,
@@ -250,7 +265,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
             converged=False,
         )
 
-    model_set = build_model_set(fit.hyper, config.factors, mean)
+    models = build_model_set(fit.hyper, config.factors)
 
     keep = min(config.tau, len(ts))
     window = TrainingWindow(
@@ -260,7 +275,9 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     return EngineState(
         window=window,
         bucket=TrainingWindow(),
-        model_set=model_set,
+        models=models,
+        weights=np.full(len(models), 1.0 / len(models)),
+        shared_mean=mean,
         config=config,
         inliers_since_refresh=0,
         current_t=int(history_t[-1]),

@@ -16,7 +16,6 @@ from scipy.optimize import minimize
 from .gp import (
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     NumericalError,
     lml_gradient,
     log_marginal_likelihood,
@@ -60,8 +59,7 @@ def heuristic_hyperparameters(
     if not span > 0.0:
         span = 1.0
     return Hyperparameters(
-        kernel=KernelSpec(kind, signal_scale=scale, length_scale=span / 10.0),
-        noise_scale=0.1 * scale,
+        kind, signal_scale=scale, length_scale=span / 10.0, noise_scale=0.1 * scale
     )
 
 
@@ -128,7 +126,8 @@ def fit_template(
         raise FitError(f"all {starts} optimizer starts failed numerically")
 
     hyper = Hyperparameters.from_log_vector(kind, best.x)
-    gnorm = float(np.linalg.norm(lml_gradient(hyper, mean_const, ts, ys)))
+    # best.jac is the objective's gradient at best.x: the LML gradient, negated
+    gnorm = float(np.linalg.norm(best.jac))
     # L-BFGS-B status 0 means it stopped on its own ftol/gtol criteria.
     converged = gnorm < GRAD_TOL or (best.status == 0 and gnorm < 1e-4)
     lml = float(-best.fun)

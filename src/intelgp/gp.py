@@ -46,54 +46,34 @@ class KernelKind(Enum):
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """A stationary kernel: its family plus signal and length scales."""
+class Hyperparameters:
+    """One GP model: a stationary kernel family, its signal and length
+    scales, and the observation-noise scale."""
 
     kind: KernelKind
     signal_scale: float
     length_scale: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "signal_scale", float(self.signal_scale))
-        object.__setattr__(self, "length_scale", float(self.length_scale))
-        if not (self.signal_scale > 0.0):
-            raise ValueError(f"signal_scale must be positive, got {self.signal_scale}")
-        if not (self.length_scale > 0.0):
-            raise ValueError(f"length_scale must be positive, got {self.length_scale}")
-
-
-@dataclass(frozen=True)
-class Hyperparameters:
-    """Kernel scales plus the observation-noise scale of one GP model."""
-
-    kernel: KernelSpec
     noise_scale: float
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_scale", float(self.noise_scale))
-        if not (self.noise_scale > 0.0):
-            raise ValueError(f"noise_scale must be positive, got {self.noise_scale}")
+        for name in ("signal_scale", "length_scale", "noise_scale"):
+            value = float(getattr(self, name))
+            if not (value > 0.0):
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
     def to_log_vector(self) -> np.ndarray:
         """(log signal_scale, log length_scale, log noise_scale)."""
-        return np.log(
-            [self.kernel.signal_scale, self.kernel.length_scale, self.noise_scale]
-        )
+        return np.log([self.signal_scale, self.length_scale, self.noise_scale])
 
     @classmethod
     def from_log_vector(cls, kind: KernelKind, v: np.ndarray) -> "Hyperparameters":
-        sf, sl, sn = np.exp(np.asarray(v, dtype=float))
-        return cls(kernel=KernelSpec(kind, sf, sl), noise_scale=sn)
+        return cls(kind, *np.exp(np.asarray(v, dtype=float)))
 
     def scaled(self, f: float = 1.0, l: float = 1.0, n: float = 1.0) -> "Hyperparameters":
         """A copy with each scale multiplied by the given factor."""
         return Hyperparameters(
-            kernel=KernelSpec(
-                self.kernel.kind,
-                self.kernel.signal_scale * f,
-                self.kernel.length_scale * l,
-            ),
-            noise_scale=self.noise_scale * n,
+            self.kind, self.signal_scale * f, self.length_scale * l, self.noise_scale * n
         )
 
 
@@ -137,26 +117,15 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def _kernel_of_dist(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
-    """Kernel value as a function of pairwise distance |xi - xj|."""
-    return _kernel_values(spec.kind, spec.signal_scale, spec.length_scale, d)
-
-
-def covariance_matrix(spec: KernelSpec, xs) -> np.ndarray:
-    """Dense kernel matrix over all pairs of the input locations."""
+def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
+    """Kernel matrix over all pairs of the input locations, plus
+    noise_scale**2 on the diagonal."""
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
-        raise ValueError("covariance_matrix requires at least one input location")
+        raise ValueError("noisy_covariance requires at least one input location")
     d = np.abs(xs[:, None] - xs[None, :])
-    return _kernel_of_dist(spec, d)
-
-
-def noisy_covariance(spec: KernelSpec, xs, noise_scale: float) -> np.ndarray:
-    """Kernel matrix plus noise_scale**2 on the diagonal."""
-    if not (noise_scale > 0.0):
-        raise ValueError(f"noise_scale must be positive, got {noise_scale}")
-    V = covariance_matrix(spec, xs)
-    V[np.diag_indices_from(V)] += noise_scale * noise_scale
+    V = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
+    V[np.diag_indices_from(V)] += hyper.noise_scale * hyper.noise_scale
     return V
 
 
@@ -204,12 +173,10 @@ def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
     """Each model's noisy kernel matrix over training inputs at `offsets`
     from the test input, followed by the test input itself (offset 0):
     an (M, n+1, n+1) stack for n offsets."""
-    kind = models[0].kernel.kind
-    if any(h.kernel.kind is not kind for h in models):
+    kind = models[0].kind
+    if any(h.kind is not kind for h in models):
         raise ValueError("the models of one prediction must share a kernel kind")
-    sf, ell, sn = np.array(
-        [(h.kernel.signal_scale, h.kernel.length_scale, h.noise_scale) for h in models]
-    ).T
+    sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
     x = np.append(offsets, 0.0)
     # The kernel is evaluated once per distinct distance, then spread out.
     d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
@@ -335,7 +302,7 @@ def log_marginal_likelihood(
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
         raise ValueError("log_marginal_likelihood requires at least one data point")
-    V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
+    V = noisy_covariance(hyper, ts)
     L = chol_with_jitter(V)
     resid = ys - mean
     alpha = cho_solve((L, True), resid, check_finite=False)
@@ -346,16 +313,16 @@ def log_marginal_likelihood(
     )
 
 
-def _dK_dlog_length(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+def _dK_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
     """Derivative of the kernel matrix w.r.t. log length_scale."""
-    sf2 = spec.signal_scale * spec.signal_scale
-    if spec.kind is KernelKind.MATERN52:
-        u = np.minimum((math.sqrt(5.0) / spec.length_scale) * d, _MAX_SCALED_DIST)
+    sf2 = hyper.signal_scale * hyper.signal_scale
+    if hyper.kind is KernelKind.MATERN52:
+        u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (u * u * (1.0 + u) / 3.0) * np.exp(-u)
-    if spec.kind is KernelKind.SQUARED_EXPONENTIAL:
-        s = np.minimum((d / spec.length_scale) ** 2, _MAX_SCALED_DIST)
+    if hyper.kind is KernelKind.SQUARED_EXPONENTIAL:
+        s = np.minimum((d / hyper.length_scale) ** 2, _MAX_SCALED_DIST)
         return sf2 * np.exp(-s) * 2.0 * s
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    raise ValueError(f"unknown kernel kind {hyper.kind!r}")
 
 
 def lml_gradient(
@@ -373,10 +340,9 @@ def lml_gradient(
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
         raise ValueError("lml_gradient requires at least one data point")
-    spec = hyper.kernel
     d = np.abs(ts[:, None] - ts[None, :])
     noise2 = hyper.noise_scale * hyper.noise_scale
-    K = _kernel_of_dist(spec, d)
+    K = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
     V = K + noise2 * np.eye(ts.size)
     L = chol_with_jitter(V)
     resid = ys - mean
@@ -384,7 +350,7 @@ def lml_gradient(
     V_inv = cho_solve((L, True), np.eye(ts.size), check_finite=False)
     B = np.outer(alpha, alpha) - V_inv
     dV_sig = 2.0 * K
-    dV_len = _dK_dlog_length(spec, d)
+    dV_len = _dK_dlog_length(hyper, d)
     dV_noise = 2.0 * noise2 * np.eye(ts.size)
     return 0.5 * np.array(
         [np.sum(B * dV_sig), np.sum(B * dV_len), np.sum(B * dV_noise)]

@@ -136,7 +136,7 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
         "n_observations": int(n),
         "init_count": config.init_count,
         "n_evaluated": metrics.n_evaluated,
-        "n_models": len(state.model_set.models),
+        "n_models": len(state.models),
         "outliers": sum(v is Verdict.OUTLIER for v in verdicts),
         "change_points": sum(v is Verdict.CHANGE_POINT for v in verdicts),
         "normalization": normalization,
@@ -146,8 +146,8 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
             "lml": state.fit.lml,
             "iterations": state.fit.iterations,
             "converged": state.fit.converged,
-            "signal_scale": state.fit.hyper.kernel.signal_scale,
-            "length_scale": state.fit.hyper.kernel.length_scale,
+            "signal_scale": state.fit.hyper.signal_scale,
+            "length_scale": state.fit.hyper.length_scale,
             "noise_scale": state.fit.hyper.noise_scale,
         },
         "wall_time_s": fit_seconds + stream_seconds,
@@ -191,11 +191,27 @@ class BenchResult:
     skipped: list[dict]
 
 
+def _integer(value) -> int:
+    """A whole number from a config value; 2.7, "2" and true are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _parsed(key: str, parse, value):
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
+
+
 # Config keys, each with the parser of its value.  The engine keys are
 # EngineConfig fields ("kernel" sets kernel_kind); the rest select the data.
 _ENGINE_KEYS = {
-    "tau": int, "alpha": float, "n_outliers": int, "mean_period": int,
-    "init_count": int, "factors": parse_factors, "kernel": KernelKind, "seed": int,
+    "tau": _integer, "alpha": float, "n_outliers": _integer, "mean_period": _integer,
+    "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
 }
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
 
@@ -204,16 +220,21 @@ def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
     """The engine config and the data selection a config mapping names.
 
     Absent engine keys take EngineConfig's defaults, absent data keys those
-    of `_DATA_DEFAULTS`.  Raises ValueError naming any other key.
+    of `_DATA_DEFAULTS`; row_start and row_end are integers or null.  Raises
+    ValueError naming any other key, and naming the key of a value its
+    parser rejects.
     """
     unknown = set(doc) - set(_ENGINE_KEYS) - set(_DATA_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
     engine = {
-        "kernel_kind" if key == "kernel" else key: parse(doc[key])
+        "kernel_kind" if key == "kernel" else key: _parsed(key, parse, doc[key])
         for key, parse in _ENGINE_KEYS.items() if key in doc
     }
     data = {key: doc.get(key, default) for key, default in _DATA_DEFAULTS.items()}
+    for key in ("row_start", "row_end"):
+        if data[key] is not None:
+            data[key] = _parsed(key, _integer, data[key])
     return EngineConfig(**engine), data
 
 

@@ -7,7 +7,7 @@ variances, in model order."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,37 +62,6 @@ def eq_by_value(a, b):
     return True
 
 
-@dataclass
-class ModelSet:
-    """The template model (index 0), its variants, their weights, and the
-    constant mean shared by all of them.
-
-    `cache` is the predictor cache of the whole set (see `gp.gp_predict`).
-    A new model set starts with an empty one; `replace` shares it, so a
-    stream and its forks fill the same cache.  It is left out of equality,
-    which compares the weights by value.
-    """
-
-    models: tuple[Hyperparameters, ...]
-    weights: np.ndarray
-    shared_mean: float
-    cache: dict = field(default=None, repr=False, compare=False)
-
-    __eq__ = eq_by_value
-
-    def __post_init__(self):
-        if self.cache is None:
-            self.cache = {}
-
-    def replace(self, weights=None, shared_mean=None) -> "ModelSet":
-        return ModelSet(
-            models=self.models,
-            weights=self.weights if weights is None else np.asarray(weights, float),
-            shared_mean=self.shared_mean if shared_mean is None else shared_mean,
-            cache=self.cache,
-        )
-
-
 @dataclass(frozen=True)
 class FusedPrediction:
     """The fused forecast, and the per-model means and variances it fuses
@@ -107,21 +76,14 @@ class FusedPrediction:
 
 
 def build_model_set(
-    template: Hyperparameters,
-    factors: VariantFactors,
-    mean: float,
-) -> ModelSet:
-    """Cartesian product of the factor lists applied multiplicatively to the
-    template's (signal, length, noise) scales; uniform initial weights."""
-    models = tuple(
+    template: Hyperparameters, factors: VariantFactors
+) -> tuple[Hyperparameters, ...]:
+    """The models: the Cartesian product of the factor lists applied
+    multiplicatively to the template's (signal, length, noise) scales.
+    The template itself, all factors 1, is model 0."""
+    return tuple(
         template.scaled(f=f, l=l, n=n)
         for f, l, n in itertools.product(factors.signal, factors.length, factors.noise)
-    )
-    n = len(models)
-    return ModelSet(
-        models=models,
-        weights=np.full(n, 1.0 / n),
-        shared_mean=mean,
     )
 
 

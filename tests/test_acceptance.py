@@ -19,7 +19,6 @@ from intelgp.fit import fit_template
 from intelgp.gp import (
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     chol_with_jitter,
     lml_gradient,
     log_marginal_likelihood,
@@ -66,11 +65,9 @@ def test_gp_correctness_oracle():
                 else KernelKind.SQUARED_EXPONENTIAL
             )
             hyper = Hyperparameters(
-                KernelSpec(
-                    kind,
-                    math.exp(rng.uniform(-1.5, 1.5)),
-                    math.exp(rng.uniform(-1.0, 2.0)),
-                ),
+                kind,
+                math.exp(rng.uniform(-1.5, 1.5)),
+                math.exp(rng.uniform(-1.0, 2.0)),
                 math.exp(rng.uniform(-3.0, 0.0)),
             )
             n = rng.integers(1, 11)
@@ -97,11 +94,9 @@ def test_gradient_check():
                 else KernelKind.SQUARED_EXPONENTIAL
             )
             hyper = Hyperparameters(
-                KernelSpec(
-                    kind,
-                    math.exp(rng.uniform(-1.0, 1.0)),
-                    math.exp(rng.uniform(-0.5, 1.5)),
-                ),
+                kind,
+                math.exp(rng.uniform(-1.0, 1.0)),
+                math.exp(rng.uniform(-0.5, 1.5)),
                 math.exp(rng.uniform(-2.0, -0.5)),
             )
             n = rng.integers(5, 15)
@@ -128,9 +123,9 @@ def test_gradient_check():
 def test_hyperparameter_recovery():
     with criterion("hyperparameter-recovery"):
         t0 = time.perf_counter()
-        true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 3.0), 0.1)
+        true = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.1)
         ts = np.arange(200.0)
-        V = noisy_covariance(true.kernel, ts, true.noise_scale)
+        V = noisy_covariance(true, ts)
         L = chol_with_jitter(V)
         recovered = 0
         for trial in range(5):

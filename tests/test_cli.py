@@ -187,6 +187,20 @@ class TestRunCommand:
         )
         assert (tmp_path / "s" / "steps.jsonl").read_text() == records_to_jsonl(result.records)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tau", 2.7), ("init_count", "80"), ("seed", True), ("row_start", "100"),
+         ("row_end", 250.5)],
+    )
+    def test_non_integer_config_value_is_config_error(
+        self, dataset, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({"init_count": 80, key: value}))
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert repr(key) in capsys.readouterr().err
+
     def test_bad_mode_in_config_file_is_config_error(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "mode.json"
         cfg.write_text(json.dumps({"init_count": 80, "mode": "sintle"}))

@@ -14,11 +14,10 @@ from intelgp.engine import (
     classify,
     initialize,
     predict_next,
-    refresh_mean_periodic,
     step,
 )
 from intelgp.gp import PredictiveDistribution, gp_predict
-from intelgp.mixture import ModelSet, VariantFactors, fuse_poe, predictive_weights
+from intelgp.mixture import VariantFactors, fuse_poe, predictive_weights
 
 SINGLETON = EngineConfig(init_count=60, factors=VariantFactors(), seed=0)
 EIGHT_MODEL = EngineConfig(
@@ -81,8 +80,8 @@ class TestInitialize:
         history = np.full(50, 3.25)
         history += np.concatenate([np.zeros(49), [1e-9]])  # avoid degenerate fit data
         state = initialize(np.arange(50), history, EIGHT_MODEL)
-        assert state.model_set.shared_mean == pytest.approx(3.25, abs=1e-9)
-        np.testing.assert_allclose(state.model_set.weights, 1.0 / 8.0)
+        assert state.shared_mean == pytest.approx(3.25, abs=1e-9)
+        np.testing.assert_allclose(state.weights, 1.0 / 8.0)
 
     def test_sintel_mode_forces_singleton(self):
         # SINTEL is the same config with the template model alone
@@ -90,8 +89,8 @@ class TestInitialize:
         intel = initialize(np.arange(60), history, EIGHT_MODEL)
         sintel_config = dataclasses.replace(EIGHT_MODEL, factors=VariantFactors())
         sintel = initialize(np.arange(60), history, sintel_config)
-        assert len(sintel.model_set.models) == 1
-        assert sintel.model_set.models[0] == intel.model_set.models[0]
+        assert len(sintel.models) == 1
+        assert sintel.models[0] == intel.models[0]
 
 
 class TestPredictNext:
@@ -103,7 +102,7 @@ class TestPredictNext:
         )
         fused = predict_next(state_empty)
         assert fused.fused.mean == pytest.approx(
-            state.model_set.shared_mean, abs=1e-12
+            state.shared_mean, abs=1e-12
         )
 
     def test_single_model_fusion_is_identity(self):
@@ -113,8 +112,8 @@ class TestPredictNext:
         means, variances = gp_predict(
             state.window.times,
             state.window.values,
-            state.model_set.shared_mean,
-            state.model_set.models,
+            state.shared_mean,
+            state.models,
             state.current_t + 1,
         )
         assert fused.fused.mean == means[0]
@@ -127,11 +126,11 @@ class TestPredictNext:
         means, variances = gp_predict(
             state.window.times,
             state.window.values,
-            state.model_set.shared_mean,
-            state.model_set.models,
+            state.shared_mean,
+            state.models,
             state.current_t + 1,
         )
-        w_hat = predictive_weights(state.model_set.weights, state.config.alpha)
+        w_hat = predictive_weights(state.weights, state.config.alpha)
         ref = fuse_poe(means, variances, w_hat)
         assert fused.fused.mean == pytest.approx(ref.mean, abs=1e-15)
         assert fused.fused.variance == pytest.approx(ref.variance, abs=1e-15)
@@ -139,9 +138,9 @@ class TestPredictNext:
     def test_pure_no_state_mutation(self):
         history, _ = flat_stream(36)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
-        weights_before = state.model_set.weights.copy()
+        weights_before = state.weights.copy()
         predict_next(state)
-        np.testing.assert_array_equal(state.model_set.weights, weights_before)
+        np.testing.assert_array_equal(state.weights, weights_before)
 
 
 class TestStepScenarios:
@@ -226,11 +225,11 @@ class TestStepInvariants:
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         for y in stream[:10]:
             state, _ = step(state, y)
-        weights_before = state.model_set.weights.copy()
+        weights_before = state.weights.copy()
         window_before = state.window
         s1, o1 = step(state, stream[10])
         s2, o2 = step(state, stream[10])
-        np.testing.assert_array_equal(state.model_set.weights, weights_before)
+        np.testing.assert_array_equal(state.weights, weights_before)
         assert state.window is window_before
         assert o1.fused == o2.fused
         np.testing.assert_array_equal(o1.weights_after, o2.weights_after)
@@ -249,7 +248,7 @@ class TestStepInvariants:
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         for y in stream[:at]:
             state, _ = step(state, y)
-        before = state.model_set.weights.copy()
+        before = state.weights.copy()
         state, out = step(state, stream[at])
         assert out.verdict is Verdict.OUTLIER
         assert not np.allclose(out.weights_after, before, atol=1e-12)
@@ -290,7 +289,7 @@ class TestHostileStreams:
             state = initialize(np.arange(60), history, config)
             for y in stream:
                 state, out = step(state, y)
-                w = state.model_set.weights
+                w = state.weights
                 assert abs(w.sum() - 1.0) < 1e-12
                 assert np.all(w >= WEIGHT_FLOOR)
                 assert len(state.window) <= tau
@@ -307,7 +306,7 @@ class TestMeanRefresh:
             init_count=60, mean_period=10, factors=VariantFactors(), seed=0
         )
         state = initialize(np.arange(60), history, config)
-        c0 = state.model_set.shared_mean
+        c0 = state.shared_mean
         shifted = stream[:10] + offset
         for i, y in enumerate(shifted):
             state, out = step(state, y)
@@ -318,16 +317,16 @@ class TestMeanRefresh:
         assert state.inliers_since_refresh == 0
 
     def test_refresh_mean_of_equal_values(self):
+        # A window and a mean of 1.75 predict 1.75 exactly, so each 1.75
+        # is an inlier; the 10th sets the mean to their average.
         history, _ = flat_stream(49)
         state = initialize(np.arange(60), history, SINGLETON)
-        window = state.window
-        for i in range(10):
-            window = window.appended(60 + i, 1.75)
         assert state.config.mean_period == 10
-        state2 = dataclasses.replace(
-            state, window=window, inliers_since_refresh=0, current_t=69
-        )
-        assert refresh_mean_periodic(state2) == 1.75
+        window = type(state.window)(state.window.times, (1.75,) * len(state.window))
+        state = dataclasses.replace(state, window=window, shared_mean=1.75)
+        _, outputs = stream_through(state, [1.75] * 10)
+        assert all(o.verdict is Verdict.INLIER for o in outputs)
+        assert outputs[-1].mean_const == 1.75
 
     def test_refresh_two_values(self):
         history, _ = flat_stream(50)
@@ -359,13 +358,12 @@ class TestPredictorCache:
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 4)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert len(state.model_set.cache) == 0
+        assert len(state.cache) == 0
         verdicts, most_gaps, fullest = [], 0, 0
         for y in stream:
             pred = predict_next(state)
-            ms = state.model_set
             means, variances = gp_predict(
-                state.window.times, state.window.values, ms.shared_mean, ms.models,
+                state.window.times, state.window.values, state.shared_mean, state.models,
                 state.current_t + 1,
             )
             assert pred.means.tobytes() == means.tobytes()
@@ -374,7 +372,7 @@ class TestPredictorCache:
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
             state, out = step(state, y)
             verdicts.append(out.verdict)
-            fullest = max(fullest, len(state.model_set.cache))
+            fullest = max(fullest, len(state.cache))
             assert fullest <= gp.PREDICTOR_CACHE_SIZE
         assert most_gaps == 2
         assert verdicts.count(Verdict.OUTLIER) >= 2
@@ -385,14 +383,14 @@ class TestPredictorCache:
         history, stream = flat_stream(53)
         first = initialize(np.arange(60), history, EIGHT_MODEL)
         stream_through(first, stream[:20])
-        assert len(first.model_set.cache) > 0
+        assert len(first.cache) > 0
         second = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert len(second.model_set.cache) == 0
-        assert second.model_set.cache is not first.model_set.cache
+        assert len(second.cache) == 0
+        assert second.cache is not first.cache
 
     def test_full_cache_drops_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
-        models = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).model_set.models
+        models = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).models
         mean = 0.0
         cache = {}
         windows = [np.arange(n, 20.0) for n in (0, 1, 2)]
@@ -404,18 +402,23 @@ class TestPredictorCache:
         assert list(cache) == [(20.0 - windows[i]).tobytes() for i in (0, 2)]
 
     def test_cache_is_out_of_equality_and_repr(self):
-        history, _ = flat_stream(54)
+        history, stream = flat_stream(54)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
+        assert state.weights.size == 8
         predict_next(state)
-        ms = state.model_set
-        assert "cache" not in repr(ms)
-        assert ModelSet(ms.models, ms.weights, ms.shared_mean) == ms
-        assert ms.replace(weights=ms.weights).cache is ms.cache
+        assert len(state.cache) > 0
+        assert "cache" not in repr(state)
+        assert dataclasses.replace(state, cache={}) == state
         # Equal weights held in another array, and different weights.
-        assert ms == ms.replace(weights=ms.weights.copy())
-        other = np.full(ms.weights.size, 0.5 / (ms.weights.size - 1))
+        assert state == dataclasses.replace(state, weights=state.weights.copy())
+        other = np.full(state.weights.size, 0.5 / (state.weights.size - 1))
         other[0] = 0.5
-        assert ms != ms.replace(weights=other)
+        assert state != dataclasses.replace(state, weights=other)
+        # The next state, and a fork, fill the same cache.
+        after, _ = step(state, stream[0])
+        fork, _ = step(state, stream[0])
+        assert after.cache is state.cache
+        assert fork.cache is state.cache
 
 
 class TestStepOutputEquality:
@@ -423,7 +426,7 @@ class TestStepOutputEquality:
         history, stream = flat_stream(57)
         two_model = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
         state = initialize(np.arange(60), history, two_model)
-        assert len(state.model_set.models) == 2
+        assert len(state.models) == 2
         _, first = step(state, stream[0])
         _, again = step(state, stream[0])
         assert first.weights_after is not again.weights_after
@@ -439,7 +442,7 @@ class TestTimeShiftInvariance:
         history, stream = gapped_shift_stream(55)
         base = initialize(np.arange(60), history, EIGHT_MODEL)
         moved = initialize(np.arange(60) + 10_000, history, EIGHT_MODEL)
-        assert moved.model_set.models == base.model_set.models
+        assert moved.models == base.models
         _, want = stream_through(base, stream)
         _, got = stream_through(moved, stream)
         assert Verdict.CHANGE_POINT in [o.verdict for o in want]

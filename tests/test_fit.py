@@ -7,7 +7,6 @@ from intelgp.fit import FitError, fit_template, heuristic_hyperparameters
 from intelgp.gp import (
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     chol_with_jitter,
     lml_gradient,
     log_marginal_likelihood,
@@ -17,7 +16,7 @@ from intelgp.gp import (
 
 def sample_gp(hyper, ts, seed, mean_const=0.0):
     """Draw one path from the GP observation model via the Cholesky factor."""
-    V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
+    V = noisy_covariance(hyper, ts)
     L = chol_with_jitter(V)
     rng = np.random.default_rng(seed)
     return mean_const + L @ rng.standard_normal(len(ts))
@@ -25,7 +24,7 @@ def sample_gp(hyper, ts, seed, mean_const=0.0):
 
 class TestFitTemplate:
     def test_recovers_known_hyperparameters(self):
-        true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 3.0), 0.1)
+        true = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.1)
         ts = np.arange(150.0)
         ys = sample_gp(true, ts, seed=9)
         fit = fit_template(ts, ys, 0.0, starts=3, seed=0)
@@ -36,11 +35,11 @@ class TestFitTemplate:
         ts = np.arange(40.0)
         ys = np.full(40, 2.5)
         fit = fit_template(ts, ys, 2.5, starts=2, seed=1)
-        assert fit.hyper.kernel.signal_scale < 1e-3
+        assert fit.hyper.signal_scale < 1e-3
         assert fit.hyper.noise_scale < 1e-3
 
     def test_returned_lml_beats_every_start_point(self):
-        true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 0.8, 4.0), 0.2)
+        true = Hyperparameters(KernelKind.MATERN52, 0.8, 4.0, 0.2)
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=10)
         mean = 0.0
@@ -59,7 +58,7 @@ class TestFitTemplate:
         assert fit.lml == pytest.approx(recomputed, abs=1e-10)
 
     def test_gradient_norm_small_when_converged(self):
-        true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.2, 5.0), 0.15)
+        true = Hyperparameters(KernelKind.MATERN52, 1.2, 5.0, 0.15)
         ts = np.arange(80.0)
         ys = sample_gp(true, ts, seed=11)
         fit = fit_template(ts, ys, 0.0, starts=3, seed=4)
@@ -72,7 +71,7 @@ class TestFitTemplate:
     def test_deterministic_for_fixed_seed(self):
         ts = np.arange(50.0)
         ys = sample_gp(
-            Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.3), ts, seed=12
+            Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.3), ts, seed=12
         )
         a = fit_template(ts, ys, 0.0, starts=4, seed=77)
         b = fit_template(ts, ys, 0.0, starts=4, seed=77)
@@ -88,7 +87,7 @@ class TestFitTemplate:
 
         from intelgp.fit import heuristic_hyperparameters
 
-        true = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 4.0), 0.2)
+        true = Hyperparameters(KernelKind.MATERN52, 1.0, 4.0, 0.2)
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=13)
         mean = 0.0
@@ -139,11 +138,11 @@ class TestHeuristicStart:
         rng = np.random.default_rng(14)
         ys = rng.normal(0, 2.0, 100)
         h = heuristic_hyperparameters(ts, ys)
-        assert h.kernel.signal_scale == pytest.approx(np.std(ys, ddof=1))
-        assert h.kernel.length_scale == pytest.approx(99.0 / 10.0)
+        assert h.signal_scale == pytest.approx(np.std(ys, ddof=1))
+        assert h.length_scale == pytest.approx(99.0 / 10.0)
         assert h.noise_scale == pytest.approx(0.1 * np.std(ys, ddof=1))
 
     def test_constant_data_still_positive(self):
         h = heuristic_hyperparameters(np.arange(10.0), np.zeros(10))
-        assert h.kernel.signal_scale > 0
+        assert h.signal_scale > 0
         assert h.noise_scale > 0

@@ -6,6 +6,7 @@ a full matrix inverse, so it shares no code with the Cholesky-based
 prediction path it checks.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,8 @@ from intelgp.gp import (
     VAR_FLOOR,
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     NumericalError,
     chol_with_jitter,
-    covariance_matrix,
     gp_predict,
     lml_gradient,
     log_marginal_likelihood,
@@ -37,10 +36,10 @@ MATERN_AT_UNIT_DISTANCE = 0.5239941088318203
 
 def oracle_kernel(hyper: Hyperparameters, a: float, b: float) -> float:
     """Direct transcription of the kernel formulas, independent of gp.py."""
-    sf = hyper.kernel.signal_scale
-    sl = hyper.kernel.length_scale
+    sf = hyper.signal_scale
+    sl = hyper.length_scale
     r = abs(a - b)
-    if hyper.kernel.kind is KernelKind.MATERN52:
+    if hyper.kind is KernelKind.MATERN52:
         u = math.sqrt(5.0) * r / sl
         return sf * sf * (1.0 + u + u * u / 3.0) * math.exp(-u)
     return sf * sf * math.exp(-((r / sl) ** 2))
@@ -65,9 +64,14 @@ def oracle_predict(hyper, mean_const, ts, ys, t_star):
     return float(m), float(var)
 
 
-def kernel_eval(spec: KernelSpec, xi: float, xj: float) -> float:
+def kernel_values(hyper: Hyperparameters, d) -> np.ndarray:
+    """The model's kernel at distances `d`, through the package's kernel."""
+    return gp._kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
+
+
+def kernel_eval(hyper: Hyperparameters, xi: float, xj: float) -> float:
     """The kernel at a pair of scalar inputs, through the package's kernel."""
-    return float(gp._kernel_of_dist(spec, np.abs(np.asarray(xi - xj, dtype=float))))
+    return float(kernel_values(hyper, np.abs(np.asarray(xi - xj, dtype=float))))
 
 
 def predict_one(ts, ys, mean, hyper, t_star):
@@ -79,27 +83,25 @@ def predict_one(ts, ys, mean, hyper, t_star):
 def random_hyper(rng) -> Hyperparameters:
     kind = KernelKind.MATERN52 if rng.random() < 0.5 else KernelKind.SQUARED_EXPONENTIAL
     return Hyperparameters(
-        kernel=KernelSpec(
-            kind,
-            signal_scale=math.exp(rng.uniform(-1.5, 1.5)),
-            length_scale=math.exp(rng.uniform(-1.0, 2.0)),
-        ),
+        kind,
+        signal_scale=math.exp(rng.uniform(-1.5, 1.5)),
+        length_scale=math.exp(rng.uniform(-1.0, 2.0)),
         noise_scale=math.exp(rng.uniform(-3.0, 0.0)),
     )
 
 
 class TestKernelEval:
     def test_matern_zero_distance_is_signal_variance(self):
-        spec = KernelSpec(KernelKind.MATERN52, 2.0, 1.0)
-        assert kernel_eval(spec, 5.0, 5.0) == 4.0
+        hyper = Hyperparameters(KernelKind.MATERN52, 2.0, 1.0, 0.1)
+        assert kernel_eval(hyper, 5.0, 5.0) == 4.0
 
     def test_se_unit_distance(self):
-        spec = KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0)
-        assert kernel_eval(spec, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0, 0.1)
+        assert kernel_eval(hyper, 0.0, 1.0) == pytest.approx(math.exp(-1.0), abs=1e-15)
 
     def test_matern_unit_distance_frozen_value(self):
-        spec = KernelSpec(KernelKind.MATERN52, 1.0, 1.0)
-        assert kernel_eval(spec, 0.0, 1.0) == pytest.approx(
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
+        assert kernel_eval(hyper, 0.0, 1.0) == pytest.approx(
             MATERN_AT_UNIT_DISTANCE, abs=1e-15
         )
 
@@ -108,53 +110,55 @@ class TestKernelEval:
         for _ in range(200):
             hyper = random_hyper(rng)
             a, b = rng.uniform(-50, 50, size=2)
-            k_ab = kernel_eval(hyper.kernel, a, b)
-            k_ba = kernel_eval(hyper.kernel, b, a)
+            k_ab = kernel_eval(hyper, a, b)
+            k_ba = kernel_eval(hyper, b, a)
             assert k_ab == k_ba
-            assert abs(k_ab) <= hyper.kernel.signal_scale**2
+            assert abs(k_ab) <= hyper.signal_scale**2
 
     def test_invalid_scales_rejected(self):
-        with pytest.raises(ValueError):
-            KernelSpec(KernelKind.MATERN52, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            KernelSpec(KernelKind.MATERN52, 1.0, -2.0)
+        with pytest.raises(ValueError, match="signal_scale"):
+            Hyperparameters(KernelKind.MATERN52, 0.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match="length_scale"):
+            Hyperparameters(KernelKind.MATERN52, 1.0, -2.0, 0.1)
 
 
 class TestCovarianceMatrix:
     def test_single_point(self):
-        spec = KernelSpec(KernelKind.MATERN52, 2.0, 1.0)
-        np.testing.assert_allclose(covariance_matrix(spec, [3.0]), [[4.0]])
+        hyper = Hyperparameters(KernelKind.MATERN52, 2.0, 1.0, 0.5)
+        np.testing.assert_allclose(noisy_covariance(hyper, [3.0]), [[4.25]])
 
     def test_off_diagonal_matches_kernel_eval(self):
-        spec = KernelSpec(KernelKind.MATERN52, 1.0, 1.0)
-        K = covariance_matrix(spec, [0.0, 1.0])
-        assert K[0, 1] == kernel_eval(spec, 0.0, 1.0)
-        assert K[1, 0] == K[0, 1]
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
+        V = noisy_covariance(hyper, [0.0, 1.0])
+        assert V[0, 1] == kernel_eval(hyper, 0.0, 1.0)
+        assert V[1, 0] == V[0, 1]
 
     def test_positive_semidefinite(self):
+        # The kernel part is positive semidefinite, so no eigenvalue falls
+        # below the noise variance.
         rng = np.random.default_rng(1)
         for _ in range(20):
             hyper = random_hyper(rng)
             xs = np.sort(rng.uniform(0, 30, size=6))
-            eigs = np.linalg.eigvalsh(covariance_matrix(hyper.kernel, xs))
-            assert eigs.min() >= -1e-10
+            eigs = np.linalg.eigvalsh(noisy_covariance(hyper, xs))
+            assert eigs.min() >= hyper.noise_scale**2 - 1e-10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            covariance_matrix(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), [])
+            noisy_covariance(Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1), [])
 
 
 class TestNoisyCovariance:
     def test_scalar_case(self):
-        spec = KernelSpec(KernelKind.MATERN52, 1.0, 1.0)
-        np.testing.assert_allclose(noisy_covariance(spec, [0.0], 0.5), [[1.25]])
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.5)
+        np.testing.assert_allclose(noisy_covariance(hyper, [0.0]), [[1.25]])
 
     def test_diagonal_shift_is_noise_variance(self):
         rng = np.random.default_rng(2)
         hyper = random_hyper(rng)
         xs = rng.uniform(0, 20, size=7)
-        K = covariance_matrix(hyper.kernel, xs)
-        V = noisy_covariance(hyper.kernel, xs, 0.3)
+        K = kernel_values(hyper, np.abs(xs[:, None] - xs[None, :]))
+        V = noisy_covariance(dataclasses.replace(hyper, noise_scale=0.3), xs)
         np.testing.assert_allclose(np.diag(V) - np.diag(K), 0.09, atol=1e-15)
         off = ~np.eye(7, dtype=bool)
         np.testing.assert_allclose(V[off], K[off])
@@ -164,24 +168,24 @@ class TestNoisyCovariance:
         for _ in range(20):
             hyper = random_hyper(rng)
             xs = np.sort(rng.uniform(0, 100, size=20))
-            V = noisy_covariance(hyper.kernel, xs, hyper.noise_scale)
+            V = noisy_covariance(hyper, xs)
             L = chol_with_jitter(V)
             assert np.all(np.isfinite(L))
 
     def test_nonpositive_noise_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_covariance(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), [0.0], 0.0)
+        with pytest.raises(ValueError, match="noise_scale"):
+            Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.0)
 
 
 class TestGpPredict:
     def test_empty_training_set_returns_prior(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         mean, var = predict_one([], [], 0.0, hyper, 7.0)
         assert mean == 0.0
         assert var == pytest.approx(1.01, abs=1e-15)
 
     def test_interpolation_limit(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 1e-6)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 1e-6)
         ts = np.arange(5.0)
         ys = np.array([0.3, -0.1, 0.8, 0.2, -0.5])
         mean, _ = predict_one(ts, ys, 0.0, hyper, 2.0)
@@ -215,19 +219,19 @@ class TestGpPredict:
             assert var_full <= var_subset + 1e-10
 
     def test_variance_floor(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 1e-5)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 1e-5)
         _, var = predict_one([0.0], [0.5], 0.0, hyper, 0.0)
         assert var >= VAR_FLOOR
 
     def test_length_mismatch_rejected(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             gp_predict([0.0, 1.0], [0.5], 0.0, (hyper,), 2.0)
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
-            Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1),
-            Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0), 0.1),
+            Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1),
+            Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0, 0.1),
         )
         with pytest.raises(ValueError):
             gp_predict([0.0, 1.0], [0.5, 0.2], 0.0, models, 2.0)
@@ -244,7 +248,7 @@ def batched_cases(draw):
         st.floats(-1.5, 1.5), st.floats(-1.0, 2.0), st.floats(-3.0, 0.0)
     )
     models = tuple(
-        Hyperparameters(KernelSpec(kind, math.exp(f), math.exp(l)), math.exp(n))
+        Hyperparameters(kind, math.exp(f), math.exp(l), math.exp(n))
         for f, l, n in draw(st.lists(log_scales, min_size=n_models, max_size=n_models))
     )
     offsets = draw(st.lists(st.integers(1, 40), max_size=20, unique=True))
@@ -258,7 +262,7 @@ def batched_cases(draw):
 def fixed_case(n_models, offsets):
     """A case of the shape `batched_cases` draws, for window lengths and
     model counts that must always be covered."""
-    hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 5.0), 0.1)
+    hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 5.0, 0.1)
     factors = (1.0, 0.2, 5.0)
     models = tuple(
         hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
@@ -323,7 +327,7 @@ class TestBatchedPredictor:
         assert gp.solve_triangular(L, b, trans=trans).tobytes() == want.tobytes()
 
     def test_predictor_arrays_are_read_only(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 2.0), 0.1)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.1)
         a, var = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))
         for x in (a, var):
             assert not x.flags.writeable
@@ -332,7 +336,7 @@ class TestBatchedPredictor:
         # Each entry is the (M, n) mean weights and the (M,) variances.
         # 64 entries of M tau x tau factors would take 64·M·tau²·8 bytes;
         # a full cache of entries without a factor stays below that.
-        tau, hyper = 20, Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 5.0), 0.1)
+        tau, hyper = 20, Hyperparameters(KernelKind.MATERN52, 1.0, 5.0, 0.1)
         factors = (1.0, 0.5, 2.0)
         models = tuple(
             hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
@@ -353,8 +357,8 @@ class TestBatchedPredictor:
 class TestStackFallback:
     # Tiny noise and a huge length scale: the window matrix is numerically
     # rank one, so its unjittered Cholesky fails and the ladder takes over.
-    BAD = Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4), 1e-9)
-    GOOD = Hyperparameters(KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 3.0), 0.1)
+    BAD = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4, 1e-9)
+    GOOD = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 3.0, 0.1)
 
     def test_failing_model_goes_through_its_own_ladder(self):
         ts = np.arange(20.0)
@@ -362,17 +366,17 @@ class TestStackFallback:
         mean = 0.1
         offsets = 20.0 - ts
         bad = self.BAD
-        V = noisy_covariance(bad.kernel, offsets, bad.noise_scale)
+        V = noisy_covariance(bad, offsets)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(V)
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
         a, var = predictor(offsets, models)
         L_bad = chol_with_jitter(V)
-        k_star = gp._kernel_of_dist(bad.kernel, np.abs(offsets))
+        k_star = kernel_values(bad, np.abs(offsets))
         v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
         a_bad = solve_triangular(L_bad, v_bad, lower=True, trans="T", check_finite=False)
-        prior = bad.kernel.signal_scale**2 + bad.noise_scale**2
+        prior = bad.signal_scale**2 + bad.noise_scale**2
         assert a[1].tobytes() == a_bad.tobytes()
         assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
 
@@ -394,17 +398,17 @@ class TestStackFallback:
 
 class TestLogMarginalLikelihood:
     def test_single_point_closed_form(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 3.0), 1.0)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 1.0)
         lml = log_marginal_likelihood(hyper, 0.0, [5.0], [0.0])
         expected = -0.5 * math.log(2.0) - 0.5 * math.log(2.0 * math.pi)
         assert lml == pytest.approx(expected, abs=1e-12)
 
     def test_zero_observations_leave_only_determinant_terms(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.2, 2.0), 0.4)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.2, 2.0, 0.4)
         ts = np.arange(6.0)
         mean = 0.0
         lml = log_marginal_likelihood(hyper, mean, ts, np.zeros(6))
-        V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
+        V = noisy_covariance(hyper, ts)
         expected = -0.5 * np.linalg.slogdet(V)[1] - 3.0 * math.log(2.0 * math.pi)
         assert lml == pytest.approx(expected, abs=1e-10)
 
@@ -415,13 +419,13 @@ class TestLogMarginalLikelihood:
             ts = np.sort(rng.uniform(0, 25, size=8))
             ys = rng.normal(size=8)
             c = rng.normal()
-            V = noisy_covariance(hyper.kernel, ts, hyper.noise_scale)
+            V = noisy_covariance(hyper, ts)
             ref = multivariate_normal(mean=np.full(8, c), cov=V).logpdf(ys)
             lml = log_marginal_likelihood(hyper, c, ts, ys)
             assert lml == pytest.approx(ref, abs=1e-8)
 
     def test_empty_rejected(self):
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, 1.0, 1.0), 0.1)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             log_marginal_likelihood(hyper, 0.0, [], [])
 
@@ -430,7 +434,7 @@ class TestLmlGradient:
     @staticmethod
     def finite_difference(hyper, mean, ts, ys, step=1e-5):
         x0 = hyper.to_log_vector()
-        kind = hyper.kernel.kind
+        kind = hyper.kind
         grad = np.empty(3)
         for i in range(3):
             xp, xm = x0.copy(), x0.copy()
@@ -462,7 +466,7 @@ class TestLmlGradient:
         # v = sf^2 + sn^2, so d lml/d log sf = sf^2 ((y-c)^2/v - 1)/v
         # and the length-scale derivative vanishes.
         sf, sn, y, c = 1.3, 0.6, 0.9, 0.2
-        hyper = Hyperparameters(KernelSpec(KernelKind.MATERN52, sf, 2.0), sn)
+        hyper = Hyperparameters(KernelKind.MATERN52, sf, 2.0, sn)
         g = lml_gradient(hyper, c, [4.0], [y])
         v = sf**2 + sn**2
         r2 = (y - c) ** 2
@@ -474,10 +478,12 @@ class TestLmlGradient:
 class TestJitterLadder:
     def test_near_singular_matrix_is_rescued(self):
         # Long length scale on close points: unjittered Cholesky fails.
-        spec = KernelSpec(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4)
-        xs = np.linspace(0, 1, 12)
-        K = covariance_matrix(spec, xs)
-        L = chol_with_jitter(K)
+        # The noise variance, 1e-18, is lost against the unit diagonal.
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4, 1e-9)
+        V = noisy_covariance(hyper, np.linspace(0, 1, 12))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(V)
+        L = chol_with_jitter(V)
         assert np.all(np.isfinite(L))
 
     def test_indefinite_matrix_raises_numerical_error(self):

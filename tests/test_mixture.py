@@ -10,7 +10,6 @@ from intelgp.gp import (
     VAR_FLOOR,
     Hyperparameters,
     KernelKind,
-    KernelSpec,
     PredictiveDistribution,
 )
 from intelgp.mixture import (
@@ -24,8 +23,7 @@ from intelgp.mixture import (
     update_weights,
 )
 
-TEMPLATE = Hyperparameters(KernelSpec(KernelKind.MATERN52, 2.0, 5.0), 0.4)
-MEAN = 0.0
+TEMPLATE = Hyperparameters(KernelKind.MATERN52, 2.0, 5.0, 0.4)
 
 
 def model_log_likelihood(means, variances, y: float):
@@ -62,37 +60,30 @@ def random_simplex(rng, n):
 
 class TestBuildModelSet:
     def test_two_model_signal_variant(self):
-        ms = build_model_set(TEMPLATE, VariantFactors(signal=(1.0, 0.2)), MEAN)
-        assert len(ms.models) == 2
-        assert ms.models[0] == TEMPLATE
-        variant = ms.models[1]
-        assert variant.kernel.signal_scale == pytest.approx(0.2 * 2.0)
-        assert variant.kernel.length_scale == TEMPLATE.kernel.length_scale
+        models = build_model_set(TEMPLATE, VariantFactors(signal=(1.0, 0.2)))
+        assert len(models) == 2
+        assert models[0] == TEMPLATE
+        variant = models[1]
+        assert variant.signal_scale == pytest.approx(0.2 * 2.0)
+        assert variant.length_scale == TEMPLATE.length_scale
         assert variant.noise_scale == TEMPLATE.noise_scale
 
     def test_full_product_gives_eight_models(self):
-        ms = build_model_set(
-            TEMPLATE,
-            VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)),
-            MEAN,
-        )
-        assert len(ms.models) == 8
-        np.testing.assert_allclose(ms.weights, 1.0 / 8.0)
-        assert ms.models[0] == TEMPLATE
+        models = build_model_set(TEMPLATE, VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)))
+        assert len(models) == 8
+        assert models[0] == TEMPLATE
         combos = {
             (
-                m.kernel.signal_scale / 2.0,
-                m.kernel.length_scale / 5.0,
+                m.signal_scale / 2.0,
+                m.length_scale / 5.0,
                 m.noise_scale / 0.4,
             )
-            for m in ms.models
+            for m in models
         }
         assert len(combos) == 8
 
     def test_singleton_factors_reproduce_template(self):
-        ms = build_model_set(TEMPLATE, VariantFactors(), MEAN)
-        assert ms.models == (TEMPLATE,)
-        np.testing.assert_allclose(ms.weights, [1.0])
+        assert build_model_set(TEMPLATE, VariantFactors()) == (TEMPLATE,)
 
     def test_template_factor_moved_to_front(self):
         f = VariantFactors(signal=(0.2, 1.0))

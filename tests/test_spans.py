@@ -1,0 +1,31 @@
+"""The benchmark's layer boundaries (perfbench/spans.py) against the program:
+every name it wraps must exist and be called by a short stream, or the
+benchmark refuses to trace."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+from conftest import flat_stream
+
+from intelgp import engine, gp
+from intelgp.engine import EngineConfig, initialize, step
+from intelgp.mixture import VariantFactors
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+
+def test_every_boundary_fires_on_a_short_stream():
+    config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
+    history, stream = flat_stream(58)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        state = initialize(np.arange(60), history, config)
+        for y in stream[:5]:
+            state, _ = step(state, y)
+    spans.check_all_fired(tracer, "a short flat stream")
+    assert engine.gp_predict is gp.gp_predict  # the originals are back

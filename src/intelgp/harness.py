@@ -200,6 +200,14 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _optional_integer(value) -> int | None:
+    return None if value is None else _integer(value)
+
+
+def _as_is(value):
+    return value
+
+
 def _parsed(key: str, parse, value):
     try:
         return parse(value)
@@ -208,10 +216,15 @@ def _parsed(key: str, parse, value):
 
 
 # Config keys, each with the parser of its value.  The engine keys are
-# EngineConfig fields ("kernel" sets kernel_kind); the rest select the data.
+# EngineConfig fields ("kernel" sets kernel_kind); the data keys select the
+# data and default to `_DATA_DEFAULTS`.
 _ENGINE_KEYS = {
     "tau": _integer, "alpha": float, "n_outliers": _integer, "mean_period": _integer,
     "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
+}
+_KEYS = {
+    **_ENGINE_KEYS, "column": _as_is, "normalization": _as_is,
+    "row_start": _optional_integer, "row_end": _optional_integer,
 }
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
 
@@ -224,17 +237,15 @@ def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
     ValueError naming any other key, and naming the key of a value its
     parser rejects.
     """
-    unknown = set(doc) - set(_ENGINE_KEYS) - set(_DATA_DEFAULTS)
+    unknown = set(doc) - set(_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
+    parsed = {key: _parsed(key, _KEYS[key], value) for key, value in doc.items()}
     engine = {
-        "kernel_kind" if key == "kernel" else key: _parsed(key, parse, doc[key])
-        for key, parse in _ENGINE_KEYS.items() if key in doc
+        "kernel_kind" if key == "kernel" else key: value
+        for key, value in parsed.items() if key in _ENGINE_KEYS
     }
-    data = {key: doc.get(key, default) for key, default in _DATA_DEFAULTS.items()}
-    for key in ("row_start", "row_end"):
-        if data[key] is not None:
-            data[key] = _parsed(key, _integer, data[key])
+    data = {key: parsed.get(key, default) for key, default in _DATA_DEFAULTS.items()}
     return EngineConfig(**engine), data
 
 

@@ -317,15 +317,18 @@ class TestMeanRefresh:
         assert state.inliers_since_refresh == 0
 
     def test_refresh_mean_of_equal_values(self):
-        # A window and a mean of 1.75 predict 1.75 exactly, so each 1.75
-        # is an inlier; the 10th sets the mean to their average.
-        history, _ = flat_stream(49)
+        # The history ends on a 1e-9 bump, so the initial mean is not 1.75;
+        # the 10th streamed 1.75 sets it to the average of the last ten
+        # window values, which is 1.75 exactly.  One more value in the
+        # slice would take in the bump.
+        history = np.full(60, 1.75)
+        history[-1] += 1e-9
         state = initialize(np.arange(60), history, SINGLETON)
         assert state.config.mean_period == 10
-        window = type(state.window)(state.window.times, (1.75,) * len(state.window))
-        state = dataclasses.replace(state, window=window, shared_mean=1.75)
+        assert state.shared_mean != 1.75
         _, outputs = stream_through(state, [1.75] * 10)
         assert all(o.verdict is Verdict.INLIER for o in outputs)
+        assert outputs[-2].mean_const != 1.75
         assert outputs[-1].mean_const == 1.75
 
     def test_refresh_two_values(self):

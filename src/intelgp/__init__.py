@@ -19,6 +19,7 @@ from .gp import (
     KernelKind,
     NumericalError,
     PredictiveDistribution,
+    distance_table,
     gp_predict,
     lml_gradient,
     log_marginal_likelihood,
@@ -62,6 +63,7 @@ __all__ = [
     "KernelKind",
     "NumericalError",
     "PredictiveDistribution",
+    "distance_table",
     "gp_predict",
     "lml_gradient",
     "log_marginal_likelihood",

@@ -17,6 +17,7 @@ from .gp import (
     Hyperparameters,
     KernelKind,
     NumericalError,
+    distance_table,
     lml_gradient,
     log_marginal_likelihood,
 )
@@ -86,6 +87,8 @@ def fit_template(
     if starts < 1:
         raise ValueError("starts must be >= 1")
 
+    table = distance_table(ts)
+
     def objective(x: np.ndarray):
         # ValueError covers scales that underflowed to zero after exp();
         # OverflowError covers Python-float pow on absurd trial scales.
@@ -93,8 +96,7 @@ def fit_template(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 hyper = Hyperparameters.from_log_vector(kind, x)
-                value = log_marginal_likelihood(hyper, mean_const, ts, ys)
-                grad = lml_gradient(hyper, mean_const, ts, ys)
+                value, grad = lml_gradient(hyper, mean_const, table, ys)
         except (NumericalError, ValueError, OverflowError):
             return _FAILED_OBJECTIVE, np.zeros(3)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -130,7 +132,8 @@ def fit_template(
     gnorm = float(np.linalg.norm(best.jac))
     # L-BFGS-B status 0 means it stopped on its own ftol/gtol criteria.
     converged = gnorm < GRAD_TOL or (best.status == 0 and gnorm < 1e-4)
-    lml = float(-best.fun)
+    # Bitwise -best.fun: the value lml_gradient gave at best.x
+    lml = log_marginal_likelihood(hyper, mean_const, ts, ys)
     log.info(
         "fit_template: lml=%.6f grad_norm=%.2e iterations=%d converged=%s",
         lml, gnorm, best.nit, converged,

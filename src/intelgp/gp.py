@@ -2,8 +2,9 @@
 
 Kernels, covariance assembly, one-step posterior prediction for a whole
 model set at once, and the log marginal likelihood with analytic gradients
-in log-parameter space.  All solves go through a Cholesky factorization;
-an explicit matrix inverse is never formed on the prediction path.
+in log-parameter space.  All solves go through a Cholesky factorization.
+The prediction path never forms a matrix inverse; the fit's gradient needs
+V⁻¹ and forms it from the Cholesky factor with LAPACK potri.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # repeats almost every step, and the least recently used entries go first.
 PREDICTOR_CACHE_SIZE = 1024
 
-# LAPACK's triangular solve for float64, fetched once.  scipy's
-# solve_triangular looks it up and validates its arguments on every call,
-# which costs several times a 20x20 solve.
-_trtrs, = get_lapack_funcs(("trtrs",), (np.empty((1, 1)),))
+# LAPACK's triangular solve and inverse from a Cholesky factor for float64,
+# fetched once.  scipy's solve_triangular looks its routine up and
+# validates its arguments on every call, which costs several times a 20x20
+# solve.
+_trtrs, _potri = get_lapack_funcs(("trtrs", "potri"), (np.empty((1, 1)),))
 
 
 class NumericalError(RuntimeError):
@@ -117,6 +119,15 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
+def distance_table(xs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairwise distances |xi - xj| of the inputs, sorted, and
+    the (n, n) index of each pair's distance in them.  A stationary kernel
+    is evaluated once per distinct distance, then spread out by the index."""
+    x = np.asarray(xs, dtype=float)
+    d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
+    return d, where.reshape(x.size, x.size)
+
+
 def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
     """Kernel matrix over all pairs of the input locations, plus
     noise_scale**2 on the diagonal."""
@@ -177,12 +188,9 @@ def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
     if any(h.kind is not kind for h in models):
         raise ValueError("the models of one prediction must share a kernel kind")
     sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
-    x = np.append(offsets, 0.0)
-    # The kernel is evaluated once per distinct distance, then spread out.
-    d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
+    d, where = distance_table(np.append(offsets, 0.0))
     V = _kernel_values(kind, sf[:, None], ell[:, None], d)[:, where]
-    V = V.reshape(len(models), x.size, x.size)
-    i = np.arange(x.size)
+    i = np.arange(offsets.size + 1)
     V[:, i, i] += (sn * sn)[:, None]
     return V
 
@@ -302,19 +310,24 @@ def log_marginal_likelihood(
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
         raise ValueError("log_marginal_likelihood requires at least one data point")
-    V = noisy_covariance(hyper, ts)
+    return _factored_lml(noisy_covariance(hyper, ts), ys - mean)[0]
+
+
+def _factored_lml(V: np.ndarray, resid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The log marginal likelihood of residuals `resid` under covariance V,
+    with the Cholesky factor L of V and alpha = V⁻¹ resid it comes from."""
     L = chol_with_jitter(V)
-    resid = ys - mean
     alpha = cho_solve((L, True), resid, check_finite=False)
-    return float(
+    lml = float(
         -0.5 * resid @ alpha
         - np.sum(np.log(np.diag(L)))
-        - 0.5 * ts.size * _LOG_2PI
+        - 0.5 * resid.size * _LOG_2PI
     )
+    return lml, L, alpha
 
 
-def _dK_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
-    """Derivative of the kernel matrix w.r.t. log length_scale."""
+def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
+    """Derivative of the kernel at distances `d` w.r.t. log length_scale."""
     sf2 = hyper.signal_scale * hyper.signal_scale
     if hyper.kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, _MAX_SCALED_DIST)
@@ -328,30 +341,46 @@ def _dK_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
 def lml_gradient(
     hyper: Hyperparameters,
     mean: float,
-    ts,
+    table: tuple[np.ndarray, np.ndarray],
     ys,
-) -> np.ndarray:
-    """Gradient of the log marginal likelihood in log-parameter space.
+) -> tuple[float, np.ndarray]:
+    """The log marginal likelihood and its gradient in log-parameter space,
+    from one factorization.
 
-    Components are ordered (log signal_scale, log length_scale,
-    log noise_scale), matching Hyperparameters.to_log_vector.
+    `table` is `distance_table` of the input locations.  The value is
+    log_marginal_likelihood's, bit for bit.  Gradient components are
+    ordered (log signal_scale, log length_scale, log noise_scale),
+    matching Hyperparameters.to_log_vector.
+
+    With B = ααᵀ - V⁻¹ (α = V⁻¹(y - mean)), the gradient along a parameter
+    with covariance derivative dV is tr(B dV)/2.  The kernel and its length
+    derivative depend on the inputs only through the distance, so their
+    traces are per-distance sums of B against the kernel values; the noise
+    derivative is 2·noise²·I.
     """
-    ts = np.asarray(ts, dtype=float)
+    d, where = table
     ys = np.asarray(ys, dtype=float)
-    if ts.size == 0:
+    n = ys.size
+    if n == 0:
         raise ValueError("lml_gradient requires at least one data point")
-    d = np.abs(ts[:, None] - ts[None, :])
+    if where.shape != (n, n):
+        raise ValueError(f"distance table is for {where.shape[0]} inputs, got {n} observations")
     noise2 = hyper.noise_scale * hyper.noise_scale
-    K = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
-    V = K + noise2 * np.eye(ts.size)
-    L = chol_with_jitter(V)
-    resid = ys - mean
-    alpha = cho_solve((L, True), resid, check_finite=False)
-    V_inv = cho_solve((L, True), np.eye(ts.size), check_finite=False)
-    B = np.outer(alpha, alpha) - V_inv
-    dV_sig = 2.0 * K
-    dV_len = _dK_dlog_length(hyper, d)
-    dV_noise = 2.0 * noise2 * np.eye(ts.size)
-    return 0.5 * np.array(
-        [np.sum(B * dV_sig), np.sum(B * dV_len), np.sum(B * dV_noise)]
-    )
+    k = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
+    V = k[where]
+    V[np.diag_indices(n)] += noise2
+    lml, L, alpha = _factored_lml(V, ys - mean)
+    # potri leaves V⁻¹ in the lower triangle and the factor's zeros above it
+    P, info = _potri(L, lower=1)
+    if info != 0:
+        raise NumericalError(f"inverse from the Cholesky factor failed: LAPACK potri info {info}")
+    B = np.outer(alpha, alpha)
+    B -= P
+    B -= np.tril(P, -1).T
+    per_distance = np.bincount(where.ravel(), weights=B.ravel(), minlength=d.size)
+    grad = np.array([
+        per_distance @ k,
+        0.5 * (per_distance @ _dk_dlog_length(hyper, d)),
+        noise2 * np.trace(B),
+    ])
+    return lml, grad

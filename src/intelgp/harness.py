@@ -164,16 +164,15 @@ def parse_factors(spec) -> VariantFactors:
     """Factors from a mapping like {"f": [1, 0.2], "l": 0.2, "n": [1, 5]}.
 
     A bare number is shorthand for [1, number]; the factor 1 is always
-    included.  Keys other than f/l/n are rejected.
+    included.  Keys other than f/l/n, and values that are not numbers
+    (booleans and numeric strings included), are rejected.
     """
     unknown = set(spec) - {"f", "l", "n"}
     if unknown:
         raise ValueError(f"unknown factor keys {sorted(unknown)}; expected f, l, n")
 
     def as_list(v) -> tuple[float, ...]:
-        if isinstance(v, (int, float)):
-            v = [v]
-        vals = tuple(float(x) for x in v)
+        vals = tuple(_number(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
         if 1.0 not in vals:
             vals = (1.0,) + vals
         return vals
@@ -200,6 +199,13 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _number(value) -> float:
+    """A real number from a config value; "0.5" and true are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def _optional_integer(value) -> int | None:
     return None if value is None else _integer(value)
 
@@ -219,7 +225,7 @@ def _parsed(key: str, parse, value):
 # EngineConfig fields ("kernel" sets kernel_kind); the data keys select the
 # data and default to `_DATA_DEFAULTS`.
 _ENGINE_KEYS = {
-    "tau": _integer, "alpha": float, "n_outliers": _integer, "mean_period": _integer,
+    "tau": _integer, "alpha": _number, "n_outliers": _integer, "mean_period": _integer,
     "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
 }
 _KEYS = {

@@ -143,11 +143,15 @@ def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> Predicti
     """Weighted product-of-experts fusion of Gaussian predictions.
 
     Each model contributes its precision scaled by its predictive weight;
-    the fused mean is the precision-and-weight-weighted mean.
+    the fused mean is the precision-and-weight-weighted mean.  Precisions
+    are taken relative to the smallest variance r, so the fused variance is
+    r over their weighted sum: a single model (weight 1) comes back exactly,
+    where 1/(1/v) would round.
     """
     w = np.asarray(pred_weights, dtype=float)
     if not (w.shape == means.shape == variances.shape):
         raise ValueError("means, variances and pred_weights must have the same length")
-    wp = w / variances
+    r = variances.min()
+    wp = w * (r / variances)
     total = wp.sum()
-    return PredictiveDistribution(means @ wp / total, max(1.0 / total, VAR_FLOOR))
+    return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))

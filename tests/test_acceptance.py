@@ -20,6 +20,7 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     chol_with_jitter,
+    distance_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -103,7 +104,7 @@ def test_gradient_check():
             ts = np.sort(rng.uniform(0, 30, size=n))
             ys = rng.normal(size=n)
             mean = rng.normal() * 0.3
-            g = lml_gradient(hyper, mean, ts, ys)
+            _, g = lml_gradient(hyper, mean, distance_table(ts), ys)
             x0 = hyper.to_log_vector()
             for i in range(3):
                 xp, xm = x0.copy(), x0.copy()

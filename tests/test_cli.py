@@ -201,6 +201,20 @@ class TestRunCommand:
         assert code == 4
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", True), ("alpha", "0.5"), ("factors", {"f": [True, 0.2]}),
+         ("factors", {"f": [1, "0.2"]}), ("factors", {"l": True})],
+    )
+    def test_non_number_config_value_is_config_error(
+        self, dataset, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "num.json"
+        cfg.write_text(json.dumps({"init_count": 80, key: value}))
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert repr(key) in capsys.readouterr().err
+
     def test_bad_mode_in_config_file_is_config_error(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "mode.json"
         cfg.write_text(json.dumps({"init_count": 80, "mode": "sintle"}))

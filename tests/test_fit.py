@@ -8,6 +8,7 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     chol_with_jitter,
+    distance_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -57,6 +58,14 @@ class TestFitTemplate:
         )
         assert fit.lml == pytest.approx(recomputed, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_reported_lml_is_the_lml_at_the_fit(self, kind):
+        ts = np.arange(40.0)
+        ys = sample_gp(Hyperparameters(kind, 1.0, 3.0, 0.2), ts, seed=16)
+        mean = float(np.mean(ys))
+        fit = fit_template(ts, ys, mean, starts=2, kind=kind, seed=6)
+        assert fit.lml == log_marginal_likelihood(fit.hyper, mean, ts, ys)
+
     def test_gradient_norm_small_when_converged(self):
         true = Hyperparameters(KernelKind.MATERN52, 1.2, 5.0, 0.15)
         ts = np.arange(80.0)
@@ -64,7 +73,7 @@ class TestFitTemplate:
         fit = fit_template(ts, ys, 0.0, starts=3, seed=4)
         if fit.converged:
             gnorm = np.linalg.norm(
-                lml_gradient(fit.hyper, 0.0, ts, ys)
+                lml_gradient(fit.hyper, 0.0, distance_table(ts), ys)[1]
             )
             assert gnorm < 1e-4
 
@@ -93,12 +102,12 @@ class TestFitTemplate:
         mean = 0.0
         kind = KernelKind.MATERN52
 
+        table = distance_table(ts)
+
         def objective(x):
             hyper = Hyperparameters.from_log_vector(kind, x)
-            return (
-                -log_marginal_likelihood(hyper, mean, ts, ys),
-                -lml_gradient(hyper, mean, ts, ys),
-            )
+            value, grad = lml_gradient(hyper, mean, table, ys)
+            return -value, -grad
 
         trace = []
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 from scipy.stats import multivariate_normal
 
 from intelgp import gp
@@ -23,6 +23,7 @@ from intelgp.gp import (
     KernelKind,
     NumericalError,
     chol_with_jitter,
+    distance_table,
     gp_predict,
     lml_gradient,
     log_marginal_likelihood,
@@ -72,6 +73,26 @@ def kernel_values(hyper: Hyperparameters, d) -> np.ndarray:
 def kernel_eval(hyper: Hyperparameters, xi: float, xj: float) -> float:
     """The kernel at a pair of scalar inputs, through the package's kernel."""
     return float(kernel_values(hyper, np.abs(np.asarray(xi - xj, dtype=float))))
+
+
+def oracle_lml_gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
+    """The LML gradient from the full-matrix formula tr(B dV)/2, with
+    B = ααᵀ - V⁻¹, V⁻¹ from the Cholesky factor, and every dV built as an
+    n x n matrix."""
+    ts = np.asarray(ts, dtype=float)
+    d = np.abs(ts[:, None] - ts[None, :])
+    noise2 = hyper.noise_scale**2
+    K = kernel_values(hyper, d)
+    L = chol_with_jitter(K + noise2 * np.eye(ts.size))
+    alpha = cho_solve((L, True), np.asarray(ys) - mean)
+    B = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(ts.size))
+    dV = (2.0 * K, gp._dk_dlog_length(hyper, d), 2.0 * noise2 * np.eye(ts.size))
+    return 0.5 * np.array([np.sum(B * dv) for dv in dV])
+
+
+def gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
+    """The package's LML gradient at the inputs `ts`."""
+    return lml_gradient(hyper, mean, distance_table(ts), ys)[1]
 
 
 def predict_one(ts, ys, mean, hyper, t_star):
@@ -457,7 +478,7 @@ class TestLmlGradient:
             ts = np.sort(rng.uniform(0, 30, size=n))
             ys = rng.normal(size=n)
             mean = rng.normal()
-            g = lml_gradient(hyper, mean, ts, ys)
+            g = gradient(hyper, mean, ts, ys)
             fd = self.finite_difference(hyper, mean, ts, ys)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
 
@@ -467,12 +488,51 @@ class TestLmlGradient:
         # and the length-scale derivative vanishes.
         sf, sn, y, c = 1.3, 0.6, 0.9, 0.2
         hyper = Hyperparameters(KernelKind.MATERN52, sf, 2.0, sn)
-        g = lml_gradient(hyper, c, [4.0], [y])
+        g = gradient(hyper, c, [4.0], [y])
         v = sf**2 + sn**2
         r2 = (y - c) ** 2
         assert g[0] == pytest.approx(sf**2 * (r2 / v - 1.0) / v, abs=1e-12)
         assert g[1] == pytest.approx(0.0, abs=1e-15)
         assert g[2] == pytest.approx(sn**2 * (r2 / v - 1.0) / v, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(KernelKind),
+        log_scales=st.tuples(
+            st.floats(-2.0, 2.0), st.floats(-1.5, 3.0), st.floats(-4.0, 0.5)
+        ),
+        n=st.integers(1, 40),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_value_is_the_lml_and_gradient_matches_full_matrix_oracle(
+        self, kind, log_scales, n, grid, seed
+    ):
+        hyper = Hyperparameters.from_log_vector(kind, np.array(log_scales))
+        rng = np.random.default_rng(seed)
+        ts = np.arange(float(n)) if grid else np.sort(rng.uniform(0.0, 3.0 * n, size=n))
+        ys = rng.normal(size=n)
+        mean = float(rng.normal())
+        value, g = lml_gradient(hyper, mean, distance_table(ts), ys)
+        assert value == log_marginal_likelihood(hyper, mean, ts, ys)
+        want = oracle_lml_gradient(hyper, mean, ts, ys)
+        assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_table_of_other_inputs_rejected(self):
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError):
+            lml_gradient(hyper, 0.0, distance_table(np.arange(3.0)), np.zeros(4))
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize(
+        "xs, n_distinct", [([0.0, 2.5, 1.0, 7.0, 3.5], 8), (np.arange(200.0), 200)]
+    )
+    def test_distinct_distances_spread_back_to_the_distance_matrix(self, xs, n_distinct):
+        xs = np.asarray(xs)
+        d, where = distance_table(xs)
+        assert d.size == n_distinct and np.all(np.diff(d) > 0)
+        assert np.array_equal(d[where], np.abs(xs[:, None] - xs[None, :]))
 
 
 class TestJitterLadder:

@@ -334,6 +334,19 @@ class TestBench:
         assert [s["dataset"] for s in result.skipped] == ["typo"]
         assert repr(key) in result.skipped[0]["error"]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", True), ("alpha", "0.5"), ("factors", {"f": [True, 0.2]}),
+         ("factors", {"f": [1, "0.2"]}), ("factors", {"l": True})],
+    )
+    def test_non_number_entry_value_skips_the_dataset(self, tmp_path, key, value):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"].insert(0, {**cfg["datasets"][0], "name": "typo", key: value})
+        result = bench(cfg, tmp_path)
+        assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
+        assert [s["dataset"] for s in result.skipped] == ["typo"]
+        assert repr(key) in result.skipped[0]["error"]
+
     def test_data_keys_in_defaults_are_honoured(self, tmp_path):
         cfg = self.make_dataset(tmp_path)
         series, _ = regime_change_series(seed=7, n_smooth=160, n_rough=120)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intelgp.gp import (
     VAR_FLOOR,
@@ -238,6 +240,16 @@ class TestFusePoe:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fuse_poe(np.zeros(2), np.ones(2), np.array([1.0]))
+
+    @settings(deadline=None, derandomize=True)
+    @given(
+        mean=st.floats(allow_nan=False, allow_infinity=False),
+        variance=st.floats(min_value=VAR_FLOOR, allow_infinity=False),
+    )
+    def test_single_model_comes_back_bit_for_bit(self, mean, variance):
+        fused = fuse_poe(np.array([mean]), np.array([variance]), np.array([1.0]))
+        assert fused.mean == mean
+        assert fused.variance == variance
 
 
 class TestFusedPredictionEquality:

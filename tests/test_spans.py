@@ -29,3 +29,17 @@ def test_every_boundary_fires_on_a_short_stream():
             state, _ = step(state, y)
     spans.check_all_fired(tracer, "a short flat stream")
     assert engine.gp_predict is gp.gp_predict  # the originals are back
+
+
+def test_one_factorization_per_fit_evaluation():
+    # Each evaluation of the fit objective factors the covariance once; the
+    # reported LML at the chosen point is one more factorization.
+    config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
+    history, _ = flat_stream(58)
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        initialize(np.arange(60), history, config)
+    evaluations = tracer.count("fit.lml_gradient")
+    assert evaluations > 0
+    assert tracer.count("gp.chol_with_jitter") == evaluations + 1
+    assert tracer.count("fit.log_marginal_likelihood") == 1

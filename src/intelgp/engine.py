@@ -9,7 +9,9 @@ identical outputs.
 
 from __future__ import annotations
 
+import bisect
 import logging
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -85,7 +87,7 @@ class TrainingWindow:
 
     def trimmed(self, horizon: int) -> "TrainingWindow":
         """Drop entries with time index below `horizon`."""
-        keep = next((i for i, t in enumerate(self.times) if t >= horizon), len(self.times))
+        keep = bisect.bisect_left(self.times, horizon)
         if keep == 0:
             return self
         return TrainingWindow(self.times[keep:], self.values[keep:])
@@ -142,6 +144,18 @@ def classify(pred: PredictiveDistribution, y: float) -> bool:
     return bool(pred.mean - half_width < y < pred.mean + half_width)
 
 
+def _predict(state: EngineState):
+    """The models' means, variances and log variances, the predictive
+    weights, and the fused prediction for time current_t + 1."""
+    means, variances, log_variances, precisions, r = gp_predict(
+        state.window.times, state.window.values, state.shared_mean, state.models,
+        state.current_t + 1, state.cache,
+    )
+    w_hat = predictive_weights(state.weights, state.config.alpha)
+    fused = fuse_poe(means, precisions, r, w_hat)
+    return means, variances, log_variances, w_hat, fused
+
+
 def predict_next(state: EngineState) -> FusedPrediction:
     """Fused one-step-ahead prediction for time current_t + 1.
 
@@ -150,12 +164,7 @@ def predict_next(state: EngineState) -> FusedPrediction:
     parameter, and fuses.  The only writes go to the state's predictor
     cache, whose entries depend on their keys alone.
     """
-    means, variances = gp_predict(
-        state.window.times, state.window.values, state.shared_mean, state.models,
-        state.current_t + 1, state.cache,
-    )
-    w_hat = predictive_weights(state.weights, state.config.alpha)
-    fused = fuse_poe(means, variances, w_hat)
+    means, variances, _, w_hat, fused = _predict(state)
     return FusedPrediction(
         fused=fused, means=means, variances=variances, predictive_weights=w_hat
     )
@@ -168,13 +177,13 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     the bucket (declaring an outlier or change point), update the model
     weights with the pre-update predictive weights, trim the window.
     """
-    if not np.isfinite(y_next):
+    if not math.isfinite(y_next):
         raise ValueError(f"observation must be finite, got {y_next}")
     y_next = float(y_next)
     t_next = state.current_t + 1
 
-    prediction = predict_next(state)
-    inlier = classify(prediction.fused, y_next)
+    means, variances, log_variances, w_hat, fused = _predict(state)
+    inlier = classify(fused, y_next)
 
     config = state.config
     window = state.window
@@ -205,8 +214,8 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
             verdict = Verdict.OUTLIER
             log.info("outlier declared at t=%d", t_next)
 
-    likelihoods = step_likelihoods(prediction.means, prediction.variances, y_next)
-    weights = update_weights(prediction.predictive_weights, likelihoods)
+    likelihoods = step_likelihoods(means, variances, log_variances, y_next)
+    weights = update_weights(w_hat, likelihoods)
 
     window = window.trimmed(t_next + 1 - config.tau)
 
@@ -225,12 +234,12 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     output = StepOutput(
         t=t_next,
         observation=y_next,
-        fused=prediction.fused,
+        fused=fused,
         verdict=verdict,
         weights_after=weights,
         mean_const=mean,
-        means=prediction.means,
-        variances=prediction.variances,
+        means=means,
+        variances=variances,
         regime_start=regime_start,
     )
     return new_state, output

@@ -78,13 +78,30 @@ def step_record(out: StepOutput) -> dict:
         "mean": out.fused.mean,
         "variance": out.fused.variance,
         "verdict": out.verdict.value,
-        "weights": [float(w) for w in out.weights_after],
+        "weights": out.weights_after.tolist(),
         "mean_const": out.mean_const,
     }
 
 
 def records_to_jsonl(records) -> str:
-    return "".join(json.dumps(r) + "\n" for r in records)
+    """Step records (see `step_record`) as JSON lines: the text of
+    json.dumps(record) + "\\n" for each.  A finite float is written as its
+    repr, which is what json.dumps writes.  A NaN or an infinity has no
+    repr that JSON reads ("nan", "inf"), so a record holding one is written
+    by json.dumps, which spells them NaN and Infinity."""
+    lines = [
+        f'{{"t": {r["t"]}, "y": {r["y"]!r}, "mean": {r["mean"]!r}, '
+        f'"variance": {r["variance"]!r}, "verdict": "{r["verdict"]}", '
+        f'"weights": [{", ".join(map(repr, r["weights"]))}], "mean_const": {r["mean_const"]!r}}}\n'
+        for r in records
+    ]
+    text = "".join(lines)
+    if "inf" in text or "nan" in text:
+        text = "".join(
+            json.dumps(r) + "\n" if "inf" in line or "nan" in line else line
+            for r, line in zip(records, lines)
+        )
+    return text
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Model set construction, the forgetting-plus-Bayes weight recursion, and
 precision-weighted fusion of per-model Gaussian predictions.
 
-Per-model predictions travel as two (M,) arrays, the means and the
-variances, in model order."""
+Per-model predictions travel as (M,) arrays in model order: the means, the
+variances, and what fusion and the likelihoods read of the variances (their
+logs and their precisions relative to the smallest one), which a predictor
+computes once per cache entry (`gp.variance_terms`)."""
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,12 +21,15 @@ from .gp import VAR_FLOOR, Hyperparameters, PredictiveDistribution
 WEIGHT_FLOOR = 1e-10
 
 
-def _ones_first(factors) -> tuple[float, ...]:
+def _ones_first(name: str, factors) -> tuple[float, ...]:
     vals = tuple(float(v) for v in factors)
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} factor {v} is not finite, got {vals}")
     if any(v <= 0.0 for v in vals):
-        raise ValueError(f"factors must be positive, got {vals}")
+        raise ValueError(f"{name} factors must be positive, got {vals}")
     if 1.0 not in vals:
-        raise ValueError(f"factor 1 must be present, got {vals}")
+        raise ValueError(f"{name} factor 1 must be present, got {vals}")
     return (1.0,) + tuple(v for v in vals if v != 1.0)
 
 
@@ -37,9 +43,8 @@ class VariantFactors:
     noise: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "signal", _ones_first(self.signal))
-        object.__setattr__(self, "length", _ones_first(self.length))
-        object.__setattr__(self, "noise", _ones_first(self.noise))
+        for name in ("signal", "length", "noise"):
+            object.__setattr__(self, name, _ones_first(name, getattr(self, name)))
 
     @property
     def n_models(self) -> int:
@@ -96,7 +101,8 @@ def predictive_weights(weights, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         return w.copy()
     p = w**alpha
-    return p / p.sum()
+    p /= np.add.reduce(p)
+    return p
 
 
 def update_weights(pred_weights, likelihoods) -> np.ndarray:
@@ -110,24 +116,27 @@ def update_weights(pred_weights, likelihoods) -> np.ndarray:
     lik = np.asarray(likelihoods, dtype=float)
     if lik.shape != w_hat.shape:
         raise ValueError("pred_weights and likelihoods must have the same length")
-    if np.any(lik < 0.0):
+    if np.minimum.reduce(lik) < 0.0:
         raise ValueError("likelihoods must be nonnegative")
-    top = lik.max()
+    top = np.maximum.reduce(lik)
     if top <= 0.0:
         return w_hat.copy()
-    w = w_hat * (lik / top)
-    total = w.sum()
+    # step_likelihoods' largest is exactly 1, and x / 1.0 is x
+    w = w_hat * lik if top == 1.0 else w_hat * (lik / top)
+    total = np.add.reduce(w)
     if total <= 0.0:
         return w_hat.copy()
     w /= total
-    w = np.maximum(w, WEIGHT_FLOOR)
-    w /= w.sum()
+    np.maximum(w, WEIGHT_FLOOR, out=w)
+    w /= np.add.reduce(w)
     # Renormalization can push a floored entry infinitesimally below the
     # floor again; the final clamp restores it at a sum cost << 1e-12.
-    return np.maximum(w, WEIGHT_FLOOR)
+    return np.maximum(w, WEIGHT_FLOOR, out=w)
 
 
-def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.ndarray:
+def step_likelihoods(
+    means: np.ndarray, variances: np.ndarray, log_variances: np.ndarray, y: float
+) -> np.ndarray:
     """Per-model likelihoods rescaled by the per-step maximum log density.
 
     Working in log space and exponentiating after subtracting the maximum
@@ -135,23 +144,29 @@ def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.n
     the common factor cancels in the weight update.
     """
     resid = y - means
-    q = resid * resid / variances + np.log(variances)  # -2 log density, less a constant
-    return np.exp(0.5 * (q.min() - q))
+    q = resid * resid / variances
+    q += log_variances  # -2 log density, less a constant
+    np.subtract(np.minimum.reduce(q), q, out=q)
+    q *= 0.5
+    return np.exp(q, out=q)
 
 
-def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> PredictiveDistribution:
-    """Weighted product-of-experts fusion of Gaussian predictions.
+def fuse_poe(
+    means: np.ndarray, precisions: np.ndarray, r: float, pred_weights
+) -> PredictiveDistribution:
+    """Weighted product-of-experts fusion of Gaussian predictions, from the
+    models' means, their precisions relative to the smallest variance r
+    (r / variances) and r (see `gp.variance_terms`).
 
     Each model contributes its precision scaled by its predictive weight;
-    the fused mean is the precision-and-weight-weighted mean.  Precisions
-    are taken relative to the smallest variance r, so the fused variance is
-    r over their weighted sum: a single model (weight 1) comes back exactly,
-    where 1/(1/v) would round.
+    the fused mean is the precision-and-weight-weighted mean.  With the
+    precisions taken relative to r, the fused variance is r over their
+    weighted sum: a single model (weight 1) comes back exactly, where
+    1/(1/v) would round.
     """
     w = np.asarray(pred_weights, dtype=float)
-    if not (w.shape == means.shape == variances.shape):
-        raise ValueError("means, variances and pred_weights must have the same length")
-    r = variances.min()
-    wp = w * (r / variances)
-    total = wp.sum()
+    if not (w.shape == means.shape == precisions.shape):
+        raise ValueError("means, precisions and pred_weights must have the same length")
+    wp = w * precisions
+    total = np.add.reduce(wp)
     return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))

@@ -130,6 +130,15 @@ class TestRunCommand:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "flag, name", [("f=inf", "signal"), ("l=inf", "length"), ("n=nan", "noise")]
+    )
+    def test_non_finite_factor_is_config_error(self, dataset, capsys, flag, name):
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", flag])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"{name} factor" in err and "not finite" in err
+
     def test_config_file_supplies_defaults_and_flags_override(
         self, dataset, tmp_path, capsys
     ):

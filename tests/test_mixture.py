@@ -13,6 +13,7 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     PredictiveDistribution,
+    variance_terms,
 )
 from intelgp.mixture import (
     WEIGHT_FLOOR,
@@ -26,6 +27,12 @@ from intelgp.mixture import (
 )
 
 TEMPLATE = Hyperparameters(KernelKind.MATERN52, 2.0, 5.0, 0.4)
+
+
+def fuse(means, variances, pred_weights) -> PredictiveDistribution:
+    """fuse_poe from plain variances, through their `variance_terms`."""
+    terms, r = variance_terms(np.asarray(variances, dtype=float))
+    return fuse_poe(np.asarray(means, dtype=float), terms[1], r, pred_weights)
 
 
 def model_log_likelihood(means, variances, y: float):
@@ -96,6 +103,14 @@ class TestBuildModelSet:
             VariantFactors(signal=(1.0, -0.5))
         with pytest.raises(ValueError):
             VariantFactors(signal=(0.2, 0.5))  # template combination missing
+
+    @pytest.mark.parametrize(
+        "name, value", [("signal", math.inf), ("length", math.inf), ("noise", math.nan),
+                        ("length", -math.inf)]
+    )
+    def test_non_finite_factor_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} factor {value} is not finite"):
+            VariantFactors(**{name: (1.0, value)})
 
 
 class TestPredictiveWeights:
@@ -191,7 +206,7 @@ class TestModelLikelihood:
         # must stay finite with a maximum of one.
         means = np.array([0.0, 0.1])
         variances = np.array([1e-6, 1e-6])
-        lik = step_likelihoods(means, variances, 1000.0)
+        lik = step_likelihoods(means, variances, np.log(variances), 1000.0)
         assert np.all(np.isfinite(lik))
         assert lik.max() == 1.0
         # consistency with the raw log densities
@@ -203,17 +218,17 @@ class TestFusePoe:
     def test_one_hot_reproduces_selected_model(self):
         means = np.array([-1.0, 2.0, 0.3])
         variances = np.array([0.5, 3.0, 0.01])
-        fused = fuse_poe(means, variances, np.array([0.0, 1.0, 0.0]))
+        fused = fuse(means, variances, np.array([0.0, 1.0, 0.0]))
         assert fused.mean == pytest.approx(2.0, abs=1e-12)
         assert fused.variance == pytest.approx(3.0, abs=1e-12)
 
     def test_identical_inputs_are_idempotent(self):
-        fused = fuse_poe(np.full(4, 0.7), np.full(4, 1.3), np.array([0.1, 0.2, 0.3, 0.4]))
+        fused = fuse(np.full(4, 0.7), np.full(4, 1.3), np.array([0.1, 0.2, 0.3, 0.4]))
         assert fused.mean == pytest.approx(0.7, abs=1e-12)
         assert fused.variance == pytest.approx(1.3, abs=1e-12)
 
     def test_two_model_worked_example(self):
-        fused = fuse_poe(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        fused = fuse(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert fused.mean == pytest.approx(1.0, abs=1e-15)
         assert fused.variance == pytest.approx(1.0, abs=1e-15)
 
@@ -224,22 +239,22 @@ class TestFusePoe:
             means = rng.normal(size=n)
             variances = rng.uniform(0.01, 5.0, n)
             w = random_simplex(rng, n)
-            fused = fuse_poe(means, variances, w)
+            fused = fuse(means, variances, w)
             assert means.min() - 1e-12 <= fused.mean <= means.max() + 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(25)
         means, variances = random_preds(rng, 6)
         w = random_simplex(rng, 6)
-        fused = fuse_poe(means, variances, w)
+        fused = fuse(means, variances, w)
         perm = rng.permutation(6)
-        fused_p = fuse_poe(means[perm], variances[perm], w[perm])
+        fused_p = fuse(means[perm], variances[perm], w[perm])
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fuse_poe(np.zeros(2), np.ones(2), np.array([1.0]))
+            fuse(np.zeros(2), np.ones(2), np.array([1.0]))
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -247,9 +262,96 @@ class TestFusePoe:
         variance=st.floats(min_value=VAR_FLOOR, allow_infinity=False),
     )
     def test_single_model_comes_back_bit_for_bit(self, mean, variance):
-        fused = fuse_poe(np.array([mean]), np.array([variance]), np.array([1.0]))
+        fused = fuse(np.array([mean]), np.array([variance]), np.array([1.0]))
         assert fused.mean == mean
         assert fused.variance == variance
+
+
+# The weight recursion and fusion as they were written before the variance
+# terms were cached: every step took the log of the variances, their minimum
+# and the relative precisions afresh.  The oracle of the property below.
+def oracle_predictive_weights(weights, alpha):
+    w = np.asarray(weights, dtype=float)
+    if alpha == 1.0:
+        return w.copy()
+    p = w**alpha
+    return p / p.sum()
+
+
+def oracle_fuse_poe(means, variances, pred_weights):
+    w = np.asarray(pred_weights, dtype=float)
+    r = variances.min()
+    wp = w * (r / variances)
+    total = wp.sum()
+    return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))
+
+
+def oracle_step_likelihoods(means, variances, y):
+    resid = y - means
+    q = resid * resid / variances + np.log(variances)
+    return np.exp(0.5 * (q.min() - q))
+
+
+def oracle_update_weights(pred_weights, likelihoods):
+    w_hat = np.asarray(pred_weights, dtype=float)
+    lik = np.asarray(likelihoods, dtype=float)
+    top = lik.max()
+    if top <= 0.0:
+        return w_hat.copy()
+    w = w_hat * (lik / top)
+    total = w.sum()
+    if total <= 0.0:
+        return w_hat.copy()
+    w /= total
+    w = np.maximum(w, WEIGHT_FLOOR)
+    w /= w.sum()
+    return np.maximum(w, WEIGHT_FLOOR)
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def mixture_steps(draw):
+    """Weights on the floored simplex, per-model means and variances, an
+    observation and a forgetting parameter, for M of 1, 2, 8 or 27 models."""
+    m = draw(st.sampled_from([1, 2, 8, 27]))
+
+    def vector(**kw):
+        return np.array(draw(st.lists(st.floats(**kw), min_size=m, max_size=m)))
+
+    raw = vector(min_value=0.0, max_value=1.0)
+    w = raw / raw.sum() if raw.sum() > 0.0 else np.full(m, 1.0 / m)
+    w = np.maximum(w, WEIGHT_FLOOR)
+    w /= w.sum()
+    means = vector(min_value=-1e6, max_value=1e6)
+    variances = vector(min_value=VAR_FLOOR, max_value=1e6)
+    y = draw(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(list(means))))
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    return w, means, variances, y, alpha
+
+
+class TestCachedVarianceTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mixture_steps())
+    def test_step_matches_the_uncached_composition_bit_for_bit(self, case):
+        w, means, variances, y, alpha = case
+        w_hat_want = oracle_predictive_weights(w, alpha)
+        fused_want = oracle_fuse_poe(means, variances, w_hat_want)
+        after_want = oracle_update_weights(
+            w_hat_want, oracle_step_likelihoods(means, variances, y)
+        )
+
+        (log_variances, precisions), r = variance_terms(variances)
+        w_hat = predictive_weights(w, alpha)
+        fused = fuse_poe(means, precisions, r, w_hat)
+        after = update_weights(w_hat, step_likelihoods(means, variances, log_variances, y))
+
+        assert w_hat.tobytes() == w_hat_want.tobytes()
+        assert bits(fused.mean) == bits(fused_want.mean)
+        assert bits(fused.variance) == bits(fused_want.variance)
+        assert after.tobytes() == after_want.tobytes()
 
 
 class TestFusedPredictionEquality:
@@ -285,6 +387,6 @@ class TestFuseUnweighted:
         n = 5
         means, variances = random_preds(rng, n)
         unweighted = fuse_unweighted_poe(means, variances)
-        weighted = fuse_poe(means, variances, np.full(n, 1.0 / n))
+        weighted = fuse(means, variances, np.full(n, 1.0 / n))
         assert weighted.variance == pytest.approx(n * unweighted.variance, rel=1e-12)
         assert weighted.mean == pytest.approx(unweighted.mean, abs=1e-12)

@@ -24,7 +24,6 @@ from .gp import (
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
-    variance_terms,
 )
 from .harness import BenchResult, InputError, RunResult, bench, load_csv, run
 from .metrics import (
@@ -69,7 +68,6 @@ __all__ = [
     "lml_gradient",
     "log_marginal_likelihood",
     "noisy_covariance",
-    "variance_terms",
     "BenchResult",
     "InputError",
     "RunResult",

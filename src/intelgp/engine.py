@@ -145,15 +145,15 @@ def classify(pred: PredictiveDistribution, y: float) -> bool:
 
 
 def _predict(state: EngineState):
-    """The models' means, variances and log variances, the predictive
-    weights, and the fused prediction for time current_t + 1."""
-    means, variances, log_variances, precisions, r = gp_predict(
+    """The models' means and variances, the predictive weights, and the
+    fused prediction for time current_t + 1."""
+    means, variances = gp_predict(
         state.window.times, state.window.values, state.shared_mean, state.models,
         state.current_t + 1, state.cache,
     )
     w_hat = predictive_weights(state.weights, state.config.alpha)
-    fused = fuse_poe(means, precisions, r, w_hat)
-    return means, variances, log_variances, w_hat, fused
+    fused = fuse_poe(means, variances, w_hat)
+    return means, variances, w_hat, fused
 
 
 def predict_next(state: EngineState) -> FusedPrediction:
@@ -164,7 +164,7 @@ def predict_next(state: EngineState) -> FusedPrediction:
     parameter, and fuses.  The only writes go to the state's predictor
     cache, whose entries depend on their keys alone.
     """
-    means, variances, _, w_hat, fused = _predict(state)
+    means, variances, w_hat, fused = _predict(state)
     return FusedPrediction(
         fused=fused, means=means, variances=variances, predictive_weights=w_hat
     )
@@ -182,7 +182,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     y_next = float(y_next)
     t_next = state.current_t + 1
 
-    means, variances, log_variances, w_hat, fused = _predict(state)
+    means, variances, w_hat, fused = _predict(state)
     inlier = classify(fused, y_next)
 
     config = state.config
@@ -214,7 +214,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
             verdict = Verdict.OUTLIER
             log.info("outlier declared at t=%d", t_next)
 
-    likelihoods = step_likelihoods(means, variances, log_variances, y_next)
+    likelihoods = step_likelihoods(means, variances, y_next)
     weights = update_weights(w_hat, likelihoods)
 
     window = window.trimmed(t_next + 1 - config.tau)

@@ -27,10 +27,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Entries a predictor cache holds.  The bound keeps memory flat on streams
 # whose windows rarely repeat an offset pattern (an entry holds M x tau mean
-# weights, M variances, their 2 x M `variance_terms` and the smallest
-# variance: 184 bytes per model at tau=20); on a full, contiguous window
-# the pattern repeats almost every step, and the least recently used
-# entries go first.
+# weights and M variances); on a full, contiguous window the pattern
+# repeats almost every step, and the least recently used entries go first.
 PREDICTOR_CACHE_SIZE = 1024
 
 # LAPACK's triangular solve and inverse from a Cholesky factor for float64,
@@ -197,22 +195,11 @@ def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
     return V
 
 
-def variance_terms(var: np.ndarray) -> tuple[np.ndarray, float]:
-    """What fusion and re-weighting read of the (M,) predictive variances
-    besides the variances themselves, computed once per predictor: one
-    read-only (2, M) array holding their logs and the precisions relative
-    to the smallest variance r (r / var), and r."""
-    r = var.min()
-    terms = np.array([np.log(var), r / var])
-    terms.flags.writeable = False
-    return terms, float(r)
-
-
 def predictor(offsets: np.ndarray, models):
     """Per model, for training inputs at `offsets` = t* - t_i from the test
-    input: the mean weights a = K⁻¹k* and the floored predictive variances,
-    as read-only arrays of shapes (M, n) and (M,), and the variances'
-    `variance_terms`.  A model's mean is c + a·(y - c).
+    input: the mean weights a = K⁻¹k* and the floored predictive variance,
+    as read-only arrays of shapes (M, n) and (M,).  A model's mean is
+    c + a·(y - c).
 
     The kernel is stationary, so both depend on the inputs only through
     these offsets: a window shifted in time has the same predictor.  They
@@ -240,7 +227,7 @@ def predictor(offsets: np.ndarray, models):
         a[m] = solve_triangular(L, v, trans=1)
     var = np.maximum(var, VAR_FLOOR)
     a.flags.writeable = var.flags.writeable = False
-    return (a, var, *variance_terms(var))
+    return a, var
 
 
 def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -270,12 +257,10 @@ def gp_predict(
     models,
     t_star: float,
     cache: dict | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One-step posterior predictive of the observation at `t_star` under
     each of `models` (Hyperparameters of one kernel kind) with the constant
-    prior mean `mean`: the M means and the M variances, as arrays, then
-    the variances' logs, their precisions relative to the smallest
-    variance r, and r (see `variance_terms`).
+    prior mean `mean`: the M means and the M variances, as arrays.
 
     The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
@@ -298,7 +283,7 @@ def gp_predict(
         raise ValueError("train_t and train_y must have the same length")
     offsets = t_star - ts
     if cache is None:
-        hit = predictor(offsets, models)
+        a, var = predictor(offsets, models)
     else:
         key = offsets.tobytes()
         hit = cache.pop(key, None)
@@ -307,8 +292,8 @@ def gp_predict(
                 del cache[next(iter(cache))]
             hit = predictor(offsets, models)
         cache[key] = hit
-    a, var, terms, r = hit
-    return mean + np.vecdot(a, ys - mean), var, terms[0], terms[1], r
+        a, var = hit
+    return mean + np.vecdot(a, ys - mean), var
 
 
 def log_marginal_likelihood(

@@ -84,24 +84,7 @@ def step_record(out: StepOutput) -> dict:
 
 
 def records_to_jsonl(records) -> str:
-    """Step records (see `step_record`) as JSON lines: the text of
-    json.dumps(record) + "\\n" for each.  A finite float is written as its
-    repr, which is what json.dumps writes.  A NaN or an infinity has no
-    repr that JSON reads ("nan", "inf"), so a record holding one is written
-    by json.dumps, which spells them NaN and Infinity."""
-    lines = [
-        f'{{"t": {r["t"]}, "y": {r["y"]!r}, "mean": {r["mean"]!r}, '
-        f'"variance": {r["variance"]!r}, "verdict": "{r["verdict"]}", '
-        f'"weights": [{", ".join(map(repr, r["weights"]))}], "mean_const": {r["mean_const"]!r}}}\n'
-        for r in records
-    ]
-    text = "".join(lines)
-    if "inf" in text or "nan" in text:
-        text = "".join(
-            json.dumps(r) + "\n" if "inf" in line or "nan" in line else line
-            for r, line in zip(records, lines)
-        )
-    return text
+    return "".join(json.dumps(r) + "\n" for r in records)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,8 @@
 """Model set construction, the forgetting-plus-Bayes weight recursion, and
 precision-weighted fusion of per-model Gaussian predictions.
 
-Per-model predictions travel as (M,) arrays in model order: the means, the
-variances, and what fusion and the likelihoods read of the variances (their
-logs and their precisions relative to the smallest one), which a predictor
-computes once per cache entry (`gp.variance_terms`)."""
+Per-model predictions travel as two (M,) arrays, the means and the
+variances, in model order."""
 
 from __future__ import annotations
 
@@ -121,8 +119,7 @@ def update_weights(pred_weights, likelihoods) -> np.ndarray:
     top = np.maximum.reduce(lik)
     if top <= 0.0:
         return w_hat.copy()
-    # step_likelihoods' largest is exactly 1, and x / 1.0 is x
-    w = w_hat * lik if top == 1.0 else w_hat * (lik / top)
+    w = w_hat * (lik / top)
     total = np.add.reduce(w)
     if total <= 0.0:
         return w_hat.copy()
@@ -134,9 +131,7 @@ def update_weights(pred_weights, likelihoods) -> np.ndarray:
     return np.maximum(w, WEIGHT_FLOOR, out=w)
 
 
-def step_likelihoods(
-    means: np.ndarray, variances: np.ndarray, log_variances: np.ndarray, y: float
-) -> np.ndarray:
+def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.ndarray:
     """Per-model likelihoods rescaled by the per-step maximum log density.
 
     Working in log space and exponentiating after subtracting the maximum
@@ -145,28 +140,26 @@ def step_likelihoods(
     """
     resid = y - means
     q = resid * resid / variances
-    q += log_variances  # -2 log density, less a constant
+    q += np.log(variances)  # -2 log density, less a constant
     np.subtract(np.minimum.reduce(q), q, out=q)
     q *= 0.5
     return np.exp(q, out=q)
 
 
-def fuse_poe(
-    means: np.ndarray, precisions: np.ndarray, r: float, pred_weights
-) -> PredictiveDistribution:
-    """Weighted product-of-experts fusion of Gaussian predictions, from the
-    models' means, their precisions relative to the smallest variance r
-    (r / variances) and r (see `gp.variance_terms`).
+def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> PredictiveDistribution:
+    """Weighted product-of-experts fusion of Gaussian predictions.
 
     Each model contributes its precision scaled by its predictive weight;
-    the fused mean is the precision-and-weight-weighted mean.  With the
-    precisions taken relative to r, the fused variance is r over their
-    weighted sum: a single model (weight 1) comes back exactly, where
-    1/(1/v) would round.
+    the fused mean is the precision-and-weight-weighted mean.  Precisions
+    are taken relative to the smallest variance r, so the fused variance is
+    r over their weighted sum: a single model (weight 1) comes back exactly,
+    where 1/(1/v) would round.
     """
     w = np.asarray(pred_weights, dtype=float)
-    if not (w.shape == means.shape == precisions.shape):
-        raise ValueError("means, precisions and pred_weights must have the same length")
-    wp = w * precisions
+    if not (w.shape == means.shape == variances.shape):
+        raise ValueError("means, variances and pred_weights must have the same length")
+    r = np.minimum.reduce(variances)
+    wp = r / variances
+    wp *= w
     total = np.add.reduce(wp)
     return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))

@@ -28,11 +28,11 @@ from intelgp.gp import (
 from intelgp.harness import load_csv, run
 from intelgp.mixture import (
     VariantFactors,
+    fuse_poe,
     predictive_weights,
     update_weights,
 )
 from test_gp import oracle_predict, predict_one
-from test_mixture import fuse
 
 WELL_LOG = DATA_DIR / "well_log.csv"
 CPU_USAGE = DATA_DIR / "cpu_usage.csv"
@@ -147,15 +147,15 @@ def test_fusion_identities():
         for j in range(3):
             one_hot = np.zeros(3)
             one_hot[j] = 1.0
-            fused = fuse(means, variances, one_hot)
+            fused = fuse_poe(means, variances, one_hot)
             assert abs(fused.mean - means[j]) < 1e-12
             assert abs(fused.variance - variances[j]) < 1e-12
 
-        fused = fuse(np.full(5, 0.6), np.full(5, 1.7), np.array([0.05, 0.1, 0.15, 0.3, 0.4]))
+        fused = fuse_poe(np.full(5, 0.6), np.full(5, 1.7), np.array([0.05, 0.1, 0.15, 0.3, 0.4]))
         assert abs(fused.mean - 0.6) < 1e-12
         assert abs(fused.variance - 1.7) < 1e-12
 
-        fused = fuse(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        fused = fuse_poe(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert fused.mean == 1.0
         assert fused.variance == 1.0
 

@@ -29,7 +29,6 @@ from intelgp.gp import (
     log_marginal_likelihood,
     noisy_covariance,
     predictor,
-    variance_terms,
 )
 
 # Frozen from a 30-digit evaluation of (1 + sqrt(5) + 5/3) * exp(-sqrt(5)).
@@ -98,7 +97,7 @@ def gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
 
 def predict_one(ts, ys, mean, hyper, t_star):
     """One model's predictive (mean, variance) from the batched predictor."""
-    means, variances, *_ = gp_predict(ts, ys, mean, (hyper,), t_star)
+    means, variances = gp_predict(ts, ys, mean, (hyper,), t_star)
     return float(means[0]), float(variances[0])
 
 
@@ -294,8 +293,8 @@ def fixed_case(n_models, offsets):
 
 
 def as_bytes(prediction):
-    *arrays, r = prediction
-    return *(x.tobytes() for x in arrays), r
+    means, variances = prediction
+    return means.tobytes(), variances.tobytes()
 
 
 class TestBatchedPredictor:
@@ -309,10 +308,8 @@ class TestBatchedPredictor:
     def test_matches_oracle_cache_and_time_shift(self, case):
         models, ts, ys, mean, shift = case
         uncached = gp_predict(ts, ys, mean, models, 1000.0)
-        means, variances, log_variances, precisions, r = uncached
+        means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
-        terms, r_want = variance_terms(variances)
-        assert np.array_equal(terms, [log_variances, precisions]) and r == r_want
         for h, m, v in zip(models, means, variances):
             m_ref, v_ref = oracle_predict(h, mean, ts, ys, 1000.0)
             assert m == pytest.approx(m_ref, abs=1e-8)
@@ -326,7 +323,7 @@ class TestBatchedPredictor:
         # Each model whose augmented matrix factors without jitter has the
         # mean weights scipy's solve_triangular gives, bit for bit.
         offsets = 1000.0 - ts
-        a, *_ = predictor(offsets, models)
+        a, _ = predictor(offsets, models)
         V = gp._augmented_covariances(offsets, models)
         n = ts.size
         for m in range(len(models)):
@@ -352,13 +349,12 @@ class TestBatchedPredictor:
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.1)
-        a, var, terms, _ = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))
-        for x in (a, var, terms):
+        a, var = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))
+        for x in (a, var):
             assert not x.flags.writeable
 
     def test_full_cache_holds_no_factors(self):
-        # Each entry is the (M, n) mean weights, the (M,) variances, their
-        # (2, M) terms and the smallest variance.
+        # Each entry is the (M, n) mean weights and the (M,) variances.
         # 64 entries of M tau x tau factors would take 64·M·tau²·8 bytes;
         # a full cache of entries without a factor stays below that.
         tau, hyper = 20, Hyperparameters(KernelKind.MATERN52, 1.0, 5.0, 0.1)
@@ -372,12 +368,10 @@ class TestBatchedPredictor:
             ts = np.sort(1000.0 - rng.choice(np.arange(1.0, 41.0), tau, replace=False))
             gp_predict(ts, np.sin(ts), 0.0, models, 1000.0, cache)
         total = 0
-        for a, var, terms, r in cache.values():
+        for a, var in cache.values():
             assert a.shape == (len(models), tau)
             assert var.shape == (len(models),)
-            assert terms.shape == (2, len(models))
-            assert type(r) is float
-            total += a.nbytes + var.nbytes + terms.nbytes
+            total += a.nbytes + var.nbytes
         assert total < 64 * len(models) * tau**2 * 8
 
 
@@ -398,7 +392,7 @@ class TestStackFallback:
             np.linalg.cholesky(V)
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
-        a, var, *_ = predictor(offsets, models)
+        a, var = predictor(offsets, models)
         L_bad = chol_with_jitter(V)
         k_star = kernel_values(bad, np.abs(offsets))
         v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
@@ -407,9 +401,9 @@ class TestStackFallback:
         assert a[1].tobytes() == a_bad.tobytes()
         assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
 
-        means, variances, *_ = gp_predict(ts, ys, mean, models, 20.0)
+        means, variances = gp_predict(ts, ys, mean, models, 20.0)
         for m, h in enumerate(models):
-            alone_means, alone_variances, *_ = gp_predict(ts, ys, mean, (h,), 20.0)
+            alone_means, alone_variances = gp_predict(ts, ys, mean, (h,), 20.0)
             assert means[m].tobytes() == alone_means[0].tobytes()
             assert variances[m].tobytes() == alone_variances[0].tobytes()
 

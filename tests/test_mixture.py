@@ -13,7 +13,6 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     PredictiveDistribution,
-    variance_terms,
 )
 from intelgp.mixture import (
     WEIGHT_FLOOR,
@@ -27,12 +26,6 @@ from intelgp.mixture import (
 )
 
 TEMPLATE = Hyperparameters(KernelKind.MATERN52, 2.0, 5.0, 0.4)
-
-
-def fuse(means, variances, pred_weights) -> PredictiveDistribution:
-    """fuse_poe from plain variances, through their `variance_terms`."""
-    terms, r = variance_terms(np.asarray(variances, dtype=float))
-    return fuse_poe(np.asarray(means, dtype=float), terms[1], r, pred_weights)
 
 
 def model_log_likelihood(means, variances, y: float):
@@ -206,7 +199,7 @@ class TestModelLikelihood:
         # must stay finite with a maximum of one.
         means = np.array([0.0, 0.1])
         variances = np.array([1e-6, 1e-6])
-        lik = step_likelihoods(means, variances, np.log(variances), 1000.0)
+        lik = step_likelihoods(means, variances, 1000.0)
         assert np.all(np.isfinite(lik))
         assert lik.max() == 1.0
         # consistency with the raw log densities
@@ -218,17 +211,17 @@ class TestFusePoe:
     def test_one_hot_reproduces_selected_model(self):
         means = np.array([-1.0, 2.0, 0.3])
         variances = np.array([0.5, 3.0, 0.01])
-        fused = fuse(means, variances, np.array([0.0, 1.0, 0.0]))
+        fused = fuse_poe(means, variances, np.array([0.0, 1.0, 0.0]))
         assert fused.mean == pytest.approx(2.0, abs=1e-12)
         assert fused.variance == pytest.approx(3.0, abs=1e-12)
 
     def test_identical_inputs_are_idempotent(self):
-        fused = fuse(np.full(4, 0.7), np.full(4, 1.3), np.array([0.1, 0.2, 0.3, 0.4]))
+        fused = fuse_poe(np.full(4, 0.7), np.full(4, 1.3), np.array([0.1, 0.2, 0.3, 0.4]))
         assert fused.mean == pytest.approx(0.7, abs=1e-12)
         assert fused.variance == pytest.approx(1.3, abs=1e-12)
 
     def test_two_model_worked_example(self):
-        fused = fuse(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+        fused = fuse_poe(np.array([0.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]))
         assert fused.mean == pytest.approx(1.0, abs=1e-15)
         assert fused.variance == pytest.approx(1.0, abs=1e-15)
 
@@ -239,22 +232,22 @@ class TestFusePoe:
             means = rng.normal(size=n)
             variances = rng.uniform(0.01, 5.0, n)
             w = random_simplex(rng, n)
-            fused = fuse(means, variances, w)
+            fused = fuse_poe(means, variances, w)
             assert means.min() - 1e-12 <= fused.mean <= means.max() + 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(25)
         means, variances = random_preds(rng, 6)
         w = random_simplex(rng, 6)
-        fused = fuse(means, variances, w)
+        fused = fuse_poe(means, variances, w)
         perm = rng.permutation(6)
-        fused_p = fuse(means[perm], variances[perm], w[perm])
+        fused_p = fuse_poe(means[perm], variances[perm], w[perm])
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            fuse(np.zeros(2), np.ones(2), np.array([1.0]))
+            fuse_poe(np.zeros(2), np.ones(2), np.array([1.0]))
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -262,14 +255,13 @@ class TestFusePoe:
         variance=st.floats(min_value=VAR_FLOOR, allow_infinity=False),
     )
     def test_single_model_comes_back_bit_for_bit(self, mean, variance):
-        fused = fuse(np.array([mean]), np.array([variance]), np.array([1.0]))
+        fused = fuse_poe(np.array([mean]), np.array([variance]), np.array([1.0]))
         assert fused.mean == mean
         assert fused.variance == variance
 
 
-# The weight recursion and fusion as they were written before the variance
-# terms were cached: every step took the log of the variances, their minimum
-# and the relative precisions afresh.  The oracle of the property below.
+# The weight recursion and fusion as they were written with the numpy array
+# methods and without in-place operations.  The oracle of the property below.
 def oracle_predictive_weights(weights, alpha):
     w = np.asarray(weights, dtype=float)
     if alpha == 1.0:
@@ -332,10 +324,10 @@ def mixture_steps(draw):
     return w, means, variances, y, alpha
 
 
-class TestCachedVarianceTerms:
+class TestLeanStepComposition:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mixture_steps())
-    def test_step_matches_the_uncached_composition_bit_for_bit(self, case):
+    def test_step_matches_the_plain_composition_bit_for_bit(self, case):
         w, means, variances, y, alpha = case
         w_hat_want = oracle_predictive_weights(w, alpha)
         fused_want = oracle_fuse_poe(means, variances, w_hat_want)
@@ -343,10 +335,9 @@ class TestCachedVarianceTerms:
             w_hat_want, oracle_step_likelihoods(means, variances, y)
         )
 
-        (log_variances, precisions), r = variance_terms(variances)
         w_hat = predictive_weights(w, alpha)
-        fused = fuse_poe(means, precisions, r, w_hat)
-        after = update_weights(w_hat, step_likelihoods(means, variances, log_variances, y))
+        fused = fuse_poe(means, variances, w_hat)
+        after = update_weights(w_hat, step_likelihoods(means, variances, y))
 
         assert w_hat.tobytes() == w_hat_want.tobytes()
         assert bits(fused.mean) == bits(fused_want.mean)
@@ -387,6 +378,6 @@ class TestFuseUnweighted:
         n = 5
         means, variances = random_preds(rng, n)
         unweighted = fuse_unweighted_poe(means, variances)
-        weighted = fuse(means, variances, np.full(n, 1.0 / n))
+        weighted = fuse_poe(means, variances, np.full(n, 1.0 / n))
         assert weighted.variance == pytest.approx(n * unweighted.variance, rel=1e-12)
         assert weighted.mean == pytest.approx(unweighted.mean, abs=1e-12)

@@ -12,7 +12,7 @@ from .engine import (
     predict_next,
     step,
 )
-from .fit import FitError, FitResult, fit_template
+from .fit import FitResult, fit_template
 from .gp import (
     VAR_FLOOR,
     Hyperparameters,
@@ -35,7 +35,6 @@ from .metrics import (
 )
 from .mixture import (
     WEIGHT_FLOOR,
-    FusedPrediction,
     VariantFactors,
     build_model_set,
     fuse_poe,
@@ -55,7 +54,6 @@ __all__ = [
     "initialize",
     "predict_next",
     "step",
-    "FitError",
     "FitResult",
     "fit_template",
     "VAR_FLOOR",
@@ -80,7 +78,6 @@ __all__ = [
     "compute_stats",
     "evaluate",
     "WEIGHT_FLOOR",
-    "FusedPrediction",
     "VariantFactors",
     "build_model_set",
     "fuse_poe",

@@ -14,10 +14,8 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .fit import FitError
 from .gp import NumericalError
 from .harness import (
     InputError,
@@ -30,7 +28,6 @@ from .harness import (
     slice_series,
 )
 from .metrics import DegenerateDataError
-from .mixture import VariantFactors
 
 log = logging.getLogger("intelgp")
 
@@ -60,8 +57,6 @@ def parse_factor_flag(text: str) -> dict:
             raise ConfigError(f"bad factor {part!r}, expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
-        if key not in ("f", "l", "n"):
-            raise ConfigError(f"factor key must be f, l, or n; got {key!r}")
         try:
             out[key] = [float(v) for v in value.split(":")]
         except ValueError:
@@ -87,7 +82,7 @@ def _load_config_file(path) -> dict:
 def _cmd_run(args) -> int:
     merged = _load_config_file(args.config)
     for key in (
-        "tau", "alpha", "n_outliers", "mean_period", "init_count", "seed", "mode",
+        "tau", "alpha", "n_outliers", "mean_period", "init_count", "seed",
         "kernel", "normalization", "row_start", "row_end", "column",
     ):
         if (flag := getattr(args, key)) is not None:
@@ -97,13 +92,7 @@ def _cmd_run(args) -> int:
 
     if "init_count" not in merged:
         raise ConfigError("init_count is required (flag --init-count or config file)")
-    # SINTEL is INTEL with the template model alone
-    mode = merged.pop("mode", "intel")
-    if mode not in ("intel", "sintel"):
-        raise ConfigError(f"mode must be intel or sintel; got {mode!r}")
     config, data = config_from_mapping(merged)
-    if mode == "sintel":
-        config = replace(config, factors=VariantFactors())
 
     series = slice_series(load_csv(args.input, data["column"]), data)
     result = run(config, series, normalization=data["normalization"])
@@ -164,9 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--alpha", type=float, default=None)
     p_run.add_argument("--n-outliers", dest="n_outliers", type=int, default=None)
     p_run.add_argument("--mean-period", dest="mean_period", type=int, default=None)
-    p_run.add_argument("--mode", choices=["intel", "sintel"], default=None)
     p_run.add_argument("--kernel", choices=["matern52", "se"], default=None)
-    p_run.add_argument("--factors", default=None, help="e.g. f=0.2,l=0.2,n=5")
+    p_run.add_argument("--factors", default=None, help="e.g. f=0.2,n=5; empty for SINTEL")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--normalization", choices=["init", "full"], default=None)
     p_run.add_argument("--row-start", dest="row_start", type=int, default=None)
@@ -194,7 +182,7 @@ def main(argv=None) -> int:
     except (InputError, DegenerateDataError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FitError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

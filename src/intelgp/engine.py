@@ -18,16 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .fit import FitError, FitResult, fit_template, heuristic_hyperparameters
-from .gp import (
-    Hyperparameters,
-    KernelKind,
-    PredictiveDistribution,
-    gp_predict,
-    log_marginal_likelihood,
-)
+from .fit import FitResult, fit_template
+from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict
 from .mixture import (
-    FusedPrediction,
     VariantFactors,
     build_model_set,
     eq_by_value,
@@ -156,18 +149,16 @@ def _predict(state: EngineState):
     return means, variances, w_hat, fused
 
 
-def predict_next(state: EngineState) -> FusedPrediction:
+def predict_next(state: EngineState) -> PredictiveDistribution:
     """Fused one-step-ahead prediction for time current_t + 1.
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
     parameter, and fuses.  The only writes go to the state's predictor
-    cache, whose entries depend on their keys alone.
+    cache, whose entries depend on their keys alone.  The per-model means
+    and variances are in the `StepOutput` of `step`.
     """
-    means, variances, w_hat, fused = _predict(state)
-    return FusedPrediction(
-        fused=fused, means=means, variances=variances, predictive_weights=w_hat
-    )
+    return _predict(state)[3]
 
 
 def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
@@ -248,9 +239,9 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
 def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     """Build the starting state from the historical segment.
 
-    Fits the template on the history (falling back to the scale-aware
-    heuristic if every optimizer start fails), builds the variant set,
-    and seeds the window with the most recent `tau` history points.
+    Fits the template on the history, builds the variant set, and seeds
+    the window with the most recent `tau` history points.  The history
+    times must be strictly increasing integers; gaps are allowed.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
@@ -260,20 +251,11 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         raise ValueError(f"initialization requires at least 8 points, got {ts.size}")
     if not np.all(np.isfinite(ys)):
         raise ValueError("history observations must be finite")
+    if not (np.all(np.isfinite(ts) & (ts == np.round(ts))) and np.all(np.diff(ts) > 0)):
+        raise ValueError("history times must be strictly increasing integers")
 
     mean = float(np.mean(ys))
-    try:
-        fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
-    except FitError:
-        log.warning("template fit failed on every start; using heuristic scales")
-        hyper = heuristic_hyperparameters(ts, ys, config.kernel_kind)
-        fit = FitResult(
-            hyper=hyper,
-            lml=log_marginal_likelihood(hyper, mean, ts, ys),
-            iterations=0,
-            converged=False,
-        )
-
+    fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
     models = build_model_set(fit.hyper, config.factors)
 
     keep = min(config.tau, len(ts))

@@ -34,10 +34,6 @@ IMPROVEMENT_TOL = 1e-9
 _FAILED_OBJECTIVE = 1e25
 
 
-class FitError(RuntimeError):
-    """Every optimizer start failed numerically."""
-
-
 @dataclass(frozen=True)
 class FitResult:
     hyper: Hyperparameters
@@ -76,7 +72,8 @@ def fit_template(
 
     The first start is the scale-aware heuristic; the rest jitter it by up
     to one natural-log unit per component.  Returns the start with the
-    highest final LML.  Raises FitError if no start produces a finite LML.
+    highest final LML.  If no start produces a finite LML, logs a warning
+    and falls back to the heuristic itself, unoptimized.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -103,7 +100,8 @@ def fit_template(
             return _FAILED_OBJECTIVE, np.zeros(3)
         return -value, -grad
 
-    x0 = heuristic_hyperparameters(ts, ys, kind).to_log_vector()
+    heuristic = heuristic_hyperparameters(ts, ys, kind)
+    x0 = heuristic.to_log_vector()
     rng = np.random.default_rng(seed)
     start_points = [x0]
     for _ in range(starts - 1):
@@ -125,7 +123,9 @@ def fit_template(
             best = res
 
     if best is None:
-        raise FitError(f"all {starts} optimizer starts failed numerically")
+        log.warning("template fit failed on every start; using heuristic scales")
+        lml = log_marginal_likelihood(heuristic, mean_const, ts, ys)
+        return FitResult(hyper=heuristic, lml=lml, iterations=0, converged=False)
 
     hyper = Hyperparameters.from_log_vector(kind, best.x)
     # best.jac is the objective's gradient at best.x: the LML gradient, negated

@@ -43,9 +43,9 @@ def compute_stats(ys) -> NormalizationStats:
         )
     mean = float(np.mean(ys))
     std = float(np.std(ys, ddof=1))
-    # Relative check: an exactly-constant series can still show a few ulps
-    # of spread after the mean subtraction.
-    if std <= 1e-12 * max(1.0, abs(mean)):
+    # Relative check, so that it holds at any scale: an exactly-constant
+    # series can still show a few ulps of spread after the mean subtraction.
+    if std <= 1e-12 * abs(mean):
         raise DegenerateDataError("constant segment; standard deviation is zero")
     return NormalizationStats(mean=mean, std=std)
 

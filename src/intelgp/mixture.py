@@ -44,10 +44,6 @@ class VariantFactors:
         for name in ("signal", "length", "noise"):
             object.__setattr__(self, name, _ones_first(name, getattr(self, name)))
 
-    @property
-    def n_models(self) -> int:
-        return len(self.signal) * len(self.length) * len(self.noise)
-
 
 def eq_by_value(a, b):
     """Equality of two dataclass instances with their array fields compared
@@ -63,19 +59,6 @@ def eq_by_value(a, b):
         if not (np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FusedPrediction:
-    """The fused forecast, and the per-model means and variances it fuses
-    with the predictive weights."""
-
-    fused: PredictiveDistribution
-    means: np.ndarray
-    variances: np.ndarray
-    predictive_weights: np.ndarray
-
-    __eq__ = eq_by_value
 
 
 def build_model_set(
@@ -136,12 +119,18 @@ def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.n
 
     Working in log space and exponentiating after subtracting the maximum
     prevents underflow when the observation is far in every model's tail;
-    the common factor cancels in the weight update.
+    the common factor cancels in the weight update.  An observation so far
+    out that (y - mean)^2 / variance overflows for every model is flat
+    evidence: all likelihoods are 1.
     """
     resid = y - means
     q = resid * resid / variances
     q += np.log(variances)  # -2 log density, less a constant
-    np.subtract(np.minimum.reduce(q), q, out=q)
+    lowest = np.minimum.reduce(q)
+    if lowest == math.inf:
+        q.fill(1.0)
+        return q
+    np.subtract(lowest, q, out=q)
     q *= 0.5
     return np.exp(q, out=q)
 

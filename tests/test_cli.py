@@ -31,9 +31,12 @@ class TestParseFactorFlag:
     def test_multi_value_key(self):
         assert parse_factor_flag("f=15:10") == {"f": [15.0, 10.0]}
 
-    def test_bad_key(self):
-        with pytest.raises(ConfigError):
-            parse_factor_flag("x=2")
+    def test_bad_key(self, dataset, capsys):
+        # The flag passes keys through; the config parser rejects them.
+        assert parse_factor_flag("x=2") == {"x": [2.0]}
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "x=2"])
+        assert code == 4
+        assert "'x'" in capsys.readouterr().err
 
     def test_bad_value(self):
         with pytest.raises(ConfigError):
@@ -181,20 +184,19 @@ class TestRunCommand:
         assert "alpah" in capsys.readouterr().err
 
     def test_sintel_mode_is_the_template_model_alone(self, dataset, tmp_path):
-        code = main(
-            [
-                "run",
-                "--input", str(dataset),
-                "--init-count", "80",
-                "--mode", "sintel",
-                "--out", str(tmp_path / "s"),
-            ]
-        )
-        assert code == 0
+        # SINTEL is an empty factor list, from the flag or the config file.
+        cfg = tmp_path / "sintel.json"
+        cfg.write_text(json.dumps({"init_count": 80, "factors": {}}))
         result = run(
             EngineConfig(init_count=80, factors=VariantFactors()), load_csv(dataset, "value")
         )
-        assert (tmp_path / "s" / "steps.jsonl").read_text() == records_to_jsonl(result.records)
+        for name, how in (
+            ("flag", ["--init-count", "80", "--factors="]), ("file", ["--config", str(cfg)])
+        ):
+            out = tmp_path / name
+            code = main(["run", "--input", str(dataset), *how, "--out", str(out)])
+            assert code == 0
+            assert (out / "steps.jsonl").read_text() == records_to_jsonl(result.records)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -225,11 +227,12 @@ class TestRunCommand:
         assert repr(key) in capsys.readouterr().err
 
     def test_bad_mode_in_config_file_is_config_error(self, dataset, tmp_path, capsys):
+        # There is no mode key: SINTEL is "factors": {}.
         cfg = tmp_path / "mode.json"
-        cfg.write_text(json.dumps({"init_count": 80, "mode": "sintle"}))
+        cfg.write_text(json.dumps({"init_count": 80, "mode": "sintel"}))
         code = main(["run", "--input", str(dataset), "--config", str(cfg)])
         assert code == 4
-        assert "sintle" in capsys.readouterr().err
+        assert "'mode'" in capsys.readouterr().err
 
     def test_bad_config_json_is_config_error(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -17,7 +17,12 @@ from intelgp.engine import (
     step,
 )
 from intelgp.gp import PredictiveDistribution, gp_predict
-from intelgp.mixture import VariantFactors, fuse_poe, predictive_weights
+from intelgp.mixture import (
+    VariantFactors,
+    fuse_poe,
+    predictive_weights,
+    update_weights,
+)
 
 SINGLETON = EngineConfig(init_count=60, factors=VariantFactors(), seed=0)
 EIGHT_MODEL = EngineConfig(
@@ -92,6 +97,23 @@ class TestInitialize:
         assert len(sintel.models) == 1
         assert sintel.models[0] == intel.models[0]
 
+    def test_integral_float_times_with_gaps_accepted(self):
+        history, _ = flat_stream(58)
+        times = np.concatenate([np.arange(30.0), np.arange(40.0, 70.0)])
+        state = initialize(times, history, SINGLETON)
+        assert state.window.times == tuple(range(50, 70))
+        assert state.current_t == 69
+
+    def test_fractional_times_rejected(self):
+        history, _ = flat_stream(59)
+        with pytest.raises(ValueError, match="integers"):
+            initialize(np.arange(60) * 0.5, history, SINGLETON)
+
+    def test_decreasing_times_rejected(self):
+        history, _ = flat_stream(60)
+        with pytest.raises(ValueError, match="increasing"):
+            initialize(np.arange(60)[::-1], history, SINGLETON)
+
 
 class TestPredictNext:
     def test_empty_window_fused_mean_is_constant(self):
@@ -101,9 +123,7 @@ class TestPredictNext:
             state, window=type(state.window)(), inliers_since_refresh=0
         )
         fused = predict_next(state_empty)
-        assert fused.fused.mean == pytest.approx(
-            state.shared_mean, abs=1e-12
-        )
+        assert fused.mean == pytest.approx(state.shared_mean, abs=1e-12)
 
     def test_single_model_fusion_is_identity(self):
         history, _ = flat_stream(34)
@@ -116,8 +136,8 @@ class TestPredictNext:
             state.models,
             state.current_t + 1,
         )
-        assert fused.fused.mean == means[0]
-        assert fused.fused.variance == variances[0]
+        assert fused.mean == means[0]
+        assert fused.variance == variances[0]
 
     def test_matches_hand_rolled_pipeline(self):
         history, _ = flat_stream(35)
@@ -132,8 +152,8 @@ class TestPredictNext:
         )
         w_hat = predictive_weights(state.weights, state.config.alpha)
         ref = fuse_poe(means, variances, w_hat)
-        assert fused.fused.mean == pytest.approx(ref.mean, abs=1e-15)
-        assert fused.fused.variance == pytest.approx(ref.variance, abs=1e-15)
+        assert fused.mean == pytest.approx(ref.mean, abs=1e-15)
+        assert fused.variance == pytest.approx(ref.variance, abs=1e-15)
 
     def test_pure_no_state_mutation(self):
         history, _ = flat_stream(36)
@@ -253,6 +273,21 @@ class TestStepInvariants:
         assert out.verdict is Verdict.OUTLIER
         assert not np.allclose(out.weights_after, before, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_far_out_observation_is_flat_evidence(self):
+        # Every model's density underflows at 1e160, so the evidence says
+        # nothing and the weights are the floored predictive weights.
+        rng = np.random.default_rng(61)
+        config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
+        state = initialize(np.arange(60), rng.normal(size=60), config)
+        state, _ = stream_through(state, rng.normal(size=10))
+        w_hat = predictive_weights(state.weights, config.alpha)
+        after, out = step(state, 1e160)
+        assert out.verdict is Verdict.OUTLIER
+        assert np.all(np.isfinite(after.weights))
+        assert after.weights.tobytes() == update_weights(w_hat, np.ones(2)).tobytes()
+        step(after, 0.0)
+
     def test_non_finite_observation_rejected(self):
         history, stream = flat_stream(47)
         state = initialize(np.arange(60), history, SINGLETON)
@@ -263,15 +298,20 @@ class TestStepInvariants:
 class TestHostileStreams:
     def test_invariants_hold_under_heavy_tails_and_jumps(self):
         # Heavy-tailed noise, huge spikes, a sustained jump, and edge
-        # configurations (N down to 1, tau down to 5, L down to 2).
+        # configurations: N down to 1, tau down to 1, N and L above tau,
+        # and alpha at 1 (no forgetting).
         from intelgp.mixture import WEIGHT_FLOOR
 
         factors = VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0))
-        for seed, tau, n_out, mean_period in [
-            (1000, 5, 1, 2),
-            (1001, 12, 3, 7),
-            (1002, 25, 4, 14),
-            (1003, 20, 2, 10),
+        for seed, tau, n_out, mean_period, alpha in [
+            (1000, 5, 1, 2, 0.9),
+            (1001, 12, 3, 7, 0.9),
+            (1002, 25, 4, 14, 0.9),
+            (1003, 20, 2, 10, 0.9),
+            (1004, 1, 1, 1, 0.9),
+            (1005, 3, 5, 2, 0.9),
+            (1006, 5, 2, 12, 0.9),
+            (1007, 20, 3, 10, 1.0),
         ]:
             rng = np.random.default_rng(seed)
             history = rng.normal(0, 1.0, 60)
@@ -283,6 +323,7 @@ class TestHostileStreams:
                 tau=tau,
                 n_outliers=n_out,
                 mean_period=mean_period,
+                alpha=alpha,
                 factors=factors,
                 seed=seed,
             )
@@ -293,6 +334,7 @@ class TestHostileStreams:
                 assert abs(w.sum() - 1.0) < 1e-12
                 assert np.all(w >= WEIGHT_FLOOR)
                 assert len(state.window) <= tau
+                assert all(t > state.current_t - tau for t in state.window.times)
                 assert len(state.bucket) < n_out
                 assert out.fused.variance > 0
                 assert np.isfinite(out.fused.mean)
@@ -364,16 +406,15 @@ class TestPredictorCache:
         assert len(state.cache) == 0
         verdicts, most_gaps, fullest = [], 0, 0
         for y in stream:
-            pred = predict_next(state)
             means, variances = gp_predict(
                 state.window.times, state.window.values, state.shared_mean, state.models,
                 state.current_t + 1,
             )
-            assert pred.means.tobytes() == means.tobytes()
-            assert pred.variances.tobytes() == variances.tobytes()
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
             state, out = step(state, y)
+            assert out.means.tobytes() == means.tobytes()
+            assert out.variances.tobytes() == variances.tobytes()
             verdicts.append(out.verdict)
             fullest = max(fullest, len(state.cache))
             assert fullest <= gp.PREDICTOR_CACHE_SIZE

@@ -1,12 +1,16 @@
 """Tests for the multi-start hyperparameter fit."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from intelgp.fit import FitError, fit_template, heuristic_hyperparameters
+from intelgp import fit
+from intelgp.fit import fit_template, heuristic_hyperparameters
 from intelgp.gp import (
     Hyperparameters,
     KernelKind,
+    NumericalError,
     chol_with_jitter,
     distance_table,
     lml_gradient,
@@ -133,12 +137,29 @@ class TestFitTemplate:
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_all_starts_failing_raises_fit_error(self):
         # A scale this extreme overflows signal_scale**2 at every start, so
-        # each one dies with a numerical failure.
+        # each one dies with a numerical failure, and so does the LML of
+        # the heuristic fallback.
         ts = np.arange(10.0)
         rng = np.random.default_rng(15)
         ys = 1e200 * rng.normal(size=10)
-        with pytest.raises(FitError):
+        with pytest.raises(NumericalError):
             fit_template(ts, ys, 0.0, starts=2, seed=5)
+
+    def test_all_starts_failing_falls_back_to_the_heuristic(self, monkeypatch, caplog):
+        def fail(*args):
+            raise NumericalError("every evaluation fails")
+
+        monkeypatch.setattr(fit, "lml_gradient", fail)
+        caplog.set_level(logging.WARNING, logger="intelgp")
+        ts = np.arange(40.0)
+        ys = np.random.default_rng(16).normal(size=40)
+        result = fit_template(ts, ys, 0.0, starts=3, seed=5)
+        heuristic = heuristic_hyperparameters(ts, ys)
+        assert result.hyper == heuristic
+        assert result.lml == log_marginal_likelihood(heuristic, 0.0, ts, ys)
+        assert result.iterations == 0
+        assert result.converged is False
+        assert "using heuristic scales" in caplog.text
 
 
 class TestHeuristicStart:

@@ -180,7 +180,10 @@ class TestRun:
         assert sintel["outliers"] == single.summary["outliers"]
         assert sintel["change_points"] == single.summary["change_points"]
 
-    @pytest.mark.parametrize("a, b", [(1e3, -7.0), (1e-3, 5.0), (3.7, 1e4)])
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1e3, -7.0), (1e-3, 5.0), (3.7, 1e4), (1e-150, 0.0), (1e-150, 1e-148), (1e150, 0.0)],
+    )
     def test_verdicts_invariant_under_affine_rescaling(self, series, a, b):
         config = EngineConfig(init_count=130)
         plain = run(config, series[:400])

@@ -1,6 +1,5 @@
 """Tests for model-set construction, the weight recursion, and fusion."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from intelgp.gp import (
 )
 from intelgp.mixture import (
     WEIGHT_FLOOR,
-    FusedPrediction,
     VariantFactors,
     build_model_set,
     fuse_poe,
@@ -343,25 +341,6 @@ class TestLeanStepComposition:
         assert bits(fused.mean) == bits(fused_want.mean)
         assert bits(fused.variance) == bits(fused_want.variance)
         assert after.tobytes() == after_want.tobytes()
-
-
-class TestFusedPredictionEquality:
-    @staticmethod
-    def two_model():
-        return FusedPrediction(
-            PredictiveDistribution(0.5, 1.0), np.array([0.2, 0.9]),
-            np.array([1.0, 2.0]), np.array([0.25, 0.75]),
-        )
-
-    def test_arrays_compare_by_value(self):
-        a, b = self.two_model(), self.two_model()
-        assert a.means is not b.means
-        assert a == b
-        for name in ("means", "variances", "predictive_weights"):
-            changed = getattr(b, name).copy()
-            changed[1] += 0.125
-            assert a != dataclasses.replace(b, **{name: changed})
-        assert a != dataclasses.replace(b, fused=PredictiveDistribution(0.5, 2.0))
 
 
 class TestFuseUnweighted:

@@ -21,6 +21,7 @@ from .gp import (
     PredictiveDistribution,
     distance_table,
     gp_predict,
+    kernel_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -63,6 +64,7 @@ __all__ = [
     "PredictiveDistribution",
     "distance_table",
     "gp_predict",
+    "kernel_table",
     "lml_gradient",
     "log_marginal_likelihood",
     "noisy_covariance",

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .fit import FitResult, fit_template
-from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict
+from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict, kernel_table
 from .mixture import (
     VariantFactors,
     build_model_set,
@@ -94,16 +94,24 @@ class EngineState:
     """Where a stream stands after its last observation.
 
     `models` are the template (model 0) and its variants, `weights` their
-    weights, `shared_mean` the constant prior mean of all of them.  `cache`
-    is the predictor cache of `models` (see `gp.gp_predict`).  Each
-    `initialize` starts an empty one and `step` passes it on, so a stream
-    and its forks fill the same cache.  It is left out of equality, which
+    weights, `shared_mean` the constant prior mean of all of them.
+
+    `table` and `cache` belong to `models` and are built for them alone.
+    `table` is their `gp.kernel_table`, the noisy kernel at the integer
+    distances 0..span, from which a prediction gathers its covariances.
+    `initialize` builds it once, with a span of `tau` or, for a history
+    with gaps, the width of the first window plus one, whichever is
+    larger; after the first step every window lies within `tau` of the
+    next time.  `cache` is the predictor cache (see `gp.gp_predict`).  Each
+    `initialize` starts an empty one and `step` passes both on, so a stream
+    and its forks share them.  Both are left out of equality, which
     compares the weights by value, and out of the repr.
     """
 
     window: TrainingWindow
     bucket: TrainingWindow
     models: tuple[Hyperparameters, ...]
+    table: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray
     shared_mean: float
     config: EngineConfig
@@ -141,7 +149,7 @@ def _predict(state: EngineState):
     """The models' means and variances, the predictive weights, and the
     fused prediction for time current_t + 1."""
     means, variances = gp_predict(
-        state.window.times, state.window.values, state.shared_mean, state.models,
+        state.window.times, state.window.values, state.shared_mean, state.table,
         state.current_t + 1, state.cache,
     )
     w_hat = predictive_weights(state.weights, state.config.alpha)
@@ -214,6 +222,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         window=window,
         bucket=bucket,
         models=state.models,
+        table=state.table,
         weights=weights,
         shared_mean=mean,
         config=config,
@@ -263,14 +272,16 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         times=tuple(int(t) for t in history_t[-keep:]),
         values=tuple(float(y) for y in ys[-keep:]),
     )
+    current_t = int(history_t[-1])
     return EngineState(
         window=window,
         bucket=TrainingWindow(),
         models=models,
+        table=kernel_table(models, max(config.tau, current_t + 1 - window.times[0])),
         weights=np.full(len(models), 1.0 / len(models)),
         shared_mean=mean,
         config=config,
         inliers_since_refresh=0,
-        current_t=int(history_t[-1]),
+        current_t=current_t,
         fit=fit,
     )

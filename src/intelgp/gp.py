@@ -180,45 +180,70 @@ def _cholesky_or_nan(A: np.ndarray) -> np.ndarray:
         return np.full_like(A, np.nan)
 
 
-def _augmented_covariances(offsets: np.ndarray, models) -> np.ndarray:
-    """Each model's noisy kernel matrix over training inputs at `offsets`
-    from the test input, followed by the test input itself (offset 0):
-    an (M, n+1, n+1) stack for n offsets."""
+def kernel_table(models, span: int) -> np.ndarray:
+    """Each model's noisy kernel at the integer distances 0..span: a
+    read-only (M, span+1) array whose column 0 holds signal_scale**2 +
+    noise_scale**2, the variance of one observation.
+
+    Offsets of one window are distinct integers, so a distance of 0 only
+    ever falls on the diagonal of a covariance over them: every entry of
+    such a covariance is a look-up in this table.  The models must share a
+    kernel kind.
+    """
     kind = models[0].kind
     if any(h.kind is not kind for h in models):
         raise ValueError("the models of one prediction must share a kernel kind")
     sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
-    d, where = distance_table(np.append(offsets, 0.0))
-    V = _kernel_values(kind, sf[:, None], ell[:, None], d)[:, where]
-    i = np.arange(offsets.size + 1)
-    V[:, i, i] += (sn * sn)[:, None]
-    return V
+    table = _kernel_values(kind, sf[:, None], ell[:, None], np.arange(span + 1.0))
+    table[:, 0] += sn * sn
+    table.flags.writeable = False
+    return table
 
 
-def predictor(offsets: np.ndarray, models):
-    """Per model, for training inputs at `offsets` = t* - t_i from the test
-    input: the mean weights a = K⁻¹k* and the floored predictive variance,
-    as read-only arrays of shapes (M, n) and (M,).  A model's mean is
-    c + a·(y - c).
+def _augmented_covariances(offsets: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Each model's noisy kernel matrix over training inputs at `offsets`
+    (distinct non-zero integers) from the test input, followed by the test
+    input itself (offset 0): an (M, n+1, n+1) stack for n offsets, gathered
+    from `kernel_table` output."""
+    x = np.append(offsets, 0)
+    d = np.abs(x[:, None] - x[None, :])
+    span = table.shape[1] - 1
+    if d.max() > span:
+        raise ValueError(
+            f"window offsets reach a distance of {d.max()}, beyond the kernel table's span {span}"
+        )
+    if np.count_nonzero(d) != x.size * (x.size - 1):
+        raise ValueError("training times must be distinct and differ from the test time")
+    return table[:, d]
+
+
+def predictor(offsets: np.ndarray, table: np.ndarray):
+    """Per model, for training inputs at the integer `offsets` = t* - t_i
+    from the test input: the mean weights a = K⁻¹k* and the floored
+    predictive variance, as read-only arrays of shapes (M, n) and (M,).  A
+    model's mean is c + a·(y - c).  `table` is the models' `kernel_table`,
+    over a span that covers every distance between the offsets and 0.
 
     The kernel is stationary, so both depend on the inputs only through
     these offsets: a window shifted in time has the same predictor.  They
     come from one factorization of each model's covariance over the window
-    plus the test input (`_augmented_covariances`): with L its leading
-    block and v = L⁻¹k* its last row, a = L⁻ᵀv, and the variance is the
-    square of its last diagonal entry.  A model whose augmented matrix is
-    not positive definite has its window matrix factored on its own with
-    the jitter ladder, and v solved from that factor.  Every triangular
-    solve is one direct LAPACK trtrs call (`solve_triangular`), bitwise
-    equal to scipy's solve_triangular without its per-call wrapper.
+    plus the test input, gathered from the table
+    (`_augmented_covariances`): with L its leading block and v = L⁻¹k* its
+    last row, a = L⁻ᵀv, and the variance is the square of its last
+    diagonal entry.  A model whose augmented matrix is not positive
+    definite has its window matrix factored on its own with the jitter
+    ladder, and v solved from that factor.  Every triangular solve is one
+    direct LAPACK trtrs call (`solve_triangular`), bitwise equal to scipy's
+    solve_triangular without its per-call wrapper.  A table over a wider
+    span gives the same result bit for bit.
     """
     n = offsets.size
-    V = _augmented_covariances(offsets, models)
+    V = _augmented_covariances(offsets, table)
     F = chol_with_jitter(V)
     var = F[:, n, n] * F[:, n, n]
     failed = np.isnan(var)
-    a = np.empty((len(models), n))
-    for m in range(len(models)):
+    a = np.empty((len(table), n))
+    for m in range(len(table)):
         L, v = F[m, :n, :n], F[m, n, :n]
         if failed[m]:
             L = chol_with_jitter(V[m, :n, :n])
@@ -254,46 +279,65 @@ def gp_predict(
     train_t,
     train_y,
     mean: float,
-    models,
-    t_star: float,
+    table: np.ndarray,
+    t_star: int,
     cache: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step posterior predictive of the observation at `t_star` under
-    each of `models` (Hyperparameters of one kernel kind) with the constant
-    prior mean `mean`: the M means and the M variances, as arrays.
+    each model of `table` (their `kernel_table`) with the constant prior
+    mean `mean`: the M means and the M variances, as arrays.
+
+    Times are integers (integral floats are accepted, anything else is a
+    ValueError), the training times distinct and none equal to `t_star`.
+    The table's span must cover every distance between them and `t_star`,
+    or the prediction raises a ValueError naming the span.
 
     The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
-    signal_scale**2 + noise_scale**2.
+    signal_scale**2 + noise_scale**2, the table's column 0.
 
-    `cache` maps offset patterns to predictors of `models` (see
+    `cache` maps offset patterns to predictors of the table's models (see
     `predictor`); it must only ever be used with one model set.  Each entry
-    is a function of its key alone, so a cache can be shared by any number
-    of streams.  It holds at most PREDICTOR_CACHE_SIZE entries; a full
-    cache drops its least recently used entry for the new one.  The means
-    are mean + a·(y - mean), one row-wise product for all models with the
-    entry's mean weights, so a cached prediction equals an uncached one
-    bit for bit.  Each row is its own dot product (a matrix-vector product
-    rounds a row differently depending on how many rows there are), so a
-    model's mean does not depend on the other models of the set.
+    is a function of its key, the offsets' int64 bytes, alone, so a cache
+    can be shared by any number of streams.  It holds at most
+    PREDICTOR_CACHE_SIZE entries; a full cache drops its least recently
+    used entry for the new one.  The means are mean + a·(y - mean), one
+    row-wise product for all models with the entry's mean weights, so a
+    cached prediction equals an uncached one bit for bit.  Each row is its
+    own dot product (a matrix-vector product rounds a row differently
+    depending on how many rows there are), so a model's mean does not
+    depend on the other models of the set.
     """
-    ts = np.asarray(train_t, dtype=float)
+    ts = np.asarray(train_t)
     ys = np.asarray(train_y, dtype=float)
     if ts.shape != ys.shape:
         raise ValueError("train_t and train_y must have the same length")
+    if ts.dtype.kind != "i" or not isinstance(t_star, (int, np.integer)):
+        ts, t_star = _integer_times(ts, t_star)
     offsets = t_star - ts
     if cache is None:
-        a, var = predictor(offsets, models)
+        a, var = predictor(offsets, table)
     else:
         key = offsets.tobytes()
         hit = cache.pop(key, None)
         if hit is None:
+            hit = predictor(offsets, table)
             if len(cache) >= PREDICTOR_CACHE_SIZE:
                 del cache[next(iter(cache))]
-            hit = predictor(offsets, models)
         cache[key] = hit
         a, var = hit
     return mean + np.vecdot(a, ys - mean), var
+
+
+def _integer_times(ts: np.ndarray, t_star) -> tuple[np.ndarray, np.int64]:
+    """The training times and the test time as int64, or a ValueError if
+    any of them is not an integer.  An empty window is a float array."""
+    t = np.append(ts, t_star)
+    if t.dtype.kind not in "iu":
+        if not np.all((np.abs(t) <= 2.0**53) & (t == np.round(t))):
+            raise ValueError("training and test times must be integers")
+    t = t.astype(np.int64)
+    return t[:-1], t[-1]
 
 
 def log_marginal_likelihood(

@@ -101,7 +101,11 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
     `normalization` selects the segment the scale statistics come from:
     "init" (the default; nothing after the initialization segment leaks
     into the transform) or "full" (the whole series, matching offline
-    benchmark preprocessing).
+    benchmark preprocessing).  A nearly constant init segment passes the
+    scale check of `compute_stats` when its standard deviation exceeds
+    1e-12 of its mean's magnitude.  The template fitted on it has a tiny
+    noise scale, so a livelier stream after it is flagged throughout,
+    under either normalization (see README, "CLI").
     """
     series = np.asarray(series, dtype=float)
     n = series.size

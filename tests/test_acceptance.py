@@ -71,11 +71,13 @@ def test_gp_correctness_oracle():
                 math.exp(rng.uniform(-1.0, 2.0)),
                 math.exp(rng.uniform(-3.0, 0.0)),
             )
+            # Distinct integer times, the test time anywhere in 0..28 but
+            # not on one of them: after, between or before the window.
             n = rng.integers(1, 11)
-            ts = np.sort(rng.uniform(0, 25, size=n))
+            ts = np.sort(rng.choice(26, size=n, replace=False)).astype(float)
             ys = rng.normal(size=n)
             c = rng.normal()
-            t_star = float(rng.uniform(0, 28))
+            t_star = float(rng.choice(np.setdiff1d(np.arange(29), ts)))
             mean, var = predict_one(ts, ys, c, hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
             assert abs(mean - m_ref) < 1e-8

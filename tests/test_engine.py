@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import flat_stream, shift_stream, spike_stream
+from test_gp import oracle_predict
 
 from intelgp import gp
 from intelgp.engine import (
@@ -115,6 +116,36 @@ class TestInitialize:
             initialize(np.arange(60)[::-1], history, SINGLETON)
 
 
+class TestGappedHistory:
+    # The last 20 history times are 3 apart: the first window spans 58
+    # time steps, beyond tau = 20, and its first offset is 58.
+    TIMES = np.concatenate([np.arange(40), 40 + 3 * np.arange(20)])
+
+    def test_first_predictions_match_the_oracle(self):
+        history, stream = gapped_shift_stream(62)
+        state = initialize(self.TIMES, history, EIGHT_MODEL)
+        assert state.current_t + 1 - state.window.times[0] == 58
+        assert state.table.shape == (8, 59)
+        for y in stream[:3]:
+            window, c, t_star = state.window, state.shared_mean, state.current_t + 1
+            state, out = step(state, y)
+            for h, m, v in zip(state.models, out.means, out.variances):
+                m_ref, v_ref = oracle_predict(h, c, window.times, window.values, t_star)
+                assert m == pytest.approx(m_ref, abs=1e-8)
+                assert v == pytest.approx(v_ref, abs=1e-8)
+
+    def test_window_stays_bound_over_a_run(self):
+        history, stream = gapped_shift_stream(63)
+        state = initialize(self.TIMES, history, EIGHT_MODEL)
+        tau = EIGHT_MODEL.tau
+        for y in stream[:60]:
+            state, _ = step(state, y)
+            assert len(state.window) <= tau
+            assert all(t > state.current_t - tau for t in state.window.times)
+            assert list(state.window.times) == sorted(set(state.window.times))
+        assert state.table.shape == (8, 59)
+
+
 class TestPredictNext:
     def test_empty_window_fused_mean_is_constant(self):
         history, _ = flat_stream(33)
@@ -133,7 +164,7 @@ class TestPredictNext:
             state.window.times,
             state.window.values,
             state.shared_mean,
-            state.models,
+            state.table,
             state.current_t + 1,
         )
         assert fused.mean == means[0]
@@ -147,7 +178,7 @@ class TestPredictNext:
             state.window.times,
             state.window.values,
             state.shared_mean,
-            state.models,
+            state.table,
             state.current_t + 1,
         )
         w_hat = predictive_weights(state.weights, state.config.alpha)
@@ -407,7 +438,7 @@ class TestPredictorCache:
         verdicts, most_gaps, fullest = [], 0, 0
         for y in stream:
             means, variances = gp_predict(
-                state.window.times, state.window.values, state.shared_mean, state.models,
+                state.window.times, state.window.values, state.shared_mean, state.table,
                 state.current_t + 1,
             )
             times = state.window.times
@@ -434,16 +465,16 @@ class TestPredictorCache:
 
     def test_full_cache_drops_least_recently_used(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
-        models = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).models
+        table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
         mean = 0.0
         cache = {}
-        windows = [np.arange(n, 20.0) for n in (0, 1, 2)]
+        windows = [np.arange(n, 20) for n in (0, 1, 2)]
         for ts in (windows[0], windows[1], windows[0], windows[2]):
-            got = gp_predict(ts, np.sin(ts), mean, models, 20.0, cache)
-            want = gp_predict(ts, np.sin(ts), mean, models, 20.0)
+            got = gp_predict(ts, np.sin(ts), mean, table, 20, cache)
+            want = gp_predict(ts, np.sin(ts), mean, table, 20)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        assert list(cache) == [(20.0 - windows[i]).tobytes() for i in (0, 2)]
+        assert list(cache) == [(20 - windows[i]).tobytes() for i in (0, 2)]
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)
@@ -485,15 +516,19 @@ class TestTimeShiftInvariance:
     def test_shifted_history_gives_identical_outputs(self):
         history, stream = gapped_shift_stream(55)
         base = initialize(np.arange(60), history, EIGHT_MODEL)
-        moved = initialize(np.arange(60) + 10_000, history, EIGHT_MODEL)
-        assert moved.models == base.models
         _, want = stream_through(base, stream)
-        _, got = stream_through(moved, stream)
-        assert Verdict.CHANGE_POINT in [o.verdict for o in want]
-        for a, b in zip(got, want):
-            assert a.t == b.t + 10_000
-            assert a.fused == b.fused
-            assert a.means.tobytes() == b.means.tobytes()
-            assert a.variances.tobytes() == b.variances.tobytes()
-            assert a.verdict is b.verdict
-            np.testing.assert_array_equal(a.weights_after, b.weights_after)
+        assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= {o.verdict for o in want}
+        for shift in (10_000, -5_000, 1, 2**40):
+            moved = initialize(np.arange(60) + shift, history, EIGHT_MODEL)
+            assert moved.models == base.models
+            _, got = stream_through(moved, stream)
+            for a, b in zip(got, want, strict=True):
+                assert a.t == b.t + shift
+                assert a.fused == b.fused
+                assert a.means.tobytes() == b.means.tobytes()
+                assert a.variances.tobytes() == b.variances.tobytes()
+                assert a.weights_after.tobytes() == b.weights_after.tobytes()
+                assert a.verdict is b.verdict
+                # Every field is equal once the times are moved back.
+                regime_start = None if a.regime_start is None else a.regime_start - shift
+                assert dataclasses.replace(a, t=b.t, regime_start=regime_start) == b

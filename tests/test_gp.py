@@ -25,6 +25,7 @@ from intelgp.gp import (
     chol_with_jitter,
     distance_table,
     gp_predict,
+    kernel_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -95,9 +96,19 @@ def gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
     return lml_gradient(hyper, mean, distance_table(ts), ys)[1]
 
 
+def table_for(models, ts, t_star):
+    """The models' kernel table over every distance between the times."""
+    return kernel_table(models, int(np.ptp(np.append(ts, t_star))))
+
+
+def predict(ts, ys, mean, models, t_star):
+    """The models' predictive means and variances, uncached."""
+    return gp_predict(ts, ys, mean, table_for(models, ts, t_star), t_star)
+
+
 def predict_one(ts, ys, mean, hyper, t_star):
     """One model's predictive (mean, variance) from the batched predictor."""
-    means, variances = gp_predict(ts, ys, mean, (hyper,), t_star)
+    means, variances = predict(ts, ys, mean, (hyper,), t_star)
     return float(means[0]), float(variances[0])
 
 
@@ -205,22 +216,15 @@ class TestGpPredict:
         assert mean == 0.0
         assert var == pytest.approx(1.01, abs=1e-15)
 
-    def test_interpolation_limit(self):
-        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 1e-6)
-        ts = np.arange(5.0)
-        ys = np.array([0.3, -0.1, 0.8, 0.2, -0.5])
-        mean, _ = predict_one(ts, ys, 0.0, hyper, 2.0)
-        assert mean == pytest.approx(0.8, abs=1e-4)
-
     def test_matches_conditioning_oracle(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             hyper = random_hyper(rng)
             n = rng.integers(1, 6)
-            ts = np.sort(rng.uniform(0, 20, size=n))
+            ts = np.sort(rng.choice(21, size=n, replace=False)).astype(float)
             ys = rng.normal(size=n)
             c = rng.normal()
-            t_star = float(ts[-1] + rng.uniform(0.5, 3.0))
+            t_star = float(ts[-1] + rng.integers(1, 4))
             mean, var = predict_one(ts, ys, c, hyper, t_star)
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
             assert mean == pytest.approx(m_ref, abs=1e-8)
@@ -231,7 +235,7 @@ class TestGpPredict:
         for _ in range(30):
             hyper = random_hyper(rng)
             n = rng.integers(2, 9)
-            ts = np.sort(rng.uniform(0, 15, size=n))
+            ts = np.sort(rng.choice(16, size=n, replace=False)).astype(float)
             ys = rng.normal(size=n)
             t_star = float(ts[-1] + 1.0)
             mean = 0.0
@@ -240,14 +244,16 @@ class TestGpPredict:
             assert var_full <= var_subset + 1e-10
 
     def test_variance_floor(self):
-        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 1e-5)
-        _, var = predict_one([0.0], [0.5], 0.0, hyper, 0.0)
+        # At a length scale of 1e7 one step ahead is nearly the training
+        # point itself: the computed variance, about 2e-14, is floored.
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e7, 1e-9)
+        _, var = predict_one([0.0], [0.5], 0.0, hyper, 1.0)
         assert var >= VAR_FLOOR
 
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], 0.0, (hyper,), 2.0)
+            gp_predict([0.0, 1.0], [0.5], 0.0, kernel_table((hyper,), 2), 2.0)
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
@@ -255,7 +261,7 @@ class TestGpPredict:
             Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0, 0.1),
         )
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5, 0.2], 0.0, models, 2.0)
+            kernel_table(models, 2)
 
 
 @st.composite
@@ -307,7 +313,8 @@ class TestBatchedPredictor:
     @example(fixed_case(27, range(1, 40, 2)))
     def test_matches_oracle_cache_and_time_shift(self, case):
         models, ts, ys, mean, shift = case
-        uncached = gp_predict(ts, ys, mean, models, 1000.0)
+        table = kernel_table(models, 40)
+        uncached = gp_predict(ts, ys, mean, table, 1000.0)
         means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
         for h, m, v in zip(models, means, variances):
@@ -316,15 +323,15 @@ class TestBatchedPredictor:
             assert v == pytest.approx(v_ref, abs=1e-8)
         cache = {}
         for _ in range(2):  # a miss, then a hit
-            cached = gp_predict(ts, ys, mean, models, 1000.0, cache)
+            cached = gp_predict(ts, ys, mean, table, 1000.0, cache)
             assert as_bytes(cached) == as_bytes(uncached)
-        shifted = gp_predict(ts + shift, ys, mean, models, 1000.0 + shift)
+        shifted = gp_predict(ts + shift, ys, mean, table, 1000.0 + shift)
         assert as_bytes(shifted) == as_bytes(uncached)
         # Each model whose augmented matrix factors without jitter has the
         # mean weights scipy's solve_triangular gives, bit for bit.
-        offsets = 1000.0 - ts
-        a, _ = predictor(offsets, models)
-        V = gp._augmented_covariances(offsets, models)
+        offsets = (1000.0 - ts).astype(np.int64)
+        a, _ = predictor(offsets, table)
+        V = gp._augmented_covariances(offsets, table)
         n = ts.size
         for m in range(len(models)):
             try:
@@ -349,7 +356,7 @@ class TestBatchedPredictor:
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.1)
-        a, var = predictor(np.array([3.0, 2.0, 1.0]), (hyper, hyper.scaled(l=0.2)))
+        a, var = predictor(np.array([3, 2, 1]), kernel_table((hyper, hyper.scaled(l=0.2)), 3))
         for x in (a, var):
             assert not x.flags.writeable
 
@@ -362,17 +369,83 @@ class TestBatchedPredictor:
         models = tuple(
             hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
         )
+        table = kernel_table(models, 40)
         rng = np.random.default_rng(0)
         cache = {}
         while len(cache) < gp.PREDICTOR_CACHE_SIZE:
             ts = np.sort(1000.0 - rng.choice(np.arange(1.0, 41.0), tau, replace=False))
-            gp_predict(ts, np.sin(ts), 0.0, models, 1000.0, cache)
+            gp_predict(ts, np.sin(ts), 0.0, table, 1000.0, cache)
         total = 0
         for a, var in cache.values():
             assert a.shape == (len(models), tau)
             assert var.shape == (len(models),)
             total += a.nbytes + var.nbytes
         assert total < 64 * len(models) * tau**2 * 8
+
+
+class TestKernelTable:
+    MODELS = (
+        Hyperparameters(KernelKind.MATERN52, 1.3, 4.0, 0.2),
+        Hyperparameters(KernelKind.MATERN52, 0.7, 0.8, 0.05),
+    )
+
+    def test_columns_are_the_noisy_kernel_at_integer_distances(self):
+        table = kernel_table(self.MODELS, 6)
+        assert table.shape == (2, 7)
+        assert not table.flags.writeable
+        for m, h in enumerate(self.MODELS):
+            d = np.arange(7.0)
+            assert table[m, 1:].tobytes() == kernel_values(h, d[1:]).tobytes()
+            assert table[m, 0] == h.signal_scale**2 + h.noise_scale**2
+
+    def test_empty_window_predicts_the_prior_from_column_zero(self):
+        table = kernel_table(self.MODELS, 3)
+        cache = {}
+        for train_t in ((), [], np.array([], dtype=np.int64)):
+            for c in (None, cache):  # uncached, then a miss and hits
+                means, variances = gp_predict(train_t, (), 0.4, table, 7, c)
+                assert means.tolist() == [0.4, 0.4]
+                np.testing.assert_allclose(variances, table[:, 0], rtol=1e-15, atol=0)
+        assert list(cache) == [b""]
+
+    @pytest.mark.parametrize(
+        "train_t, t_star",
+        [([0.5, 1.5], 2.5), ([0, 1], 2.5), ([0.0, 1.0], 2.0000001), ([0.0, np.nan], 2.0)],
+    )
+    def test_non_integral_times_rejected(self, train_t, t_star):
+        table = kernel_table(self.MODELS, 5)
+        cache = {}
+        with pytest.raises(ValueError, match="integers"):
+            gp_predict(train_t, [0.1, 0.2], 0.0, table, t_star, cache)
+        assert cache == {}
+
+    def test_offset_beyond_the_span_rejected(self):
+        table = kernel_table(self.MODELS, 5)
+        cache = {b"x": None}
+        with pytest.raises(ValueError, match="span 5"):
+            gp_predict([0, 1], [0.1, 0.2], 0.0, table, 6, cache)
+        with pytest.raises(ValueError, match="span 5"):
+            gp_predict([0, 4], [0.1, 0.2], 0.0, table, -2)
+        assert list(cache) == [b"x"]  # a failed miss evicts and stores nothing
+        gp_predict([0, 1], [0.1, 0.2], 0.0, table, 5, cache)
+
+    @pytest.mark.parametrize("train_t, t_star", [([0, 1, 2, 3, 4], 2), ([1, 1], 3)])
+    def test_repeated_time_rejected(self, train_t, t_star):
+        # Column 0 holds the noise variance, right only on the diagonal.
+        table = kernel_table(self.MODELS, 5)
+        with pytest.raises(ValueError, match="distinct"):
+            gp_predict(train_t, np.zeros(len(train_t)), 0.0, table, t_star)
+
+    def test_wider_table_gives_the_same_bits(self):
+        models = fixed_case(27, [])[0]
+        narrow, wide = kernel_table(models, 20), kernel_table(models, 40)
+        rng = np.random.default_rng(7)
+        for n in (0, 1, 5, 13, 20):
+            offsets = np.sort(rng.choice(np.arange(1, 21), size=n, replace=False))[::-1]
+            a_narrow, var_narrow = predictor(offsets, narrow)
+            a_wide, var_wide = predictor(offsets, wide)
+            assert a_narrow.tobytes() == a_wide.tobytes()
+            assert var_narrow.tobytes() == var_wide.tobytes()
 
 
 class TestStackFallback:
@@ -385,14 +458,14 @@ class TestStackFallback:
         ts = np.arange(20.0)
         ys = np.sin(ts)
         mean = 0.1
-        offsets = 20.0 - ts
+        offsets = 20 - np.arange(20)
         bad = self.BAD
         V = noisy_covariance(bad, offsets)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(V)
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
-        a, var = predictor(offsets, models)
+        a, var = predictor(offsets, kernel_table(models, 20))
         L_bad = chol_with_jitter(V)
         k_star = kernel_values(bad, np.abs(offsets))
         v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
@@ -401,9 +474,9 @@ class TestStackFallback:
         assert a[1].tobytes() == a_bad.tobytes()
         assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
 
-        means, variances = gp_predict(ts, ys, mean, models, 20.0)
+        means, variances = predict(ts, ys, mean, models, 20.0)
         for m, h in enumerate(models):
-            alone_means, alone_variances = gp_predict(ts, ys, mean, (h,), 20.0)
+            alone_means, alone_variances = predict(ts, ys, mean, (h,), 20.0)
             assert means[m].tobytes() == alone_means[0].tobytes()
             assert variances[m].tobytes() == alone_variances[0].tobytes()
 
@@ -414,7 +487,7 @@ class TestStackFallback:
         # A signal scale whose square overflows to inf.
         huge = self.GOOD.scaled(f=1e200)
         with pytest.raises(NumericalError):
-            gp_predict([0.0, 1.0], [0.5, 0.2], 0.0, (self.GOOD, huge), 2.0)
+            predict([0.0, 1.0], [0.5, 0.2], 0.0, (self.GOOD, huge), 2.0)
 
 
 class TestLogMarginalLikelihood:

@@ -192,6 +192,17 @@ class TestRun:
         assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= set(verdicts)
         assert [o.verdict for o in rescaled.outputs] == verdicts
 
+    def test_near_constant_init_segment_flags_the_stream(self):
+        # Documented behaviour, not an error: the segment passes the scale
+        # check, and every streamed point falls outside the fitted band.
+        rng = np.random.default_rng(0)
+        y = np.concatenate([3.0 + 1e-9 * rng.uniform(-1, 1, 200), rng.standard_normal(200)])
+        for normalization in ("init", "full"):
+            result = run(EngineConfig(init_count=200), y, normalization=normalization)
+            assert all(o.verdict is not Verdict.INLIER for o in result.outputs)
+            assert result.summary["change_points"] > 0
+            assert (result.summary["norm_std"] < 1e-9) == (normalization == "init")
+
     def test_deterministic_rerun(self, series):
         config = EngineConfig(init_count=120, seed=3)
         a = run(config, series)
@@ -243,6 +254,84 @@ class TestRun:
         config = EngineConfig(init_count=120, factors=VariantFactors(), seed=0)
         with pytest.raises(NumericalError, match="t=127"):
             run(config, series)
+
+
+def cpu_shift_like(rng, n=800):
+    """Daily-periodic utilisation, noise, a sustained shift and sparse
+    spikes, in percent."""
+    t = np.arange(n)
+    y = 40.0 + 8.0 * np.sin(2.0 * np.pi * t / 288) + 5.0 * rng.standard_normal(n)
+    y[560:] += 25.0
+    spikes = rng.choice(np.arange(230, n - 5, 4), size=6, replace=False)
+    y[spikes] += rng.choice([-1.0, 1.0], size=6) * 30.0
+    return y
+
+
+def glitchy_like(rng, n=800):
+    """A mean-reverting heavy-tailed walk with two level shifts and about
+    12% glitches."""
+    y = np.empty(n)
+    level = 0.0
+    for i, e in enumerate(rng.standard_t(5, size=n)):
+        level = 0.97 * level + e
+        y[i] = level
+    y /= y[:200].std()
+    y[400:] += 18.0
+    y[650:] -= 18.0
+    glitches = rng.choice(np.arange(220, n), size=n * 12 // 100, replace=False)
+    y[glitches] += rng.choice([-1.0, 1.0], size=glitches.size) * 15.0
+    return y
+
+
+AFFINE_STREAMS = {
+    "cpu_shift": (
+        EngineConfig(init_count=200, factors=VariantFactors((1.0, 0.2))),
+        cpu_shift_like(np.random.default_rng(71), 800),
+    ),
+    "glitchy": (
+        EngineConfig(
+            init_count=200,
+            factors=VariantFactors((1.0, 0.2, 5.0), (1.0, 0.2, 5.0), (1.0, 0.2, 5.0)),
+        ),
+        glitchy_like(np.random.default_rng(72), 760),
+    ),
+}
+
+
+def affine_draws(count=8):
+    """Seeded (stream, a, b): a = e^U(-8, 8), b uniform on [-1e3, 1e3]."""
+    rng = np.random.default_rng(2019)
+    names = sorted(AFFINE_STREAMS)
+    return [
+        (names[i % 2], float(np.exp(rng.uniform(-8.0, 8.0))), float(rng.uniform(-1e3, 1e3)))
+        for i in range(count)
+    ]
+
+
+class TestAffineInvariance:
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return {
+            name: run(config, y, normalization="init")
+            for name, (config, y) in AFFINE_STREAMS.items()
+        }
+
+    @pytest.mark.parametrize("name, a, b", affine_draws())
+    def test_verdicts_unchanged_under_a_drawn_affine_map(self, plain, name, a, b):
+        config, y = AFFINE_STREAMS[name]
+        mapped = run(config, a * y + b, normalization="init")
+        verdicts = [o.verdict for o in plain[name].outputs]
+        assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= set(verdicts)
+        assert [o.verdict for o in mapped.outputs] == verdicts
+
+    @pytest.mark.parametrize("name, a", [("cpu_shift", 2.0**-20), ("glitchy", 2.0**9)])
+    def test_power_of_two_scale_gives_identical_records(self, plain, name, a):
+        # Scaling by a power of two is exact in the mean, the standard
+        # deviation and the normalised series alike.
+        config, y = AFFINE_STREAMS[name]
+        mapped = run(config, a * y, normalization="init")
+        assert records_to_jsonl(mapped.records) == records_to_jsonl(plain[name].records)
+        assert mapped.metrics == plain[name].metrics
 
 
 class TestSliceSeries:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .gp import NumericalError
 from .harness import (
+    CONFIG_KEYS,
     InputError,
     bench,
     config_from_mapping,
@@ -32,15 +33,11 @@ from .metrics import DegenerateDataError
 log = logging.getLogger("intelgp")
 
 
-class ConfigError(ValueError):
-    """Invalid flag combination or config file contents."""
-
-
 def _setup_logging() -> None:
     level_name = os.environ.get("INTEL_LOG", "off").lower()
     levels = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
-        raise ConfigError(f"INTEL_LOG must be off, info, or debug; got {level_name!r}")
+        raise ValueError(f"INTEL_LOG must be off, info, or debug; got {level_name!r}")
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
     log.setLevel(levels[level_name])
 
@@ -54,13 +51,13 @@ def parse_factor_flag(text: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise ConfigError(f"bad factor {part!r}, expected key=value")
+            raise ValueError(f"bad factor {part!r}, expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
         try:
             out[key] = [float(v) for v in value.split(":")]
         except ValueError:
-            raise ConfigError(f"bad factor value {value!r} for key {key!r}") from None
+            raise ValueError(f"bad factor value {value!r} for key {key!r}") from None
     return out
 
 
@@ -71,27 +68,25 @@ def _load_config_file(path) -> dict:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return doc
 
 
 def _cmd_run(args) -> int:
     merged = _load_config_file(args.config)
-    for key in (
-        "tau", "alpha", "n_outliers", "mean_period", "init_count", "seed",
-        "kernel", "normalization", "row_start", "row_end", "column",
-    ):
-        if (flag := getattr(args, key)) is not None:
-            merged[key] = flag
+    merged.update(
+        (key, flag) for key, flag in vars(args).items()
+        if key in CONFIG_KEYS and flag is not None
+    )
     if args.factors is not None:
         merged["factors"] = parse_factor_flag(args.factors)
 
     if "init_count" not in merged:
-        raise ConfigError("init_count is required (flag --init-count or config file)")
+        raise ValueError("init_count is required (flag --init-count or config file)")
     config, data = config_from_mapping(merged)
 
     series = slice_series(load_csv(args.input, data["column"]), data)
@@ -125,7 +120,7 @@ def _cmd_run(args) -> int:
 def _cmd_bench(args) -> int:
     cfg = _load_config_file(args.config)
     if "datasets" not in cfg:
-        raise ConfigError("bench config must have a 'datasets' list")
+        raise ValueError("bench config must have a 'datasets' list")
     result = bench(cfg, args.datasets)
     text = format_bench_table(result)
     if args.out:
@@ -176,9 +171,6 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
     except (InputError, DegenerateDataError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -186,7 +178,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # parameter validation raised below the flag-parsing layer
+        # a bad flag, config file or parameter value
         print(f"config error: {exc}", file=sys.stderr)
         return 4
 

@@ -68,9 +68,10 @@ class EngineConfig:
 @dataclass(frozen=True)
 class TrainingWindow:
     """Observations in time order, times strictly increasing.  A state has
-    two: the adaptive training set (at most `tau` of the most recent
-    retained observations) and the bucket of consecutively declared
-    outliers, which turns into a change point once it holds `n_outliers`."""
+    two: the adaptive training set (the retained observations of the last
+    `tau` time steps, so within `tau` of the next time) and the bucket of
+    consecutively declared outliers, which turns into a change point once
+    it holds `n_outliers`."""
 
     times: tuple[int, ...] = ()
     values: tuple[float, ...] = ()
@@ -98,14 +99,12 @@ class EngineState:
 
     `table` and `cache` belong to `models` and are built for them alone.
     `table` is their `gp.kernel_table`, the noisy kernel at the integer
-    distances 0..span, from which a prediction gathers its covariances.
-    `initialize` builds it once, with a span of `tau` or, for a history
-    with gaps, the width of the first window plus one, whichever is
-    larger; after the first step every window lies within `tau` of the
-    next time.  `cache` is the predictor cache (see `gp.gp_predict`).  Each
-    `initialize` starts an empty one and `step` passes both on, so a stream
-    and its forks share them.  Both are left out of equality, which
-    compares the weights by value, and out of the repr.
+    distances 0..tau, from which a prediction gathers its covariances;
+    every window lies within `tau` of the next time.  `cache` is the
+    predictor cache (see `gp.gp_predict`).  Each `initialize` starts an
+    empty one and `step` passes both on, so a stream and its forks share
+    them.  Both are left out of equality, which compares the weights by
+    value, and out of the repr.
     """
 
     window: TrainingWindow
@@ -213,7 +212,12 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
             verdict = Verdict.OUTLIER
             log.info("outlier declared at t=%d", t_next)
 
-    likelihoods = step_likelihoods(means, variances, y_next)
+    if inlier:
+        likelihoods = step_likelihoods(means, variances, y_next)
+    else:
+        # Far out, (y - mean)^2 may overflow: flat evidence, not a fault.
+        with np.errstate(over="ignore"):
+            likelihoods = step_likelihoods(means, variances, y_next)
     weights = update_weights(w_hat, likelihoods)
 
     window = window.trimmed(t_next + 1 - config.tau)
@@ -249,8 +253,9 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     """Build the starting state from the historical segment.
 
     Fits the template on the history, builds the variant set, and seeds
-    the window with the most recent `tau` history points.  The history
-    times must be strictly increasing integers; gaps are allowed.
+    the window with the history points of the last `tau` time steps, the
+    rule `step` applies after every observation.  The history times must
+    be strictly increasing integers; gaps are allowed.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
@@ -267,17 +272,16 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
     models = build_model_set(fit.hyper, config.factors)
 
-    keep = min(config.tau, len(ts))
-    window = TrainingWindow(
-        times=tuple(int(t) for t in history_t[-keep:]),
-        values=tuple(float(y) for y in ys[-keep:]),
-    )
     current_t = int(history_t[-1])
+    window = TrainingWindow(
+        times=tuple(int(t) for t in history_t[-config.tau:]),
+        values=tuple(float(y) for y in ys[-config.tau:]),
+    ).trimmed(current_t + 1 - config.tau)
     return EngineState(
         window=window,
         bucket=TrainingWindow(),
         models=models,
-        table=kernel_table(models, max(config.tau, current_t + 1 - window.times[0])),
+        table=kernel_table(models, config.tau),
         weights=np.full(len(models), 1.0 / len(models)),
         shared_mean=mean,
         config=config,

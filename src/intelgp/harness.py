@@ -227,12 +227,13 @@ def _parsed(key: str, parse, value):
 
 # Config keys, each with the parser of its value.  The engine keys are
 # EngineConfig fields ("kernel" sets kernel_kind); the data keys select the
-# data and default to `_DATA_DEFAULTS`.
+# data and default to `_DATA_DEFAULTS`.  `intelgp run` takes each key from
+# the flag of the same dest.
 _ENGINE_KEYS = {
     "tau": _integer, "alpha": _number, "n_outliers": _integer, "mean_period": _integer,
     "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
 }
-_KEYS = {
+CONFIG_KEYS = {
     **_ENGINE_KEYS, "column": _as_is, "normalization": _as_is,
     "row_start": _optional_integer, "row_end": _optional_integer,
 }
@@ -247,10 +248,10 @@ def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
     ValueError naming any other key, and naming the key of a value its
     parser rejects.
     """
-    unknown = set(doc) - set(_KEYS)
+    unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    parsed = {key: _parsed(key, _KEYS[key], value) for key, value in doc.items()}
+    parsed = {key: _parsed(key, CONFIG_KEYS[key], value) for key, value in doc.items()}
     engine = {
         "kernel_kind" if key == "kernel" else key: value
         for key, value in parsed.items() if key in _ENGINE_KEYS

@@ -5,9 +5,9 @@ import json
 import pytest
 from conftest import regime_change_series
 
-from intelgp.cli import ConfigError, main, parse_factor_flag
+from intelgp.cli import build_parser, main, parse_factor_flag
 from intelgp.engine import EngineConfig
-from intelgp.harness import load_csv, records_to_jsonl, run
+from intelgp.harness import CONFIG_KEYS, load_csv, records_to_jsonl, run
 from intelgp.mixture import VariantFactors
 
 
@@ -39,7 +39,7 @@ class TestParseFactorFlag:
         assert "'x'" in capsys.readouterr().err
 
     def test_bad_value(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError, match="bad factor value"):
             parse_factor_flag("f=abc")
 
 
@@ -159,6 +159,10 @@ class TestRunCommand:
         assert code == 0
         doc = json.loads((tmp_path / "o" / "metrics.json").read_text())
         assert doc["summary"]["init_count"] == 80
+
+    def test_every_config_key_has_a_run_flag(self):
+        args = build_parser().parse_args(["run", "--input", "series.csv"])
+        assert set(CONFIG_KEYS) <= set(vars(args))
 
     def test_row_range_flags(self, dataset, tmp_path):
         code = main(

@@ -116,34 +116,74 @@ class TestInitialize:
             initialize(np.arange(60)[::-1], history, SINGLETON)
 
 
+def assert_window_bound(state):
+    """The window rule of every state: distinct times in order, all within
+    `tau` of the next time, and a kernel table over 0..tau."""
+    tau = state.config.tau
+    assert len(state.window) <= tau
+    assert all(t > state.current_t - tau for t in state.window.times)
+    assert list(state.window.times) == sorted(set(state.window.times))
+    assert state.table.shape == (len(state.models), tau + 1)
+
+
+def step_against_oracle(state, y):
+    """Step, checking every model's prediction against brute-force
+    conditioning on the window it was made from."""
+    window, c, t_star = state.window, state.shared_mean, state.current_t + 1
+    state, out = step(state, y)
+    for h, m, v in zip(state.models, out.means, out.variances):
+        m_ref, v_ref = oracle_predict(h, c, window.times, window.values, t_star)
+        assert m == pytest.approx(m_ref, abs=1e-8)
+        assert v == pytest.approx(v_ref, abs=1e-8)
+    return state
+
+
 class TestGappedHistory:
-    # The last 20 history times are 3 apart: the first window spans 58
-    # time steps, beyond tau = 20, and its first offset is 58.
+    # The last 20 history times are 3 apart, 40 through 97: only the 7 of
+    # them from 79 on lie within tau = 20 of the next time, 98.
     TIMES = np.concatenate([np.arange(40), 40 + 3 * np.arange(20)])
 
     def test_first_predictions_match_the_oracle(self):
         history, stream = gapped_shift_stream(62)
         state = initialize(self.TIMES, history, EIGHT_MODEL)
-        assert state.current_t + 1 - state.window.times[0] == 58
-        assert state.table.shape == (8, 59)
+        assert state.window.times == tuple(range(79, 98, 3))
+        assert state.window.values == tuple(history[-7:])
+        assert state.current_t + 1 - state.window.times[0] == 19
+        assert state.table.shape == (8, 21)
         for y in stream[:3]:
-            window, c, t_star = state.window, state.shared_mean, state.current_t + 1
-            state, out = step(state, y)
-            for h, m, v in zip(state.models, out.means, out.variances):
-                m_ref, v_ref = oracle_predict(h, c, window.times, window.values, t_star)
-                assert m == pytest.approx(m_ref, abs=1e-8)
-                assert v == pytest.approx(v_ref, abs=1e-8)
+            state = step_against_oracle(state, y)
 
     def test_window_stays_bound_over_a_run(self):
         history, stream = gapped_shift_stream(63)
         state = initialize(self.TIMES, history, EIGHT_MODEL)
-        tau = EIGHT_MODEL.tau
+        assert_window_bound(state)
         for y in stream[:60]:
             state, _ = step(state, y)
-            assert len(state.window) <= tau
-            assert all(t > state.current_t - tau for t in state.window.times)
-            assert list(state.window.times) == sorted(set(state.window.times))
-        assert state.table.shape == (8, 59)
+            assert_window_bound(state)
+
+    def test_far_gap_leaves_one_point_and_a_tau_wide_table(self):
+        # 40 contiguous points, then one 10^5 steps after the last of them:
+        # the table is sized by tau, not by the gap.
+        history, stream = flat_stream(64, n_history=41)
+        times = np.append(np.arange(40), 39 + 10**5)
+        state = initialize(times, history, EIGHT_MODEL)
+        assert state.window.times == (39 + 10**5,)
+        assert state.window.values == (history[-1],)
+        assert state.table.shape == (8, EIGHT_MODEL.tau + 1)
+        step_against_oracle(state, stream[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_window_keeps_the_last_tau_time_steps(self, seed):
+        # Random gaps of 1..2·tau: the first window is exactly the history
+        # points that step would keep, those after current_t - tau.
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.integers(1, 2 * SINGLETON.tau + 1, size=60))
+        history, _ = flat_stream(65 + seed)
+        state = initialize(times, history, SINGLETON)
+        kept = times > times[-1] - SINGLETON.tau
+        assert state.window.times == tuple(int(t) for t in times[kept])
+        assert state.window.values == tuple(history[kept])
+        assert_window_bound(state)
 
 
 class TestPredictNext:
@@ -304,7 +344,6 @@ class TestStepInvariants:
         assert out.verdict is Verdict.OUTLIER
         assert not np.allclose(out.weights_after, before, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_far_out_observation_is_flat_evidence(self):
         # Every model's density underflows at 1e160, so the evidence says
         # nothing and the weights are the floored predictive weights.

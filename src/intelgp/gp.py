@@ -230,10 +230,12 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     plus the test input, gathered from the table
     (`_augmented_covariances`): with L its leading block and v = L⁻¹k* its
     last row, a = L⁻ᵀv, and the variance is the square of its last
-    diagonal entry.  A model whose augmented matrix is not positive
-    definite has its window matrix factored on its own with the jitter
-    ladder, and v solved from that factor.  Every triangular solve is one
-    direct LAPACK trtrs call (`solve_triangular`), bitwise equal to scipy's
+    diagonal entry.  One `solve_triangular` call over the stack gives every
+    model's mean weights.  A model whose augmented matrix is not positive
+    definite gets a row of NaN from that call; its window matrix is then
+    factored on its own with the jitter ladder, and v and a solved from
+    that factor, two more calls that overwrite its row.  Every triangular
+    solve is a direct LAPACK trtrs call, bitwise equal to scipy's
     solve_triangular without its per-call wrapper.  A table over a wider
     span gives the same result bit for bit.
     """
@@ -241,37 +243,51 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     V = _augmented_covariances(offsets, table)
     F = chol_with_jitter(V)
     var = F[:, n, n] * F[:, n, n]
-    failed = np.isnan(var)
-    a = np.empty((len(table), n))
-    for m in range(len(table)):
-        L, v = F[m, :n, :n], F[m, n, :n]
-        if failed[m]:
+    a = solve_triangular(F[:, :n, :n], F[:, n, :n], trans=1)
+    for m, stacked_var in enumerate(var.tolist()):
+        if math.isnan(stacked_var):
             L = chol_with_jitter(V[m, :n, :n])
             v = solve_triangular(L, V[m, :n, n])
             var[m] = V[m, n, n] - v @ v
-        a[m] = solve_triangular(L, v, trans=1)
+            a[m] = solve_triangular(L, v, trans=1)
     var = np.maximum(var, VAR_FLOOR)
     a.flags.writeable = var.flags.writeable = False
     return a, var
 
 
 def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """x with Lx = b (trans=0) or Lᵀx = b (trans=1), for a lower-triangular L.
+    """x with Lx = b (trans=0) or Lᵀx = b (trans=1), for a lower-triangular
+    L of shape (n, n) and b of shape (n,); or, for a stack of such factors
+    of shape (M, n, n) and right-hand sides of shape (M, n), the (M, n)
+    solutions, one row per factor.
 
     The LAPACK call that scipy's solve_triangular(L, b, lower=True,
     trans=trans) makes, with the same arguments, so the result is the same
     bit for bit; only scipy's per-call checks and routine lookup are left
-    out.
+    out.  A stack is copied to C order once, which makes each factor's
+    transpose the Fortran-ordered upper triangle that trtrs takes without a
+    copy of its own; then each factor gets one trtrs call.  A factor of NaN
+    gives a row of NaN and leaves the other rows as they are.  The inputs
+    are not modified.
     """
     if not b.size:
-        return np.empty(0)
-    if L.flags.f_contiguous:
-        x, info = _trtrs(L, b, lower=1, trans=trans)
+        return np.empty(b.shape)
+    if L.ndim == 2:
+        if L.flags.f_contiguous:
+            x, info = _trtrs(L, b, 1, trans)
+        else:
+            # trtrs expects Fortran order: solve the transposed, upper system
+            x, info = _trtrs(L.T, b, 0, 1 - trans)
+        infos = [info]
     else:
-        # trtrs expects Fortran order: solve the transposed, upper system
-        x, info = _trtrs(L.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
+        upper = np.ascontiguousarray(L).transpose(0, 2, 1)
+        x = np.empty(b.shape)
+        infos = [0] * len(upper)
+        for m, (U, c) in enumerate(zip(upper, b)):
+            x[m], infos[m] = _trtrs(U, c, 0, 1 - trans)
+    for info in infos:
+        if info != 0:
+            raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
     return x
 
 

@@ -52,7 +52,11 @@ def compute_stats(ys) -> NormalizationStats:
 
 def evaluate(outputs, actuals) -> RunMetrics:
     """Mean negative log predictive density, mean absolute error, and mean
-    squared error of the fused predictions against the observations."""
+    squared error of the fused predictions against the observations.
+
+    An observation so far out that its squared residual overflows makes
+    the nll and mse inf, without a numpy overflow warning.
+    """
     actuals = np.asarray(actuals, dtype=float)
     if len(outputs) != actuals.size:
         raise ValueError(
@@ -62,8 +66,9 @@ def evaluate(outputs, actuals) -> RunMetrics:
         raise ValueError("nothing to evaluate")
     means = np.array([o.fused.mean for o in outputs])
     variances = np.array([o.fused.variance for o in outputs])
-    resid = actuals - means
-    nll = float(np.mean(0.5 * (resid**2 / variances + np.log(variances) + _LOG_2PI)))
-    mae = float(np.mean(np.abs(resid)))
-    mse = float(np.mean(resid**2))
+    with np.errstate(over="ignore"):
+        resid = actuals - means
+        nll = float(np.mean(0.5 * (resid**2 / variances + np.log(variances) + _LOG_2PI)))
+        mae = float(np.mean(np.abs(resid)))
+        mse = float(np.mean(resid**2))
     return RunMetrics(nll=nll, mae=mae, mse=mse, n_evaluated=int(actuals.size))

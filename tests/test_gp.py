@@ -8,6 +8,8 @@ prediction path it checks.
 
 import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -381,6 +383,86 @@ class TestBatchedPredictor:
             assert var.shape == (len(models),)
             total += a.nbytes + var.nbytes
         assert total < 64 * len(models) * tau**2 * 8
+
+
+def factor_stack(n_models, n, seed):
+    """The leading (M, n, n) blocks and last rows of M random (n+1)x(n+1)
+    lower Cholesky factors, as views into one C-ordered stack, the way
+    `predictor` passes them to `solve_triangular`."""
+    rng = np.random.default_rng([n_models, n, seed])
+    A = rng.standard_normal((n_models, n + 1, n + 1))
+    F = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + (n + 1) * np.eye(n + 1))
+    return F, F[:, :n, :n], F[:, n, :n]
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("n_models", [1, 3])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_each_row_matches_scipy_and_the_inputs_are_kept(self, n, n_models, trans):
+        F, L, b = factor_stack(n_models, n, seed=0)
+        before = F.tobytes()
+        x = gp.solve_triangular(L, b, trans=trans)
+        assert x.shape == (n_models, n)
+        for m in range(n_models):
+            want = solve_triangular(L[m], b[m], lower=True, trans=trans)
+            assert x[m].tobytes() == want.tobytes()
+        assert F.tobytes() == before
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_nan_factor_leaves_the_other_rows(self, trans):
+        _, L, b = factor_stack(3, 7, seed=1)
+        clean = gp.solve_triangular(L, b, trans=trans)
+        L = L.copy()
+        L[1] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = gp.solve_triangular(L, b, trans=trans)
+        assert np.isnan(x[1]).all()
+        assert x[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+
+    def test_trtrs_takes_lower_and_trans_first(self):
+        # solve_triangular passes lower and trans positionally; a wrapper
+        # that orders its optional arguments otherwise would solve another
+        # system without an error.
+        signature = gp._trtrs.__doc__.splitlines()[0]
+        assert signature.startswith("x,info = dtrtrs(a,b,[lower,trans,"), (
+            f"scipy's trtrs wrapper reads {signature!r}: the positional lower "
+            "and trans arguments of gp.solve_triangular no longer fit it"
+        )
+
+
+class TestWrappedNames:
+    """`predictor` calls the LAPACK helpers by their module-level names, so
+    that code replacing those names (a tracer, say) sees every call."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in ("solve_triangular", "chol_with_jitter"):
+            def counted(*args, _name=name, _original=getattr(gp, name), **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gp, name, counted)
+        return counts
+
+    def test_a_miss_calls_each_once_and_a_hit_neither(self, calls):
+        models = fixed_case(27, [])[0]
+        table = kernel_table(models, 20)
+        ts = np.array([981, 982, 984, 985, 988, 990, 991, 995, 996, 999])
+        cache = {}
+        gp_predict(ts, np.sin(ts), 0.1, table, 1000, cache)
+        assert calls == {"solve_triangular": 1, "chol_with_jitter": 1}
+        calls.clear()
+        gp_predict(ts + 7, np.cos(ts), 0.1, table, 1007, cache)
+        assert calls == {}
+
+    def test_a_fallback_model_adds_a_factorization_and_two_solves(self, calls):
+        models = (TestStackFallback.GOOD, TestStackFallback.BAD, TestStackFallback.GOOD)
+        offsets = 20 - np.arange(20)
+        predictor(offsets, kernel_table(models, 20))
+        assert calls == {"solve_triangular": 3, "chol_with_jitter": 2}
 
 
 class TestKernelTable:

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, the run loop, and the benchmark harness."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +203,16 @@ class TestRun:
             assert all(o.verdict is not Verdict.INLIER for o in result.outputs)
             assert result.summary["change_points"] > 0
             assert (result.summary["norm_std"] < 1e-9) == (normalization == "init")
+
+    def test_far_out_observation_gives_inf_metrics_without_a_warning(self):
+        # The pytest configuration turns a RuntimeWarning into an error, so
+        # an overflow warning anywhere in the run fails this test.
+        s = np.random.default_rng(0).standard_normal(300)
+        s[250] = 1e160
+        result = run(EngineConfig(init_count=200), s)
+        assert result.outputs[50].verdict is not Verdict.INLIER
+        assert result.metrics.nll == result.metrics.mse == math.inf
+        assert math.isfinite(result.metrics.mae)
 
     def test_deterministic_rerun(self, series):
         config = EngineConfig(init_count=120, seed=3)

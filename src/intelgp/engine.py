@@ -63,6 +63,8 @@ class EngineConfig:
             raise ValueError("n_outliers must be >= 1")
         if self.mean_period < 1:
             raise ValueError("mean_period must be >= 1")
+        if self.init_count < 1:
+            raise ValueError("init_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,10 @@ class EngineState:
     `table` is their `gp.kernel_table`, the noisy kernel at the integer
     distances 0..tau, from which a prediction gathers its covariances;
     every window lies within `tau` of the next time.  `cache` is the
-    predictor cache (see `gp.gp_predict`).  Each `initialize` starts an
-    empty one and `step` passes both on, so a stream and its forks share
-    them.  Both are left out of equality, which compares the weights by
-    value, and out of the repr.
+    predictor cache (see `gp.gp_predict`), which only a miss writes to.
+    `initialize` builds both, the table checked finite, and `step` passes
+    them on, so a stream and its forks share them.  Both are left out of
+    equality, which compares the weights by value, and out of the repr.
     """
 
     window: TrainingWindow
@@ -161,9 +163,9 @@ def predict_next(state: EngineState) -> PredictiveDistribution:
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
-    parameter, and fuses.  The only writes go to the state's predictor
-    cache, whose entries depend on their keys alone.  The per-model means
-    and variances are in the `StepOutput` of `step`.
+    parameter, and fuses.  The only write is a miss's new entry in the
+    state's predictor cache, whose entries depend on their keys alone.
+    The per-model means and variances are in the `StepOutput` of `step`.
     """
     return _predict(state)[3]
 

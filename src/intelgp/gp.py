@@ -27,8 +27,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 # Entries a predictor cache holds.  The bound keeps memory flat on streams
 # whose windows rarely repeat an offset pattern (an entry holds M x tau mean
-# weights and M variances); on a full, contiguous window the pattern
-# repeats almost every step, and the least recently used entries go first.
+# weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
 # LAPACK's triangular solve and inverse from a Cholesky factor for float64,
@@ -108,7 +107,7 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
     scales are floats, or arrays that broadcast against `d` to evaluate
     several models at once."""
     # x * x instead of x**2: Python float pow raises OverflowError where
-    # IEEE multiplication yields inf, and inf is handled at the Cholesky gate
+    # IEEE multiplication yields inf, which the finiteness checks then catch
     sf2 = signal_scale * signal_scale
     if kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / length_scale) * d, _MAX_SCALED_DIST)
@@ -146,20 +145,21 @@ def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     A stack of matrices, shape (M, n, n), is factored with
     np.linalg.cholesky and no jitter: one call for the whole stack, or one
     per matrix once that call fails.  A matrix of the stack that is not
-    positive definite comes back filled with NaN, for the caller to factor
-    on its own.
+    positive definite comes back as NaN, for the caller to factor on its
+    own.  A stack is not checked for finite values: it is gathered from a
+    `kernel_table`, which is checked where it is built.
 
-    Raises NumericalError on non-finite input or once the ladder is
-    exhausted.
+    Raises NumericalError on a single matrix with a non-finite entry, or
+    once the ladder is exhausted.
     """
-    n = V.shape[-1]
-    if not np.all(np.isfinite(V)):
-        raise NumericalError("covariance matrix contains non-finite values")
     if V.ndim == 3:
         try:
             return np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
             return np.array([_cholesky_or_nan(A) for A in V])
+    n = V.shape[-1]
+    if not np.all(np.isfinite(V)):
+        raise NumericalError("covariance matrix contains non-finite values")
     for jitter in _JITTERS:
         try:
             if jitter == 0.0:
@@ -188,14 +188,18 @@ def kernel_table(models, span: int) -> np.ndarray:
     Offsets of one window are distinct integers, so a distance of 0 only
     ever falls on the diagonal of a covariance over them: every entry of
     such a covariance is a look-up in this table.  The models must share a
-    kernel kind.
+    kernel kind.  Raises NumericalError if an entry is not finite, so no
+    covariance gathered from the table needs a check of its own.
     """
     kind = models[0].kind
     if any(h.kind is not kind for h in models):
         raise ValueError("the models of one prediction must share a kernel kind")
     sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
-    table = _kernel_values(kind, sf[:, None], ell[:, None], np.arange(span + 1.0))
-    table[:, 0] += sn * sn
+    with np.errstate(over="ignore"):
+        table = _kernel_values(kind, sf[:, None], ell[:, None], np.arange(span + 1.0))
+        table[:, 0] += sn * sn
+    if not np.all(np.isfinite(table)):
+        raise NumericalError("kernel table contains non-finite values")
     table.flags.writeable = False
     return table
 
@@ -234,10 +238,8 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     model's mean weights.  A model whose augmented matrix is not positive
     definite gets a row of NaN from that call; its window matrix is then
     factored on its own with the jitter ladder, and v and a solved from
-    that factor, two more calls that overwrite its row.  Every triangular
-    solve is a direct LAPACK trtrs call, bitwise equal to scipy's
-    solve_triangular without its per-call wrapper.  A table over a wider
-    span gives the same result bit for bit.
+    that factor, two more calls that overwrite its row.  A table over a
+    wider span gives the same result bit for bit.
     """
     n = offsets.size
     V = _augmented_covariances(offsets, table)
@@ -261,23 +263,19 @@ def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray
     of shape (M, n, n) and right-hand sides of shape (M, n), the (M, n)
     solutions, one row per factor.
 
-    The LAPACK call that scipy's solve_triangular(L, b, lower=True,
-    trans=trans) makes, with the same arguments, so the result is the same
-    bit for bit; only scipy's per-call checks and routine lookup are left
-    out.  A stack is copied to C order once, which makes each factor's
-    transpose the Fortran-ordered upper triangle that trtrs takes without a
-    copy of its own; then each factor gets one trtrs call.  A factor of NaN
-    gives a row of NaN and leaves the other rows as they are.  The inputs
-    are not modified.
+    One LAPACK trtrs call per factor, without scipy's per-call checks and
+    routine lookup.  A single factor is scipy cholesky's Fortran-ordered
+    output, and the call is the one scipy's solve_triangular(L, b,
+    lower=True, trans=trans) makes, so the result is the same bit for bit.
+    A stack is copied to C order once, which makes each factor's transpose
+    the Fortran-ordered upper triangle that trtrs takes without a copy.  A
+    factor of NaN gives a row of NaN and leaves the other rows as they are.
+    The inputs are not modified.
     """
     if not b.size:
         return np.empty(b.shape)
     if L.ndim == 2:
-        if L.flags.f_contiguous:
-            x, info = _trtrs(L, b, 1, trans)
-        else:
-            # trtrs expects Fortran order: solve the transposed, upper system
-            x, info = _trtrs(L.T, b, 0, 1 - trans)
+        x, info = _trtrs(L, b, 1, trans)
         infos = [info]
     else:
         upper = np.ascontiguousarray(L).transpose(0, 2, 1)
@@ -297,7 +295,7 @@ def gp_predict(
     mean: float,
     table: np.ndarray,
     t_star: int,
-    cache: dict | None = None,
+    cache: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step posterior predictive of the observation at `t_star` under
     each model of `table` (their `kernel_table`) with the constant prior
@@ -313,16 +311,16 @@ def gp_predict(
     signal_scale**2 + noise_scale**2, the table's column 0.
 
     `cache` maps offset patterns to predictors of the table's models (see
-    `predictor`); it must only ever be used with one model set.  Each entry
-    is a function of its key, the offsets' int64 bytes, alone, so a cache
-    can be shared by any number of streams.  It holds at most
-    PREDICTOR_CACHE_SIZE entries; a full cache drops its least recently
-    used entry for the new one.  The means are mean + a·(y - mean), one
-    row-wise product for all models with the entry's mean weights, so a
-    cached prediction equals an uncached one bit for bit.  Each row is its
-    own dot product (a matrix-vector product rounds a row differently
-    depending on how many rows there are), so a model's mean does not
-    depend on the other models of the set.
+    `predictor`); it must only ever be used with one model set (`{}` for a
+    one-off call).  Each entry is a function of its key, the offsets' int64
+    bytes, alone, so a cache can be shared by any number of streams.  A hit
+    only reads it; a miss inserts its entry once `predictor` has returned,
+    first dropping the oldest entry of a cache holding
+    PREDICTOR_CACHE_SIZE.  The means are mean + a·(y - mean), one row-wise
+    product for all models with the entry's mean weights, so a hit gives
+    the bits of a miss.  Each row is its own dot product (a matrix-vector
+    product rounds a row differently depending on how many rows there
+    are), so a model's mean does not depend on the other models of the set.
     """
     ts = np.asarray(train_t)
     ys = np.asarray(train_y, dtype=float)
@@ -331,17 +329,14 @@ def gp_predict(
     if ts.dtype.kind != "i" or not isinstance(t_star, (int, np.integer)):
         ts, t_star = _integer_times(ts, t_star)
     offsets = t_star - ts
-    if cache is None:
-        a, var = predictor(offsets, table)
-    else:
-        key = offsets.tobytes()
-        hit = cache.pop(key, None)
-        if hit is None:
-            hit = predictor(offsets, table)
-            if len(cache) >= PREDICTOR_CACHE_SIZE:
-                del cache[next(iter(cache))]
+    key = offsets.tobytes()
+    hit = cache.get(key)
+    if hit is None:
+        hit = predictor(offsets, table)
+        if len(cache) >= PREDICTOR_CACHE_SIZE:
+            del cache[next(iter(cache))]
         cache[key] = hit
-        a, var = hit
+    a, var = hit
     return mean + np.vecdot(a, ys - mean), var
 
 

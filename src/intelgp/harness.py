@@ -214,8 +214,10 @@ def _optional_integer(value) -> int | None:
     return None if value is None else _integer(value)
 
 
-def _as_is(value):
-    return value
+def _string(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
 
 
 def _parsed(key: str, parse, value):
@@ -234,7 +236,7 @@ _ENGINE_KEYS = {
     "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
 }
 CONFIG_KEYS = {
-    **_ENGINE_KEYS, "column": _as_is, "normalization": _as_is,
+    **_ENGINE_KEYS, "column": _string, "normalization": _string,
     "row_start": _optional_integer, "row_end": _optional_integer,
 }
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}

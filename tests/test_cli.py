@@ -117,6 +117,12 @@ class TestRunCommand:
         code = main(["run", "--input", str(dataset), "--init-count", "5"])
         assert code == 4
 
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_init_count_below_one_is_config_error(self, dataset, capsys, count):
+        code = main(["run", "--input", str(dataset), "--init-count", count])
+        assert code == 4
+        assert "init_count must be >= 1" in capsys.readouterr().err
+
     def test_missing_init_count_is_config_error(self, dataset, capsys):
         code = main(["run", "--input", str(dataset)])
         assert code == 4
@@ -141,6 +147,13 @@ class TestRunCommand:
         assert code == 4
         err = capsys.readouterr().err
         assert f"{name} factor" in err and "not finite" in err
+
+    def test_overflowing_factor_fails_before_streaming(self, dataset, capsys):
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=1e200"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "kernel table" in err
+        assert "at stream position" not in err
 
     def test_config_file_supplies_defaults_and_flags_override(
         self, dataset, tmp_path, capsys
@@ -225,6 +238,19 @@ class TestRunCommand:
         self, dataset, tmp_path, capsys, key, value
     ):
         cfg = tmp_path / "num.json"
+        cfg.write_text(json.dumps({"init_count": 80, key: value}))
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("column", 5), ("column", None), ("column", ["value"]), ("normalization", 5)],
+    )
+    def test_non_string_config_value_is_config_error(
+        self, dataset, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "str.json"
         cfg.write_text(json.dumps({"init_count": 80, key: value}))
         code = main(["run", "--input", str(dataset), "--config", str(cfg)])
         assert code == 4

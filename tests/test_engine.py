@@ -17,7 +17,7 @@ from intelgp.engine import (
     predict_next,
     step,
 )
-from intelgp.gp import PredictiveDistribution, gp_predict
+from intelgp.gp import NumericalError, PredictiveDistribution, gp_predict
 from intelgp.mixture import (
     VariantFactors,
     fuse_poe,
@@ -115,6 +115,18 @@ class TestInitialize:
         with pytest.raises(ValueError, match="increasing"):
             initialize(np.arange(60)[::-1], history, SINGLETON)
 
+    def test_overflowing_factor_fails_before_any_step(self):
+        # The signal variance of the f=1e200 variant overflows to inf.
+        history, _ = flat_stream(61)
+        config = dataclasses.replace(SINGLETON, factors=VariantFactors((1.0, 1e200)))
+        with pytest.raises(NumericalError, match="kernel table"):
+            initialize(np.arange(60), history, config)
+
+    @pytest.mark.parametrize("init_count", [0, -5])
+    def test_init_count_below_one_rejected(self, init_count):
+        with pytest.raises(ValueError, match="init_count must be >= 1"):
+            EngineConfig(init_count=init_count)
+
 
 def assert_window_bound(state):
     """The window rule of every state: distinct times in order, all within
@@ -206,6 +218,7 @@ class TestPredictNext:
             state.shared_mean,
             state.table,
             state.current_t + 1,
+            {},
         )
         assert fused.mean == means[0]
         assert fused.variance == variances[0]
@@ -220,6 +233,7 @@ class TestPredictNext:
             state.shared_mean,
             state.table,
             state.current_t + 1,
+            {},
         )
         w_hat = predictive_weights(state.weights, state.config.alpha)
         ref = fuse_poe(means, variances, w_hat)
@@ -478,7 +492,7 @@ class TestPredictorCache:
         for y in stream:
             means, variances = gp_predict(
                 state.window.times, state.window.values, state.shared_mean, state.table,
-                state.current_t + 1,
+                state.current_t + 1, {},
             )
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
@@ -502,7 +516,7 @@ class TestPredictorCache:
         assert len(second.cache) == 0
         assert second.cache is not first.cache
 
-    def test_full_cache_drops_least_recently_used(self, monkeypatch):
+    def test_full_cache_drops_its_oldest_insertion(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
         table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
         mean = 0.0
@@ -510,10 +524,26 @@ class TestPredictorCache:
         windows = [np.arange(n, 20) for n in (0, 1, 2)]
         for ts in (windows[0], windows[1], windows[0], windows[2]):
             got = gp_predict(ts, np.sin(ts), mean, table, 20, cache)
-            want = gp_predict(ts, np.sin(ts), mean, table, 20)
+            want = gp_predict(ts, np.sin(ts), mean, table, 20, {})
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        assert list(cache) == [(20 - windows[i]).tobytes() for i in (0, 2)]
+        assert list(cache) == [(20 - windows[i]).tobytes() for i in (1, 2)]
+
+    def test_a_hit_never_writes(self):
+        class CountingDict(dict):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                self.writes += 1
+                super().__setitem__(key, value)
+
+        table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
+        cache = CountingDict()
+        a, b = np.arange(0, 20), np.arange(1, 20)
+        for ts in (a, b, a):
+            gp_predict(ts, np.sin(ts), 0.0, table, 20, cache)
+        assert cache.writes == 2
+        assert list(cache) == [(20 - a).tobytes(), (20 - b).tobytes()]
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)

@@ -105,7 +105,7 @@ def table_for(models, ts, t_star):
 
 def predict(ts, ys, mean, models, t_star):
     """The models' predictive means and variances, uncached."""
-    return gp_predict(ts, ys, mean, table_for(models, ts, t_star), t_star)
+    return gp_predict(ts, ys, mean, table_for(models, ts, t_star), t_star, {})
 
 
 def predict_one(ts, ys, mean, hyper, t_star):
@@ -255,7 +255,7 @@ class TestGpPredict:
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], 0.0, kernel_table((hyper,), 2), 2.0)
+            gp_predict([0.0, 1.0], [0.5], 0.0, kernel_table((hyper,), 2), 2.0, {})
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
@@ -316,7 +316,7 @@ class TestBatchedPredictor:
     def test_matches_oracle_cache_and_time_shift(self, case):
         models, ts, ys, mean, shift = case
         table = kernel_table(models, 40)
-        uncached = gp_predict(ts, ys, mean, table, 1000.0)
+        uncached = gp_predict(ts, ys, mean, table, 1000.0, {})
         means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
         for h, m, v in zip(models, means, variances):
@@ -327,7 +327,7 @@ class TestBatchedPredictor:
         for _ in range(2):  # a miss, then a hit
             cached = gp_predict(ts, ys, mean, table, 1000.0, cache)
             assert as_bytes(cached) == as_bytes(uncached)
-        shifted = gp_predict(ts + shift, ys, mean, table, 1000.0 + shift)
+        shifted = gp_predict(ts + shift, ys, mean, table, 1000.0 + shift, {})
         assert as_bytes(shifted) == as_bytes(uncached)
         # Each model whose augmented matrix factors without jitter has the
         # mean weights scipy's solve_triangular gives, bit for bit.
@@ -343,12 +343,11 @@ class TestBatchedPredictor:
             want = solve_triangular(F[:n, :n], F[n, :n], lower=True, trans="T")
             assert a[m].tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 7])
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order, n", [("C", 0), ("C", 1), ("F", 0), ("F", 1), ("F", 7)])
     @pytest.mark.parametrize("trans", [0, 1])
-    def test_direct_solve_matches_scipy(self, n, order, trans):
-        # np.linalg.cholesky gives C-ordered factors, scipy's cholesky in
-        # the jitter ladder Fortran-ordered ones; both take the direct call.
+    def test_direct_solve_matches_scipy(self, order, n, trans):
+        # A single factor comes from scipy's cholesky in the jitter ladder,
+        # Fortran-ordered; a 0x0 or 1x1 factor is C-ordered as well.
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         L = np.asarray(np.linalg.cholesky(A @ A.T + n * np.eye(n)), order=order)
@@ -484,7 +483,7 @@ class TestKernelTable:
         table = kernel_table(self.MODELS, 3)
         cache = {}
         for train_t in ((), [], np.array([], dtype=np.int64)):
-            for c in (None, cache):  # uncached, then a miss and hits
+            for c in ({}, cache):  # uncached, then a miss and hits
                 means, variances = gp_predict(train_t, (), 0.4, table, 7, c)
                 assert means.tolist() == [0.4, 0.4]
                 np.testing.assert_allclose(variances, table[:, 0], rtol=1e-15, atol=0)
@@ -507,7 +506,7 @@ class TestKernelTable:
         with pytest.raises(ValueError, match="span 5"):
             gp_predict([0, 1], [0.1, 0.2], 0.0, table, 6, cache)
         with pytest.raises(ValueError, match="span 5"):
-            gp_predict([0, 4], [0.1, 0.2], 0.0, table, -2)
+            gp_predict([0, 4], [0.1, 0.2], 0.0, table, -2, {})
         assert list(cache) == [b"x"]  # a failed miss evicts and stores nothing
         gp_predict([0, 1], [0.1, 0.2], 0.0, table, 5, cache)
 
@@ -516,7 +515,16 @@ class TestKernelTable:
         # Column 0 holds the noise variance, right only on the diagonal.
         table = kernel_table(self.MODELS, 5)
         with pytest.raises(ValueError, match="distinct"):
-            gp_predict(train_t, np.zeros(len(train_t)), 0.0, table, t_star)
+            gp_predict(train_t, np.zeros(len(train_t)), 0.0, table, t_star, {})
+
+    @pytest.mark.parametrize("scale", ["f", "n"])
+    def test_non_finite_table_raises_without_a_warning(self, scale):
+        # A signal or noise variance that overflows to inf.
+        huge = self.MODELS[0].scaled(**{scale: 1e200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="kernel table"):
+                kernel_table((self.MODELS[0], huge), 5)
 
     def test_wider_table_gives_the_same_bits(self):
         models = fixed_case(27, [])[0]
@@ -564,8 +572,9 @@ class TestStackFallback:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_stack_raises(self):
-        with pytest.raises(NumericalError):
-            chol_with_jitter(np.full((2, 3, 3), np.nan))
+        F = chol_with_jitter(np.full((2, 3, 3), np.nan))
+        rows, cols = np.tril_indices(3)
+        assert np.isnan(F[:, rows, cols]).all()
         # A signal scale whose square overflows to inf.
         huge = self.GOOD.scaled(f=1e200)
         with pytest.raises(NumericalError):

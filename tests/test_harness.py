@@ -456,6 +456,22 @@ class TestBench:
         assert [s["dataset"] for s in result.skipped] == ["typo"]
         assert repr(key) in result.skipped[0]["error"]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("init_count", 0, "init_count must be >= 1"),
+         ("init_count", -5, "init_count must be >= 1"),
+         ("column", 5, "'column'")],
+    )
+    def test_bad_entry_value_skips_the_dataset_naming_the_key(
+        self, tmp_path, key, value, message
+    ):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"].insert(0, {**cfg["datasets"][0], "name": "typo", key: value})
+        result = bench(cfg, tmp_path)
+        assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
+        assert [s["dataset"] for s in result.skipped] == ["typo"]
+        assert message in result.skipped[0]["error"]
+
     def test_data_keys_in_defaults_are_honoured(self, tmp_path):
         cfg = self.make_dataset(tmp_path)
         series, _ = regime_change_series(seed=7, n_smooth=160, n_rough=120)

@@ -21,10 +21,10 @@ from .gp import (
     PredictiveDistribution,
     distance_table,
     gp_predict,
-    kernel_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
+    precision_table,
 )
 from .harness import BenchResult, InputError, RunResult, bench, load_csv, run
 from .metrics import (
@@ -64,10 +64,10 @@ __all__ = [
     "PredictiveDistribution",
     "distance_table",
     "gp_predict",
-    "kernel_table",
     "lml_gradient",
     "log_marginal_likelihood",
     "noisy_covariance",
+    "precision_table",
     "BenchResult",
     "InputError",
     "RunResult",

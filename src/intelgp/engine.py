@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .fit import FitResult, fit_template
-from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict, kernel_table
+from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict, precision_table
 from .mixture import (
     VariantFactors,
     build_model_set,
@@ -100,13 +100,15 @@ class EngineState:
     weights, `shared_mean` the constant prior mean of all of them.
 
     `table` and `cache` belong to `models` and are built for them alone.
-    `table` is their `gp.kernel_table`, the noisy kernel at the integer
-    distances 0..tau, from which a prediction gathers its covariances;
-    every window lies within `tau` of the next time.  `cache` is the
-    predictor cache (see `gp.gp_predict`), which only a miss writes to.
-    `initialize` builds both, the table checked finite, and `step` passes
-    them on, so a stream and its forks share them.  Both are left out of
-    equality, which compares the weights by value, and out of the repr.
+    `table` is their `gp.precision_table`: each model's precision over the
+    offsets 0..tau, the inverse of its noisy covariance there, from which
+    a prediction gathers its matrices; every window lies within `tau` of
+    the next time.  `cache` is the predictor cache (see `gp.gp_predict`),
+    which only a miss writes to.  `initialize` builds both, the kernel
+    checked finite and each model's jitter chosen there, and `step`
+    passes them on, so a stream and its forks share them.  Both are left
+    out of equality, which compares the weights by value, and out of the
+    repr.
     """
 
     window: TrainingWindow
@@ -283,7 +285,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         window=window,
         bucket=TrainingWindow(),
         models=models,
-        table=kernel_table(models, config.tau),
+        table=precision_table(models, config.tau),
         weights=np.full(len(models), 1.0 / len(models)),
         shared_mean=mean,
         config=config,

@@ -3,8 +3,9 @@
 Kernels, covariance assembly, one-step posterior prediction for a whole
 model set at once, and the log marginal likelihood with analytic gradients
 in log-parameter space.  All solves go through a Cholesky factorization.
-The prediction path never forms a matrix inverse; the fit's gradient needs
-V⁻¹ and forms it from the Cholesky factor with LAPACK potri.
+Two paths form a matrix inverse from a Cholesky factor: prediction reads
+each model's precision over the offsets 0..tau, formed once per model set
+with LAPACK trtrs, and the fit's gradient forms V⁻¹ with LAPACK potri.
 """
 
 from __future__ import annotations
@@ -142,22 +143,23 @@ def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
 def chol_with_jitter(V: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of V, retrying with escalating diagonal jitter.
 
-    A stack of matrices, shape (M, n, n), is factored with
-    np.linalg.cholesky and no jitter: one call for the whole stack, or one
-    per matrix once that call fails.  A matrix of the stack that is not
-    positive definite comes back as NaN, for the caller to factor on its
-    own.  A stack is not checked for finite values: it is gathered from a
-    `kernel_table`, which is checked where it is built.
+    A stack of matrices, shape (M, n, n), is factored with one
+    np.linalg.cholesky call and no jitter or finiteness check: a stack is
+    gathered from a `precision_table`, whose jitter was chosen, and whose
+    kernel was checked finite, where it was built.
 
-    Raises NumericalError on a single matrix with a non-finite entry, or
-    once the ladder is exhausted.
+    Raises NumericalError on a single matrix with a non-finite entry, once
+    the ladder is exhausted, or if a matrix of a stack is not positive
+    definite.
     """
+    n = V.shape[-1]
     if V.ndim == 3:
         try:
             return np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
-            return np.array([_cholesky_or_nan(A) for A in V])
-    n = V.shape[-1]
+            raise NumericalError(
+                f"Cholesky factorization failed for a stack of {n}x{n} matrices"
+            ) from None
     if not np.all(np.isfinite(V)):
         raise NumericalError("covariance matrix contains non-finite values")
     for jitter in _JITTERS:
@@ -171,13 +173,6 @@ def chol_with_jitter(V: np.ndarray) -> np.ndarray:
         f"Cholesky factorization failed for a {n}x{n} covariance matrix "
         f"even with diagonal jitter up to {_JITTERS[-1]:g}"
     )
-
-
-def _cholesky_or_nan(A: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return np.full_like(A, np.nan)
 
 
 def kernel_table(models, span: int) -> np.ndarray:
@@ -204,88 +199,91 @@ def kernel_table(models, span: int) -> np.ndarray:
     return table
 
 
-def _augmented_covariances(offsets: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Each model's noisy kernel matrix over training inputs at `offsets`
-    (distinct non-zero integers) from the test input, followed by the test
-    input itself (offset 0): an (M, n+1, n+1) stack for n offsets, gathered
-    from `kernel_table` output."""
-    x = np.append(offsets, 0)
-    d = np.abs(x[:, None] - x[None, :])
-    span = table.shape[1] - 1
-    if d.max() > span:
-        raise ValueError(
-            f"window offsets reach a distance of {d.max()}, beyond the kernel table's span {span}"
-        )
-    if np.count_nonzero(d) != x.size * (x.size - 1):
-        raise ValueError("training times must be distinct and differ from the test time")
-    return table[:, d]
+def precision_table(models, span: int) -> np.ndarray:
+    """Each model's precision Λ = V_F⁻¹ over the integer inputs 0..span,
+    where V_F is its noisy covariance over them, gathered from
+    `kernel_table`: a read-only, exactly symmetric (M, span+1, span+1)
+    array.
+
+    Each V_F is factored on its own with the jitter ladder, so a model
+    whose V_F needs jitter gets it here, once per model set.  One
+    `solve_triangular` call per model gives L⁻¹ (the identity as its
+    right-hand side), and Λ = L⁻ᵀL⁻¹ with its two triangles averaged.
+    Raises NumericalError if the kernel or a precision is not finite, or a
+    V_F cannot be factored, so no stack gathered from the table needs a
+    check of its own.
+    """
+    x = np.arange(span + 1)
+    V = kernel_table(models, span)[:, np.abs(x[:, None] - x[None, :])]
+    eye = np.eye(span + 1)
+    precision = np.empty_like(V)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, V_m in enumerate(V):
+            L_inv = solve_triangular(chol_with_jitter(V_m), eye)
+            precision[m] = L_inv.T @ L_inv
+        precision = 0.5 * (precision + precision.transpose(0, 2, 1))
+    if not np.all(np.isfinite(precision)):
+        raise NumericalError("precision table contains non-finite values")
+    precision.flags.writeable = False
+    return precision
 
 
 def predictor(offsets: np.ndarray, table: np.ndarray):
     """Per model, for training inputs at the integer `offsets` = t* - t_i
     from the test input: the mean weights a = K⁻¹k* and the floored
     predictive variance, as read-only arrays of shapes (M, n) and (M,).  A
-    model's mean is c + a·(y - c).  `table` is the models' `kernel_table`,
-    over a span that covers every distance between the offsets and 0.
+    model's mean is c + a·(y - c).  `table` is the models'
+    `precision_table`, over a span that covers every distance between the
+    offsets and 0.
 
     The kernel is stationary, so both depend on the inputs only through
-    these offsets: a window shifted in time has the same predictor.  They
-    come from one factorization of each model's covariance over the window
-    plus the test input, gathered from the table
-    (`_augmented_covariances`): with L its leading block and v = L⁻¹k* its
-    last row, a = L⁻ᵀv, and the variance is the square of its last
-    diagonal entry.  One `solve_triangular` call over the stack gives every
-    model's mean weights.  A model whose augmented matrix is not positive
-    definite gets a row of NaN from that call; its window matrix is then
-    factored on its own with the jitter ladder, and v and a solved from
-    that factor, two more calls that overwrite its row.  A table over a
-    wider span gives the same result bit for bit.
+    these offsets: a window shifted in time has the same predictor.  The
+    offsets and 0, shifted by their minimum, are positions in the table's
+    0..span; R are the positions that are neither the test input nor in
+    the window.  Each model's precision, reordered as (R, test, window),
+    is factored in one `chol_with_jitter` call over the stack, B Bᵀ.  Its
+    trailing block is the factor of the precision of (test, window), with
+    R marginalised out, so the column of the test input, r = |R|, gives
+    var = 1/B[r,r]² and a = -B[r+1:, r]/B[r,r].
     """
-    n = offsets.size
-    V = _augmented_covariances(offsets, table)
-    F = chol_with_jitter(V)
-    var = F[:, n, n] * F[:, n, n]
-    a = solve_triangular(F[:, :n, :n], F[:, n, :n], trans=1)
-    for m, stacked_var in enumerate(var.tolist()):
-        if math.isnan(stacked_var):
-            L = chol_with_jitter(V[m, :n, :n])
-            v = solve_triangular(L, V[m, :n, n])
-            var[m] = V[m, n, n] - v @ v
-            a[m] = solve_triangular(L, v, trans=1)
-    var = np.maximum(var, VAR_FLOOR)
+    x = np.append(offsets, 0)
+    lowest = x.min()
+    span = table.shape[1] - 1
+    if x.max() - lowest > span:
+        raise ValueError(
+            f"window offsets reach a distance of {x.max() - lowest}, "
+            f"beyond the table's span {span}"
+        )
+    position = x - lowest
+    rest = np.ones(span + 1, dtype=bool)
+    rest[position] = False
+    rest = np.flatnonzero(rest)
+    if rest.size + x.size != span + 1:
+        raise ValueError("training times must be distinct and differ from the test time")
+    order = np.concatenate((rest, position[-1:], position[:-1]))
+    B = chol_with_jitter(table[:, order][:, :, order])
+    r = rest.size
+    diagonal = B[:, r, r]
+    var = np.maximum(1.0 / (diagonal * diagonal), VAR_FLOOR)
+    a = B[:, r + 1:, r] / -diagonal[:, None]
     a.flags.writeable = var.flags.writeable = False
     return a, var
 
 
 def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
     """x with Lx = b (trans=0) or Lᵀx = b (trans=1), for a lower-triangular
-    L of shape (n, n) and b of shape (n,); or, for a stack of such factors
-    of shape (M, n, n) and right-hand sides of shape (M, n), the (M, n)
-    solutions, one row per factor.
+    L of shape (n, n) and b of shape (n,) or (n, k).
 
-    One LAPACK trtrs call per factor, without scipy's per-call checks and
-    routine lookup.  A single factor is scipy cholesky's Fortran-ordered
-    output, and the call is the one scipy's solve_triangular(L, b,
-    lower=True, trans=trans) makes, so the result is the same bit for bit.
-    A stack is copied to C order once, which makes each factor's transpose
-    the Fortran-ordered upper triangle that trtrs takes without a copy.  A
-    factor of NaN gives a row of NaN and leaves the other rows as they are.
-    The inputs are not modified.
+    One LAPACK trtrs call, without scipy's per-call checks and routine
+    lookup.  L is scipy cholesky's Fortran-ordered output, and the call is
+    the one scipy's solve_triangular(L, b, lower=True, trans=trans) makes,
+    so the result is the same bit for bit.  The inputs are not modified.
     """
     if not b.size:
         return np.empty(b.shape)
-    if L.ndim == 2:
-        x, info = _trtrs(L, b, 1, trans)
-        infos = [info]
-    else:
-        upper = np.ascontiguousarray(L).transpose(0, 2, 1)
-        x = np.empty(b.shape)
-        infos = [0] * len(upper)
-        for m, (U, c) in enumerate(zip(upper, b)):
-            x[m], infos[m] = _trtrs(U, c, 0, 1 - trans)
-    for info in infos:
-        if info != 0:
-            raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
+    x, info = _trtrs(L, b, 1, trans)
+    if info != 0:
+        raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
     return x
 
 
@@ -298,8 +296,8 @@ def gp_predict(
     cache: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-step posterior predictive of the observation at `t_star` under
-    each model of `table` (their `kernel_table`) with the constant prior
-    mean `mean`: the M means and the M variances, as arrays.
+    each model of `table` (their `precision_table`) with the constant
+    prior mean `mean`: the M means and the M variances, as arrays.
 
     Times are integers (integral floats are accepted, anything else is a
     ValueError), the training times distinct and none equal to `t_star`.
@@ -308,7 +306,7 @@ def gp_predict(
 
     The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
-    signal_scale**2 + noise_scale**2, the table's column 0.
+    signal_scale**2 + noise_scale**2, up to the rounding of the precision.
 
     `cache` maps offset patterns to predictors of the table's models (see
     `predictor`); it must only ever be used with one model set (`{}` for a
@@ -326,7 +324,7 @@ def gp_predict(
     ys = np.asarray(train_y, dtype=float)
     if ts.shape != ys.shape:
         raise ValueError("train_t and train_y must have the same length")
-    if ts.dtype.kind != "i" or not isinstance(t_star, (int, np.integer)):
+    if ts.dtype.type is not np.int64 or not isinstance(t_star, (int, np.signedinteger)):
         ts, t_star = _integer_times(ts, t_star)
     offsets = t_star - ts
     key = offsets.tobytes()

@@ -22,9 +22,6 @@ class NormalizationStats:
     def normalize(self, ys) -> np.ndarray:
         return (np.asarray(ys, dtype=float) - self.mean) / self.std
 
-    def denormalize(self, zs) -> np.ndarray:
-        return np.asarray(zs, dtype=float) * self.std + self.mean
-
 
 @dataclass(frozen=True)
 class RunMetrics:

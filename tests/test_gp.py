@@ -10,6 +10,7 @@ import dataclasses
 import math
 import warnings
 from collections import Counter
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from intelgp.gp import (
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
+    precision_table,
     predictor,
 )
 
@@ -99,8 +101,8 @@ def gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
 
 
 def table_for(models, ts, t_star):
-    """The models' kernel table over every distance between the times."""
-    return kernel_table(models, int(np.ptp(np.append(ts, t_star))))
+    """The models' precision table over every distance between the times."""
+    return precision_table(models, int(np.ptp(np.append(ts, t_star))))
 
 
 def predict(ts, ys, mean, models, t_star):
@@ -255,7 +257,7 @@ class TestGpPredict:
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], 0.0, kernel_table((hyper,), 2), 2.0, {})
+            gp_predict([0.0, 1.0], [0.5], 0.0, precision_table((hyper,), 2), 2.0, {})
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
@@ -315,7 +317,7 @@ class TestBatchedPredictor:
     @example(fixed_case(27, range(1, 40, 2)))
     def test_matches_oracle_cache_and_time_shift(self, case):
         models, ts, ys, mean, shift = case
-        table = kernel_table(models, 40)
+        table = precision_table(models, 40)
         uncached = gp_predict(ts, ys, mean, table, 1000.0, {})
         means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
@@ -329,19 +331,11 @@ class TestBatchedPredictor:
             assert as_bytes(cached) == as_bytes(uncached)
         shifted = gp_predict(ts + shift, ys, mean, table, 1000.0 + shift, {})
         assert as_bytes(shifted) == as_bytes(uncached)
-        # Each model whose augmented matrix factors without jitter has the
-        # mean weights scipy's solve_triangular gives, bit for bit.
-        offsets = (1000.0 - ts).astype(np.int64)
-        a, _ = predictor(offsets, table)
-        V = gp._augmented_covariances(offsets, table)
-        n = ts.size
-        for m in range(len(models)):
-            try:
-                F = np.linalg.cholesky(V[m])
-            except np.linalg.LinAlgError:
-                continue  # the model falls back to the jitter ladder
-            want = solve_triangular(F[:n, :n], F[n, :n], lower=True, trans="T")
-            assert a[m].tobytes() == want.tobytes()
+        # Each model's row is the one its own precision table gives, bit
+        # for bit: it does not depend on the other models of the set.
+        for m, h in enumerate(models):
+            alone = gp_predict(ts, ys, mean, precision_table((h,), 40), 1000.0, {})
+            assert as_bytes(alone) == (means[m:m + 1].tobytes(), variances[m:m + 1].tobytes())
 
     @pytest.mark.parametrize("order, n", [("C", 0), ("C", 1), ("F", 0), ("F", 1), ("F", 7)])
     @pytest.mark.parametrize("trans", [0, 1])
@@ -357,7 +351,7 @@ class TestBatchedPredictor:
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.1)
-        a, var = predictor(np.array([3, 2, 1]), kernel_table((hyper, hyper.scaled(l=0.2)), 3))
+        a, var = predictor(np.array([3, 2, 1]), precision_table((hyper, hyper.scaled(l=0.2)), 3))
         for x in (a, var):
             assert not x.flags.writeable
 
@@ -370,7 +364,7 @@ class TestBatchedPredictor:
         models = tuple(
             hyper.scaled(f=f, l=l, n=n) for f in factors for l in factors for n in factors
         )
-        table = kernel_table(models, 40)
+        table = precision_table(models, 40)
         rng = np.random.default_rng(0)
         cache = {}
         while len(cache) < gp.PREDICTOR_CACHE_SIZE:
@@ -384,41 +378,87 @@ class TestBatchedPredictor:
         assert total < 64 * len(models) * tau**2 * 8
 
 
-def factor_stack(n_models, n, seed):
-    """The leading (M, n, n) blocks and last rows of M random (n+1)x(n+1)
-    lower Cholesky factors, as views into one C-ordered stack, the way
-    `predictor` passes them to `solve_triangular`."""
-    rng = np.random.default_rng([n_models, n, seed])
-    A = rng.standard_normal((n_models, n + 1, n + 1))
-    F = np.linalg.cholesky(A @ A.transpose(0, 2, 1) + (n + 1) * np.eye(n + 1))
-    return F, F[:, :n, :n], F[:, n, :n]
+def exact_predictor(kernel_row, offsets, jitter=0.0):
+    """Mean weights and predictive variance by Gaussian elimination in
+    50-digit decimal arithmetic, on the float covariance entries the
+    package works with: `kernel_row` is one model's `kernel_table` row,
+    `jitter` is added to the training inputs' diagonal.  Shares no linear
+    algebra with the package, and its own rounding is far below a float's."""
+    x = [int(o) for o in offsets] + [0]
+    n = len(offsets)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        V = [[Decimal(float(kernel_row[abs(p - q)])) for q in x] for p in x]
+        for i in range(n):
+            V[i][i] += Decimal(jitter)
+        A = [row[:n] + [row[n]] for row in V[:n]]  # [V_WW | k*]
+        for i in range(n):
+            for j in range(i + 1, n):
+                f = A[j][i] / A[i][i]
+                for k in range(i, n + 1):
+                    A[j][k] -= f * A[i][k]
+        a = [Decimal(0)] * n
+        for i in reversed(range(n)):
+            a[i] = (A[i][n] - sum(A[i][k] * a[k] for k in range(i + 1, n))) / A[i][i]
+        var = V[n][n] - sum(V[n][i] * a[i] for i in range(n))
+    return np.array([float(v) for v in a]), float(var)
+
+
+def window_condition(kernel_row, span, jitter=0.0):
+    """cond(V_F) of one model's noisy covariance over the inputs 0..span."""
+    x = np.arange(span + 1)
+    return np.linalg.cond(kernel_row[np.abs(x[:, None] - x)] + jitter * np.eye(span + 1))
+
+
+EPS = np.finfo(float).eps
+
+
+class TestBadConditioning:
+    """The precision path loses about cond(V_F)·eps, V_F the covariance
+    over the offsets 0..tau: a long SE length scale with small noise is
+    its worst case.  Checked against the 50-digit oracle above."""
+
+    WINDOWS = {
+        "contiguous": 20 - np.arange(20),
+        "gapped": np.array([20, 18, 17, 13, 12, 11, 7, 4, 3, 1]),
+        # Training times after t*, so negative offsets: the inputs span
+        # -8..12 and sit at positions 0..20 of the table.
+        "both_sides": np.array([12, 11, 9, 5, 3, 1, -1, -2, -4, -8]),
+    }
+
+    @pytest.mark.parametrize("length, noise, cond", [(20.0, 1e-3, 1.8e7), (50.0, 1e-4, 2.0e9)])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_matches_the_exact_conditioning_within_cond_eps(self, length, noise, cond, window):
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, length, noise)
+        row = kernel_table((hyper,), 20)[0]
+        measured = window_condition(row, 20)
+        assert measured == pytest.approx(cond, rel=0.05)
+        offsets = self.WINDOWS[window]
+        a, var = predictor(offsets, precision_table((hyper,), 20))
+        a_ref, var_ref = exact_predictor(row, offsets)
+        assert np.abs(a[0] - a_ref).sum() <= measured * EPS
+        assert abs(var[0] - var_ref) <= measured * EPS * var_ref
 
 
 class TestStackedSolve:
+    """`solve_triangular` with a matrix right-hand side, a stack of k
+    right-hand sides as columns, the way `precision_table` solves for L⁻¹
+    with the identity."""
+
     @pytest.mark.parametrize("n", [0, 1, 7])
     @pytest.mark.parametrize("n_models", [1, 3])
     @pytest.mark.parametrize("trans", [0, 1])
     def test_each_row_matches_scipy_and_the_inputs_are_kept(self, n, n_models, trans):
-        F, L, b = factor_stack(n_models, n, seed=0)
-        before = F.tobytes()
+        rng = np.random.default_rng([n_models, n])
+        A = rng.standard_normal((n, n))
+        L = chol_with_jitter(A @ A.T + (n + 1) * np.eye(n)) if n else np.empty((0, 0))
+        b = rng.standard_normal((n, n_models))
+        before = L.tobytes(), b.tobytes()
         x = gp.solve_triangular(L, b, trans=trans)
-        assert x.shape == (n_models, n)
-        for m in range(n_models):
-            want = solve_triangular(L[m], b[m], lower=True, trans=trans)
-            assert x[m].tobytes() == want.tobytes()
-        assert F.tobytes() == before
-
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_nan_factor_leaves_the_other_rows(self, trans):
-        _, L, b = factor_stack(3, 7, seed=1)
-        clean = gp.solve_triangular(L, b, trans=trans)
-        L = L.copy()
-        L[1] = np.nan
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x = gp.solve_triangular(L, b, trans=trans)
-        assert np.isnan(x[1]).all()
-        assert x[[0, 2]].tobytes() == clean[[0, 2]].tobytes()
+        assert x.shape == (n, n_models)
+        want = solve_triangular(L, b, lower=True, trans=trans)
+        assert x.tobytes() == want.tobytes()
+        assert (L.tobytes(), b.tobytes()) == before
 
     def test_trtrs_takes_lower_and_trans_first(self):
         # solve_triangular passes lower and trans positionally; a wrapper
@@ -432,8 +472,9 @@ class TestStackedSolve:
 
 
 class TestWrappedNames:
-    """`predictor` calls the LAPACK helpers by their module-level names, so
-    that code replacing those names (a tracer, say) sees every call."""
+    """`predictor` and `precision_table` call the LAPACK helpers by their
+    module-level names, so that code replacing those names (a tracer, say)
+    sees every call."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -446,22 +487,22 @@ class TestWrappedNames:
             monkeypatch.setattr(gp, name, counted)
         return counts
 
-    def test_a_miss_calls_each_once_and_a_hit_neither(self, calls):
+    def test_a_miss_factors_once_and_a_hit_not_at_all(self, calls):
         models = fixed_case(27, [])[0]
-        table = kernel_table(models, 20)
+        table = precision_table(models, 20)
+        calls.clear()
         ts = np.array([981, 982, 984, 985, 988, 990, 991, 995, 996, 999])
         cache = {}
         gp_predict(ts, np.sin(ts), 0.1, table, 1000, cache)
-        assert calls == {"solve_triangular": 1, "chol_with_jitter": 1}
+        assert calls == {"chol_with_jitter": 1}
         calls.clear()
         gp_predict(ts + 7, np.cos(ts), 0.1, table, 1007, cache)
         assert calls == {}
 
-    def test_a_fallback_model_adds_a_factorization_and_two_solves(self, calls):
+    def test_the_build_factors_and_solves_once_per_model(self, calls):
         models = (TestStackFallback.GOOD, TestStackFallback.BAD, TestStackFallback.GOOD)
-        offsets = 20 - np.arange(20)
-        predictor(offsets, kernel_table(models, 20))
-        assert calls == {"solve_triangular": 3, "chol_with_jitter": 2}
+        precision_table(models, 20)
+        assert calls == {"solve_triangular": 3, "chol_with_jitter": 3}
 
 
 class TestKernelTable:
@@ -479,14 +520,29 @@ class TestKernelTable:
             assert table[m, 1:].tobytes() == kernel_values(h, d[1:]).tobytes()
             assert table[m, 0] == h.signal_scale**2 + h.noise_scale**2
 
+    def test_precision_is_the_symmetric_inverse_of_the_window_covariance(self):
+        table = precision_table(self.MODELS, 6)
+        assert table.shape == (2, 7, 7)
+        assert not table.flags.writeable
+        x = np.arange(7)
+        for m, row in enumerate(kernel_table(self.MODELS, 6)):
+            assert table[m].tobytes() == table[m].T.tobytes()
+            V = row[np.abs(x[:, None] - x)]
+            cond = window_condition(row, 6)
+            np.testing.assert_allclose(table[m] @ V, np.eye(7), rtol=0, atol=cond * EPS)
+
     def test_empty_window_predicts_the_prior_from_column_zero(self):
-        table = kernel_table(self.MODELS, 3)
+        # The prior is column 0 of the kernel table, up to the rounding of
+        # the precision, which marginalises the inputs 1..span out.
+        table = precision_table(self.MODELS, 3)
+        prior = kernel_table(self.MODELS, 3)[:, 0]
+        cond = [window_condition(row, 3) for row in kernel_table(self.MODELS, 3)]
         cache = {}
         for train_t in ((), [], np.array([], dtype=np.int64)):
             for c in ({}, cache):  # uncached, then a miss and hits
                 means, variances = gp_predict(train_t, (), 0.4, table, 7, c)
                 assert means.tolist() == [0.4, 0.4]
-                np.testing.assert_allclose(variances, table[:, 0], rtol=1e-15, atol=0)
+                assert np.all(np.abs(variances - prior) <= np.multiply(cond, EPS) * prior)
         assert list(cache) == [b""]
 
     @pytest.mark.parametrize(
@@ -494,14 +550,14 @@ class TestKernelTable:
         [([0.5, 1.5], 2.5), ([0, 1], 2.5), ([0.0, 1.0], 2.0000001), ([0.0, np.nan], 2.0)],
     )
     def test_non_integral_times_rejected(self, train_t, t_star):
-        table = kernel_table(self.MODELS, 5)
+        table = precision_table(self.MODELS, 5)
         cache = {}
         with pytest.raises(ValueError, match="integers"):
             gp_predict(train_t, [0.1, 0.2], 0.0, table, t_star, cache)
         assert cache == {}
 
     def test_offset_beyond_the_span_rejected(self):
-        table = kernel_table(self.MODELS, 5)
+        table = precision_table(self.MODELS, 5)
         cache = {b"x": None}
         with pytest.raises(ValueError, match="span 5"):
             gp_predict([0, 1], [0.1, 0.2], 0.0, table, 6, cache)
@@ -512,10 +568,22 @@ class TestKernelTable:
 
     @pytest.mark.parametrize("train_t, t_star", [([0, 1, 2, 3, 4], 2), ([1, 1], 3)])
     def test_repeated_time_rejected(self, train_t, t_star):
-        # Column 0 holds the noise variance, right only on the diagonal.
-        table = kernel_table(self.MODELS, 5)
+        # Two inputs on one position would make a singular covariance.
+        table = precision_table(self.MODELS, 5)
         with pytest.raises(ValueError, match="distinct"):
             gp_predict(train_t, np.zeros(len(train_t)), 0.0, table, t_star, {})
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint32])
+    def test_any_integer_dtype_keys_the_cache_as_int64(self, dtype):
+        # The window [5, 10] at t* = 10 repeats the test time.  As int32 its
+        # offsets (5, 0) have the bytes of the one-point window [5] as int64.
+        table = precision_table(self.MODELS, 5)
+        cache = {}
+        gp_predict(np.array([5]), [0.1], 0.0, table, 10, cache)
+        with pytest.raises(ValueError, match="distinct"):
+            gp_predict(np.array([5, 10], dtype=dtype), [0.1, 0.2], 0.0, table, 10, cache)
+        gp_predict(np.array([5], dtype=dtype), [0.1], 0.0, table, 10, cache)
+        assert list(cache) == [np.array([5], dtype=np.int64).tobytes()]
 
     @pytest.mark.parametrize("scale", ["f", "n"])
     def test_non_finite_table_raises_without_a_warning(self, scale):
@@ -526,21 +594,28 @@ class TestKernelTable:
             with pytest.raises(NumericalError, match="kernel table"):
                 kernel_table((self.MODELS[0], huge), 5)
 
-    def test_wider_table_gives_the_same_bits(self):
+    def test_wider_table_agrees_within_cond_eps(self):
+        # A wider table marginalises more inputs out, with other rounding:
+        # each is within its cond·eps of the exact predictor.
         models = fixed_case(27, [])[0]
-        narrow, wide = kernel_table(models, 20), kernel_table(models, 40)
+        narrow, wide = precision_table(models, 20), precision_table(models, 40)
+        cond = sum(
+            np.array([window_condition(row, span) for row in kernel_table(models, span)])
+            for span in (20, 40)
+        )
         rng = np.random.default_rng(7)
         for n in (0, 1, 5, 13, 20):
             offsets = np.sort(rng.choice(np.arange(1, 21), size=n, replace=False))[::-1]
             a_narrow, var_narrow = predictor(offsets, narrow)
             a_wide, var_wide = predictor(offsets, wide)
-            assert a_narrow.tobytes() == a_wide.tobytes()
-            assert var_narrow.tobytes() == var_wide.tobytes()
+            assert np.all(np.abs(a_narrow - a_wide).sum(axis=1) <= cond * EPS)
+            assert np.all(np.abs(var_narrow - var_wide) <= cond * EPS * var_wide)
 
 
 class TestStackFallback:
-    # Tiny noise and a huge length scale: the window matrix is numerically
-    # rank one, so its unjittered Cholesky fails and the ladder takes over.
+    # Tiny noise and a huge length scale: the covariance over 0..20 is
+    # numerically rank one, so its unjittered Cholesky fails and the
+    # ladder takes over, once, where the precision table is built.
     BAD = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4, 1e-9)
     GOOD = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 3.0, 0.1)
 
@@ -550,19 +625,20 @@ class TestStackFallback:
         mean = 0.1
         offsets = 20 - np.arange(20)
         bad = self.BAD
-        V = noisy_covariance(bad, offsets)
+        row = kernel_table((bad,), 20)[0]
+        V = noisy_covariance(bad, np.arange(21))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(V)
+        jitter = next(j for j in gp._JITTERS if np.all(np.linalg.eigvalsh(V + j * np.eye(21)) > 0))
+        assert jitter > 0
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
-        a, var = predictor(offsets, kernel_table(models, 20))
-        L_bad = chol_with_jitter(V)
-        k_star = kernel_values(bad, np.abs(offsets))
-        v_bad = solve_triangular(L_bad, k_star, lower=True, check_finite=False)
-        a_bad = solve_triangular(L_bad, v_bad, lower=True, trans="T", check_finite=False)
-        prior = bad.signal_scale**2 + bad.noise_scale**2
-        assert a[1].tobytes() == a_bad.tobytes()
-        assert var[1] == max(prior - v_bad @ v_bad, VAR_FLOOR)
+        # The bad model is the conditioning on its jittered covariance.
+        a, var = predictor(offsets, precision_table(models, 20))
+        a_ref, var_ref = exact_predictor(row, offsets, jitter)
+        cond = window_condition(row, 20, jitter)
+        assert np.abs(a[1] - a_ref).sum() <= cond * EPS
+        assert abs(var[1] - max(var_ref + jitter, VAR_FLOOR)) <= cond * EPS * var[1]
 
         means, variances = predict(ts, ys, mean, models, 20.0)
         for m, h in enumerate(models):
@@ -572,13 +648,19 @@ class TestStackFallback:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_stack_raises(self):
-        F = chol_with_jitter(np.full((2, 3, 3), np.nan))
-        rows, cols = np.tril_indices(3)
-        assert np.isnan(F[:, rows, cols]).all()
+        with pytest.raises(NumericalError, match="stack of 3x3"):
+            chol_with_jitter(np.array([np.eye(3), -np.eye(3)]))
         # A signal scale whose square overflows to inf.
         huge = self.GOOD.scaled(f=1e200)
         with pytest.raises(NumericalError):
             predict([0.0, 1.0], [0.5, 0.2], 0.0, (self.GOOD, huge), 2.0)
+        # Scales so small that the precision overflows to inf, or to NaN.
+        for scale in (1e-155, 1e-160):
+            tiny = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, scale, 1.0, scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="precision table"):
+                    precision_table((self.GOOD, tiny), 20)
 
 
 class TestLogMarginalLikelihood:

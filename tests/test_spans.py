@@ -33,13 +33,17 @@ def test_every_boundary_fires_on_a_short_stream():
 
 def test_one_factorization_per_fit_evaluation():
     # Each evaluation of the fit objective factors the covariance once; the
-    # reported LML at the chosen point is one more factorization.
+    # reported LML at the chosen point is one more factorization.  The
+    # precision table then factors and solves once per model.
     config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
     history, _ = flat_stream(58)
     tracer = spans.Tracer()
     with spans.installed(tracer):
-        initialize(np.arange(60), history, config)
+        state = initialize(np.arange(60), history, config)
     evaluations = tracer.count("fit.lml_gradient")
+    models = len(state.models)
     assert evaluations > 0
-    assert tracer.count("gp.chol_with_jitter") == evaluations + 1
+    assert models == 2
+    assert tracer.count("gp.chol_with_jitter") == evaluations + 1 + models
+    assert tracer.count("gp.solve_triangular") == models
     assert tracer.count("fit.log_marginal_likelihood") == 1

@@ -100,15 +100,15 @@ class EngineState:
     weights, `shared_mean` the constant prior mean of all of them.
 
     `table` and `cache` belong to `models` and are built for them alone.
-    `table` is their `gp.precision_table`: each model's precision over the
-    offsets 0..tau, the inverse of its noisy covariance there, from which
-    a prediction gathers its matrices; every window lies within `tau` of
-    the next time.  `cache` is the predictor cache (see `gp.gp_predict`),
-    which only a miss writes to.  `initialize` builds both, the kernel
-    checked finite and each model's jitter chosen there, and `step`
-    passes them on, so a stream and its forks share them.  Both are left
-    out of equality, which compares the weights by value, and out of the
-    repr.
+    `table` is their `gp.precision_table`, of shape (2, M, tau+1, tau+1):
+    each model's noisy covariance over the offsets 0..tau at [1] and its
+    inverse, the precision, at [0], from which a prediction gathers its
+    matrices; every window lies within `tau` of the next time.  `cache` is
+    the predictor cache (see `gp.gp_predict`), which only a miss writes
+    to.  `initialize` builds both, the kernel checked finite and each
+    model's jitter chosen there, and `step` passes them on, so a stream
+    and its forks share them.  Both are left out of equality, which
+    compares the weights by value, and out of the repr.
     """
 
     window: TrainingWindow

@@ -3,9 +3,12 @@
 Kernels, covariance assembly, one-step posterior prediction for a whole
 model set at once, and the log marginal likelihood with analytic gradients
 in log-parameter space.  All solves go through a Cholesky factorization.
-Two paths form a matrix inverse from a Cholesky factor: prediction reads
-each model's precision over the offsets 0..tau, formed once per model set
-with LAPACK trtrs, and the fit's gradient forms V⁻¹ with LAPACK potri.
+Prediction reads each model's covariance over the offsets 0..tau and its
+inverse, the precision, formed once per model set with LAPACK trtrs; a
+new window factors one small block per model, taken from whichever of the
+two is smaller for it, with one banded LAPACK pbtrf call for the whole
+set and solves with one pbtrs call.  The fit's gradient forms V⁻¹ with
+LAPACK potri.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs
@@ -31,11 +35,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# LAPACK's triangular solve and inverse from a Cholesky factor for float64,
-# fetched once.  scipy's solve_triangular looks its routine up and
-# validates its arguments on every call, which costs several times a 20x20
-# solve.
-_trtrs, _potri = get_lapack_funcs(("trtrs", "potri"), (np.empty((1, 1)),))
+# LAPACK's triangular solve, inverse from a Cholesky factor, and banded
+# Cholesky factorization and solve for float64, fetched once.  scipy's
+# solve_triangular looks its routine up and validates its arguments on
+# every call, which costs several times a 20x20 solve.
+_trtrs, _potri, _pbtrf, _pbtrs = get_lapack_funcs(
+    ("trtrs", "potri", "pbtrf", "pbtrs"), (np.empty((1, 1)),)
+)
 
 
 class NumericalError(RuntimeError):
@@ -140,39 +146,73 @@ def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
     return V
 
 
-def chol_with_jitter(V: np.ndarray) -> np.ndarray:
+def chol_with_jitter(V: np.ndarray, return_jitter: bool = False):
     """Lower Cholesky factor of V, retrying with escalating diagonal jitter.
+    With `return_jitter`, the pair (factor, jitter added to the diagonal).
 
-    A stack of matrices, shape (M, n, n), is factored with one
-    np.linalg.cholesky call and no jitter or finiteness check: a stack is
-    gathered from a `precision_table`, whose jitter was chosen, and whose
-    kernel was checked finite, where it was built.
+    A stack of M symmetric n x n blocks, shape (M, n, n), is factored
+    without jitter or a check of its entries: a stack is gathered from a
+    `precision_table`, whose jitter was chosen, and whose entries were
+    checked finite, where it was built.  The blocks, then one n x n
+    identity block, are laid out on the diagonal of one block-diagonal
+    matrix of bandwidth n - 1, and one LAPACK pbtrf call factors it.  The
+    result is that factor in LAPACK's lower band storage, a Fortran-ordered
+    (n, (M+1)·n) array for pbtrs: column j holds the factor's column j from
+    the diagonal down, and block m takes the columns m·n to m·n + n - 1.
+    Each block is factored on its own, bit for bit as if it were alone,
+    because BLAS sees the same vector lengths in every model's block: the
+    identity block keeps the last one from being the band's shorter tail.
 
     Raises NumericalError on a single matrix with a non-finite entry, once
-    the ladder is exhausted, or if a matrix of a stack is not positive
-    definite.
+    the ladder is exhausted, or naming the first model of a stack whose
+    block is not positive definite or has a non-finite factor.
     """
     n = V.shape[-1]
     if V.ndim == 3:
-        try:
-            return np.linalg.cholesky(V)
-        except np.linalg.LinAlgError:
+        models = V.shape[0]
+        blocks = np.zeros((models + 1, n * n + 1))
+        blocks[:models, :-1] = V.reshape(models, -1)
+        blocks[models, ::n + 1] = 1.0
+        band = blocks.take(_band_layout(n), axis=1)
+        factor, info = _pbtrf(band.reshape(-1, n).T, 1, overwrite_ab=1)
+        # pbtrf stops at a non-positive pivot but not at a NaN one.  The
+        # pivots, row 0 of the band, are square roots, too small for their
+        # sum to overflow: it is finite iff every pivot is.
+        if info == 0 and not math.isfinite(np.add.reduce(factor[0])):
+            info = np.flatnonzero(~np.isfinite(factor[0]))[0] + 1
+        if info != 0:
             raise NumericalError(
-                f"Cholesky factorization failed for a stack of {n}x{n} matrices"
-            ) from None
+                f"Cholesky factorization failed for model {(info - 1) // n} "
+                f"of a stack of {n}x{n} matrices"
+            )
+        return factor
     if not np.all(np.isfinite(V)):
         raise NumericalError("covariance matrix contains non-finite values")
     for jitter in _JITTERS:
         try:
             if jitter == 0.0:
-                return cholesky(V, lower=True, check_finite=False)
-            return cholesky(V + jitter * np.eye(n), lower=True, check_finite=False)
+                L = cholesky(V, lower=True, check_finite=False)
+            else:
+                L = cholesky(V + jitter * np.eye(n), lower=True, check_finite=False)
         except LinAlgError:
             continue
+        return (L, jitter) if return_jitter else L
     raise NumericalError(
         f"Cholesky factorization failed for a {n}x{n} covariance matrix "
         f"even with diagonal jitter up to {_JITTERS[-1]:g}"
     )
+
+
+@lru_cache
+def _band_layout(n: int) -> np.ndarray:
+    """LAPACK's lower band storage, bandwidth n - 1, of one n x n block, as
+    an index into the block's row-major entries followed by a zero: entry
+    i of the band's column j holds the block's (j + i, j), or the zero
+    where j + i falls outside the block."""
+    j, i = np.divmod(np.arange(n * n), n)
+    layout = np.where(i + j < n, (j + i) * n + j, n * n)
+    layout.flags.writeable = False  # shared by every call through the cache
+    return layout
 
 
 def kernel_table(models, span: int) -> np.ndarray:
@@ -200,32 +240,35 @@ def kernel_table(models, span: int) -> np.ndarray:
 
 
 def precision_table(models, span: int) -> np.ndarray:
-    """Each model's precision Λ = V_F⁻¹ over the integer inputs 0..span,
-    where V_F is its noisy covariance over them, gathered from
-    `kernel_table`: a read-only, exactly symmetric (M, span+1, span+1)
-    array.
+    """Each model's noisy covariance V_F over the integer inputs 0..span,
+    gathered from `kernel_table`, and its precision Λ = V_F⁻¹: a
+    read-only (2, M, span+1, span+1) array, the precisions (exactly
+    symmetric) at [0] and the covariances at [1].
 
     Each V_F is factored on its own with the jitter ladder, so a model
-    whose V_F needs jitter gets it here, once per model set.  One
-    `solve_triangular` call per model gives L⁻¹ (the identity as its
-    right-hand side), and Λ = L⁻ᵀL⁻¹ with its two triangles averaged.
-    Raises NumericalError if the kernel or a precision is not finite, or a
-    V_F cannot be factored, so no stack gathered from the table needs a
-    check of its own.
+    whose V_F needs jitter gets it here, once per model set, and the table
+    holds that V_F with the jitter on its diagonal.  One `solve_triangular`
+    call per model gives L⁻¹ (the identity as its right-hand side), and
+    Λ = L⁻ᵀL⁻¹ with its two triangles averaged.  Raises NumericalError if
+    the kernel or a precision is not finite, or a V_F cannot be factored,
+    so no stack gathered from the table needs a check of its own.
     """
     x = np.arange(span + 1)
-    V = kernel_table(models, span)[:, np.abs(x[:, None] - x[None, :])]
+    table = np.empty((2, len(models), span + 1, span + 1))
+    precision, covariance = table
+    covariance[:] = kernel_table(models, span)[:, np.abs(x[:, None] - x[None, :])]
     eye = np.eye(span + 1)
-    precision = np.empty_like(V)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, V_m in enumerate(V):
-            L_inv = solve_triangular(chol_with_jitter(V_m), eye)
+        for m, V_m in enumerate(covariance):
+            L, jitter = chol_with_jitter(V_m, return_jitter=True)
+            V_m[x, x] += jitter
+            L_inv = solve_triangular(L, eye)
             precision[m] = L_inv.T @ L_inv
-        precision = 0.5 * (precision + precision.transpose(0, 2, 1))
+        precision[:] = 0.5 * (precision + precision.transpose(0, 2, 1))
     if not np.all(np.isfinite(precision)):
         raise NumericalError("precision table contains non-finite values")
-    precision.flags.writeable = False
-    return precision
+    table.flags.writeable = False
+    return table
 
 
 def predictor(offsets: np.ndarray, table: np.ndarray):
@@ -239,33 +282,55 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     The kernel is stationary, so both depend on the inputs only through
     these offsets: a window shifted in time has the same predictor.  The
     offsets and 0, shifted by their minimum, are positions in the table's
-    0..span; R are the positions that are neither the test input nor in
-    the window.  Each model's precision, reordered as (R, test, window),
-    is factored in one `chol_with_jitter` call over the stack, B Bᵀ.  Its
-    trailing block is the factor of the precision of (test, window), with
-    R marginalised out, so the column of the test input, r = |R|, gives
-    var = 1/B[r,r]² and a = -B[r+1:, r]/B[r,r].
+    0..span: S those of the window, t that of the test input, and R the
+    rest.  Each model solves one system A z = e_t of size k + 1, k =
+    min(|R|, |S|), all M of them with one `chol_with_jitter` call over the
+    stack and one LAPACK pbtrs call:
+
+    - |R| <= |S|: A = Λ[(R,t),(R,t)], the precision with R marginalised
+      out, so var = z_t and a = -Λ[S,(R,t)]·z;
+    - |R| > |S|: A = V_F[(S,t),(S,t)], plain conditioning on the window,
+      so var = 1/z_t and a = -z_S/z_t.
     """
+    precision, covariance = table
+    models, width = precision.shape[:2]
     x = np.append(offsets, 0)
-    lowest = x.min()
-    span = table.shape[1] - 1
-    if x.max() - lowest > span:
+    position = x - np.minimum.reduce(x)
+    if np.maximum.reduce(position) >= width:
         raise ValueError(
-            f"window offsets reach a distance of {x.max() - lowest}, "
-            f"beyond the table's span {span}"
+            f"window offsets reach a distance of {np.maximum.reduce(position)}, "
+            f"beyond the table's span {width - 1}"
         )
-    position = x - lowest
-    rest = np.ones(span + 1, dtype=bool)
+    rest = np.ones(width, dtype=bool)
     rest[position] = False
     rest = np.flatnonzero(rest)
-    if rest.size + x.size != span + 1:
+    if rest.size + x.size != width:
         raise ValueError("training times must be distinct and differ from the test time")
-    order = np.concatenate((rest, position[-1:], position[:-1]))
-    B = chol_with_jitter(table[:, order][:, :, order])
-    r = rest.size
-    diagonal = B[:, r, r]
-    var = np.maximum(1.0 / (diagonal * diagonal), VAR_FLOOR)
-    a = B[:, r + 1:, r] / -diagonal[:, None]
+    # One gather takes the systems, test position last in each, and on the
+    # precision side the window's rows below them.  A gather by flat index
+    # with take comes out C-ordered: over a strided one, the row-wise
+    # product below would round a model's row differently depending on
+    # how many models there are.
+    window = position[:-1]
+    if rest.size <= window.size:
+        block = np.append(rest, position[-1])
+        rows, source = np.concatenate((block, window)), precision
+    else:
+        block = rows = position
+        source = covariance
+    k = block.size - 1
+    gathered = source.reshape(models, -1).take(rows[:, None] * width + block, axis=1)
+    rhs = np.zeros((models + 1, k + 1))
+    rhs[:, k] = 1.0
+    # pbtrs reports only illegal arguments, which these shapes rule out.
+    z = _pbtrs(chol_with_jitter(gathered[:, :k + 1]), rhs.reshape(-1, 1), 1, overwrite_b=1)[0]
+    z = z.reshape(models + 1, k + 1)[:models]
+    if source is precision:
+        var = np.maximum(z[:, k], VAR_FLOOR)
+        a = np.einsum("msq,mq->ms", gathered[:, k + 1:], -z)
+    else:
+        var = np.maximum(1.0 / z[:, k], VAR_FLOOR)
+        a = z[:, :k] / -z[:, k:]
     a.flags.writeable = var.flags.writeable = False
     return a, var
 

@@ -130,12 +130,13 @@ class TestInitialize:
 
 def assert_window_bound(state):
     """The window rule of every state: distinct times in order, all within
-    `tau` of the next time, and a precision table over 0..tau."""
+    `tau` of the next time, and a precision and covariance table over
+    0..tau."""
     tau = state.config.tau
     assert len(state.window) <= tau
     assert all(t > state.current_t - tau for t in state.window.times)
     assert list(state.window.times) == sorted(set(state.window.times))
-    assert state.table.shape == (len(state.models), tau + 1, tau + 1)
+    assert state.table.shape == (2, len(state.models), tau + 1, tau + 1)
 
 
 def step_against_oracle(state, y):
@@ -161,7 +162,7 @@ class TestGappedHistory:
         assert state.window.times == tuple(range(79, 98, 3))
         assert state.window.values == tuple(history[-7:])
         assert state.current_t + 1 - state.window.times[0] == 19
-        assert state.table.shape == (8, 21, 21)
+        assert state.table.shape == (2, 8, 21, 21)
         for y in stream[:3]:
             state = step_against_oracle(state, y)
 
@@ -181,7 +182,7 @@ class TestGappedHistory:
         state = initialize(times, history, EIGHT_MODEL)
         assert state.window.times == (39 + 10**5,)
         assert state.window.values == (history[-1],)
-        assert state.table.shape == (8, EIGHT_MODEL.tau + 1, EIGHT_MODEL.tau + 1)
+        assert state.table.shape == (2, 8, EIGHT_MODEL.tau + 1, EIGHT_MODEL.tau + 1)
         step_against_oracle(state, stream[0])
 
     @pytest.mark.parametrize("seed", range(4))

@@ -315,7 +315,12 @@ class TestBatchedPredictor:
     @example(fixed_case(2, [3]))
     @example(fixed_case(8, range(1, 21)))
     @example(fixed_case(27, range(1, 40, 2)))
+    @example(fixed_case(27, range(1, 37, 2)))
     def test_matches_oracle_cache_and_time_shift(self, case):
+        # On the table over 0..40 the window's positions S, the test's and
+        # the rest R make 41.  range(1, 40, 2), |S| = |R| = 20, solves a
+        # 21x21 system of the precision per model; range(1, 37, 2), |S| =
+        # 18, a 19x19 system of the covariance.
         models, ts, ys, mean, shift = case
         table = precision_table(models, 40)
         uncached = gp_predict(ts, ys, mean, table, 1000.0, {})
@@ -414,27 +419,37 @@ EPS = np.finfo(float).eps
 
 
 class TestBadConditioning:
-    """The precision path loses about cond(V_F)·eps, V_F the covariance
-    over the offsets 0..tau: a long SE length scale with small noise is
-    its worst case.  Checked against the 50-digit oracle above."""
+    """Both sides of the predictor lose about cond(V_F)·eps, V_F the
+    covariance over the offsets 0..span of the table: a long SE length
+    scale with small noise is its worst case.  Checked against the
+    50-digit oracle above."""
 
+    # Per window, the span of its table and the offsets.  The window's
+    # positions S, the test's and the rest R fill 0..span; the predictor
+    # solves with the precision if |R| <= |S|, else with the covariance.
     WINDOWS = {
-        "contiguous": 20 - np.arange(20),
-        "gapped": np.array([20, 18, 17, 13, 12, 11, 7, 4, 3, 1]),
+        "contiguous": (20, 20 - np.arange(20)),
+        "gapped": (20, np.array([20, 18, 17, 13, 12, 11, 7, 4, 3, 1])),
         # Training times after t*, so negative offsets: the inputs span
         # -8..12 and sit at positions 0..20 of the table.
-        "both_sides": np.array([12, 11, 9, 5, 3, 1, -1, -2, -4, -8]),
+        "both_sides": (20, np.array([12, 11, 9, 5, 3, 1, -1, -2, -4, -8])),
+        # Right after a change point: the n_outliers = 3 points of the new
+        # regime, |R| = 17, so the covariance side.
+        "three_points": (20, np.array([3, 2, 1])),
+        # |R| = |S| + 1 = 11, the covariance side next to the precision
+        # side.  |R| + |S| is the span, so this needs an odd one.
+        "one_more_rest": (21, np.array([21, 19, 18, 14, 12, 11, 8, 5, 3, 1])),
     }
 
     @pytest.mark.parametrize("length, noise, cond", [(20.0, 1e-3, 1.8e7), (50.0, 1e-4, 2.0e9)])
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     def test_matches_the_exact_conditioning_within_cond_eps(self, length, noise, cond, window):
         hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, length, noise)
-        row = kernel_table((hyper,), 20)[0]
-        measured = window_condition(row, 20)
-        assert measured == pytest.approx(cond, rel=0.05)
-        offsets = self.WINDOWS[window]
-        a, var = predictor(offsets, precision_table((hyper,), 20))
+        row = kernel_table((hyper,), 21)[0]  # its first 21 entries are the span-20 row
+        assert window_condition(row, 20) == pytest.approx(cond, rel=0.05)
+        span, offsets = self.WINDOWS[window]
+        measured = window_condition(row, span)
+        a, var = predictor(offsets, precision_table((hyper,), span))
         a_ref, var_ref = exact_predictor(row, offsets)
         assert np.abs(a[0] - a_ref).sum() <= measured * EPS
         assert abs(var[0] - var_ref) <= measured * EPS * var_ref
@@ -469,6 +484,71 @@ class TestStackedSolve:
             f"scipy's trtrs wrapper reads {signature!r}: the positional lower "
             "and trans arguments of gp.solve_triangular no longer fit it"
         )
+
+
+class TestBandedStack:
+    """`chol_with_jitter` over a stack: the blocks on the band of one
+    block-diagonal matrix, factored by one LAPACK pbtrf call, and a miss
+    solving with one pbtrs call."""
+
+    @staticmethod
+    def stack(n_models, n):
+        rng = np.random.default_rng([n_models, n])
+        A = rng.standard_normal((n_models, n, n))
+        return A @ A.transpose(0, 2, 1) + n * np.eye(n)
+
+    def test_each_block_is_its_own_factor(self):
+        V = self.stack(4, 5)
+        factor = chol_with_jitter(V)
+        assert factor.shape == (5, 25) and factor.flags.f_contiguous
+        for m, V_m in enumerate(V):
+            L = np.linalg.cholesky(V_m)
+            band = np.array([np.append(np.diag(L, -i), np.zeros(i)) for i in range(5)])
+            np.testing.assert_allclose(factor[:, 5 * m:5 * m + 5], band, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(factor[:, 20:], np.eye(5, 1).repeat(5, axis=1))
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    @pytest.mark.parametrize("fault", ["indefinite", "nan_pivot", "nan_below"])
+    def test_a_failing_block_names_its_model(self, m, fault):
+        V = self.stack(5, 4)
+        if fault == "indefinite":
+            V[m] = np.diag([1.0, 1.0, -1.0, 1.0])
+        elif fault == "nan_pivot":
+            V[m, 1, 1] = np.nan
+        else:
+            V[m, 3, 1] = V[m, 1, 3] = np.nan
+        with pytest.raises(NumericalError, match=f"model {m} of a stack of 4x4"):
+            chol_with_jitter(V)
+
+    @pytest.mark.parametrize("name, signature", [
+        ("_pbtrf", "c,info = dpbtrf(ab,[lower,ldab,"),
+        ("_pbtrs", "x,info = dpbtrs(ab,b,[lower,ldab,"),
+    ])
+    def test_pbtrf_and_pbtrs_take_lower_first(self, name, signature):
+        # The miss path passes lower positionally; a wrapper that orders
+        # its optional arguments otherwise would read the band as upper
+        # storage without an error.
+        first = getattr(gp, name).__doc__.splitlines()[0]
+        assert first.startswith(signature), (
+            f"scipy's {name[1:]} wrapper reads {first!r}: the positional lower "
+            "argument of the miss path no longer fits it"
+        )
+
+    @pytest.mark.parametrize("n_models", [1, 2, 27])
+    @pytest.mark.parametrize("offsets", [[3, 2, 1], [20, 18, 15, 11, 10, 9, 6, 4, 2, 1], []])
+    def test_a_miss_factors_and_solves_once_whatever_the_model_count(
+        self, monkeypatch, n_models, offsets
+    ):
+        table = precision_table(fixed_case(n_models, [])[0], 20)
+        calls = Counter()
+        for name in ("chol_with_jitter", "_pbtrf", "_pbtrs"):
+            def counted(*args, _name=name, _original=getattr(gp, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gp, name, counted)
+        predictor(np.array(offsets, dtype=np.int64), table)
+        assert calls == {"chol_with_jitter": 1, "_pbtrf": 1, "_pbtrs": 1}
 
 
 class TestWrappedNames:
@@ -522,14 +602,16 @@ class TestKernelTable:
 
     def test_precision_is_the_symmetric_inverse_of_the_window_covariance(self):
         table = precision_table(self.MODELS, 6)
-        assert table.shape == (2, 7, 7)
+        assert table.shape == (2, 2, 7, 7)
         assert not table.flags.writeable
+        precision, covariance = table
         x = np.arange(7)
         for m, row in enumerate(kernel_table(self.MODELS, 6)):
-            assert table[m].tobytes() == table[m].T.tobytes()
             V = row[np.abs(x[:, None] - x)]
+            assert covariance[m].tobytes() == V.tobytes()
+            assert precision[m].tobytes() == precision[m].T.tobytes()
             cond = window_condition(row, 6)
-            np.testing.assert_allclose(table[m] @ V, np.eye(7), rtol=0, atol=cond * EPS)
+            np.testing.assert_allclose(precision[m] @ V, np.eye(7), rtol=0, atol=cond * EPS)
 
     def test_empty_window_predicts_the_prior_from_column_zero(self):
         # The prior is column 0 of the kernel table, up to the rounding of
@@ -633,12 +715,16 @@ class TestStackFallback:
         assert jitter > 0
         models = (self.GOOD, bad, self.GOOD.scaled(l=0.5))
 
-        # The bad model is the conditioning on its jittered covariance.
-        a, var = predictor(offsets, precision_table(models, 20))
-        a_ref, var_ref = exact_predictor(row, offsets, jitter)
+        # The table holds the bad model's jittered covariance, and both
+        # sides of the predictor condition on it.
+        table = precision_table(models, 20)
+        assert table[1, 1].tobytes() == (V + jitter * np.eye(21)).tobytes()
         cond = window_condition(row, 20, jitter)
-        assert np.abs(a[1] - a_ref).sum() <= cond * EPS
-        assert abs(var[1] - max(var_ref + jitter, VAR_FLOOR)) <= cond * EPS * var[1]
+        for window in (offsets, np.array([3, 2, 1])):
+            a, var = predictor(window, table)
+            a_ref, var_ref = exact_predictor(row, window, jitter)
+            assert np.abs(a[1] - a_ref).sum() <= cond * EPS
+            assert abs(var[1] - max(var_ref + jitter, VAR_FLOOR)) <= cond * EPS * var[1]
 
         means, variances = predict(ts, ys, mean, models, 20.0)
         for m, h in enumerate(models):

@@ -7,41 +7,22 @@ from .engine import (
     StepOutput,
     TrainingWindow,
     Verdict,
-    classify,
     initialize,
     predict_next,
     step,
 )
 from .fit import FitResult, fit_template
 from .gp import (
-    VAR_FLOOR,
     Hyperparameters,
     KernelKind,
     NumericalError,
     PredictiveDistribution,
-    distance_table,
     gp_predict,
-    lml_gradient,
-    log_marginal_likelihood,
-    noisy_covariance,
     precision_table,
 )
 from .harness import BenchResult, InputError, RunResult, bench, load_csv, run
-from .metrics import (
-    DegenerateDataError,
-    NormalizationStats,
-    RunMetrics,
-    compute_stats,
-    evaluate,
-)
-from .mixture import (
-    WEIGHT_FLOOR,
-    VariantFactors,
-    build_model_set,
-    fuse_poe,
-    predictive_weights,
-    update_weights,
-)
+from .metrics import DegenerateDataError, RunMetrics
+from .mixture import VariantFactors, build_model_set
 
 __version__ = "0.1.0"
 
@@ -51,22 +32,16 @@ __all__ = [
     "StepOutput",
     "TrainingWindow",
     "Verdict",
-    "classify",
     "initialize",
     "predict_next",
     "step",
     "FitResult",
     "fit_template",
-    "VAR_FLOOR",
     "Hyperparameters",
     "KernelKind",
     "NumericalError",
     "PredictiveDistribution",
-    "distance_table",
     "gp_predict",
-    "lml_gradient",
-    "log_marginal_likelihood",
-    "noisy_covariance",
     "precision_table",
     "BenchResult",
     "InputError",
@@ -75,14 +50,7 @@ __all__ = [
     "load_csv",
     "run",
     "DegenerateDataError",
-    "NormalizationStats",
     "RunMetrics",
-    "compute_stats",
-    "evaluate",
-    "WEIGHT_FLOOR",
     "VariantFactors",
     "build_model_set",
-    "fuse_poe",
-    "predictive_weights",
-    "update_weights",
 ]

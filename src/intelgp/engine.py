@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -55,16 +56,17 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        for name in ("tau", "n_outliers", "mean_period", "init_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            lowest = 0 if name == "seed" else 1
+            if value < lowest:
+                raise ValueError(f"{name} must be >= {lowest}")
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must be in (0, 1]")
-        if self.n_outliers < 1:
-            raise ValueError("n_outliers must be >= 1")
-        if self.mean_period < 1:
-            raise ValueError("mean_period must be >= 1")
-        if self.init_count < 1:
-            raise ValueError("init_count must be >= 1")
 
 
 @dataclass(frozen=True)

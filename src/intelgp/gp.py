@@ -335,18 +335,16 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     return a, var
 
 
-def solve_triangular(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """x with Lx = b (trans=0) or Lᵀx = b (trans=1), for a lower-triangular
-    L of shape (n, n) and b of shape (n,) or (n, k).
+def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with Lx = b, for a lower-triangular L of shape (n, n), n >= 1, and
+    b of shape (n,) or (n, k).
 
     One LAPACK trtrs call, without scipy's per-call checks and routine
     lookup.  L is scipy cholesky's Fortran-ordered output, and the call is
-    the one scipy's solve_triangular(L, b, lower=True, trans=trans) makes,
-    so the result is the same bit for bit.  The inputs are not modified.
+    the one scipy's solve_triangular(L, b, lower=True) makes, so the result
+    is the same bit for bit.  The inputs are not modified.
     """
-    if not b.size:
-        return np.empty(b.shape)
-    x, info = _trtrs(L, b, 1, trans)
+    x, info = _trtrs(L, b, 1)
     if info != 0:
         raise NumericalError(f"triangular solve failed: LAPACK trtrs info {info}")
     return x

@@ -28,6 +28,8 @@ def _ones_first(name: str, factors) -> tuple[float, ...]:
         raise ValueError(f"{name} factors must be positive, got {vals}")
     if 1.0 not in vals:
         raise ValueError(f"{name} factor 1 must be present, got {vals}")
+    if len(set(vals)) < len(vals):
+        raise ValueError(f"{name} factors must not repeat, got {vals}")
     return (1.0,) + tuple(v for v in vals if v != 1.0)
 
 
@@ -73,40 +75,27 @@ def build_model_set(
     )
 
 
-def predictive_weights(weights, alpha: float) -> np.ndarray:
+def predictive_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
     """Flatten weights toward uniform by exponentiation with the forgetting
-    parameter, then renormalize."""
-    w = np.asarray(weights, dtype=float)
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    parameter alpha in (0, 1], then renormalize."""
     if alpha == 1.0:
-        return w.copy()
-    p = w**alpha
+        return weights.copy()
+    p = weights**alpha
     p /= np.add.reduce(p)
     return p
 
 
-def update_weights(pred_weights, likelihoods) -> np.ndarray:
+def update_weights(pred_weights: np.ndarray, likelihoods: np.ndarray) -> np.ndarray:
     """Bayes update of the predictive weights by the per-model likelihoods,
     floored at WEIGHT_FLOOR and renormalized.
 
-    If every likelihood is zero (a gross outlier under all models), the
-    predictive weights are returned unchanged.
+    The inputs are those `step` makes: predictive weights, all positive
+    because the weights they flatten are floored, and the
+    `step_likelihoods` of the same models, whose largest value is exactly
+    1.  So the product has a positive sum.
     """
-    w_hat = np.asarray(pred_weights, dtype=float)
-    lik = np.asarray(likelihoods, dtype=float)
-    if lik.shape != w_hat.shape:
-        raise ValueError("pred_weights and likelihoods must have the same length")
-    if np.minimum.reduce(lik) < 0.0:
-        raise ValueError("likelihoods must be nonnegative")
-    top = np.maximum.reduce(lik)
-    if top <= 0.0:
-        return w_hat.copy()
-    w = w_hat * (lik / top)
-    total = np.add.reduce(w)
-    if total <= 0.0:
-        return w_hat.copy()
-    w /= total
+    w = pred_weights * likelihoods
+    w /= np.add.reduce(w)
     np.maximum(w, WEIGHT_FLOOR, out=w)
     w /= np.add.reduce(w)
     # Renormalization can push a floored entry infinitesimally below the
@@ -142,13 +131,10 @@ def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> Predicti
     the fused mean is the precision-and-weight-weighted mean.  Precisions
     are taken relative to the smallest variance r, so the fused variance is
     r over their weighted sum: a single model (weight 1) comes back exactly,
-    where 1/(1/v) would round.
+    where 1/(1/v) would round.  The three arrays have one entry per model.
     """
-    w = np.asarray(pred_weights, dtype=float)
-    if not (w.shape == means.shape == variances.shape):
-        raise ValueError("means, variances and pred_weights must have the same length")
     r = np.minimum.reduce(variances)
     wp = r / variances
-    wp *= w
+    wp *= pred_weights
     total = np.add.reduce(wp)
     return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))

@@ -148,6 +148,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"{name} factor" in err and "not finite" in err
 
+    def test_repeated_factor_is_config_error(self, dataset, capsys):
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=0.2:0.2"])
+        assert code == 4
+        assert "signal factors must not repeat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, flag, value", [("tau", "--tau", 2.5), ("kernel", "--kernel", "foo")])
+    def test_value_argparse_rejects_is_usage_error_as_flag(
+        self, dataset, tmp_path, capsys, key, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(dataset), "--init-count", "80", flag, str(value)])
+        assert exc.value.code == 2
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init_count": 80, key: value}))
+        capsys.readouterr()
+        assert main(["run", "--input", str(dataset), "--config", str(cfg)]) == 4
+        assert repr(key) in capsys.readouterr().err
+
     def test_overflowing_factor_fails_before_streaming(self, dataset, capsys):
         code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=1e200"])
         assert code == 3

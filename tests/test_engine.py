@@ -128,6 +128,39 @@ class TestInitialize:
             EngineConfig(init_count=init_count)
 
 
+class TestEngineConfig:
+    """EngineConfig is where the streaming parameters enter; the mixture
+    arithmetic behind it trusts them."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.1, float("nan")])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            EngineConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [True, "0.5", None, 0.5j])
+    def test_alpha_not_a_real_number_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            EngineConfig(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "name", ["tau", "n_outliers", "mean_period", "init_count", "seed"]
+    )
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_integer_field_rejects_other_types_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EngineConfig(**{name: value})
+
+    def test_negative_seed_rejected_by_name(self):
+        # numpy's generator would reject it only inside the fit, unnamed.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            EngineConfig(seed=-1)
+
+    def test_numpy_numbers_accepted(self):
+        config = EngineConfig(tau=np.int64(5), seed=np.int32(2), alpha=np.float64(0.5))
+        assert (config.tau, config.seed, config.alpha) == (5, 2, 0.5)
+        assert EngineConfig(alpha=1).alpha == 1
+
+
 def assert_window_bound(state):
     """The window rule of every state: distinct times in order, all within
     `tau` of the next time, and a precision and covariance table over

@@ -342,17 +342,16 @@ class TestBatchedPredictor:
             alone = gp_predict(ts, ys, mean, precision_table((h,), 40), 1000.0, {})
             assert as_bytes(alone) == (means[m:m + 1].tobytes(), variances[m:m + 1].tobytes())
 
-    @pytest.mark.parametrize("order, n", [("C", 0), ("C", 1), ("F", 0), ("F", 1), ("F", 7)])
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_direct_solve_matches_scipy(self, order, n, trans):
+    @pytest.mark.parametrize("order, n", [("C", 1), ("F", 1), ("F", 7)])
+    def test_direct_solve_matches_scipy(self, order, n):
         # A single factor comes from scipy's cholesky in the jitter ladder,
-        # Fortran-ordered; a 0x0 or 1x1 factor is C-ordered as well.
+        # Fortran-ordered; a 1x1 factor is C-ordered as well.
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         L = np.asarray(np.linalg.cholesky(A @ A.T + n * np.eye(n)), order=order)
         b = rng.standard_normal(n)
-        want = solve_triangular(L, b, lower=True, trans=trans)
-        assert gp.solve_triangular(L, b, trans=trans).tobytes() == want.tobytes()
+        want = solve_triangular(L, b, lower=True)
+        assert gp.solve_triangular(L, b).tobytes() == want.tobytes()
 
     def test_predictor_arrays_are_read_only(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.1)
@@ -460,29 +459,28 @@ class TestStackedSolve:
     right-hand sides as columns, the way `precision_table` solves for L⁻¹
     with the identity."""
 
-    @pytest.mark.parametrize("n", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 7])
     @pytest.mark.parametrize("n_models", [1, 3])
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_each_row_matches_scipy_and_the_inputs_are_kept(self, n, n_models, trans):
+    def test_each_row_matches_scipy_and_the_inputs_are_kept(self, n, n_models):
         rng = np.random.default_rng([n_models, n])
         A = rng.standard_normal((n, n))
-        L = chol_with_jitter(A @ A.T + (n + 1) * np.eye(n)) if n else np.empty((0, 0))
+        L = chol_with_jitter(A @ A.T + (n + 1) * np.eye(n))
         b = rng.standard_normal((n, n_models))
         before = L.tobytes(), b.tobytes()
-        x = gp.solve_triangular(L, b, trans=trans)
+        x = gp.solve_triangular(L, b)
         assert x.shape == (n, n_models)
-        want = solve_triangular(L, b, lower=True, trans=trans)
+        want = solve_triangular(L, b, lower=True)
         assert x.tobytes() == want.tobytes()
         assert (L.tobytes(), b.tobytes()) == before
 
-    def test_trtrs_takes_lower_and_trans_first(self):
-        # solve_triangular passes lower and trans positionally; a wrapper
-        # that orders its optional arguments otherwise would solve another
-        # system without an error.
+    def test_trtrs_takes_lower_first(self):
+        # solve_triangular passes lower positionally; a wrapper that orders
+        # its optional arguments otherwise would solve another system
+        # without an error.
         signature = gp._trtrs.__doc__.splitlines()[0]
-        assert signature.startswith("x,info = dtrtrs(a,b,[lower,trans,"), (
+        assert signature.startswith("x,info = dtrtrs(a,b,[lower,"), (
             f"scipy's trtrs wrapper reads {signature!r}: the positional lower "
-            "and trans arguments of gp.solve_triangular no longer fit it"
+            "argument of gp.solve_triangular no longer fits it"
         )
 
 

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .gp import NumericalError
@@ -54,6 +55,8 @@ def parse_factor_flag(text: str) -> dict:
             raise ValueError(f"bad factor {part!r}, expected key=value")
         key, _, value = part.partition("=")
         key = key.strip()
+        if key in out:
+            raise ValueError(f"factor key {key!r} is repeated in --factors")
         try:
             out[key] = [float(v) for v in value.split(":")]
         except ValueError:
@@ -61,16 +64,29 @@ def parse_factor_flag(text: str) -> dict:
     return out
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's mapping; a key given twice is rejected, not
+    overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"key {key!r} is repeated")
+        doc[key] = value
+    return doc
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ValueError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"config file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return doc
@@ -86,7 +102,7 @@ def _cmd_run(args) -> int:
         merged["factors"] = parse_factor_flag(args.factors)
 
     if "init_count" not in merged:
-        raise ValueError("init_count is required (flag --init-count or config file)")
+        raise ValueError("'init_count' is required (flag --init-count or config file)")
     config, data = config_from_mapping(merged)
 
     series = slice_series(load_csv(args.input, data["column"]), data)
@@ -94,15 +110,7 @@ def _cmd_run(args) -> int:
 
     summary = dict(result.summary)
     wall = summary.pop("wall_time_s")  # volatile; reruns must be byte-identical
-    doc = {
-        "metrics": {
-            "nll": result.metrics.nll,
-            "mae": result.metrics.mae,
-            "mse": result.metrics.mse,
-            "n_evaluated": result.metrics.n_evaluated,
-        },
-        "summary": summary,
-    }
+    doc = {"metrics": asdict(result.metrics), "summary": summary}
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fit import FitResult, fit_template
+from .fit import MIN_FIT_POINTS, FitResult, fit_template
 from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict, precision_table
 from .mixture import (
     VariantFactors,
@@ -40,11 +40,24 @@ class Verdict(Enum):
     CHANGE_POINT = "change_point"
 
 
+# The integer settings and the least value of each.
+_LEAST = {"tau": 1, "n_outliers": 1, "mean_period": 1, "init_count": MIN_FIT_POINTS, "seed": 0}
+
+
+def check_integer(key: str, value) -> None:
+    """The integer rule of every integer setting: an int or numpy integer,
+    not a bool; 2.5, 20.0, "20" and None are rejected, naming `key`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Streaming parameters; the defaults are the reference operating point.
 
-    SINTEL, the template model alone, is `factors=VariantFactors()`."""
+    SINTEL, the template model alone, is `factors=VariantFactors()`.
+    These checks are the only ones of the engine values: the config file
+    and the `run` flags pass their values here unconverted."""
 
     tau: int = 20
     alpha: float = 0.9
@@ -56,17 +69,19 @@ class EngineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tau", "n_outliers", "mean_period", "init_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            lowest = 0 if name == "seed" else 1
-            if value < lowest:
-                raise ValueError(f"{name} must be >= {lowest}")
+        for key, least in _LEAST.items():
+            value = getattr(self, key)
+            check_integer(key, value)
+            if value < least:
+                raise ValueError(f"{key!r} must be >= {least}, got {value!r}")
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
-            raise ValueError(f"alpha must be a real number, got {self.alpha!r}")
+            raise ValueError(f"'alpha' must be a real number, got {self.alpha!r}")
         if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must be in (0, 1]")
+            raise ValueError(f"'alpha' must be in (0, 1], got {self.alpha!r}")
+        if not isinstance(self.factors, VariantFactors):
+            raise ValueError(f"'factors' must be a VariantFactors, got {self.factors!r}")
+        if not isinstance(self.kernel_kind, KernelKind):
+            raise ValueError(f"'kernel_kind' must be a KernelKind, got {self.kernel_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,7 @@ class EngineState:
     config: EngineConfig
     inliers_since_refresh: int
     current_t: int
-    fit: Optional[FitResult] = None
+    fit: FitResult
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     __eq__ = eq_by_value
@@ -267,8 +282,10 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     ys = np.asarray(history_y, dtype=float)
     if ts.size != ys.size:
         raise ValueError("history_t and history_y must have the same length")
-    if ts.size < 8:
-        raise ValueError(f"initialization requires at least 8 points, got {ts.size}")
+    if ts.size < MIN_FIT_POINTS:
+        raise ValueError(
+            f"initialization requires at least {MIN_FIT_POINTS} points, got {ts.size}"
+        )
     if not np.all(np.isfinite(ys)):
         raise ValueError("history observations must be finite")
     if not (np.all(np.isfinite(ts) & (ts == np.round(ts))) and np.all(np.diff(ts) > 0)):

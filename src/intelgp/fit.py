@@ -24,6 +24,8 @@ from .gp import (
 
 log = logging.getLogger("intelgp")
 
+# The fewest points a template fit takes: the least `init_count`.
+MIN_FIT_POINTS = 8
 DEFAULT_STARTS = 5
 MAX_ITER = 200
 GRAD_TOL = 1e-5
@@ -77,8 +79,10 @@ def fit_template(
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if ts.size < 8:
-        raise ValueError(f"fit_template requires at least 8 data points, got {ts.size}")
+    if ts.size < MIN_FIT_POINTS:
+        raise ValueError(
+            f"fit_template requires at least {MIN_FIT_POINTS} data points, got {ts.size}"
+        )
     if not np.all(np.isfinite(ys)):
         raise ValueError("observations must be finite")
     if starts < 1:

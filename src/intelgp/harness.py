@@ -6,12 +6,12 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .engine import EngineConfig, StepOutput, Verdict, initialize, step
+from .engine import EngineConfig, StepOutput, Verdict, check_integer, initialize, step
 from .gp import KernelKind, NumericalError
 from .metrics import RunMetrics, compute_stats, evaluate
 from .mixture import VariantFactors
@@ -167,24 +167,23 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
 def parse_factors(spec) -> VariantFactors:
     """Factors from a mapping like {"f": [1, 0.2], "l": 0.2, "n": [1, 5]}.
 
-    A bare number is shorthand for [1, number]; the factor 1 is always
-    included.  Keys other than f/l/n, and values that are not numbers
-    (booleans and numeric strings included), are rejected.
+    A bare number is shorthand for a list of that number alone.  Keys
+    other than f/l/n are rejected; `VariantFactors` checks the values and
+    includes the factor 1.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a mapping with keys f, l, n, got {spec!r}")
     unknown = set(spec) - {"f", "l", "n"}
     if unknown:
         raise ValueError(f"unknown factor keys {sorted(unknown)}; expected f, l, n")
 
-    def as_list(v) -> tuple[float, ...]:
-        vals = tuple(_number(x) for x in (v if isinstance(v, (list, tuple)) else [v]))
-        if 1.0 not in vals:
-            vals = (1.0,) + vals
-        return vals
+    def as_list(v):
+        return v if isinstance(v, (list, tuple)) else [v]
 
     return VariantFactors(
-        signal=as_list(spec.get("f", (1.0,))),
-        length=as_list(spec.get("l", (1.0,))),
-        noise=as_list(spec.get("n", (1.0,))),
+        signal=as_list(spec.get("f", ())),
+        length=as_list(spec.get("l", ())),
+        noise=as_list(spec.get("n", ())),
     )
 
 
@@ -194,52 +193,24 @@ class BenchResult:
     skipped: list[dict]
 
 
-def _integer(value) -> int:
-    """A whole number from a config value; 2.7, "2" and true are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _number(value) -> float:
-    """A real number from a config value; "0.5" and true are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"expected a number, got {value!r}")
-
-
-def _optional_integer(value) -> int | None:
-    return None if value is None else _integer(value)
-
-
-def _string(value) -> str:
-    if isinstance(value, str):
-        return value
-    raise ValueError(f"expected a string, got {value!r}")
-
-
-def _parsed(key: str, parse, value):
+def _built(key: str, build, value):
+    """`build(value)`, any rejection named by `key`."""
     try:
-        return parse(value)
+        return build(value)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
+        raise ValueError(f"{key!r}: {exc}") from None
 
 
-# Config keys, each with the parser of its value.  The engine keys are
-# EngineConfig fields ("kernel" sets kernel_kind); the data keys select the
-# data and default to `_DATA_DEFAULTS`.  `intelgp run` takes each key from
-# the flag of the same dest.
-_ENGINE_KEYS = {
-    "tau": _integer, "alpha": _number, "n_outliers": _integer, "mean_period": _integer,
-    "init_count": _integer, "factors": parse_factors, "kernel": KernelKind, "seed": _integer,
-}
-CONFIG_KEYS = {
-    **_ENGINE_KEYS, "column": _string, "normalization": _string,
-    "row_start": _optional_integer, "row_end": _optional_integer,
-}
+# The config keys.  The engine keys are EngineConfig's fields ("kernel"
+# sets kernel_kind), their values passed to it unconverted but for the two
+# that name an object, "factors" and "kernel", which are built first;
+# EngineConfig and VariantFactors check every engine value.  The data keys
+# select the data, are checked here and default to `_DATA_DEFAULTS`.
+# `intelgp run` takes each key from the flag of the same dest.
+_ENGINE_KEYS = ("tau", "alpha", "n_outliers", "mean_period", "init_count", "factors",
+                "kernel", "seed")
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
+CONFIG_KEYS = _ENGINE_KEYS + tuple(_DATA_DEFAULTS)
 
 
 def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
@@ -247,18 +218,24 @@ def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
 
     Absent engine keys take EngineConfig's defaults, absent data keys those
     of `_DATA_DEFAULTS`; row_start and row_end are integers or null.  Raises
-    ValueError naming any other key, and naming the key of a value its
-    parser rejects.
+    ValueError naming any other key, and naming the key of a rejected
+    value.
     """
     unknown = set(doc) - set(CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys {sorted(unknown)}")
-    parsed = {key: _parsed(key, CONFIG_KEYS[key], value) for key, value in doc.items()}
-    engine = {
-        "kernel_kind" if key == "kernel" else key: value
-        for key, value in parsed.items() if key in _ENGINE_KEYS
-    }
-    data = {key: parsed.get(key, default) for key, default in _DATA_DEFAULTS.items()}
+    engine = {key: doc[key] for key in _ENGINE_KEYS if key in doc}
+    if "factors" in engine:
+        engine["factors"] = _built("factors", parse_factors, engine["factors"])
+    if "kernel" in engine:
+        engine["kernel_kind"] = _built("kernel", KernelKind, engine.pop("kernel"))
+    data = {key: doc.get(key, default) for key, default in _DATA_DEFAULTS.items()}
+    for key in ("column", "normalization"):
+        if not isinstance(data[key], str):
+            raise ValueError(f"{key!r} must be a string, got {data[key]!r}")
+    for key in ("row_start", "row_end"):
+        if data[key] is not None:
+            check_integer(key, data[key])
     return EngineConfig(**engine), data
 
 
@@ -299,10 +276,7 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
                     {
                         "dataset": name,
                         "mode": mode,
-                        "nll": result.metrics.nll,
-                        "mae": result.metrics.mae,
-                        "mse": result.metrics.mse,
-                        "n_evaluated": result.metrics.n_evaluated,
+                        **asdict(result.metrics),
                         "outliers": result.summary["outliers"],
                         "change_points": result.summary["change_points"],
                     }

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,23 +22,33 @@ WEIGHT_FLOOR = 1e-10
 
 
 def _ones_first(name: str, factors) -> tuple[float, ...]:
-    vals = tuple(float(v) for v in factors)
+    """The checked factor list with the template factor 1 first, inserted
+    when absent."""
+    try:
+        vals = tuple(factors)
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vals)
+    except TypeError:
+        real = False
+    if not real:
+        raise ValueError(f"{name!r} factors must be a sequence of real numbers, got {factors!r}")
     for v in vals:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} factor {v} is not finite, got {vals}")
+        # Exact for an int too large for a float, where float(v) would raise
+        if not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{name!r} factor {v} is not finite, got {vals}")
+    vals = tuple(float(v) for v in vals)
     if any(v <= 0.0 for v in vals):
-        raise ValueError(f"{name} factors must be positive, got {vals}")
-    if 1.0 not in vals:
-        raise ValueError(f"{name} factor 1 must be present, got {vals}")
+        raise ValueError(f"{name!r} factors must be positive, got {vals}")
     if len(set(vals)) < len(vals):
-        raise ValueError(f"{name} factors must not repeat, got {vals}")
+        raise ValueError(f"{name!r} factors must not repeat, got {vals}")
     return (1.0,) + tuple(v for v in vals if v != 1.0)
 
 
 @dataclass(frozen=True)
 class VariantFactors:
-    """Per-hyperparameter multiplier lists; the template factor 1 is moved
-    to the front of each list so the all-ones combination is model 0."""
+    """Per-hyperparameter multiplier lists.  Each list holds the template
+    factor 1, first: it is inserted when absent, so the all-ones
+    combination is model 0.  Factors must be real numbers (not booleans),
+    finite, positive and distinct."""
 
     signal: tuple[float, ...] = (1.0,)
     length: tuple[float, ...] = (1.0,)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: flags, exit codes, and outputs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import regime_change_series
 from intelgp.cli import build_parser, main, parse_factor_flag
 from intelgp.engine import EngineConfig
 from intelgp.harness import CONFIG_KEYS, load_csv, records_to_jsonl, run
+from intelgp.metrics import RunMetrics
 from intelgp.mixture import VariantFactors
 
 
@@ -42,6 +44,14 @@ class TestParseFactorFlag:
         with pytest.raises(ValueError, match="bad factor value"):
             parse_factor_flag("f=abc")
 
+    def test_repeated_key_is_config_error(self, dataset, capsys):
+        # Not the last value silently: f=0.2 would be dropped.
+        code = main(
+            ["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=0.2,f=0.5"]
+        )
+        assert code == 4
+        assert "'f' is repeated" in capsys.readouterr().err
+
 
 class TestRunCommand:
     def test_successful_run_writes_outputs(self, dataset, tmp_path, capsys):
@@ -64,6 +74,7 @@ class TestRunCommand:
         assert len(steps) == 280 - 80
         doc = json.loads((out / "metrics.json").read_text())
         assert doc["metrics"]["n_evaluated"] == 200
+        assert list(doc["metrics"]) == [f.name for f in dataclasses.fields(RunMetrics)]
         assert "wall_time_s" not in doc["summary"]
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
@@ -102,7 +113,7 @@ class TestRunCommand:
     def test_nan_cell_is_input_error(self, tmp_path):
         p = tmp_path / "nan.csv"
         p.write_text("t,value\n0,1.0\n1,nan\n")
-        code = main(["run", "--input", str(p), "--init-count", "1"])
+        code = main(["run", "--input", str(p), "--init-count", "8"])
         assert code == 2
 
     def test_constant_init_segment_is_input_error(self, tmp_path, capsys):
@@ -113,15 +124,12 @@ class TestRunCommand:
         assert code == 2
         assert "constant" in capsys.readouterr().err
 
-    def test_too_small_init_count_is_config_error(self, dataset):
-        code = main(["run", "--input", str(dataset), "--init-count", "5"])
-        assert code == 4
-
-    @pytest.mark.parametrize("count", ["0", "-5"])
-    def test_init_count_below_one_is_config_error(self, dataset, capsys, count):
+    @pytest.mark.parametrize("count", ["0", "-5", "5", "7"])
+    def test_init_count_below_fit_minimum_is_config_error(self, dataset, capsys, count):
+        # Rejected by name before the fit, which needs 8 points.
         code = main(["run", "--input", str(dataset), "--init-count", count])
         assert code == 4
-        assert "init_count must be >= 1" in capsys.readouterr().err
+        assert f"'init_count' must be >= 8, got {count}" in capsys.readouterr().err
 
     def test_missing_init_count_is_config_error(self, dataset, capsys):
         code = main(["run", "--input", str(dataset)])
@@ -146,12 +154,12 @@ class TestRunCommand:
         code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", flag])
         assert code == 4
         err = capsys.readouterr().err
-        assert f"{name} factor" in err and "not finite" in err
+        assert f"'{name}' factor" in err and "not finite" in err
 
     def test_repeated_factor_is_config_error(self, dataset, capsys):
         code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=0.2:0.2"])
         assert code == 4
-        assert "signal factors must not repeat" in capsys.readouterr().err
+        assert "'signal' factors must not repeat" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, flag, value", [("tau", "--tau", 2.5), ("kernel", "--kernel", "foo")])
     def test_value_argparse_rejects_is_usage_error_as_flag(
@@ -235,8 +243,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("tau", 2.7), ("init_count", "80"), ("seed", True), ("row_start", "100"),
-         ("row_end", 250.5)],
+        [("tau", 2.7), ("tau", 20.0), ("init_count", "80"), ("seed", True),
+         ("row_start", "100"), ("row_start", 20.0), ("row_end", 250.5)],
     )
     def test_non_integer_config_value_is_config_error(
         self, dataset, tmp_path, capsys, key, value
@@ -250,7 +258,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "key, value",
         [("alpha", True), ("alpha", "0.5"), ("factors", {"f": [True, 0.2]}),
-         ("factors", {"f": [1, "0.2"]}), ("factors", {"l": True})],
+         ("factors", {"f": [1, "0.2"]}), ("factors", {"l": True}), ("factors", ["f"]),
+         ("factors", "f")],
     )
     def test_non_number_config_value_is_config_error(
         self, dataset, tmp_path, capsys, key, value
@@ -281,6 +290,18 @@ class TestRunCommand:
         code = main(["run", "--input", str(dataset), "--config", str(cfg)])
         assert code == 4
         assert "'mode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [('{"init_count": 80, "tau": 10, "tau": 20}', "tau"),
+         ('{"init_count": 80, "factors": {"f": 0.2, "f": 0.5}}', "f")],
+    )
+    def test_repeated_config_key_is_config_error(self, dataset, tmp_path, capsys, text, key):
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(text)
+        code = main(["run", "--input", str(dataset), "--config", str(cfg)])
+        assert code == 4
+        assert f"{key!r} is repeated" in capsys.readouterr().err
 
     def test_bad_config_json_is_config_error(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -333,6 +354,16 @@ class TestBenchCommand:
         assert {r["mode"] for r in table["rows"]} == {"intel", "sintel"}
         stdout = capsys.readouterr().out
         assert "dataset" in stdout and "nll" in stdout
+
+    def test_repeated_key_in_bench_file_is_config_error(self, dataset, capsys):
+        cfg = dataset.parent / "twice.json"
+        cfg.write_text(
+            '{"defaults": {"init_count": 80}, '
+            f'"datasets": [{{"file": "{dataset.name}", "seed": 1, "seed": 2}}]}}'
+        )
+        code = main(["bench", "--datasets", str(dataset.parent), "--config", str(cfg)])
+        assert code == 4
+        assert "'seed' is repeated" in capsys.readouterr().err
 
     def test_bench_requires_datasets_key(self, tmp_path):
         cfg = tmp_path / "empty.json"

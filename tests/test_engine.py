@@ -122,9 +122,9 @@ class TestInitialize:
         with pytest.raises(NumericalError, match="kernel table"):
             initialize(np.arange(60), history, config)
 
-    @pytest.mark.parametrize("init_count", [0, -5])
-    def test_init_count_below_one_rejected(self, init_count):
-        with pytest.raises(ValueError, match="init_count must be >= 1"):
+    @pytest.mark.parametrize("init_count", [0, -5, 7])
+    def test_init_count_below_fit_minimum_rejected(self, init_count):
+        with pytest.raises(ValueError, match="'init_count' must be >= 8"):
             EngineConfig(init_count=init_count)
 
 
@@ -134,12 +134,12 @@ class TestEngineConfig:
 
     @pytest.mark.parametrize("alpha", [0.0, 1.5, -0.1, float("nan")])
     def test_alpha_outside_unit_interval_rejected(self, alpha):
-        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"'alpha' must be in \(0, 1\]"):
             EngineConfig(alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [True, "0.5", None, 0.5j])
     def test_alpha_not_a_real_number_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be a real number"):
+        with pytest.raises(ValueError, match="'alpha' must be a real number"):
             EngineConfig(alpha=alpha)
 
     @pytest.mark.parametrize(
@@ -147,13 +147,23 @@ class TestEngineConfig:
     )
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_integer_field_rejects_other_types_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
             EngineConfig(**{name: value})
 
     def test_negative_seed_rejected_by_name(self):
         # numpy's generator would reject it only inside the fit, unnamed.
-        with pytest.raises(ValueError, match="seed must be >= 0"):
+        with pytest.raises(ValueError, match="'seed' must be >= 0"):
             EngineConfig(seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("kernel_kind", "se"), ("kernel_kind", None), ("factors", {"f": 0.2}),
+         ("factors", (1.0, 0.2))],
+    )
+    def test_object_field_of_the_wrong_type_rejected_by_name(self, name, value):
+        # Before initialize, whose fit would otherwise fail on every start.
+        with pytest.raises(ValueError, match=f"'{name}' must be a"):
+            EngineConfig(**{name: value})
 
     def test_numpy_numbers_accepted(self):
         config = EngineConfig(tau=np.int64(5), seed=np.int32(2), alpha=np.float64(0.5))

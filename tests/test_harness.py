@@ -93,6 +93,26 @@ class TestParseFactors:
             parse_factors({"q": 2})
 
 
+# The engine values of the equivalence test, and those EngineConfig accepts
+# for each key: integers, numpy's included, from the least of each key up;
+# alpha accepts none of them, as all lie outside (0, 1].
+CANDIDATES = [20, np.int64(20), 20.0, 2.5, True, "20", None, 0, 7, 8]
+ACCEPTED = {
+    "tau": [20, np.int64(20), 7, 8], "n_outliers": [20, np.int64(20), 7, 8],
+    "mean_period": [20, np.int64(20), 7, 8], "init_count": [20, np.int64(20), 8],
+    "seed": [20, np.int64(20), 0, 7, 8], "alpha": [],
+}
+
+
+def rejection(build):
+    """The message of the ValueError `build()` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 class TestConfigFromMapping:
     def test_empty_mapping_gives_the_defaults(self):
         config, data = config_from_mapping({})
@@ -129,6 +149,37 @@ class TestConfigFromMapping:
     def test_unknown_key_is_named(self, key):
         with pytest.raises(ValueError, match=key):
             config_from_mapping({"init_count": 80, key: 1})
+
+    @pytest.mark.parametrize("value", CANDIDATES, ids=repr)
+    @pytest.mark.parametrize("key", sorted(ACCEPTED))
+    def test_engine_key_follows_engine_config(self, key, value):
+        # The file passes engine values through: it accepts what
+        # EngineConfig accepts and rejects the rest with the same message.
+        direct = rejection(lambda: EngineConfig(**{key: value}))
+        via_file = rejection(lambda: config_from_mapping({key: value}))
+        assert via_file == direct
+        assert (direct is None) == any(
+            type(value) is type(v) and value == v for v in ACCEPTED[key]
+        )
+        if direct is None:
+            assert config_from_mapping({key: value})[0] == EngineConfig(**{key: value})
+        else:
+            assert repr(key) in direct
+
+    @pytest.mark.parametrize("value", [*CANDIDATES, 0.2, -1, math.inf], ids=repr)
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_factor_follows_variant_factors(self, value, as_list):
+        doc = {"factors": {"f": [value] if as_list else value}}
+        direct = rejection(lambda: VariantFactors(signal=(value,)))
+        via_file = rejection(lambda: config_from_mapping(doc))
+        assert (via_file is None) == (direct is None)
+        assert (direct is None) == (
+            not isinstance(value, (bool, str, type(None))) and 0 < value < math.inf
+        )
+        if direct is None:
+            assert config_from_mapping(doc)[0].factors == VariantFactors(signal=(value,))
+        else:
+            assert "'signal'" in direct and "'factors'" in via_file
 
 
 @pytest.fixture(scope="module")
@@ -458,8 +509,8 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [("init_count", 0, "init_count must be >= 1"),
-         ("init_count", -5, "init_count must be >= 1"),
+        [("init_count", 0, "'init_count' must be >= 8"),
+         ("init_count", -5, "'init_count' must be >= 8"),
          ("column", 5, "'column'")],
     )
     def test_bad_entry_value_skips_the_dataset_naming_the_key(

@@ -88,12 +88,20 @@ class TestBuildModelSet:
     def test_template_factor_moved_to_front(self):
         f = VariantFactors(signal=(0.2, 1.0))
         assert f.signal == (1.0, 0.2)
+        # and inserted when absent
+        f = VariantFactors(signal=(0.2, 0.5), length=(), noise=[5])
+        assert (f.signal, f.length, f.noise) == ((1.0, 0.2, 0.5), (1.0,), (1.0, 5.0))
 
     def test_invalid_factors_rejected(self):
         with pytest.raises(ValueError):
             VariantFactors(signal=(1.0, -0.5))
-        with pytest.raises(ValueError):
-            VariantFactors(signal=(0.2, 0.5))  # template combination missing
+
+    @pytest.mark.parametrize(
+        "values", [(True, 0.2), ("0.2", 1), (1.0, None), (1.0, 0.5j), 0.2, None]
+    )
+    def test_factor_that_is_not_a_real_number_rejected_by_name(self, values):
+        with pytest.raises(ValueError, match="'length' factors must be a sequence of real"):
+            VariantFactors(length=values)
 
     @pytest.mark.parametrize(
         "name, values", [("signal", (1.0, 0.2, 0.2)), ("length", (1.0, 1.0, 0.2)),
@@ -102,15 +110,15 @@ class TestBuildModelSet:
     def test_repeated_factor_rejected_by_name(self, name, values):
         # A repeat would build the same model twice, doubling its prior
         # weight, or be merged into the template silently.
-        with pytest.raises(ValueError, match=f"{name} factors must not repeat"):
+        with pytest.raises(ValueError, match=f"'{name}' factors must not repeat"):
             VariantFactors(**{name: values})
 
     @pytest.mark.parametrize(
         "name, value", [("signal", math.inf), ("length", math.inf), ("noise", math.nan),
-                        ("length", -math.inf)]
+                        ("length", -math.inf), ("signal", 10**400)]
     )
     def test_non_finite_factor_rejected_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} factor {value} is not finite"):
+        with pytest.raises(ValueError, match=f"'{name}' factor {value} is not finite"):
             VariantFactors(**{name: (1.0, value)})
 
 

@@ -80,8 +80,23 @@ class EngineConfig:
             raise ValueError(f"'alpha' must be in (0, 1], got {self.alpha!r}")
         if not isinstance(self.factors, VariantFactors):
             raise ValueError(f"'factors' must be a VariantFactors, got {self.factors!r}")
+        # initialize builds a (2, M, tau+1, tau+1) float64 precision table;
+        # past numpy's largest array it would fail only after the fit.
+        models = len(self.factors.signal) * len(self.factors.length) * len(self.factors.noise)
+        largest = math.isqrt(np.iinfo(np.intp).max // (2 * models * 8)) - 1
+        if self.tau > largest:
+            raise ValueError(
+                f"'tau' must be <= {largest} for {models} models, whose precision "
+                f"table would exceed numpy's largest array, got {self.tau!r}"
+            )
         if not isinstance(self.kernel_kind, KernelKind):
             raise ValueError(f"'kernel_kind' must be a KernelKind, got {self.kernel_kind!r}")
+
+
+def _mean(values: tuple[float, ...]) -> float:
+    """`float(np.mean(values))` bit for bit without its dispatch: numpy's
+    pairwise sum, then the same IEEE division by the count."""
+    return float(np.add.reduce(np.array(values))) / len(values)
 
 
 @dataclass(frozen=True)
@@ -107,6 +122,9 @@ class TrainingWindow:
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+_EMPTY_WINDOW = TrainingWindow()
 
 
 @dataclass(frozen=True)
@@ -143,8 +161,11 @@ class EngineState:
     __eq__ = eq_by_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepOutput:
+    """One step's forecast, verdict and weights.  Slotted: a run keeps one
+    per step."""
+
     t: int
     observation: float
     fused: PredictiveDistribution
@@ -214,10 +235,10 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     if inlier:
         verdict = Verdict.INLIER
         window = window.appended(t_next, y_next)
-        bucket = TrainingWindow()
+        bucket = _EMPTY_WINDOW
         inliers += 1
         if inliers >= config.mean_period:
-            mean = float(np.mean(window.values[-config.mean_period:]))
+            mean = _mean(window.values[-config.mean_period:])
             inliers = 0
     else:
         bucket = bucket.appended(t_next, y_next)
@@ -225,8 +246,8 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
             verdict = Verdict.CHANGE_POINT
             regime_start = bucket.times[0]
             window = bucket
-            mean = float(np.mean(bucket.values))
-            bucket = TrainingWindow()
+            mean = _mean(bucket.values)
+            bucket = _EMPTY_WINDOW
             inliers = 0
             log.info("change point declared at t=%d (regime start t=%d)", t_next, regime_start)
         else:
@@ -243,19 +264,24 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
 
     window = window.trimmed(t_next + 1 - config.tau)
 
-    new_state = EngineState(
-        window=window,
-        bucket=bucket,
-        models=state.models,
-        table=state.table,
-        weights=weights,
-        shared_mean=mean,
-        config=config,
-        inliers_since_refresh=inliers,
-        current_t=t_next,
-        fit=state.fit,
-        cache=state.cache,
-    )
+    # The next step replaces this state, so it is built with one store of
+    # its whole __dict__ rather than __init__'s object.__setattr__ per
+    # field; the dict must name every field, defaults included.  StepOutput,
+    # which a run keeps, is slotted instead: smaller than a dict.
+    new_state = object.__new__(EngineState)
+    object.__setattr__(new_state, "__dict__", {
+        "window": window,
+        "bucket": bucket,
+        "models": state.models,
+        "table": state.table,
+        "weights": weights,
+        "shared_mean": mean,
+        "config": config,
+        "inliers_since_refresh": inliers,
+        "current_t": t_next,
+        "fit": state.fit,
+        "cache": state.cache,
+    })
     output = StepOutput(
         t=t_next,
         observation=y_next,
@@ -302,7 +328,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     ).trimmed(current_t + 1 - config.tau)
     return EngineState(
         window=window,
-        bucket=TrainingWindow(),
+        bucket=_EMPTY_WINDOW,
         models=models,
         table=precision_table(models, config.tau),
         weights=np.full(len(models), 1.0 / len(models)),

@@ -85,16 +85,20 @@ class Hyperparameters:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictiveDistribution:
-    """A Gaussian one-step forecast."""
+    """A Gaussian one-step forecast.  Slotted: a run keeps one per step.
+    The two fields are stored as Python floats; a caller that passes them
+    (as `mixture.fuse_poe` does) skips the conversion."""
 
     mean: float
     variance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", float(self.mean))
-        object.__setattr__(self, "variance", float(self.variance))
+        if type(self.mean) is not float:
+            object.__setattr__(self, "mean", float(self.mean))
+        if type(self.variance) is not float:
+            object.__setattr__(self, "variance", float(self.variance))
         if not (self.variance > 0.0):
             raise ValueError(f"variance must be positive, got {self.variance}")
 

@@ -148,5 +148,6 @@ def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> Predicti
     r = np.minimum.reduce(variances)
     wp = r / variances
     wp *= pred_weights
-    total = np.add.reduce(wp)
-    return PredictiveDistribution(means @ wp / total, max(r / total, VAR_FLOOR))
+    # Python floats divide with the same IEEE rounding as numpy scalars
+    total = float(np.add.reduce(wp))
+    return PredictiveDistribution(float(means @ wp) / total, max(float(r) / total, VAR_FLOOR))

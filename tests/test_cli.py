@@ -131,6 +131,17 @@ class TestRunCommand:
         assert code == 4
         assert f"'init_count' must be >= 8, got {count}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", [10**400, 2**62], ids=["10**400", "2**62"])
+    def test_tau_beyond_numpy_largest_table_is_config_error(self, dataset, tmp_path, capsys, tau):
+        # Named before the fit, as flag and as config value.
+        code = main(["run", "--input", str(dataset), "--init-count", "60", "--tau", str(tau)])
+        assert code == 4
+        assert "'tau' must be <= " in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"init_count": 60, "tau": tau}))
+        assert main(["run", "--input", str(dataset), "--config", str(cfg)]) == 4
+        assert "'tau' must be <= " in capsys.readouterr().err
+
     def test_missing_init_count_is_config_error(self, dataset, capsys):
         code = main(["run", "--input", str(dataset)])
         assert code == 4

@@ -1,6 +1,10 @@
 """Tests for the streaming engine state machine."""
 
+import copy
 import dataclasses
+import math
+import pickle
+import struct
 from collections import Counter
 
 import numpy as np
@@ -164,6 +168,31 @@ class TestEngineConfig:
         # Before initialize, whose fit would otherwise fail on every start.
         with pytest.raises(ValueError, match=f"'{name}' must be a"):
             EngineConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "tau", [10**400, 2**62, np.int64(2**62)], ids=["10**400", "2**62", "int64(2**62)"]
+    )
+    def test_tau_beyond_numpy_largest_table_rejected_by_name(self, tau):
+        # Before initialize, whose precision table numpy would refuse only
+        # after the fit, naming no key.
+        with pytest.raises(ValueError, match="'tau' must be <= "):
+            EngineConfig(tau=tau)
+
+    @pytest.mark.parametrize(
+        "factors, models",
+        [(VariantFactors(), 1), (EIGHT_MODEL.factors, 8),
+         (VariantFactors((1.0, 0.2, 5.0), (1.0, 0.2, 5.0), (1.0, 0.2, 5.0)), 27)],
+    )
+    def test_largest_tau_is_that_of_numpy_largest_table(self, factors, models):
+        def table_bytes(tau):  # (2, M, tau+1, tau+1) float64
+            return 2 * models * (tau + 1) ** 2 * 8
+
+        limit = np.iinfo(np.intp).max
+        largest = math.isqrt(limit // (16 * models)) - 1
+        assert table_bytes(largest) <= limit < table_bytes(largest + 1)
+        assert EngineConfig(tau=largest, factors=factors).tau == largest
+        with pytest.raises(ValueError, match=f"'tau' must be <= {largest} for {models} models"):
+            EngineConfig(tau=largest + 1, factors=factors)
 
     def test_numpy_numbers_accepted(self):
         config = EngineConfig(tau=np.int64(5), seed=np.int32(2), alpha=np.float64(0.5))
@@ -482,8 +511,7 @@ class TestMeanRefresh:
             state, out = step(state, y)
             if i < 9:
                 assert out.mean_const == c0
-        expected = float(np.mean(shifted))
-        assert out.mean_const == pytest.approx(expected, abs=1e-12)
+        assert out.mean_const == float(np.mean(shifted))
         assert state.inliers_since_refresh == 0
 
     def test_refresh_mean_of_equal_values(self):
@@ -510,6 +538,7 @@ class TestMeanRefresh:
         state, _ = step(state, 0.01)
         state, out = step(state, 0.03)
         assert out.mean_const == pytest.approx(0.02, abs=1e-15)
+        assert out.mean_const == float(np.mean([0.01, 0.03]))
 
     def test_refresh_matches_independent_mean(self):
         history, stream = flat_stream(51, n_stream=30)
@@ -521,8 +550,24 @@ class TestMeanRefresh:
         assert all(o.verdict is Verdict.INLIER for o in outputs)
         # refreshes land on the 10th, 20th, 30th inliers
         for k in (9, 19, 29):
-            expected = float(np.mean(stream[k - 9 : k + 1]))
-            assert outputs[k].mean_const == pytest.approx(expected, abs=1e-12)
+            assert outputs[k].mean_const == float(np.mean(stream[k - 9 : k + 1]))
+
+    @pytest.mark.parametrize("n_outliers", [3, 9])
+    def test_change_point_mean_is_the_bucket_mean(self, n_outliers):
+        history, stream, _ = shift_stream(58)
+        config = EngineConfig(
+            init_count=60, n_outliers=n_outliers, factors=VariantFactors(), seed=0
+        )
+        state = initialize(np.arange(60), history, config)
+        declared = 0
+        for y in stream:
+            bucket = state.bucket.values + (float(y),)
+            state, out = step(state, y)
+            if out.verdict is Verdict.CHANGE_POINT:
+                declared += 1
+                assert len(bucket) == n_outliers
+                assert out.mean_const == float(np.mean(bucket))
+        assert declared >= 1
 
 
 class TestPredictorCache:
@@ -607,6 +652,82 @@ class TestPredictorCache:
         fork, _ = step(state, stream[0])
         assert after.cache is state.cache
         assert fork.cache is state.cache
+
+
+def stepped_mid_stream():
+    """A state after an outlier, its bucket not empty, and the output and
+    state of the step after it."""
+    history, stream = gapped_shift_stream(59)
+    state, _ = stream_through(initialize(np.arange(60), history, EIGHT_MODEL), stream[:31])
+    assert len(state.bucket) == 1
+    return state, stream[31:], step(state, stream[31])
+
+
+def bits(value):
+    """A field's value with floats and arrays as their bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if dataclasses.is_dataclass(value):
+        return tuple(bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+class TestRecords:
+    """What `step` returns is immutable, and the records that a run keeps,
+    one per step, carry no per-instance `__dict__`."""
+
+    def test_every_field_is_frozen(self):
+        _, _, (state, out) = stepped_mid_stream()
+        for record in (state, out, out.fused, state.window, state.bucket):
+            for f in dataclasses.fields(record):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, f.name, getattr(record, f.name))
+
+    def test_replace_and_equality_work(self):
+        _, _, (state, out) = stepped_mid_stream()
+        for record in (state, out, out.fused, state.window):
+            again = dataclasses.replace(record)
+            assert again == record and again is not record
+        assert dataclasses.replace(state, weights=state.weights + 0.0) == state
+        assert dataclasses.replace(state, shared_mean=state.shared_mean + 1.0) != state
+        assert dataclasses.replace(out, means=out.means + 0.0) == out
+        assert dataclasses.replace(out, t=out.t + 1) != out
+        assert dataclasses.replace(out.fused, mean=out.fused.mean + 1.0) != out.fused
+
+    def test_state_from_step_holds_every_field(self):
+        _, _, (state, _) = stepped_mid_stream()
+        assert list(vars(state)) == [f.name for f in dataclasses.fields(state)]
+
+    def test_kept_records_have_no_instance_dict(self):
+        _, _, (_, out) = stepped_mid_stream()
+        for record in (out, out.fused):
+            assert not hasattr(record, "__dict__")
+
+    def test_output_survives_pickle_and_deepcopy(self):
+        _, _, (_, out) = stepped_mid_stream()
+        for twin in (pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+            assert twin == out
+            assert bits(twin) == bits(out)
+
+
+class TestReplay:
+    def test_pickled_and_copied_state_steps_bit_for_bit(self):
+        # Replayed through outliers and a change point, on caches that the
+        # copies no longer share with the original.
+        state, rest, _ = stepped_mid_stream()
+        twins = [pickle.loads(pickle.dumps(state)), copy.deepcopy(state)]
+        verdicts = set()
+        for y in rest[:45]:
+            for twin in twins:
+                assert twin == state
+            state, out = step(state, y)
+            verdicts.add(out.verdict)
+            for i, twin in enumerate(twins):
+                twins[i], twin_out = step(twin, y)
+                assert bits(twin_out) == bits(out)
+        assert verdicts == set(Verdict)
 
 
 class TestStepOutputEquality:

@@ -25,6 +25,7 @@ from intelgp.gp import (
     Hyperparameters,
     KernelKind,
     NumericalError,
+    PredictiveDistribution,
     chol_with_jitter,
     distance_table,
     gp_predict,
@@ -124,6 +125,18 @@ def random_hyper(rng) -> Hyperparameters:
         length_scale=math.exp(rng.uniform(-1.0, 2.0)),
         noise_scale=math.exp(rng.uniform(-3.0, 0.0)),
     )
+
+
+class TestPredictiveDistribution:
+    def test_numpy_scalars_stored_as_python_floats(self):
+        pred = PredictiveDistribution(np.float64(0.25), np.float32(2.0))
+        assert (type(pred.mean), type(pred.variance)) == (float, float)
+        assert (pred.mean, pred.variance, pred.std) == (0.25, 2.0, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan, np.float64(math.nan)])
+    def test_non_positive_variance_rejected(self, variance):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            PredictiveDistribution(0.0, variance)
 
 
 class TestKernelEval:

@@ -246,6 +246,12 @@ class TestFusePoe:
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
 
+    def test_nan_variance_rejected(self):
+        # The fused variance is nan; the forecast record refuses it.
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ValueError, match="variance must be positive, got nan"):
+            fuse_poe(np.zeros(2), np.array([np.nan, 1.0]), w)
+
     @settings(deadline=None, derandomize=True)
     @given(
         mean=st.floats(allow_nan=False, allow_infinity=False),

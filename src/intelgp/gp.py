@@ -7,8 +7,10 @@ Prediction reads each model's covariance over the offsets 0..tau and its
 inverse, the precision, formed once per model set with LAPACK trtrs; a
 new window factors one small block per model, taken from whichever of the
 two is smaller for it, with one banded LAPACK pbtrf call for the whole
-set and solves with one pbtrs call.  The fit's gradient forms V⁻¹ with
-LAPACK potri.
+set and solves with one pbtrs call.  The fit's gradient needs only the
+per-distance sums of V⁻¹: on equally spaced sorted inputs, where V is
+Toeplitz, they come from one more solve, V⁻¹e₁, by the Gohberg–Semencul
+formula; on any other inputs from V⁻¹ itself, formed with LAPACK potri.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# LAPACK's triangular solve, inverse from a Cholesky factor, and banded
-# Cholesky factorization and solve for float64, fetched once.  scipy's
+# LAPACK's triangular solve, inverse and solve from a Cholesky factor, and
+# banded Cholesky factorization and solve for float64, fetched once.  scipy's
 # solve_triangular looks its routine up and validates its arguments on
 # every call, which costs several times a 20x20 solve.
-_trtrs, _potri, _pbtrf, _pbtrs = get_lapack_funcs(
-    ("trtrs", "potri", "pbtrf", "pbtrs"), (np.empty((1, 1)),)
+_trtrs, _potri, _potrs, _pbtrf, _pbtrs = get_lapack_funcs(
+    ("trtrs", "potri", "potrs", "pbtrf", "pbtrs"), (np.empty((1, 1)),)
 )
 
 
@@ -477,6 +479,13 @@ def lml_gradient(
     derivative depend on the inputs only through the distance, so their
     traces are per-distance sums of B against the kernel values; the noise
     derivative is 2·noise²·I.
+
+    Equally spaced sorted inputs (ascending or descending, any start and
+    spacing), whose table indexes the pair (i, j) by |i - j|, make V
+    Toeplitz: the sums come from `_toeplitz_diagonal_sums`, one more solve
+    and three correlations.  Any other inputs, gapped, unsorted or
+    repeated, take the sums of B itself, with V⁻¹ from LAPACK potri.  Both
+    use the factor of V, with its jitter if the ladder added one.
     """
     d, where = table
     ys = np.asarray(ys, dtype=float)
@@ -490,17 +499,68 @@ def lml_gradient(
     V = k[where]
     V[np.diag_indices(n)] += noise2
     lml, L, alpha = _factored_lml(V, ys - mean)
-    # potri leaves V⁻¹ in the lower triangle and the factor's zeros above it
-    P, info = _potri(L, lower=1)
-    if info != 0:
-        raise NumericalError(f"inverse from the Cholesky factor failed: LAPACK potri info {info}")
-    B = np.outer(alpha, alpha)
-    B -= P
-    B -= np.tril(P, -1).T
-    per_distance = np.bincount(where.ravel(), weights=B.ravel(), minlength=d.size)
+    if d.size == n and np.array_equal(where, _toeplitz_index(n)):
+        per_distance = _toeplitz_diagonal_sums(L, alpha)
+        trace = per_distance[0]
+    else:
+        # potri leaves V⁻¹ in the lower triangle and the factor's zeros above it
+        P, info = _potri(L, lower=1)
+        if info != 0:
+            raise NumericalError(
+                f"inverse from the Cholesky factor failed: LAPACK potri info {info}"
+            )
+        B = np.outer(alpha, alpha)
+        B -= P
+        B -= np.tril(P, -1).T
+        per_distance = np.bincount(where.ravel(), weights=B.ravel(), minlength=d.size)
+        trace = np.trace(B)
     grad = np.array([
         per_distance @ k,
         0.5 * (per_distance @ _dk_dlog_length(hyper, d)),
-        noise2 * np.trace(B),
+        noise2 * trace,
     ])
     return lml, grad
+
+
+@lru_cache(maxsize=1)
+def _toeplitz_index(n: int) -> np.ndarray:
+    """|i - j| over i, j in 0..n-1: the `distance_table` index of n equally
+    spaced sorted inputs.  A table with this index gives a Toeplitz V,
+    whatever the inputs.  Its first row alone would not do: the distances
+    of 0, 1e-20 and 1 round to three distinct values, in order from the
+    first input, yet |1e-20 - 1| rounds to 1.  One size is kept, as large
+    as a fit's own distance index: a fit evaluates at one size."""
+    x = np.arange(n)
+    index = np.abs(x[:, None] - x[None, :])
+    index.flags.writeable = False  # shared by every call through the cache
+    return index
+
+
+def _toeplitz_diagonal_sums(L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Per distance d = 0..n-1, the sum of B = ααᵀ - V⁻¹ over the pairs
+    |i - j| = d, for a symmetric Toeplitz V with Cholesky factor L.
+
+    By the Gohberg–Semencul formula, V⁻¹ = (XXᵀ - YYᵀ)/x₀ with x = V⁻¹e₁
+    and X, Y lower-triangular Toeplitz: X's first column is x and Y's is
+    (0, x_{n-1}, ..., x_1).  A lower-triangular Toeplitz matrix with first
+    column a sums, over its d-th diagonal, to Σ_m (n - d - m)·a_m·a_{m+d}
+    in its product with its transpose: one correlation of (n - m)·a_m
+    with a.  The d-th diagonal of ααᵀ sums to the correlation of α with
+    itself.  Each off-diagonal distance covers two diagonals, so those
+    sums are doubled.
+    """
+    n = alpha.size
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    # potrs reports only illegal arguments, which these shapes rule out.
+    x = _potrs(L, e1, lower=1)[0]
+    y = np.zeros(n)
+    y[1:] = x[:0:-1]
+    weights = np.arange(n, 0, -1.0)
+    inverse = np.correlate(weights * x, x, "full")[n - 1:]
+    inverse -= np.correlate(weights * y, y, "full")[n - 1:]
+    inverse /= x[0]
+    sums = np.correlate(alpha, alpha, "full")[n - 1:]
+    sums -= inverse
+    sums[1:] *= 2.0
+    return sums

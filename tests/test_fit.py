@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from intelgp import fit
+from intelgp import fit, gp
 from intelgp.fit import fit_template, heuristic_hyperparameters
 from intelgp.gp import (
     Hyperparameters,
@@ -25,6 +25,10 @@ def sample_gp(hyper, ts, seed, mean_const=0.0):
     L = chol_with_jitter(V)
     rng = np.random.default_rng(seed)
     return mean_const + L @ rng.standard_normal(len(ts))
+
+
+def refuse_potri(*args, **kwargs):
+    raise AssertionError("the evaluation reached potri")
 
 
 class TestFitTemplate:
@@ -80,6 +84,24 @@ class TestFitTemplate:
                 lml_gradient(fit.hyper, 0.0, distance_table(ts), ys)[1]
             )
             assert gnorm < 1e-4
+
+    @pytest.mark.parametrize("kind", list(KernelKind))
+    def test_toeplitz_gradient_fits_the_scales_of_the_potri_gradient(self, kind, monkeypatch):
+        # An equally spaced history takes the Toeplitz sums, never potri;
+        # with no table matching the Toeplitz index, every evaluation
+        # takes potri.
+        ts = np.arange(200.0)
+        ys = sample_gp(Hyperparameters(kind, 1.0, 6.0, 0.2), ts, seed=17)
+        with monkeypatch.context() as patch:
+            patch.setattr(gp, "_potri", refuse_potri)
+            toeplitz = fit_template(ts, ys, 0.0, kind=kind, seed=7)
+        monkeypatch.setattr(gp, "_toeplitz_index", lambda n: np.full((n, n), -1))
+        dense = fit_template(ts, ys, 0.0, kind=kind, seed=7)
+        fitted = [
+            (f.hyper.signal_scale, f.hyper.length_scale, f.hyper.noise_scale)
+            for f in (toeplitz, dense)
+        ]
+        np.testing.assert_allclose(*fitted, rtol=1e-8, atol=0)
 
     def test_deterministic_for_fixed_seed(self):
         ts = np.arange(50.0)

@@ -867,6 +867,92 @@ class TestLmlGradient:
             lml_gradient(hyper, 0.0, distance_table(np.arange(3.0)), np.zeros(4))
 
 
+class PotriCalled(Exception):
+    """Raised by a stand-in for `gp._potri`."""
+
+
+def refuse_potri(*args, **kwargs):
+    raise PotriCalled
+
+
+class TestToeplitzGradient:
+    """Equally spaced sorted inputs make V Toeplitz.  The gradient's
+    per-distance sums of B = ααᵀ - V⁻¹ then come from
+    `_toeplitz_diagonal_sums`, without forming V⁻¹; any other inputs take
+    potri.  Checked against an explicit inverse, within n·cond(V)·eps."""
+
+    @staticmethod
+    def check_sums(ts, hyper) -> float:
+        """Check the sums against those of the explicit inverse of V, with
+        the jitter the ladder added, within 10·n·cond(V)·eps; return that
+        jitter."""
+        ts = np.asarray(ts)
+        n = ts.size
+        d, where = distance_table(ts)
+        assert d.size == n and np.array_equal(where, gp._toeplitz_index(n))
+        V = noisy_covariance(hyper, ts)
+        L, jitter = chol_with_jitter(V, return_jitter=True)
+        V[np.diag_indices(n)] += jitter
+        alpha = cho_solve((L, True), np.random.default_rng(n).normal(size=n))
+        sums = gp._toeplitz_diagonal_sums(L, alpha)
+        B = np.outer(alpha, alpha) - np.linalg.inv(V)
+        want = np.bincount(where.ravel(), weights=B.ravel(), minlength=n)
+        bound = 10 * n * np.linalg.cond(V) * EPS * np.max(np.abs(want))
+        assert np.max(np.abs(sums - want)) <= bound
+        return jitter
+
+    @pytest.mark.parametrize(
+        "ts, length",
+        [
+            ([3.0], 1.0),
+            ([0.0, 1.0], 1.0),
+            (np.arange(40.0), 4.0),
+            (7.0 + 2.5 * np.arange(30), 10.0),  # non-unit spacing, non-zero start
+            (5.0 - 0.5 * np.arange(12), 2.0),  # descending
+        ],
+    )
+    @pytest.mark.parametrize("kind", KernelKind)
+    def test_sums_match_the_explicit_inverse(self, ts, length, kind):
+        assert self.check_sums(ts, Hyperparameters(kind, 1.3, length, 0.3)) == 0.0
+
+    def test_sums_are_those_of_the_jittered_matrix(self):
+        # Unjittered, the 1e-18 noise variance is lost against the unit
+        # diagonal and V is numerically singular.
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4, 1e-9)
+        assert self.check_sums(np.arange(12.0), hyper) > 0.0
+
+    @pytest.mark.parametrize(
+        "ts",
+        [[4.0], np.arange(200.0), 7.0 + 2.5 * np.arange(9), 5.0 - 0.5 * np.arange(12)],
+    )
+    def test_equally_spaced_inputs_do_not_reach_potri(self, ts, monkeypatch):
+        ts = np.asarray(ts)
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.2)
+        ys = np.random.default_rng(2).normal(size=ts.size)
+        want = oracle_lml_gradient(hyper, 0.1, ts, ys)
+        monkeypatch.setattr(gp, "_potri", refuse_potri)
+        value, g = lml_gradient(hyper, 0.1, distance_table(ts), ys)
+        assert value == log_marginal_likelihood(hyper, 0.1, ts, ys)
+        assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            [0.0, 1.0, 3.0, 4.0],  # gapped
+            [0.0, 2.0, 1.0, 3.0],  # unsorted
+            [0.0, 1.0, 1.0, 2.0],  # repeated
+            # Distances 0, 1e-20 and 1 from the first input, in order,
+            # but |1e-20 - 1| rounds to 1: V is not Toeplitz.
+            [0.0, 1e-20, 1.0],
+        ],
+    )
+    def test_other_inputs_take_potri(self, ts, monkeypatch):
+        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.2)
+        monkeypatch.setattr(gp, "_potri", refuse_potri)
+        with pytest.raises(PotriCalled):
+            lml_gradient(hyper, 0.0, distance_table(ts), np.ones(len(ts)))
+
+
 class TestDistanceTable:
     @pytest.mark.parametrize(
         "xs, n_distinct", [([0.0, 2.5, 1.0, 7.0, 3.5], 8), (np.arange(200.0), 200)]

@@ -20,7 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .fit import MIN_FIT_POINTS, FitResult, fit_template
-from .gp import Hyperparameters, KernelKind, PredictiveDistribution, gp_predict, precision_table
+from .gp import (
+    Hyperparameters,
+    KernelKind,
+    PredictiveDistribution,
+    gp_predict,
+    one_blas_thread,
+    precision_table,
+)
 from .mixture import (
     VariantFactors,
     build_model_set,
@@ -302,7 +309,10 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     Fits the template on the history, builds the variant set, and seeds
     the window with the history points of the last `tau` time steps, the
     rule `step` applies after every observation.  The history times must
-    be strictly increasing integers; gaps are allowed.
+    be strictly increasing integers; gaps are allowed.  The fit and the
+    precision table run with scipy's BLAS on one thread
+    (`gp.one_blas_thread`), so the state's bits do not depend on the BLAS
+    thread count.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
@@ -318,8 +328,10 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         raise ValueError("history times must be strictly increasing integers")
 
     mean = float(np.mean(ys))
-    fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
-    models = build_model_set(fit.hyper, config.factors)
+    with one_blas_thread():
+        fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
+        models = build_model_set(fit.hyper, config.factors)
+        table = precision_table(models, config.tau)
 
     current_t = int(history_t[-1])
     window = TrainingWindow(
@@ -330,7 +342,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         window=window,
         bucket=_EMPTY_WINDOW,
         models=models,
-        table=precision_table(models, config.tau),
+        table=table,
         weights=np.full(len(models), 1.0 / len(models)),
         shared_mean=mean,
         config=config,

@@ -2,26 +2,34 @@
 
 Kernels, covariance assembly, one-step posterior prediction for a whole
 model set at once, and the log marginal likelihood with analytic gradients
-in log-parameter space.  All solves go through a Cholesky factorization.
-Prediction reads each model's covariance over the offsets 0..tau and its
-inverse, the precision, formed once per model set with LAPACK trtrs; a
-new window factors one small block per model, taken from whichever of the
-two is smaller for it, with one banded LAPACK pbtrf call for the whole
-set and solves with one pbtrs call.  The fit's gradient needs only the
-per-distance sums of V⁻¹: on equally spaced sorted inputs, where V is
-Toeplitz, they come from one more solve, V⁻¹e₁, by the Gohberg–Semencul
-formula; on any other inputs from V⁻¹ itself, formed with LAPACK potri.
+in log-parameter space.  All solves go through a Cholesky factorization,
+and every LAPACK routine is called directly, through a handle fetched once
+at import, without scipy.linalg's per-call checks.  Prediction reads each
+model's covariance over the offsets 0..tau and its inverse, the precision,
+formed once per model set with LAPACK trtrs; a new window factors one
+small block per model, taken from whichever of the two is smaller for it,
+with one banded LAPACK pbtrf call for the whole set and solves with one
+pbtrs call.  The fit's gradient needs only the per-distance sums of V⁻¹:
+on equally spaced sorted inputs, where V is Toeplitz, they come from one
+more column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on
+any other inputs from V⁻¹ itself, formed with LAPACK potri.
 """
 
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, get_lapack_funcs
+import scipy
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 # Predictive variances are floored here so downstream precision sums and
 # log densities stay finite.
@@ -37,13 +45,62 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# LAPACK's triangular solve, inverse and solve from a Cholesky factor, and
-# banded Cholesky factorization and solve for float64, fetched once.  scipy's
-# solve_triangular looks its routine up and validates its arguments on
-# every call, which costs several times a 20x20 solve.
-_trtrs, _potri, _potrs, _pbtrf, _pbtrs = get_lapack_funcs(
-    ("trtrs", "potri", "potrs", "pbtrf", "pbtrs"), (np.empty((1, 1)),)
+# LAPACK's triangular solve, Cholesky factorization, and inverse and solve
+# from a Cholesky factor, and banded Cholesky factorization and solve for
+# float64, fetched once.  scipy.linalg looks its routine up and validates
+# its arguments on every call, which costs several times a 20x20 solve
+# and tens of microseconds around a 200x200 factorization.
+_trtrs, _potrf, _potri, _potrs, _pbtrf, _pbtrs = get_lapack_funcs(
+    ("trtrs", "potrf", "potri", "potrs", "pbtrf", "pbtrs"), (np.empty((1, 1)),)
 )
+
+log = logging.getLogger("intelgp")
+
+
+@lru_cache(maxsize=1)
+def _blas_thread_count_calls():
+    """The (get, set) thread-count functions of the OpenBLAS bundled with
+    scipy, which its LAPACK routines run on, or None, with one warning,
+    where no such library or symbol is found."""
+    package = Path(scipy.__file__).resolve().parent
+    for lib in sorted([*package.parent.glob("scipy.libs/*openblas*"),
+                       *package.glob(".dylibs/*openblas*")]):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(handle, f"{prefix}_get_num_threads", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads", None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    log.warning(
+        "scipy's BLAS thread count cannot be set: results may depend on the "
+        "number of BLAS threads"
+    )
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with scipy's bundled OpenBLAS on one thread, and
+    restore its thread count after.  A threaded 200x200 potrf rounds
+    differently from a one-thread one, and a fit amplifies the last bit, so
+    a fit's bits would depend on the thread count.  Where the count cannot
+    be set (another BLAS, another wheel layout), the block runs as it is."""
+    calls = _blas_thread_count_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 class NumericalError(RuntimeError):
@@ -131,13 +188,26 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-def distance_table(xs) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pairwise distances |xi - xj| of the inputs, sorted, and
-    the (n, n) index of each pair's distance in them.  A stationary kernel
-    is evaluated once per distinct distance, then spread out by the index."""
+def distance_table(xs) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The distinct pairwise distances |xi - xj| of the inputs, sorted; the
+    (n, n) index of each pair's distance in them; and whether that index
+    is |i - j|.  A stationary kernel is evaluated once per distinct
+    distance, then spread out by the index.
+
+    The index is |i - j| for equally spaced sorted inputs (ascending or
+    descending, any start and spacing), and then a stationary covariance
+    over them is Toeplitz, whatever the inputs.  The first row of the index
+    alone would not show it: the distances of 0, 1e-20 and 1 round to
+    three distinct values, in order from the first input, yet |1e-20 - 1|
+    rounds to 1.
+    """
     x = np.asarray(xs, dtype=float)
+    n = x.size
     d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
-    return d, where.reshape(x.size, x.size)
+    where = where.reshape(n, n)
+    i = np.arange(n)
+    toeplitz = d.size == n and np.array_equal(where, np.abs(i[:, None] - i[None, :]))
+    return d, where, bool(toeplitz)
 
 
 def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
@@ -169,9 +239,13 @@ def chol_with_jitter(V: np.ndarray, return_jitter: bool = False):
     because BLAS sees the same vector lengths in every model's block: the
     identity block keeps the last one from being the band's shorter tail.
 
-    Raises NumericalError on a single matrix with a non-finite entry, once
-    the ladder is exhausted, or naming the first model of a stack whose
-    block is not positive definite or has a non-finite factor.
+    A single matrix is factored by `cholesky`, which reads its lower
+    triangle.  A rung fails where LAPACK meets a non-positive pivot or
+    where a pivot is not finite; only then is V scanned for non-finite
+    entries.  Raises NumericalError on a single matrix with a non-finite
+    entry in its lower triangle, once the ladder is exhausted, or naming
+    the first model of a stack whose block is not positive definite or has
+    a non-finite factor.
     """
     n = V.shape[-1]
     if V.ndim == 3:
@@ -192,17 +266,19 @@ def chol_with_jitter(V: np.ndarray, return_jitter: bool = False):
                 f"of a stack of {n}x{n} matrices"
             )
         return factor
-    if not np.all(np.isfinite(V)):
-        raise NumericalError("covariance matrix contains non-finite values")
     for jitter in _JITTERS:
         try:
-            if jitter == 0.0:
-                L = cholesky(V, lower=True, check_finite=False)
-            else:
-                L = cholesky(V + jitter * np.eye(n), lower=True, check_finite=False)
+            L = cholesky(V if jitter == 0.0 else V + jitter * np.eye(n))
         except LinAlgError:
-            continue
-        return (L, jitter) if return_jitter else L
+            L = None
+        # potrf stops at a non-positive pivot but not at a NaN one, and
+        # passes an infinite diagonal entry through as an infinite pivot.
+        # The pivots are square roots, too small for their sum to overflow:
+        # it is finite iff every pivot is.
+        if L is not None and math.isfinite(L.trace()):
+            return (L, jitter) if return_jitter else L
+        if jitter == 0.0 and not np.all(np.isfinite(V)):
+            raise NumericalError("covariance matrix contains non-finite values")
     raise NumericalError(
         f"Cholesky factorization failed for a {n}x{n} covariance matrix "
         f"even with diagonal jitter up to {_JITTERS[-1]:g}"
@@ -341,14 +417,41 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     return a, var
 
 
+def cholesky(V: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite V of shape
+    (n, n), n >= 1, Fortran-ordered, with zeros above the diagonal.
+
+    One LAPACK potrf call, without scipy's per-call checks and routine
+    lookup: the call scipy's cholesky(V, lower=True) makes, so the result
+    is the same bit for bit, for V in either memory order.  Only V's lower
+    triangle is read, and V is not modified.  Raises LinAlgError where
+    potrf meets a non-positive pivot; a NaN pivot it passes through.
+    """
+    L, info = _potrf(V, lower=1, clean=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return L
+
+
+def cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with LLᵀx = b, for L from `cholesky` and b of shape (n,) or
+    (n, k).
+
+    One LAPACK potrs call: the call scipy's cho_solve((L, True), b) makes,
+    so the result is the same bit for bit.  The inputs are not modified.
+    """
+    # potrs reports only illegal arguments, which these shapes rule out.
+    return _potrs(L, b, lower=1)[0]
+
+
 def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with Lx = b, for a lower-triangular L of shape (n, n), n >= 1, and
     b of shape (n,) or (n, k).
 
     One LAPACK trtrs call, without scipy's per-call checks and routine
-    lookup.  L is scipy cholesky's Fortran-ordered output, and the call is
-    the one scipy's solve_triangular(L, b, lower=True) makes, so the result
-    is the same bit for bit.  The inputs are not modified.
+    lookup.  L is `cholesky`'s Fortran-ordered output, and the call is the
+    one scipy's solve_triangular(L, b, lower=True) makes, so the result is
+    the same bit for bit.  The inputs are not modified.
     """
     x, info = _trtrs(L, b, 1)
     if info != 0:
@@ -432,20 +535,19 @@ def log_marginal_likelihood(
     ys = np.asarray(ys, dtype=float)
     if ts.size == 0:
         raise ValueError("log_marginal_likelihood requires at least one data point")
-    return _factored_lml(noisy_covariance(hyper, ts), ys - mean)[0]
+    resid = ys - mean
+    L = chol_with_jitter(noisy_covariance(hyper, ts))
+    return _lml(resid, L, cho_solve(L, resid))
 
 
-def _factored_lml(V: np.ndarray, resid: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """The log marginal likelihood of residuals `resid` under covariance V,
-    with the Cholesky factor L of V and alpha = V⁻¹ resid it comes from."""
-    L = chol_with_jitter(V)
-    alpha = cho_solve((L, True), resid, check_finite=False)
-    lml = float(
+def _lml(resid: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
+    """The log marginal likelihood of residuals `resid` under the covariance
+    with Cholesky factor L, from alpha = (LLᵀ)⁻¹ resid."""
+    return float(
         -0.5 * resid @ alpha
         - np.sum(np.log(np.diag(L)))
         - 0.5 * resid.size * _LOG_2PI
     )
-    return lml, L, alpha
 
 
 def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
@@ -463,7 +565,7 @@ def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
 def lml_gradient(
     hyper: Hyperparameters,
     mean: float,
-    table: tuple[np.ndarray, np.ndarray],
+    table: tuple[np.ndarray, np.ndarray, bool],
     ys,
 ) -> tuple[float, np.ndarray]:
     """The log marginal likelihood and its gradient in log-parameter space,
@@ -480,14 +582,15 @@ def lml_gradient(
     traces are per-distance sums of B against the kernel values; the noise
     derivative is 2·noise²·I.
 
-    Equally spaced sorted inputs (ascending or descending, any start and
-    spacing), whose table indexes the pair (i, j) by |i - j|, make V
-    Toeplitz: the sums come from `_toeplitz_diagonal_sums`, one more solve
-    and three correlations.  Any other inputs, gapped, unsorted or
-    repeated, take the sums of B itself, with V⁻¹ from LAPACK potri.  Both
-    use the factor of V, with its jitter if the ladder added one.
+    Where the table's index is |i - j| (equally spaced sorted inputs), V is
+    Toeplitz: it is copied straight from the n kernel values, α and
+    x = V⁻¹e₁ come from one two-column `cho_solve`, and the sums from
+    `_toeplitz_diagonal_sums`, three correlations.  Any other inputs,
+    gapped, unsorted or repeated, gather V through the index, and take the
+    sums of B itself, with V⁻¹ from LAPACK potri.  Both use the factor of
+    V, with its jitter if the ladder added one.
     """
-    d, where = table
+    d, where, toeplitz = table
     ys = np.asarray(ys, dtype=float)
     n = ys.size
     if n == 0:
@@ -496,13 +599,25 @@ def lml_gradient(
         raise ValueError(f"distance table is for {where.shape[0]} inputs, got {n} observations")
     noise2 = hyper.noise_scale * hyper.noise_scale
     k = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
-    V = k[where]
-    V[np.diag_indices(n)] += noise2
-    lml, L, alpha = _factored_lml(V, ys - mean)
-    if d.size == n and np.array_equal(where, _toeplitz_index(n)):
-        per_distance = _toeplitz_diagonal_sums(L, alpha)
+    resid = ys - mean
+    if toeplitz:
+        # Row i of V is c[n-1-i : 2n-1-i].  V is symmetric, so the transpose
+        # of its C-ordered copy is V in the Fortran order LAPACK reads.
+        c = np.concatenate((k[:0:-1], k))
+        c[n - 1] += noise2
+        V = np.ascontiguousarray(sliding_window_view(c, n)[::-1]).T
+        L = chol_with_jitter(V)
+        rhs = np.zeros((2, n))
+        rhs[0] = resid
+        rhs[1, 0] = 1.0
+        alpha, x = cho_solve(L, rhs.T).T
+        per_distance = _toeplitz_diagonal_sums(x, alpha)
         trace = per_distance[0]
     else:
+        V = k[where]
+        V[np.diag_indices(n)] += noise2
+        L = chol_with_jitter(V)
+        alpha = cho_solve(L, resid)
         # potri leaves V⁻¹ in the lower triangle and the factor's zeros above it
         P, info = _potri(L, lower=1)
         if info != 0:
@@ -519,29 +634,15 @@ def lml_gradient(
         0.5 * (per_distance @ _dk_dlog_length(hyper, d)),
         noise2 * trace,
     ])
-    return lml, grad
+    return _lml(resid, L, alpha), grad
 
 
-@lru_cache(maxsize=1)
-def _toeplitz_index(n: int) -> np.ndarray:
-    """|i - j| over i, j in 0..n-1: the `distance_table` index of n equally
-    spaced sorted inputs.  A table with this index gives a Toeplitz V,
-    whatever the inputs.  Its first row alone would not do: the distances
-    of 0, 1e-20 and 1 round to three distinct values, in order from the
-    first input, yet |1e-20 - 1| rounds to 1.  One size is kept, as large
-    as a fit's own distance index: a fit evaluates at one size."""
-    x = np.arange(n)
-    index = np.abs(x[:, None] - x[None, :])
-    index.flags.writeable = False  # shared by every call through the cache
-    return index
-
-
-def _toeplitz_diagonal_sums(L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def _toeplitz_diagonal_sums(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per distance d = 0..n-1, the sum of B = ααᵀ - V⁻¹ over the pairs
-    |i - j| = d, for a symmetric Toeplitz V with Cholesky factor L.
+    |i - j| = d, for a symmetric Toeplitz V with x = V⁻¹e₁.
 
-    By the Gohberg–Semencul formula, V⁻¹ = (XXᵀ - YYᵀ)/x₀ with x = V⁻¹e₁
-    and X, Y lower-triangular Toeplitz: X's first column is x and Y's is
+    By the Gohberg–Semencul formula, V⁻¹ = (XXᵀ - YYᵀ)/x₀ with X and Y
+    lower-triangular Toeplitz: X's first column is x and Y's is
     (0, x_{n-1}, ..., x_1).  A lower-triangular Toeplitz matrix with first
     column a sums, over its d-th diagonal, to Σ_m (n - d - m)·a_m·a_{m+d}
     in its product with its transpose: one correlation of (n - m)·a_m
@@ -550,10 +651,6 @@ def _toeplitz_diagonal_sums(L: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     sums are doubled.
     """
     n = alpha.size
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    # potrs reports only illegal arguments, which these shapes rule out.
-    x = _potrs(L, e1, lower=1)[0]
     y = np.zeros(n)
     y[1:] = x[:0:-1]
     weights = np.arange(n, 0, -1.0)

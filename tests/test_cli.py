@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import regime_change_series
 
+import intelgp
 from intelgp.cli import build_parser, main, parse_factor_flag
 from intelgp.engine import EngineConfig
 from intelgp.harness import CONFIG_KEYS, load_csv, records_to_jsonl, run
@@ -331,6 +336,30 @@ class TestRunCommand:
         monkeypatch.setenv("INTEL_LOG", "info")
         code = main(["run", "--input", str(dataset), "--init-count", "80"])
         assert code == 0
+
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, dataset, tmp_path):
+        # The suite runs on one BLAS thread (tests/conftest.py), so each run
+        # is a process of its own that sets the count.  A 200-point fit is
+        # large enough for OpenBLAS to thread its factorization.
+        env = dict(os.environ, PYTHONPATH=str(Path(intelgp.__file__).resolve().parents[1]))
+        for threads in ("1", "2"):
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "intelgp.cli", "run",
+                    "--input", str(dataset),
+                    "--init-count", "200",
+                    "--out", str(tmp_path / threads),
+                ],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        for name in ("steps.jsonl", "metrics.json"):
+            one, two = ((tmp_path / t / name).read_bytes() for t in ("1", "2"))
+            assert one == two, f"{name} differs between one and two BLAS threads"
 
 
 class TestBenchCommand:

@@ -88,14 +88,14 @@ class TestFitTemplate:
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_toeplitz_gradient_fits_the_scales_of_the_potri_gradient(self, kind, monkeypatch):
         # An equally spaced history takes the Toeplitz sums, never potri;
-        # with no table matching the Toeplitz index, every evaluation
+        # with its table's Toeplitz decision turned off, every evaluation
         # takes potri.
         ts = np.arange(200.0)
         ys = sample_gp(Hyperparameters(kind, 1.0, 6.0, 0.2), ts, seed=17)
         with monkeypatch.context() as patch:
             patch.setattr(gp, "_potri", refuse_potri)
             toeplitz = fit_template(ts, ys, 0.0, kind=kind, seed=7)
-        monkeypatch.setattr(gp, "_toeplitz_index", lambda n: np.full((n, n), -1))
+        monkeypatch.setattr(fit, "distance_table", lambda xs: distance_table(xs)[:2] + (False,))
         dense = fit_template(ts, ys, 0.0, kind=kind, seed=7)
         fitted = [
             (f.hyper.signal_scale, f.hyper.length_scale, f.hyper.noise_scale)

@@ -7,16 +7,18 @@ prediction path it checks.
 """
 
 import dataclasses
+import logging
 import math
 import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
 from intelgp import gp
@@ -357,8 +359,8 @@ class TestBatchedPredictor:
 
     @pytest.mark.parametrize("order, n", [("C", 1), ("F", 1), ("F", 7)])
     def test_direct_solve_matches_scipy(self, order, n):
-        # A single factor comes from scipy's cholesky in the jitter ladder,
-        # Fortran-ordered; a 1x1 factor is C-ordered as well.
+        # A single factor comes from `cholesky` (LAPACK potrf) in the jitter
+        # ladder, Fortran-ordered; a 1x1 factor is C-ordered as well.
         rng = np.random.default_rng(n)
         A = rng.standard_normal((n, n))
         L = np.asarray(np.linalg.cholesky(A @ A.T + n * np.eye(n)), order=order)
@@ -879,7 +881,9 @@ class TestToeplitzGradient:
     """Equally spaced sorted inputs make V Toeplitz.  The gradient's
     per-distance sums of B = ααᵀ - V⁻¹ then come from
     `_toeplitz_diagonal_sums`, without forming V⁻¹; any other inputs take
-    potri.  Checked against an explicit inverse, within n·cond(V)·eps."""
+    potri.  Checked against an explicit inverse, within n·cond(V)·eps.
+    Which inputs are Toeplitz is `distance_table`'s decision, its third
+    value; a table marked otherwise takes potri."""
 
     @staticmethod
     def check_sums(ts, hyper) -> float:
@@ -888,13 +892,14 @@ class TestToeplitzGradient:
         jitter."""
         ts = np.asarray(ts)
         n = ts.size
-        d, where = distance_table(ts)
-        assert d.size == n and np.array_equal(where, gp._toeplitz_index(n))
+        d, where, toeplitz = distance_table(ts)
+        assert toeplitz
         V = noisy_covariance(hyper, ts)
         L, jitter = chol_with_jitter(V, return_jitter=True)
         V[np.diag_indices(n)] += jitter
         alpha = cho_solve((L, True), np.random.default_rng(n).normal(size=n))
-        sums = gp._toeplitz_diagonal_sums(L, alpha)
+        x = cho_solve((L, True), np.eye(n)[0])
+        sums = gp._toeplitz_diagonal_sums(x, alpha)
         B = np.outer(alpha, alpha) - np.linalg.inv(V)
         want = np.bincount(where.ravel(), weights=B.ravel(), minlength=n)
         bound = 10 * n * np.linalg.cond(V) * EPS * np.max(np.abs(want))
@@ -931,7 +936,9 @@ class TestToeplitzGradient:
         ys = np.random.default_rng(2).normal(size=ts.size)
         want = oracle_lml_gradient(hyper, 0.1, ts, ys)
         monkeypatch.setattr(gp, "_potri", refuse_potri)
-        value, g = lml_gradient(hyper, 0.1, distance_table(ts), ys)
+        table = distance_table(ts)
+        assert table[2] is True
+        value, g = lml_gradient(hyper, 0.1, table, ys)
         assert value == log_marginal_likelihood(hyper, 0.1, ts, ys)
         assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -949,8 +956,26 @@ class TestToeplitzGradient:
     def test_other_inputs_take_potri(self, ts, monkeypatch):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.2)
         monkeypatch.setattr(gp, "_potri", refuse_potri)
+        table = distance_table(ts)
+        assert table[2] is False
         with pytest.raises(PotriCalled):
-            lml_gradient(hyper, 0.0, distance_table(ts), np.ones(len(ts)))
+            lml_gradient(hyper, 0.0, table, np.ones(len(ts)))
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_a_table_marked_not_toeplitz_takes_potri_to_the_same_value(self, n, monkeypatch):
+        # The two branches build V differently but factor the same numbers,
+        # and the two-column solve's first column is the one-column α.
+        ts = np.arange(float(n))
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.1, 4.0, 0.3)
+        ys = np.random.default_rng(n).normal(size=n)
+        d, where, toeplitz = distance_table(ts)
+        value, g = lml_gradient(hyper, 0.2, (d, where, toeplitz), ys)
+        dense_value, dense_g = lml_gradient(hyper, 0.2, (d, where, False), ys)
+        assert toeplitz and dense_value == value
+        np.testing.assert_allclose(dense_g, g, rtol=1e-10, atol=0)
+        monkeypatch.setattr(gp, "_potri", refuse_potri)
+        with pytest.raises(PotriCalled):
+            lml_gradient(hyper, 0.2, (d, where, False), ys)
 
 
 class TestDistanceTable:
@@ -959,9 +984,81 @@ class TestDistanceTable:
     )
     def test_distinct_distances_spread_back_to_the_distance_matrix(self, xs, n_distinct):
         xs = np.asarray(xs)
-        d, where = distance_table(xs)
+        d, where, _ = distance_table(xs)
         assert d.size == n_distinct and np.all(np.diff(d) > 0)
         assert np.array_equal(d[where], np.abs(xs[:, None] - xs[None, :]))
+
+
+class TestDirectLapack:
+    """`gp.cholesky` and `gp.cho_solve` call LAPACK potrf and potrs
+    directly; their bits must be scipy.linalg's."""
+
+    @staticmethod
+    def spd(n, seed=0):
+        A = np.random.default_rng(seed).standard_normal((n, n))
+        return A @ A.T + n * np.eye(n)
+
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_cholesky_is_scipys(self, n, order):
+        V = np.asarray(self.spd(n, n), order=order)
+        before = V.tobytes(order="A")
+        L = gp.cholesky(V)
+        want = cholesky(V, lower=True)
+        assert L.flags.f_contiguous and L.tobytes(order="F") == want.tobytes(order="F")
+        assert not np.any(np.triu(L, 1))
+        assert V.tobytes(order="A") == before
+
+    def test_cholesky_raises_linalgerror_where_not_positive_definite(self):
+        with pytest.raises(LinAlgError):
+            gp.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @pytest.mark.parametrize("n", [1, 5, 200])
+    def test_cho_solve_is_scipys_column_by_column(self, n):
+        rng = np.random.default_rng(n)
+        L = gp.cholesky(self.spd(n, n))
+        b = rng.standard_normal(n)
+        B = np.asfortranarray(rng.standard_normal((n, 2)))
+        before = L.tobytes(), b.tobytes(), B.tobytes()
+        x = gp.cho_solve(L, b)
+        X = gp.cho_solve(L, B)
+        assert x.tobytes() == cho_solve((L, True), b).tobytes()
+        assert X.tobytes() == cho_solve((L, True), B).tobytes()
+        for j in range(2):
+            column = gp.cho_solve(L, B[:, j].copy())
+            assert X[:, j].tobytes() == column.tobytes()
+        assert (L.tobytes(), b.tobytes(), B.tobytes()) == before
+
+
+class TestOneBlasThread:
+    """`one_blas_thread` pins scipy's bundled OpenBLAS, which this suite's
+    scipy has, and restores its count; without one it warns once."""
+
+    def test_pins_one_thread_and_restores_the_count(self):
+        calls = gp._blas_thread_count_calls()
+        assert calls is not None, "no thread-count symbol in scipy's bundled OpenBLAS"
+        get, set_ = calls
+        before = get()
+        set_(2)
+        try:
+            with gp.one_blas_thread():
+                assert get() == 1
+            assert get() == 2
+        finally:
+            set_(before)
+
+    def test_without_a_bundled_openblas_warns_once_and_runs_the_block(
+        self, monkeypatch, tmp_path, caplog
+    ):
+        monkeypatch.setattr(gp, "scipy", SimpleNamespace(__file__=str(tmp_path / "scipy" / "x.py")))
+        with caplog.at_level(logging.WARNING, logger="intelgp"):
+            assert gp._blas_thread_count_calls.__wrapped__() is None
+        assert len(caplog.records) == 1 and "thread" in caplog.text
+        monkeypatch.setattr(gp, "_blas_thread_count_calls", lambda: None)
+        ran = []
+        with gp.one_blas_thread():
+            ran.append(True)
+        assert ran == [True]
 
 
 class TestJitterLadder:
@@ -977,5 +1074,15 @@ class TestJitterLadder:
 
     def test_indefinite_matrix_raises_numerical_error(self):
         M = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="even with diagonal jitter"):
             chol_with_jitter(M)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (3, 3), (5, 5), (3, 1), (5, 0), (5, 4)])
+    def test_non_finite_entry_of_the_lower_triangle_is_named(self, value, where):
+        # Such an entry either stops potrf at a pivot or passes through it
+        # as a non-finite pivot; either way the ladder names it.
+        V = TestDirectLapack.spd(6)
+        V[where] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            chol_with_jitter(V)

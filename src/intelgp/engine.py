@@ -309,21 +309,15 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     Fits the template on the history, builds the variant set, and seeds
     the window with the history points of the last `tau` time steps, the
     rule `step` applies after every observation.  The history times must
-    be strictly increasing integers; gaps are allowed.  The fit and the
-    precision table run with scipy's BLAS on one thread
+    be strictly increasing integers; gaps are allowed.  `fit_template`
+    checks the rest of the history, before its first start: as many
+    observations as times, at least MIN_FIT_POINTS, all finite.  The fit
+    and the precision table run with scipy's BLAS on one thread
     (`gp.one_blas_thread`), so the state's bits do not depend on the BLAS
     thread count.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
-    if ts.size != ys.size:
-        raise ValueError("history_t and history_y must have the same length")
-    if ts.size < MIN_FIT_POINTS:
-        raise ValueError(
-            f"initialization requires at least {MIN_FIT_POINTS} points, got {ts.size}"
-        )
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("history observations must be finite")
     if not (np.all(np.isfinite(ts) & (ts == np.round(ts))) and np.all(np.diff(ts) > 0)):
         raise ValueError("history times must be strictly increasing integers")
 

@@ -26,7 +26,8 @@ log = logging.getLogger("intelgp")
 
 # The fewest points a template fit takes: the least `init_count`.
 MIN_FIT_POINTS = 8
-DEFAULT_STARTS = 5
+# Optimizer starts: the heuristic and four jittered copies of it.
+STARTS = 5
 MAX_ITER = 200
 GRAD_TOL = 1e-5
 IMPROVEMENT_TOL = 1e-9
@@ -48,13 +49,14 @@ def heuristic_hyperparameters(
     ts, ys, kind: KernelKind = KernelKind.MATERN52
 ) -> Hyperparameters:
     """Scale-aware starting point: signal at the data spread, length at a
-    tenth of the time span, noise at a tenth of the spread."""
+    tenth of the time span, noise at a tenth of the spread.  The inputs
+    are `fit_template`'s, checked there: at least MIN_FIT_POINTS."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    scale = float(np.std(ys, ddof=1)) if ys.size > 1 else 0.0
+    scale = float(np.std(ys, ddof=1))
     if not scale > 0.0:
         scale = 1e-3
-    span = float(ts.max() - ts.min()) if ts.size > 1 else 1.0
+    span = float(ts.max() - ts.min())
     if not span > 0.0:
         span = 1.0
     return Hyperparameters(
@@ -66,34 +68,40 @@ def fit_template(
     ts,
     ys,
     mean_const: float,
-    starts: int = DEFAULT_STARTS,
     kind: KernelKind = KernelKind.MATERN52,
     seed: int = 0,
 ) -> FitResult:
     """Fit hyperparameters by multi-start maximization of the LML.
 
-    The first start is the scale-aware heuristic; the rest jitter it by up
-    to one natural-log unit per component.  Returns the start with the
-    highest final LML.  If no start produces a finite LML, logs a warning
-    and falls back to the heuristic itself, unoptimized.
+    The first of the STARTS starts is the scale-aware heuristic; the rest
+    jitter it by up to one natural-log unit per component.  Returns the
+    start with the highest final LML.  If no start produces a finite LML,
+    logs a warning and falls back to the heuristic itself, unoptimized:
+    that is for numerical failure only.
+
+    The inputs are checked here, before any start, and nowhere after:
+    `ts` and `ys` of equal length, at least MIN_FIT_POINTS of them, all
+    finite, and `kind` a KernelKind (a ValueError otherwise).  The
+    likelihood functions trust them.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if ts.shape != ys.shape:
+        raise ValueError(f"fit_template got {ts.size} times but {ys.size} observations")
     if ts.size < MIN_FIT_POINTS:
         raise ValueError(
             f"fit_template requires at least {MIN_FIT_POINTS} data points, got {ts.size}"
         )
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("observations must be finite")
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
+        raise ValueError("times and observations must be finite")
+    heuristic = heuristic_hyperparameters(ts, ys, kind)  # Hyperparameters checks the kind
     table = distance_table(ts)
 
     def objective(x: np.ndarray):
-        # ValueError covers scales that underflowed to zero after exp();
-        # OverflowError covers Python-float pow on absurd trial scales.
-        # Every failure mode just marks the trial point unusable.
+        # The inputs were checked above, so a ValueError here is only a
+        # scale that underflowed to zero after exp(); OverflowError covers
+        # Python-float pow on absurd trial scales.  Either just marks the
+        # trial point unusable.
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 hyper = Hyperparameters.from_log_vector(kind, x)
@@ -104,11 +112,10 @@ def fit_template(
             return _FAILED_OBJECTIVE, np.zeros(3)
         return -value, -grad
 
-    heuristic = heuristic_hyperparameters(ts, ys, kind)
     x0 = heuristic.to_log_vector()
     rng = np.random.default_rng(seed)
     start_points = [x0]
-    for _ in range(starts - 1):
+    for _ in range(STARTS - 1):
         start_points.append(x0 + rng.uniform(-1.0, 1.0, size=3))
 
     best = None

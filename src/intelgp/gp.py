@@ -115,7 +115,9 @@ class KernelKind(Enum):
 @dataclass(frozen=True)
 class Hyperparameters:
     """One GP model: a stationary kernel family, its signal and length
-    scales, and the observation-noise scale."""
+    scales, and the observation-noise scale.  The kind must be a
+    KernelKind and the scales positive (a ValueError otherwise); every
+    function that takes a model trusts both."""
 
     kind: KernelKind
     signal_scale: float
@@ -123,6 +125,8 @@ class Hyperparameters:
     noise_scale: float
 
     def __post_init__(self):
+        if not isinstance(self.kind, KernelKind):
+            raise ValueError(f"kind must be a KernelKind, got {self.kind!r}")
         for name in ("signal_scale", "length_scale", "noise_scale"):
             value = float(getattr(self, name))
             if not (value > 0.0):
@@ -182,10 +186,9 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
     if kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    if kind is KernelKind.SQUARED_EXPONENTIAL:
-        s = np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST)
-        return sf2 * np.exp(-s)
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    # KernelKind.SQUARED_EXPONENTIAL
+    s = np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST)
+    return sf2 * np.exp(-s)
 
 
 def distance_table(xs) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -214,8 +217,6 @@ def noisy_covariance(hyper: Hyperparameters, xs) -> np.ndarray:
     """Kernel matrix over all pairs of the input locations, plus
     noise_scale**2 on the diagonal."""
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        raise ValueError("noisy_covariance requires at least one input location")
     d = np.abs(xs[:, None] - xs[None, :])
     V = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
     V[np.diag_indices_from(V)] += hyper.noise_scale * hyper.noise_scale
@@ -297,50 +298,40 @@ def _band_layout(n: int) -> np.ndarray:
     return layout
 
 
-def kernel_table(models, span: int) -> np.ndarray:
-    """Each model's noisy kernel at the integer distances 0..span: a
-    read-only (M, span+1) array whose column 0 holds signal_scale**2 +
-    noise_scale**2, the variance of one observation.
+def precision_table(models, span: int) -> np.ndarray:
+    """Each model's noisy covariance V_F over the integer inputs 0..span
+    and its precision Λ = V_F⁻¹: a read-only (2, M, span+1, span+1) array,
+    the precisions (exactly symmetric) at [0] and the covariances at [1].
 
     Offsets of one window are distinct integers, so a distance of 0 only
-    ever falls on the diagonal of a covariance over them: every entry of
-    such a covariance is a look-up in this table.  The models must share a
-    kernel kind.  Raises NumericalError if an entry is not finite, so no
-    covariance gathered from the table needs a check of its own.
-    """
-    kind = models[0].kind
-    if any(h.kind is not kind for h in models):
-        raise ValueError("the models of one prediction must share a kernel kind")
-    sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
-    with np.errstate(over="ignore"):
-        table = _kernel_values(kind, sf[:, None], ell[:, None], np.arange(span + 1.0))
-        table[:, 0] += sn * sn
-    if not np.all(np.isfinite(table)):
-        raise NumericalError("kernel table contains non-finite values")
-    table.flags.writeable = False
-    return table
-
-
-def precision_table(models, span: int) -> np.ndarray:
-    """Each model's noisy covariance V_F over the integer inputs 0..span,
-    gathered from `kernel_table`, and its precision Λ = V_F⁻¹: a
-    read-only (2, M, span+1, span+1) array, the precisions (exactly
-    symmetric) at [0] and the covariances at [1].
+    ever falls on the diagonal of a covariance over them: each V_F is
+    gathered from the model's kernel at the distances 0..span, whose entry
+    0 holds signal_scale**2 + noise_scale**2, the variance of one
+    observation.  The models must share a kernel kind (a ValueError
+    otherwise); their scales are trusted, as `Hyperparameters` checked.
 
     Each V_F is factored on its own with the jitter ladder, so a model
     whose V_F needs jitter gets it here, once per model set, and the table
     holds that V_F with the jitter on its diagonal.  One `solve_triangular`
     call per model gives L⁻¹ (the identity as its right-hand side), and
     Λ = L⁻ᵀL⁻¹ with its two triangles averaged.  Raises NumericalError if
-    the kernel or a precision is not finite, or a V_F cannot be factored,
-    so no stack gathered from the table needs a check of its own.
+    a V_F cannot be factored or is not finite (a scale so large that the
+    kernel overflows: the ladder names the non-finite values), or if a
+    precision is not finite, so no stack gathered from the table needs a
+    check of its own.
     """
+    kind = models[0].kind
+    if any(h.kind is not kind for h in models):
+        raise ValueError("the models of one prediction must share a kernel kind")
+    sf, ell, sn = np.array([(h.signal_scale, h.length_scale, h.noise_scale) for h in models]).T
     x = np.arange(span + 1)
     table = np.empty((2, len(models), span + 1, span + 1))
     precision, covariance = table
-    covariance[:] = kernel_table(models, span)[:, np.abs(x[:, None] - x[None, :])]
     eye = np.eye(span + 1)
     with np.errstate(over="ignore", invalid="ignore"):
+        kernel = _kernel_values(kind, sf[:, None], ell[:, None], np.arange(span + 1.0))
+        kernel[:, 0] += sn * sn
+        covariance[:] = kernel[:, np.abs(x[:, None] - x[None, :])]
         for m, V_m in enumerate(covariance):
             L, jitter = chol_with_jitter(V_m, return_jitter=True)
             V_m[x, x] += jitter
@@ -530,11 +521,10 @@ def log_marginal_likelihood(
     """Log marginal likelihood of the observations under the GP model.
 
     The quadratic form is evaluated on the mean-centered observations.
+    The inputs are trusted to be finite, of one length and not empty:
+    `fit_template` checks them where they enter.
     """
-    ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if ts.size == 0:
-        raise ValueError("log_marginal_likelihood requires at least one data point")
     resid = ys - mean
     L = chol_with_jitter(noisy_covariance(hyper, ts))
     return _lml(resid, L, cho_solve(L, resid))
@@ -556,10 +546,9 @@ def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
     if hyper.kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (u * u * (1.0 + u) / 3.0) * np.exp(-u)
-    if hyper.kind is KernelKind.SQUARED_EXPONENTIAL:
-        s = np.minimum((d / hyper.length_scale) ** 2, _MAX_SCALED_DIST)
-        return sf2 * np.exp(-s) * 2.0 * s
-    raise ValueError(f"unknown kernel kind {hyper.kind!r}")
+    # KernelKind.SQUARED_EXPONENTIAL
+    s = np.minimum((d / hyper.length_scale) ** 2, _MAX_SCALED_DIST)
+    return sf2 * np.exp(-s) * 2.0 * s
 
 
 def lml_gradient(
@@ -571,7 +560,8 @@ def lml_gradient(
     """The log marginal likelihood and its gradient in log-parameter space,
     from one factorization.
 
-    `table` is `distance_table` of the input locations.  The value is
+    `table` is `distance_table` of the input locations, which are trusted,
+    as in `log_marginal_likelihood`, to match `ys`.  The value is
     log_marginal_likelihood's, bit for bit.  Gradient components are
     ordered (log signal_scale, log length_scale, log noise_scale),
     matching Hyperparameters.to_log_vector.
@@ -593,10 +583,6 @@ def lml_gradient(
     d, where, toeplitz = table
     ys = np.asarray(ys, dtype=float)
     n = ys.size
-    if n == 0:
-        raise ValueError("lml_gradient requires at least one data point")
-    if where.shape != (n, n):
-        raise ValueError(f"distance table is for {where.shape[0]} inputs, got {n} observations")
     noise2 = hyper.noise_scale * hyper.noise_scale
     k = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
     resid = ys - mean

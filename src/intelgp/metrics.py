@@ -11,7 +11,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class DegenerateDataError(ValueError):
-    """The segment is constant (or too short) so no scale can be estimated."""
+    """The segment is constant, so no scale can be estimated."""
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,9 @@ class RunMetrics:
 
 
 def compute_stats(ys) -> NormalizationStats:
-    """Sample mean and sample standard deviation (divisor n-1)."""
+    """Sample mean and sample standard deviation (divisor n-1) of at least
+    two points: `run` passes at least init_count, which is at least 8."""
     ys = np.asarray(ys, dtype=float)
-    if ys.size < 2:
-        raise DegenerateDataError(
-            f"need at least 2 points to estimate a scale, got {ys.size}"
-        )
     mean = float(np.mean(ys))
     std = float(np.std(ys, ddof=1))
     # Relative check, so that it holds at any scale: an exactly-constant

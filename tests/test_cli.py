@@ -194,7 +194,7 @@ class TestRunCommand:
         code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=1e200"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "kernel table" in err
+        assert "non-finite" in err
         assert "at stream position" not in err
 
     def test_config_file_supplies_defaults_and_flags_override(

@@ -12,7 +12,7 @@ import pytest
 from conftest import flat_stream, shift_stream, spike_stream
 from test_gp import oracle_predict
 
-from intelgp import gp
+from intelgp import fit, gp
 from intelgp.engine import (
     EngineConfig,
     Verdict,
@@ -119,11 +119,29 @@ class TestInitialize:
         with pytest.raises(ValueError, match="increasing"):
             initialize(np.arange(60)[::-1], history, SINGLETON)
 
+    @pytest.mark.parametrize("n_obs, match", [(59, "60 times but 59 observations"),
+                                              (61, "60 times but 61 observations")])
+    def test_history_lengths_differing_rejected_before_the_fit(self, n_obs, match, monkeypatch):
+        evaluations = []
+        monkeypatch.setattr(fit, "lml_gradient", lambda *args: evaluations.append(args))
+        history = np.random.default_rng(62).normal(size=n_obs)
+        with pytest.raises(ValueError, match=match):
+            initialize(np.arange(60), history, SINGLETON)
+        assert evaluations == []
+
+    def test_short_history_rejected_before_the_fit(self, monkeypatch):
+        evaluations = []
+        monkeypatch.setattr(fit, "lml_gradient", lambda *args: evaluations.append(args))
+        history, _ = flat_stream(63, n_history=7)
+        with pytest.raises(ValueError, match="at least 8"):
+            initialize(np.arange(7), history, SINGLETON)
+        assert evaluations == []
+
     def test_overflowing_factor_fails_before_any_step(self):
         # The signal variance of the f=1e200 variant overflows to inf.
         history, _ = flat_stream(61)
         config = dataclasses.replace(SINGLETON, factors=VariantFactors((1.0, 1e200)))
-        with pytest.raises(NumericalError, match="kernel table"):
+        with pytest.raises(NumericalError, match="non-finite"):
             initialize(np.arange(60), history, config)
 
     @pytest.mark.parametrize("init_count", [0, -5, 7])

@@ -36,14 +36,14 @@ class TestFitTemplate:
         true = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.1)
         ts = np.arange(150.0)
         ys = sample_gp(true, ts, seed=9)
-        fit = fit_template(ts, ys, 0.0, starts=3, seed=0)
+        fit = fit_template(ts, ys, 0.0, seed=0)
         err = np.abs(fit.hyper.to_log_vector() - true.to_log_vector())
         assert np.all(err < 0.5)
 
     def test_constant_data_drives_scales_small(self):
         ts = np.arange(40.0)
         ys = np.full(40, 2.5)
-        fit = fit_template(ts, ys, 2.5, starts=2, seed=1)
+        fit = fit_template(ts, ys, 2.5, seed=1)
         assert fit.hyper.signal_scale < 1e-3
         assert fit.hyper.noise_scale < 1e-3
 
@@ -52,7 +52,7 @@ class TestFitTemplate:
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=10)
         mean = 0.0
-        fit = fit_template(ts, ys, 0.0, starts=2, seed=2)
+        fit = fit_template(ts, ys, 0.0, seed=2)
         start1 = heuristic_hyperparameters(ts, ys)
         assert fit.lml >= log_marginal_likelihood(start1, mean, ts, ys) - 1e-9
         assert fit.lml >= log_marginal_likelihood(true, mean, ts, ys) - 1e-9
@@ -60,7 +60,7 @@ class TestFitTemplate:
     def test_reported_lml_is_consistent(self):
         ts = np.arange(30.0)
         ys = np.sin(ts / 4.0) + 0.01 * np.cos(7 * ts)
-        fit = fit_template(ts, ys, float(np.mean(ys)), starts=2, seed=3)
+        fit = fit_template(ts, ys, float(np.mean(ys)), seed=3)
         recomputed = log_marginal_likelihood(
             fit.hyper, float(np.mean(ys)), ts, ys
         )
@@ -71,14 +71,14 @@ class TestFitTemplate:
         ts = np.arange(40.0)
         ys = sample_gp(Hyperparameters(kind, 1.0, 3.0, 0.2), ts, seed=16)
         mean = float(np.mean(ys))
-        fit = fit_template(ts, ys, mean, starts=2, kind=kind, seed=6)
+        fit = fit_template(ts, ys, mean, kind=kind, seed=6)
         assert fit.lml == log_marginal_likelihood(fit.hyper, mean, ts, ys)
 
     def test_gradient_norm_small_when_converged(self):
         true = Hyperparameters(KernelKind.MATERN52, 1.2, 5.0, 0.15)
         ts = np.arange(80.0)
         ys = sample_gp(true, ts, seed=11)
-        fit = fit_template(ts, ys, 0.0, starts=3, seed=4)
+        fit = fit_template(ts, ys, 0.0, seed=4)
         if fit.converged:
             gnorm = np.linalg.norm(
                 lml_gradient(fit.hyper, 0.0, distance_table(ts), ys)[1]
@@ -108,8 +108,8 @@ class TestFitTemplate:
         ys = sample_gp(
             Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.3), ts, seed=12
         )
-        a = fit_template(ts, ys, 0.0, starts=4, seed=77)
-        b = fit_template(ts, ys, 0.0, starts=4, seed=77)
+        a = fit_template(ts, ys, 0.0, seed=77)
+        b = fit_template(ts, ys, 0.0, seed=77)
         assert a.hyper == b.hyper
         assert a.lml == b.lml
         assert a.iterations == b.iterations
@@ -146,6 +146,36 @@ class TestFitTemplate:
         diffs = np.diff(np.asarray(trace))
         assert np.all(diffs >= -1e-9)
 
+    @pytest.mark.parametrize(
+        "n_obs, bad_time, kind, match",
+        [
+            pytest.param(12, None, KernelKind.MATERN52, "10 times but 12 observations",
+                         id="lengths-10-12"),
+            pytest.param(10, None, "se", "KernelKind", id="kind-string"),
+            pytest.param(10, np.nan, KernelKind.MATERN52, "finite", id="nan-time"),
+            pytest.param(10, np.inf, KernelKind.MATERN52, "finite", id="inf-time"),
+        ],
+    )
+    def test_invalid_input_raises_before_any_start(
+        self, n_obs, bad_time, kind, match, monkeypatch, caplog
+    ):
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args)
+            return lml_gradient(*args)
+
+        monkeypatch.setattr(fit, "lml_gradient", counted)
+        caplog.set_level(logging.WARNING, logger="intelgp")
+        ts = np.arange(10.0)
+        ys = np.random.default_rng(18).normal(size=n_obs)
+        if bad_time is not None:
+            ts[3] = bad_time
+        with pytest.raises(ValueError, match=match):
+            fit_template(ts, ys, 0.0, kind=kind)
+        assert evaluations == []
+        assert "failed on every start" not in caplog.text
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_template(np.arange(5.0), np.zeros(5), 0.0)
@@ -165,7 +195,7 @@ class TestFitTemplate:
         rng = np.random.default_rng(15)
         ys = 1e200 * rng.normal(size=10)
         with pytest.raises(NumericalError):
-            fit_template(ts, ys, 0.0, starts=2, seed=5)
+            fit_template(ts, ys, 0.0, seed=5)
 
     def test_all_starts_failing_falls_back_to_the_heuristic(self, monkeypatch, caplog):
         def fail(*args):
@@ -175,7 +205,7 @@ class TestFitTemplate:
         caplog.set_level(logging.WARNING, logger="intelgp")
         ts = np.arange(40.0)
         ys = np.random.default_rng(16).normal(size=40)
-        result = fit_template(ts, ys, 0.0, starts=3, seed=5)
+        result = fit_template(ts, ys, 0.0, seed=5)
         heuristic = heuristic_hyperparameters(ts, ys)
         assert result.hyper == heuristic
         assert result.lml == log_marginal_likelihood(heuristic, 0.0, ts, ys)

@@ -31,7 +31,6 @@ from intelgp.gp import (
     chol_with_jitter,
     distance_table,
     gp_predict,
-    kernel_table,
     lml_gradient,
     log_marginal_likelihood,
     noisy_covariance,
@@ -81,6 +80,16 @@ def kernel_values(hyper: Hyperparameters, d) -> np.ndarray:
 def kernel_eval(hyper: Hyperparameters, xi: float, xj: float) -> float:
     """The kernel at a pair of scalar inputs, through the package's kernel."""
     return float(kernel_values(hyper, np.abs(np.asarray(xi - xj, dtype=float))))
+
+
+def kernel_row(hyper: Hyperparameters, span: int) -> np.ndarray:
+    """The model's noisy kernel at the integer distances 0..span, through
+    the package's kernel: entry 0 holds signal_scale**2 + noise_scale**2,
+    the variance of one observation.  A covariance over the inputs 0..span
+    gathers its entries from it."""
+    row = kernel_values(hyper, np.arange(span + 1.0))
+    row[0] += hyper.noise_scale * hyper.noise_scale
+    return row
 
 
 def oracle_lml_gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
@@ -172,6 +181,10 @@ class TestKernelEval:
         with pytest.raises(ValueError, match="length_scale"):
             Hyperparameters(KernelKind.MATERN52, 1.0, -2.0, 0.1)
 
+    def test_kind_that_is_not_a_kernel_kind_rejected(self):
+        with pytest.raises(ValueError, match="KernelKind"):
+            Hyperparameters("se", 1.0, 1.0, 1.0)
+
 
 class TestCovarianceMatrix:
     def test_single_point(self):
@@ -193,10 +206,6 @@ class TestCovarianceMatrix:
             xs = np.sort(rng.uniform(0, 30, size=6))
             eigs = np.linalg.eigvalsh(noisy_covariance(hyper, xs))
             assert eigs.min() >= hyper.noise_scale**2 - 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            noisy_covariance(Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1), [])
 
 
 class TestNoisyCovariance:
@@ -279,8 +288,8 @@ class TestGpPredict:
             Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1),
             Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1.0, 0.1),
         )
-        with pytest.raises(ValueError):
-            kernel_table(models, 2)
+        with pytest.raises(ValueError, match="share a kernel kind"):
+            precision_table(models, 2)
 
 
 @st.composite
@@ -400,7 +409,7 @@ class TestBatchedPredictor:
 def exact_predictor(kernel_row, offsets, jitter=0.0):
     """Mean weights and predictive variance by Gaussian elimination in
     50-digit decimal arithmetic, on the float covariance entries the
-    package works with: `kernel_row` is one model's `kernel_table` row,
+    package works with: `kernel_row` is one model's `kernel_row(hyper, span)`,
     `jitter` is added to the training inputs' diagonal.  Shares no linear
     algebra with the package, and its own rounding is far below a float's."""
     x = [int(o) for o in offsets] + [0]
@@ -459,7 +468,7 @@ class TestBadConditioning:
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     def test_matches_the_exact_conditioning_within_cond_eps(self, length, noise, cond, window):
         hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, length, noise)
-        row = kernel_table((hyper,), 21)[0]  # its first 21 entries are the span-20 row
+        row = kernel_row(hyper, 21)  # its first 21 entries are the span-20 row
         assert window_condition(row, 20) == pytest.approx(cond, rel=0.05)
         span, offsets = self.WINDOWS[window]
         measured = window_condition(row, span)
@@ -604,14 +613,13 @@ class TestKernelTable:
         Hyperparameters(KernelKind.MATERN52, 0.7, 0.8, 0.05),
     )
 
-    def test_columns_are_the_noisy_kernel_at_integer_distances(self):
-        table = kernel_table(self.MODELS, 6)
-        assert table.shape == (2, 7)
-        assert not table.flags.writeable
+    def test_covariance_row_zero_is_the_noisy_kernel_at_integer_distances(self):
+        covariance = precision_table(self.MODELS, 6)[1]
         for m, h in enumerate(self.MODELS):
-            d = np.arange(7.0)
-            assert table[m, 1:].tobytes() == kernel_values(h, d[1:]).tobytes()
-            assert table[m, 0] == h.signal_scale**2 + h.noise_scale**2
+            row = kernel_row(h, 6)
+            assert covariance[m, 0].tobytes() == row.tobytes()
+            assert row[1:].tobytes() == kernel_values(h, np.arange(1.0, 7.0)).tobytes()
+            assert row[0] == h.signal_scale**2 + h.noise_scale**2
 
     def test_precision_is_the_symmetric_inverse_of_the_window_covariance(self):
         table = precision_table(self.MODELS, 6)
@@ -619,7 +627,8 @@ class TestKernelTable:
         assert not table.flags.writeable
         precision, covariance = table
         x = np.arange(7)
-        for m, row in enumerate(kernel_table(self.MODELS, 6)):
+        for m, h in enumerate(self.MODELS):
+            row = kernel_row(h, 6)
             V = row[np.abs(x[:, None] - x)]
             assert covariance[m].tobytes() == V.tobytes()
             assert precision[m].tobytes() == precision[m].T.tobytes()
@@ -627,11 +636,12 @@ class TestKernelTable:
             np.testing.assert_allclose(precision[m] @ V, np.eye(7), rtol=0, atol=cond * EPS)
 
     def test_empty_window_predicts_the_prior_from_column_zero(self):
-        # The prior is column 0 of the kernel table, up to the rounding of
-        # the precision, which marginalises the inputs 1..span out.
+        # The prior is entry 0 of the kernel row, up to the rounding of the
+        # precision, which marginalises the inputs 1..span out.
         table = precision_table(self.MODELS, 3)
-        prior = kernel_table(self.MODELS, 3)[:, 0]
-        cond = [window_condition(row, 3) for row in kernel_table(self.MODELS, 3)]
+        rows = [kernel_row(h, 3) for h in self.MODELS]
+        prior = np.array([row[0] for row in rows])
+        cond = [window_condition(row, 3) for row in rows]
         cache = {}
         for train_t in ((), [], np.array([], dtype=np.int64)):
             for c in ({}, cache):  # uncached, then a miss and hits
@@ -686,8 +696,8 @@ class TestKernelTable:
         huge = self.MODELS[0].scaled(**{scale: 1e200})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match="kernel table"):
-                kernel_table((self.MODELS[0], huge), 5)
+            with pytest.raises(NumericalError, match="non-finite"):
+                precision_table((self.MODELS[0], huge), 5)
 
     def test_wider_table_agrees_within_cond_eps(self):
         # A wider table marginalises more inputs out, with other rounding:
@@ -695,7 +705,7 @@ class TestKernelTable:
         models = fixed_case(27, [])[0]
         narrow, wide = precision_table(models, 20), precision_table(models, 40)
         cond = sum(
-            np.array([window_condition(row, span) for row in kernel_table(models, span)])
+            np.array([window_condition(kernel_row(h, span), span) for h in models])
             for span in (20, 40)
         )
         rng = np.random.default_rng(7)
@@ -720,7 +730,7 @@ class TestStackFallback:
         mean = 0.1
         offsets = 20 - np.arange(20)
         bad = self.BAD
-        row = kernel_table((bad,), 20)[0]
+        row = kernel_row(bad, 20)
         V = noisy_covariance(bad, np.arange(21))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(V)
@@ -790,11 +800,6 @@ class TestLogMarginalLikelihood:
             lml = log_marginal_likelihood(hyper, c, ts, ys)
             assert lml == pytest.approx(ref, abs=1e-8)
 
-    def test_empty_rejected(self):
-        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            log_marginal_likelihood(hyper, 0.0, [], [])
-
 
 class TestLmlGradient:
     @staticmethod
@@ -862,11 +867,6 @@ class TestLmlGradient:
         assert value == log_marginal_likelihood(hyper, mean, ts, ys)
         want = oracle_lml_gradient(hyper, mean, ts, ys)
         assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
-
-    def test_table_of_other_inputs_rejected(self):
-        hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
-        with pytest.raises(ValueError):
-            lml_gradient(hyper, 0.0, distance_table(np.arange(3.0)), np.zeros(4))
 
 
 class PotriCalled(Exception):

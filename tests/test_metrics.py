@@ -58,10 +58,6 @@ class TestComputeStats:
         with pytest.raises(DegenerateDataError):
             compute_stats(np.full(10, 4.2))
 
-    def test_single_point_rejected(self):
-        with pytest.raises(DegenerateDataError):
-            compute_stats([1.0])
-
 
 class TestEvaluate:
     def test_perfect_predictions_with_unit_normalizer(self):

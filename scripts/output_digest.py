@@ -34,9 +34,7 @@ def digests(config, series, normalization: str) -> tuple[str, str]:
     """The sha256 of steps.jsonl and of metrics.json for one run."""
     result = run(config, series, normalization=normalization)
     steps = records_to_jsonl(result.records)
-    # The document of `intelgp run`: the summary without its wall time
-    summary = {k: v for k, v in result.summary.items() if k != "wall_time_s"}
-    doc = {"metrics": asdict(result.metrics), "summary": summary}
+    doc = {"metrics": asdict(result.metrics), "summary": result.summary}
     metrics = json.dumps(doc, indent=2) + "\n"
     return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (steps, metrics))
 

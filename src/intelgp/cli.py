@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -106,11 +107,11 @@ def _cmd_run(args) -> int:
     config, data = config_from_mapping(merged)
 
     series = slice_series(load_csv(args.input, data["column"]), data)
+    t0 = time.perf_counter()
     result = run(config, series, normalization=data["normalization"])
+    wall = time.perf_counter() - t0  # stdout only: reruns are byte-identical
 
-    summary = dict(result.summary)
-    wall = summary.pop("wall_time_s")  # volatile; reruns must be byte-identical
-    doc = {"metrics": asdict(result.metrics), "summary": summary}
+    doc = {"metrics": asdict(result.metrics), "summary": result.summary}
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,7 +120,8 @@ def _cmd_run(args) -> int:
         log.info("wrote %s and %s", out_dir / "steps.jsonl", out_dir / "metrics.json")
     print(json.dumps(doc["metrics"]))
     print(
-        f"outliers={summary['outliers']} change_points={summary['change_points']} "
+        f"outliers={result.summary['outliers']} "
+        f"change_points={result.summary['change_points']} "
         f"wall_time_s={wall:.3f}"
     )
     return 0

@@ -170,8 +170,8 @@ class EngineState:
 
 @dataclass(frozen=True, slots=True)
 class StepOutput:
-    """One step's forecast, verdict and weights.  Slotted: a run keeps one
-    per step."""
+    """One step's forecast, verdict and weights.  Slotted: a stream may
+    keep one per step."""
 
     t: int
     observation: float
@@ -274,7 +274,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     # The next step replaces this state, so it is built with one store of
     # its whole __dict__ rather than __init__'s object.__setattr__ per
     # field; the dict must name every field, defaults included.  StepOutput,
-    # which a run keeps, is slotted instead: smaller than a dict.
+    # which a stream may keep, is slotted instead: smaller than a dict.
     new_state = object.__new__(EngineState)
     object.__setattr__(new_state, "__dict__", {
         "window": window,
@@ -306,9 +306,10 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
 def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     """Build the starting state from the historical segment.
 
-    Fits the template on the history, builds the variant set, and seeds
-    the window with the history points of the last `tau` time steps, the
-    rule `step` applies after every observation.  The history times must
+    Fits the template on the history, whose mean (`FitResult.mean`)
+    starts the shared mean, builds the variant set, and seeds the window
+    with the history points of the last `tau` time steps, the rule `step`
+    applies after every observation.  The history times must
     be strictly increasing integers; gaps are allowed.  `fit_template`
     checks the rest of the history, before its first start: as many
     observations as times, at least MIN_FIT_POINTS, all finite.  The fit
@@ -321,9 +322,8 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     if not (np.all(np.isfinite(ts) & (ts == np.round(ts))) and np.all(np.diff(ts) > 0)):
         raise ValueError("history times must be strictly increasing integers")
 
-    mean = float(np.mean(ys))
     with one_blas_thread():
-        fit = fit_template(ts, ys, mean, kind=config.kernel_kind, seed=config.seed)
+        fit = fit_template(ts, ys, kind=config.kernel_kind, seed=config.seed)
         models = build_model_set(fit.hyper, config.factors)
         table = precision_table(models, config.tau)
 
@@ -338,7 +338,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         models=models,
         table=table,
         weights=np.full(len(models), 1.0 / len(models)),
-        shared_mean=mean,
+        shared_mean=fit.mean,
         config=config,
         inliers_since_refresh=0,
         current_t=current_t,

@@ -40,6 +40,7 @@ _FAILED_OBJECTIVE = 1e25
 @dataclass(frozen=True)
 class FitResult:
     hyper: Hyperparameters
+    mean: float  # the prior mean constant the LML was taken at
     lml: float
     iterations: int
     converged: bool
@@ -65,11 +66,7 @@ def heuristic_hyperparameters(
 
 
 def fit_template(
-    ts,
-    ys,
-    mean_const: float,
-    kind: KernelKind = KernelKind.MATERN52,
-    seed: int = 0,
+    ts, ys, kind: KernelKind = KernelKind.MATERN52, seed: int = 0
 ) -> FitResult:
     """Fit hyperparameters by multi-start maximization of the LML.
 
@@ -82,7 +79,8 @@ def fit_template(
     The inputs are checked here, before any start, and nowhere after:
     `ts` and `ys` of equal length, at least MIN_FIT_POINTS of them, all
     finite, and `kind` a KernelKind (a ValueError otherwise).  The
-    likelihood functions trust them.
+    likelihood functions trust them.  After the checks the prior mean is
+    taken, a constant: the mean of `ys`, returned as `FitResult.mean`.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -94,6 +92,7 @@ def fit_template(
         )
     if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ys))):
         raise ValueError("times and observations must be finite")
+    mean = float(np.mean(ys))
     heuristic = heuristic_hyperparameters(ts, ys, kind)  # Hyperparameters checks the kind
     table = distance_table(ts)
 
@@ -105,7 +104,7 @@ def fit_template(
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 hyper = Hyperparameters.from_log_vector(kind, x)
-                value, grad = lml_gradient(hyper, mean_const, table, ys)
+                value, grad = lml_gradient(hyper, mean, table, ys)
         except (NumericalError, ValueError, OverflowError):
             return _FAILED_OBJECTIVE, np.zeros(3)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -135,8 +134,8 @@ def fit_template(
 
     if best is None:
         log.warning("template fit failed on every start; using heuristic scales")
-        lml = log_marginal_likelihood(heuristic, mean_const, ts, ys)
-        return FitResult(hyper=heuristic, lml=lml, iterations=0, converged=False)
+        lml = log_marginal_likelihood(heuristic, mean, ts, ys)
+        return FitResult(heuristic, mean, lml, iterations=0, converged=False)
 
     hyper = Hyperparameters.from_log_vector(kind, best.x)
     # best.jac is the objective's gradient at best.x: the LML gradient, negated
@@ -144,9 +143,9 @@ def fit_template(
     # L-BFGS-B status 0 means it stopped on its own ftol/gtol criteria.
     converged = gnorm < GRAD_TOL or (best.status == 0 and gnorm < 1e-4)
     # Bitwise -best.fun: the value lml_gradient gave at best.x
-    lml = log_marginal_likelihood(hyper, mean_const, ts, ys)
+    lml = log_marginal_likelihood(hyper, mean, ts, ys)
     log.info(
         "fit_template: lml=%.6f grad_norm=%.2e iterations=%d converged=%s",
         lml, gnorm, best.nit, converged,
     )
-    return FitResult(hyper=hyper, lml=lml, iterations=int(best.nit), converged=converged)
+    return FitResult(hyper, mean, lml, iterations=int(best.nit), converged=converged)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -92,7 +91,6 @@ class RunResult:
     records: list[dict]
     metrics: RunMetrics
     summary: dict
-    outputs: list[StepOutput]
 
 
 def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
@@ -120,19 +118,15 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
     stats = compute_stats(stats_segment)
     z = stats.normalize(series)
 
-    t0 = time.perf_counter()
     state = initialize(np.arange(config.init_count), z[: config.init_count], config)
-    fit_seconds = time.perf_counter() - t0
 
     outputs: list[StepOutput] = []
-    t1 = time.perf_counter()
     for t in range(config.init_count, n):
         try:
             state, out = step(state, z[t])
         except NumericalError as exc:
             raise NumericalError(f"at stream position t={t}: {exc}") from exc
         outputs.append(out)
-    stream_seconds = time.perf_counter() - t1
 
     metrics = evaluate(outputs, z[config.init_count:])
     verdicts = [o.verdict for o in outputs]
@@ -154,14 +148,8 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
             "length_scale": state.fit.hyper.length_scale,
             "noise_scale": state.fit.hyper.noise_scale,
         },
-        "wall_time_s": fit_seconds + stream_seconds,
     }
-    return RunResult(
-        records=[step_record(o) for o in outputs],
-        metrics=metrics,
-        summary=summary,
-        outputs=outputs,
-    )
+    return RunResult([step_record(o) for o in outputs], metrics, summary)
 
 
 def parse_factors(spec) -> VariantFactors:

@@ -48,16 +48,12 @@ def evaluate(outputs, actuals) -> RunMetrics:
     """Mean negative log predictive density, mean absolute error, and mean
     squared error of the fused predictions against the observations.
 
-    An observation so far out that its squared residual overflows makes
-    the nll and mse inf, without a numpy overflow warning.
+    The two are of one length, at least one: `run` streams at least one
+    point and evaluates each step against its observation.  An
+    observation so far out that its squared residual overflows makes the
+    nll and mse inf, without a numpy overflow warning.
     """
     actuals = np.asarray(actuals, dtype=float)
-    if len(outputs) != actuals.size:
-        raise ValueError(
-            f"got {len(outputs)} step outputs but {actuals.size} observations"
-        )
-    if actuals.size == 0:
-        raise ValueError("nothing to evaluate")
     means = np.array([o.fused.mean for o in outputs])
     variances = np.array([o.fused.variance for o in outputs])
     with np.errstate(over="ignore"):

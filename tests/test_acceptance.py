@@ -134,7 +134,7 @@ def test_hyperparameter_recovery():
         for trial in range(5):
             rng = np.random.default_rng(100 + trial)
             ys = L @ rng.standard_normal(200)
-            fit = fit_template(ts, ys, 0.0, seed=trial)
+            fit = fit_template(ts, ys, seed=trial)
             err = np.abs(fit.hyper.to_log_vector() - true.to_log_vector())
             recovered += bool(np.all(err < 0.5))
         elapsed = time.perf_counter() - t0

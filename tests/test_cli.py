@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,25 @@ class TestRunCommand:
         assert doc["metrics"]["n_evaluated"] == 200
         assert list(doc["metrics"]) == [f.name for f in dataclasses.fields(RunMetrics)]
         assert "wall_time_s" not in doc["summary"]
+
+    def test_stdout_line_gives_the_counts_and_the_time_of_the_run(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        def slow_run(*args, **kwargs):
+            time.sleep(0.25)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(intelgp.cli, "run", slow_run)
+        assert main(["run", "--input", str(dataset), "--init-count", "80",
+                     "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        line = re.fullmatch(r"outliers=(\d+) change_points=(\d+) wall_time_s=(\d+\.\d{3})",
+                            lines[1])
+        assert line is not None, lines[1]
+        summary = json.loads((tmp_path / "metrics.json").read_text())["summary"]
+        assert (int(line[1]), int(line[2])) == (summary["outliers"], summary["change_points"])
+        assert float(line[3]) >= 0.25
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         args = [

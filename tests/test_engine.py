@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -90,6 +91,7 @@ class TestInitialize:
         history = np.full(50, 3.25)
         history += np.concatenate([np.zeros(49), [1e-9]])  # avoid degenerate fit data
         state = initialize(np.arange(50), history, EIGHT_MODEL)
+        assert state.shared_mean == state.fit.mean
         assert state.shared_mean == pytest.approx(3.25, abs=1e-9)
         np.testing.assert_allclose(state.weights, 1.0 / 8.0)
 
@@ -136,6 +138,22 @@ class TestInitialize:
         with pytest.raises(ValueError, match="at least 8"):
             initialize(np.arange(7), history, SINGLETON)
         assert evaluations == []
+
+    @pytest.mark.parametrize(
+        "times, history, match",
+        [
+            pytest.param([], [], "at least 8", id="empty"),
+            pytest.param(np.arange(10), [0.0] * 4 + [np.inf, -np.inf] + [0.0] * 4, "finite",
+                         id="both-infinities"),
+        ],
+    )
+    def test_bad_history_raises_the_fits_error_without_a_warning(self, times, history, match):
+        # The prior mean is taken after the fit's checks: before them, numpy
+        # warns of an empty slice or of inf - inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=match):
+                initialize(times, history, EngineConfig(init_count=8))
 
     def test_overflowing_factor_fails_before_any_step(self):
         # The signal variance of the f=1e200 variant overflows to inf.

@@ -36,14 +36,14 @@ class TestFitTemplate:
         true = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.1)
         ts = np.arange(150.0)
         ys = sample_gp(true, ts, seed=9)
-        fit = fit_template(ts, ys, 0.0, seed=0)
+        fit = fit_template(ts, ys, seed=0)
         err = np.abs(fit.hyper.to_log_vector() - true.to_log_vector())
         assert np.all(err < 0.5)
 
     def test_constant_data_drives_scales_small(self):
         ts = np.arange(40.0)
         ys = np.full(40, 2.5)
-        fit = fit_template(ts, ys, 2.5, seed=1)
+        fit = fit_template(ts, ys, seed=1)
         assert fit.hyper.signal_scale < 1e-3
         assert fit.hyper.noise_scale < 1e-3
 
@@ -51,37 +51,34 @@ class TestFitTemplate:
         true = Hyperparameters(KernelKind.MATERN52, 0.8, 4.0, 0.2)
         ts = np.arange(60.0)
         ys = sample_gp(true, ts, seed=10)
-        mean = 0.0
-        fit = fit_template(ts, ys, 0.0, seed=2)
+        fit = fit_template(ts, ys, seed=2)
         start1 = heuristic_hyperparameters(ts, ys)
-        assert fit.lml >= log_marginal_likelihood(start1, mean, ts, ys) - 1e-9
-        assert fit.lml >= log_marginal_likelihood(true, mean, ts, ys) - 1e-9
+        assert fit.lml >= log_marginal_likelihood(start1, fit.mean, ts, ys) - 1e-9
+        assert fit.lml >= log_marginal_likelihood(true, fit.mean, ts, ys) - 1e-9
 
     def test_reported_lml_is_consistent(self):
         ts = np.arange(30.0)
         ys = np.sin(ts / 4.0) + 0.01 * np.cos(7 * ts)
-        fit = fit_template(ts, ys, float(np.mean(ys)), seed=3)
-        recomputed = log_marginal_likelihood(
-            fit.hyper, float(np.mean(ys)), ts, ys
-        )
+        fit = fit_template(ts, ys, seed=3)
+        recomputed = log_marginal_likelihood(fit.hyper, fit.mean, ts, ys)
         assert fit.lml == pytest.approx(recomputed, abs=1e-10)
 
     @pytest.mark.parametrize("kind", list(KernelKind))
     def test_reported_lml_is_the_lml_at_the_fit(self, kind):
         ts = np.arange(40.0)
         ys = sample_gp(Hyperparameters(kind, 1.0, 3.0, 0.2), ts, seed=16)
-        mean = float(np.mean(ys))
-        fit = fit_template(ts, ys, mean, kind=kind, seed=6)
-        assert fit.lml == log_marginal_likelihood(fit.hyper, mean, ts, ys)
+        fit = fit_template(ts, ys, kind=kind, seed=6)
+        assert fit.mean == float(np.mean(ys))
+        assert fit.lml == log_marginal_likelihood(fit.hyper, fit.mean, ts, ys)
 
     def test_gradient_norm_small_when_converged(self):
         true = Hyperparameters(KernelKind.MATERN52, 1.2, 5.0, 0.15)
         ts = np.arange(80.0)
         ys = sample_gp(true, ts, seed=11)
-        fit = fit_template(ts, ys, 0.0, seed=4)
+        fit = fit_template(ts, ys, seed=4)
         if fit.converged:
             gnorm = np.linalg.norm(
-                lml_gradient(fit.hyper, 0.0, distance_table(ts), ys)[1]
+                lml_gradient(fit.hyper, fit.mean, distance_table(ts), ys)[1]
             )
             assert gnorm < 1e-4
 
@@ -94,9 +91,9 @@ class TestFitTemplate:
         ys = sample_gp(Hyperparameters(kind, 1.0, 6.0, 0.2), ts, seed=17)
         with monkeypatch.context() as patch:
             patch.setattr(gp, "_potri", refuse_potri)
-            toeplitz = fit_template(ts, ys, 0.0, kind=kind, seed=7)
+            toeplitz = fit_template(ts, ys, kind=kind, seed=7)
         monkeypatch.setattr(fit, "distance_table", lambda xs: distance_table(xs)[:2] + (False,))
-        dense = fit_template(ts, ys, 0.0, kind=kind, seed=7)
+        dense = fit_template(ts, ys, kind=kind, seed=7)
         fitted = [
             (f.hyper.signal_scale, f.hyper.length_scale, f.hyper.noise_scale)
             for f in (toeplitz, dense)
@@ -108,8 +105,8 @@ class TestFitTemplate:
         ys = sample_gp(
             Hyperparameters(KernelKind.MATERN52, 1.0, 2.0, 0.3), ts, seed=12
         )
-        a = fit_template(ts, ys, 0.0, seed=77)
-        b = fit_template(ts, ys, 0.0, seed=77)
+        a = fit_template(ts, ys, seed=77)
+        b = fit_template(ts, ys, seed=77)
         assert a.hyper == b.hyper
         assert a.lml == b.lml
         assert a.iterations == b.iterations
@@ -172,19 +169,19 @@ class TestFitTemplate:
         if bad_time is not None:
             ts[3] = bad_time
         with pytest.raises(ValueError, match=match):
-            fit_template(ts, ys, 0.0, kind=kind)
+            fit_template(ts, ys, kind=kind)
         assert evaluations == []
         assert "failed on every start" not in caplog.text
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_template(np.arange(5.0), np.zeros(5), 0.0)
+            fit_template(np.arange(5.0), np.zeros(5))
 
     def test_non_finite_observations_rejected(self):
         ys = np.zeros(10)
         ys[3] = np.nan
         with pytest.raises(ValueError):
-            fit_template(np.arange(10.0), ys, 0.0)
+            fit_template(np.arange(10.0), ys)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_all_starts_failing_raises_fit_error(self):
@@ -195,7 +192,7 @@ class TestFitTemplate:
         rng = np.random.default_rng(15)
         ys = 1e200 * rng.normal(size=10)
         with pytest.raises(NumericalError):
-            fit_template(ts, ys, 0.0, seed=5)
+            fit_template(ts, ys, seed=5)
 
     def test_all_starts_failing_falls_back_to_the_heuristic(self, monkeypatch, caplog):
         def fail(*args):
@@ -205,10 +202,11 @@ class TestFitTemplate:
         caplog.set_level(logging.WARNING, logger="intelgp")
         ts = np.arange(40.0)
         ys = np.random.default_rng(16).normal(size=40)
-        result = fit_template(ts, ys, 0.0, seed=5)
+        result = fit_template(ts, ys, seed=5)
         heuristic = heuristic_hyperparameters(ts, ys)
         assert result.hyper == heuristic
-        assert result.lml == log_marginal_likelihood(heuristic, 0.0, ts, ys)
+        assert result.mean == float(np.mean(ys))
+        assert result.lml == log_marginal_likelihood(heuristic, result.mean, ts, ys)
         assert result.iterations == 0
         assert result.converged is False
         assert "using heuristic scales" in caplog.text

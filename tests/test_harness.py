@@ -1,7 +1,9 @@
 """Tests for CSV ingestion, the run loop, and the benchmark harness."""
 
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from conftest import regime_change_series
 
 from intelgp import harness
-from intelgp.engine import EngineConfig, Verdict
+from intelgp.engine import EngineConfig, Verdict, initialize, step
 from intelgp.gp import KernelKind
 from intelgp.harness import (
     InputError,
@@ -22,11 +24,16 @@ from intelgp.harness import (
     run,
     slice_series,
 )
+from intelgp.metrics import compute_stats
 from intelgp.mixture import VariantFactors
 
 
 def parse_jsonl(text: str) -> list[dict]:
     return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def verdicts_of(result) -> list[Verdict]:
+    return [Verdict(r["verdict"]) for r in result.records]
 
 
 def write_csv(path, rows, header="timestamp,value"):
@@ -205,8 +212,12 @@ class TestRun:
         assert parsed == result.records
 
     def test_record_weights_are_python_floats_of_the_weights(self, series):
-        result = run(EngineConfig(init_count=130), series[:400])
-        for record, out in zip(result.records, result.outputs):
+        config = EngineConfig(init_count=130)
+        result = run(config, series[:400])
+        z = compute_stats(series[:130]).normalize(series[:400])
+        state = initialize(np.arange(130), z[:130], config)
+        for record, y in zip(result.records, z[130:], strict=True):
+            state, out = step(state, y)
             assert all(type(w) is float for w in record["weights"])
             assert np.array(record["weights"]).tobytes() == out.weights_after.tobytes()
 
@@ -240,9 +251,9 @@ class TestRun:
         config = EngineConfig(init_count=130)
         plain = run(config, series[:400])
         rescaled = run(config, a * series[:400] + b)
-        verdicts = [o.verdict for o in plain.outputs]
+        verdicts = verdicts_of(plain)
         assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= set(verdicts)
-        assert [o.verdict for o in rescaled.outputs] == verdicts
+        assert verdicts_of(rescaled) == verdicts
 
     def test_near_constant_init_segment_flags_the_stream(self):
         # Documented behaviour, not an error: the segment passes the scale
@@ -251,7 +262,7 @@ class TestRun:
         y = np.concatenate([3.0 + 1e-9 * rng.uniform(-1, 1, 200), rng.standard_normal(200)])
         for normalization in ("init", "full"):
             result = run(EngineConfig(init_count=200), y, normalization=normalization)
-            assert all(o.verdict is not Verdict.INLIER for o in result.outputs)
+            assert Verdict.INLIER not in verdicts_of(result)
             assert result.summary["change_points"] > 0
             assert (result.summary["norm_std"] < 1e-9) == (normalization == "init")
 
@@ -261,7 +272,7 @@ class TestRun:
         s = np.random.default_rng(0).standard_normal(300)
         s[250] = 1e160
         result = run(EngineConfig(init_count=200), s)
-        assert result.outputs[50].verdict is not Verdict.INLIER
+        assert verdicts_of(result)[50] is not Verdict.INLIER
         assert result.metrics.nll == result.metrics.mse == math.inf
         assert math.isfinite(result.metrics.mae)
 
@@ -316,6 +327,31 @@ class TestRun:
         config = EngineConfig(init_count=120, factors=VariantFactors(), seed=0)
         with pytest.raises(NumericalError, match="t=127"):
             run(config, series)
+
+    def test_result_keeps_under_900_bytes_per_step(self):
+        # What a RunResult holds per streamed step at M=8: the growth of
+        # traced memory from a 500-step to a 1,500-step stream.  The
+        # records alone take about 700 bytes a step; a StepOutput kept
+        # besides each would add about 500.
+        config = EngineConfig(init_count=100)
+        run(config, np.random.default_rng(0).standard_normal(150))  # warm-up
+
+        def retained(n_steps):
+            series = np.random.default_rng(0).standard_normal(100 + n_steps)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                result = run(config, series)
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(result.records) == n_steps
+            return kept
+
+        per_step = (retained(1500) - retained(500)) / 1000
+        assert per_step < 900, f"{per_step:.0f} bytes per step"
 
 
 def cpu_shift_like(rng, n=800):
@@ -382,9 +418,9 @@ class TestAffineInvariance:
     def test_verdicts_unchanged_under_a_drawn_affine_map(self, plain, name, a, b):
         config, y = AFFINE_STREAMS[name]
         mapped = run(config, a * y + b, normalization="init")
-        verdicts = [o.verdict for o in plain[name].outputs]
+        verdicts = verdicts_of(plain[name])
         assert {Verdict.OUTLIER, Verdict.CHANGE_POINT} <= set(verdicts)
-        assert [o.verdict for o in mapped.outputs] == verdicts
+        assert verdicts_of(mapped) == verdicts
 
     @pytest.mark.parametrize("name, a", [("cpu_shift", 2.0**-20), ("glitchy", 2.0**9)])
     def test_power_of_two_scale_gives_identical_records(self, plain, name, a):

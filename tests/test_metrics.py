@@ -124,10 +124,6 @@ class TestEvaluate:
         )
         assert m.nll == pytest.approx(decomposed, abs=1e-10)
 
-    def test_misaligned_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate([FakeOutput(0.0, 1.0)], [0.0, 1.0])
-
 
 class TestAffineEquivariance:
     def test_verdicts_invariant_under_affine_map(self):

@@ -9,7 +9,10 @@ model's covariance over the offsets 0..tau and its inverse, the precision,
 formed once per model set with LAPACK trtrs; a new window factors one
 small block per model, taken from whichever of the two is smaller for it,
 with one banded LAPACK pbtrf call for the whole set and solves with one
-pbtrs call.  The fit's gradient needs only the per-distance sums of V⁻¹:
+pbtrs call.  Its index bookkeeping (the window's positions, their checks,
+and the rows and columns it gathers) is done on Python ints: a window
+holds at most tau + 1 of them, too few for numpy's per-call cost to pay
+off.  The fit's gradient needs only the per-distance sums of V⁻¹:
 on equally spaced sorted inputs, where V is Toeplitz, they come from one
 more column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on
 any other inputs from V⁻¹ itself, formed with LAPACK potri.
@@ -175,6 +178,13 @@ class PredictiveDistribution:
 # extreme length scales probed by the optimizer.
 _MAX_SCALED_DIST = 705.0
 
+# The SE kernel is exactly 0 where its exponential factor falls below this.
+# Its far entries would otherwise reach 1e-306, and LAPACK potrf over them
+# runs through subnormal products, five to seven times slower than over
+# the Matérn kernel of the same scales at 200 points.  Any product of two kept
+# factors is at least 1e-300, above the smallest normal double.
+_SE_FLUSH = 1e-150
+
 
 def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) -> np.ndarray:
     """Kernel value as a function of pairwise distance |xi - xj|.  The
@@ -187,8 +197,8 @@ def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) 
         u = np.minimum((math.sqrt(5.0) / length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
     # KernelKind.SQUARED_EXPONENTIAL
-    s = np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST)
-    return sf2 * np.exp(-s)
+    e = np.exp(-np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST))
+    return np.where(e < _SE_FLUSH, 0.0, sf2 * e)
 
 
 def distance_table(xs) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -298,6 +308,15 @@ def _band_layout(n: int) -> np.ndarray:
     return layout
 
 
+@lru_cache
+def _flat_index(width: int) -> np.ndarray:
+    """The flat index of each entry of a width x width matrix in row-major
+    order: entry (i, j) holds i·width + j."""
+    index = np.arange(width * width).reshape(width, width)
+    index.flags.writeable = False  # shared by every call through the cache
+    return index
+
+
 def precision_table(models, span: int) -> np.ndarray:
     """Each model's noisy covariance V_F over the integer inputs 0..span
     and its precision Λ = V_F⁻¹: a read-only (2, M, span+1, span+1) array,
@@ -364,35 +383,45 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
       out, so var = z_t and a = -Λ[S,(R,t)]·z;
     - |R| > |S|: A = V_F[(S,t),(S,t)], plain conditioning on the window,
       so var = 1/z_t and a = -z_S/z_t.
+
+    The positions, the span and distinctness checks, R, and the rows and
+    columns of the gather are worked out on Python ints from
+    `offsets.tolist()`, and pick the gather's flat indices from a cached
+    index of the table's entries: with at most span + 1 offsets, a dozen
+    numpy calls on such short arrays cost more than the LAPACK calls.
+    Raises a ValueError naming the span if the offsets and 0 reach further
+    apart than it, or if they are not distinct.
     """
     precision, covariance = table
     models, width = precision.shape[:2]
-    x = np.append(offsets, 0)
-    position = x - np.minimum.reduce(x)
-    if np.maximum.reduce(position) >= width:
+    x = offsets.tolist()
+    x.append(0)
+    low = min(x)
+    reach = max(x) - low
+    if reach >= width:
         raise ValueError(
-            f"window offsets reach a distance of {np.maximum.reduce(position)}, "
-            f"beyond the table's span {width - 1}"
+            f"window offsets reach a distance of {reach}, beyond the table's span {width - 1}"
         )
-    rest = np.ones(width, dtype=bool)
-    rest[position] = False
-    rest = np.flatnonzero(rest)
-    if rest.size + x.size != width:
+    position = [v - low for v in x] if low else x
+    taken = set(position)
+    if len(taken) != len(position):
         raise ValueError("training times must be distinct and differ from the test time")
+    rest = [p for p in range(width) if p not in taken]
     # One gather takes the systems, test position last in each, and on the
     # precision side the window's rows below them.  A gather by flat index
     # with take comes out C-ordered: over a strided one, the row-wise
     # product below would round a model's row differently depending on
     # how many models there are.
     window = position[:-1]
-    if rest.size <= window.size:
-        block = np.append(rest, position[-1])
-        rows, source = np.concatenate((block, window)), precision
+    if len(rest) <= len(window):
+        block = rest + position[-1:]
+        rows, source = block + window, precision
     else:
         block = rows = position
         source = covariance
-    k = block.size - 1
-    gathered = source.reshape(models, -1).take(rows[:, None] * width + block, axis=1)
+    k = len(block) - 1
+    index = _flat_index(width).take(rows, axis=0).take(block, axis=1)
+    gathered = source.reshape(models, -1).take(index, axis=1)
     rhs = np.zeros((models + 1, k + 1))
     rhs[:, k] = 1.0
     # pbtrs reports only illegal arguments, which these shapes rule out.
@@ -546,9 +575,10 @@ def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
     if hyper.kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, _MAX_SCALED_DIST)
         return sf2 * (u * u * (1.0 + u) / 3.0) * np.exp(-u)
-    # KernelKind.SQUARED_EXPONENTIAL
+    # KernelKind.SQUARED_EXPONENTIAL: 0 where the kernel is flushed to 0
     s = np.minimum((d / hyper.length_scale) ** 2, _MAX_SCALED_DIST)
-    return sf2 * np.exp(-s) * 2.0 * s
+    e = np.exp(-s)
+    return np.where(e < _SE_FLUSH, 0.0, sf2 * e * 2.0 * s)
 
 
 def lml_gradient(

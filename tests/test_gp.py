@@ -717,6 +717,97 @@ class TestKernelTable:
             assert np.all(np.abs(var_narrow - var_wide) <= cond * EPS * var_wide)
 
 
+@st.composite
+def offset_patterns(draw):
+    """Two models of one kind, a table span, and window offsets around the
+    test time: distinct positions in one stretch of the span, before and
+    after the test time, then maybe one fault appended (a repeated time,
+    the test time itself, or an offset up to 3 past either end)."""
+    kind = draw(st.sampled_from(list(KernelKind)))
+    log_scales = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.5), st.floats(-2.5, -0.5))
+    models = tuple(
+        Hyperparameters(kind, math.exp(f), math.exp(l), math.exp(n))
+        for f, l, n in draw(st.lists(log_scales, min_size=2, max_size=2))
+    )
+    span = draw(st.integers(1, 12))
+    low = draw(st.integers(-span, 0))
+    positions = draw(st.lists(st.integers(0, span), max_size=span + 1, unique=True))
+    offsets = [p + low for p in positions if p + low != 0]
+    fault = draw(st.sampled_from(["none", "repeat", "test_time", "beyond"]))
+    if fault == "repeat" and offsets:
+        offsets.append(draw(st.sampled_from(offsets)))
+    elif fault == "test_time":
+        offsets.insert(draw(st.integers(0, len(offsets))), 0)
+    elif fault == "beyond":
+        offsets.append(draw(st.sampled_from([low - 1, low + span + 1])) + draw(st.integers(-1, 3)))
+    return models, span, offsets
+
+
+def pattern(span, offsets):
+    """An `offset_patterns` case of Matérn models for shapes that must
+    always be covered."""
+    models = (TestKernelTable.MODELS[0], TestKernelTable.MODELS[0].scaled(l=0.5))
+    return models, span, offsets
+
+
+class TestMissBookkeeping:
+    """A predictor miss over any offsets: the documented ValueError with
+    the cache left as it was, or the exact conditioning within cond·eps."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(offset_patterns())
+    @example(pattern(6, []))  # empty window
+    @example(pattern(6, [3, 2, 1]))  # |R| = 3 > |S|: the covariance side
+    @example(pattern(6, [6, 5, 3, 2, 1]))  # |R| = 1 <= |S|: the precision side
+    @example(pattern(6, [2, 1, -1, -3]))  # training times after the test time
+    @example(pattern(6, [-6]))  # the test time at position 6
+    @example(pattern(6, [7]))  # one past the span
+    @example(pattern(6, [4, -3]))  # both ends inside, their distance past it
+    @example(pattern(6, [3, 2, 3]))  # a repeated time
+    @example(pattern(6, [2, 0, 1]))  # the test time in the window
+    @example(pattern(6, [9, 9]))  # both faults: the span is checked first
+    def test_raises_and_keeps_the_cache_or_matches_the_exact_conditioning(self, case):
+        models, span, offsets = case
+        table = precision_table(models, span)
+        offsets = np.array(offsets, dtype=np.int64)
+        t_star = 1_000
+        ts = t_star - offsets
+        cache = {b"x": None}
+        x = [*offsets.tolist(), 0]
+        if max(x) - min(x) > span:
+            error = f"span {span}"
+        elif len(set(x)) < len(x):
+            error = "distinct"
+        else:
+            error = None
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                predictor(offsets, table)
+            with pytest.raises(ValueError, match=error):
+                gp_predict(ts, np.sin(ts), 0.2, table, t_star, cache)
+            assert cache == {b"x": None}
+            return
+        a, var = predictor(offsets, table)
+        assert a.shape == (len(models), offsets.size) and var.shape == (len(models),)
+        for m, h in enumerate(models):
+            row = kernel_row(h, span)
+            assert table[1, m, 0, 0] == row[0]  # no jitter: the oracle needs none
+            # Well-conditioned tables leave a few roundings, not cond·eps:
+            # 3 ulps of the variance at span 1 and cond 1.5.  The bound
+            # allows one cond·eps per input for the table's inverse and for
+            # the miss's solve.
+            tolerance = 2 * (span + 1) * window_condition(row, span) * EPS
+            a_ref, var_ref = exact_predictor(row, offsets)
+            assert np.abs(a[m] - a_ref).sum() <= tolerance
+            assert abs(var[m] - var_ref) <= tolerance * var_ref
+        means, variances = gp_predict(ts, np.sin(ts), 0.2, table, t_star, cache)
+        assert list(cache) == [b"x", offsets.tobytes()]
+        hit_a, hit_var = cache[offsets.tobytes()]
+        assert (hit_a.tobytes(), hit_var.tobytes()) == (a.tobytes(), var.tobytes())
+        assert means.tobytes() == (0.2 + np.vecdot(a, np.sin(ts) - 0.2)).tobytes()
+        assert variances.tobytes() == var.tobytes()
+
+
 class TestStackFallback:
     # Tiny noise and a huge length scale: the covariance over 0..20 is
     # numerically rank one, so its unjittered Cholesky fails and the

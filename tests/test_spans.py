@@ -9,7 +9,7 @@ import numpy as np
 from conftest import flat_stream
 
 from intelgp import engine, gp
-from intelgp.engine import EngineConfig, initialize, step
+from intelgp.engine import EngineConfig, Verdict, initialize, step
 from intelgp.mixture import VariantFactors
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -29,6 +29,27 @@ def test_every_boundary_fires_on_a_short_stream():
             state, _ = step(state, y)
     spans.check_all_fired(tracer, "a short flat stream")
     assert engine.gp_predict is gp.gp_predict  # the originals are back
+
+
+def test_a_miss_on_a_gapped_window_factors_inside_gp_predict():
+    # gp.chol_us_p50 is the median, over the engine.gp_predict spans, of
+    # their gp.chol_with_jitter children: a miss that factored outside
+    # that name would read 0 there on glitchy_27m instead of failing.
+    config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
+    history, stream = flat_stream(58)
+    state = initialize(np.arange(60), history, config)
+    for y in stream[:4]:
+        state, _ = step(state, y)
+    state, out = step(state, stream[4] + 5.0)
+    assert out.verdict is Verdict.OUTLIER  # kept out of the window: a gap
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        step(state, stream[5])
+    names = tracer.name
+    assert any(
+        name == "gp.chol_with_jitter" and parent >= 0 and names[parent] == "engine.gp_predict"
+        for name, parent in zip(names, tracer.parent)
+    )
 
 
 def test_one_factorization_per_fit_evaluation():

@@ -3,7 +3,8 @@ the benchmark table over a dataset directory.
 
 Precedence: command-line flags override the keyed config file, which
 overrides built-in defaults.  Exit codes: 0 success, 2 input/parse error,
-3 numerical failure, 4 configuration error.  The INTEL_LOG environment
+3 numerical failure, 4 configuration error; `bench` exits with the code
+of its first skipped dataset's failure.  The INTEL_LOG environment
 variable (off|info|debug) controls log verbosity.
 """
 
@@ -21,18 +22,24 @@ from pathlib import Path
 from .gp import NumericalError
 from .harness import (
     CONFIG_KEYS,
-    InputError,
     bench,
     config_from_mapping,
+    failure_class,
     format_bench_table,
     load_csv,
     records_to_jsonl,
     run,
     slice_series,
 )
-from .metrics import DegenerateDataError
 
 log = logging.getLogger("intelgp")
+
+# The exit code and message prefix of each `harness.failure_class`.
+_FAILURES = {
+    "input": (2, "input error"),
+    "numerical": (3, "numerical failure"),
+    "config": (4, "config error"),
+}
 
 
 def _setup_logging() -> None:
@@ -140,7 +147,7 @@ def _cmd_bench(args) -> int:
         (out_dir / "table.json").write_text(json.dumps(table_doc, indent=2) + "\n")
         (out_dir / "table.txt").write_text(text + "\n")
     print(text)
-    return 0
+    return _FAILURES[result.skipped[0]["failure"]][0] if result.skipped else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,16 +188,12 @@ def main(argv=None) -> int:
         _setup_logging()
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InputError, DegenerateDataError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # a bad flag, config file or parameter value
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
+    except (ValueError, NumericalError) as exc:
+        # bad input data, a numerical failure, or a bad flag, config file
+        # or parameter value
+        code, prefix = _FAILURES[failure_class(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import bisect
 import logging
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -171,7 +171,9 @@ class EngineState:
 @dataclass(frozen=True, slots=True)
 class StepOutput:
     """One step's forecast, verdict and weights.  Slotted: a stream may
-    keep one per step."""
+    keep one per step.  `step` builds it with one store per slot, not
+    with `__init__`'s one `object.__setattr__` call per field; built by
+    keyword, it is the same frozen dataclass."""
 
     t: int
     observation: float
@@ -184,6 +186,12 @@ class StepOutput:
     regime_start: Optional[int] = None
 
     __eq__ = eq_by_value
+
+
+# The slots' own stores, in field order, for `step`.
+(_set_t, _set_observation, _set_fused, _set_verdict, _set_weights_after,
+ _set_mean_const, _set_means, _set_variances, _set_regime_start) = (
+    getattr(StepOutput, f.name).__set__ for f in fields(StepOutput))
 
 
 def classify(pred: PredictiveDistribution, y: float) -> bool:
@@ -274,7 +282,8 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     # The next step replaces this state, so it is built with one store of
     # its whole __dict__ rather than __init__'s object.__setattr__ per
     # field; the dict must name every field, defaults included.  StepOutput,
-    # which a stream may keep, is slotted instead: smaller than a dict.
+    # which a stream may keep, is slotted instead: smaller than a dict, and
+    # built by one store per slot, every slot included.
     new_state = object.__new__(EngineState)
     object.__setattr__(new_state, "__dict__", {
         "window": window,
@@ -289,17 +298,16 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         "fit": state.fit,
         "cache": state.cache,
     })
-    output = StepOutput(
-        t=t_next,
-        observation=y_next,
-        fused=fused,
-        verdict=verdict,
-        weights_after=weights,
-        mean_const=mean,
-        means=means,
-        variances=variances,
-        regime_start=regime_start,
-    )
+    output = object.__new__(StepOutput)
+    _set_t(output, t_next)
+    _set_observation(output, y_next)
+    _set_fused(output, fused)
+    _set_verdict(output, verdict)
+    _set_weights_after(output, weights)
+    _set_mean_const(output, mean)
+    _set_means(output, means)
+    _set_variances(output, variances)
+    _set_regime_start(output, regime_start)
     return new_state, output
 
 

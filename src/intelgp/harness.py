@@ -12,7 +12,7 @@ import numpy as np
 
 from .engine import EngineConfig, StepOutput, Verdict, check_integer, initialize, step
 from .gp import KernelKind, NumericalError
-from .metrics import RunMetrics, compute_stats, evaluate
+from .metrics import DegenerateDataError, RunMetrics, compute_stats, evaluate
 from .mixture import VariantFactors
 
 log = logging.getLogger("intelgp")
@@ -83,7 +83,28 @@ def step_record(out: StepOutput) -> dict:
 
 
 def records_to_jsonl(records) -> str:
-    return "".join(json.dumps(r) + "\n" for r in records)
+    """The `steps.jsonl` text of `step_record` dicts: per record, the line
+    `json.dumps` writes for it and a newline.
+
+    Each line is one f-string: the keys in `step_record`'s order, each float
+    written by `float.__repr__`, as `json.dumps` writes a finite float, and
+    the weights, Python floats, by the list's repr, whose ", " separators
+    are those of `json.dumps`.  For a non-finite float `repr` writes nan or
+    inf where `json.dumps` writes NaN or Infinity; no key or verdict holds
+    either string, so a line that does is written by `json.dumps` instead.
+    """
+    fr = float.__repr__
+    lines = []
+    for r in records:
+        line = (
+            f'{{"t": {r["t"]}, "y": {fr(r["y"])}, "mean": {fr(r["mean"])}, '
+            f'"variance": {fr(r["variance"])}, "verdict": "{r["verdict"]}", '
+            f'"weights": {r["weights"]!r}, "mean_const": {fr(r["mean_const"])}}}\n'
+        )
+        if "nan" in line or "inf" in line:
+            line = json.dumps(r) + "\n"
+        lines.append(line)
+    return "".join(lines)
 
 
 @dataclass(frozen=True)
@@ -234,6 +255,17 @@ def slice_series(series: np.ndarray, entry: dict) -> np.ndarray:
     return series[slice(start, end)]
 
 
+def failure_class(exc: Exception) -> str:
+    """The class of a run's failure, which picks the CLI's exit code:
+    "input" for an `InputError` or `DegenerateDataError`, "numerical" for
+    a `NumericalError`, "config" for any other (a rejected key or value)."""
+    if isinstance(exc, (InputError, DegenerateDataError)):
+        return "input"
+    if isinstance(exc, NumericalError):
+        return "numerical"
+    return "config"
+
+
 def bench(bench_config: dict, dataset_dir) -> BenchResult:
     """Run INTEL and SINTEL (the template model alone) over every
     configured dataset.
@@ -241,9 +273,9 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
     A dataset's config is `defaults` overlaid with its entry, less the
     entry's `name` and `file` (see `config_from_mapping`).  Per-dataset
     failures (bad input or config, a missing key, a numerical failure) are
-    reported in `skipped`; the remaining datasets still run.  Any other
-    exception is a fault in the program and propagates.  Each row carries
-    the dataset name, mode, and metrics.
+    reported in `skipped`, each with its message and its
+    `failure_class`; the remaining datasets still run.  Any other exception is a fault in the program and
+    propagates.  Each row carries the dataset name, mode, and metrics.
     """
     dataset_dir = Path(dataset_dir)
     defaults = bench_config.get("defaults", {})
@@ -271,7 +303,7 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
                 )
         except (ValueError, KeyError, NumericalError) as exc:
             log.warning("bench: skipping %s: %s", name, exc)
-            skipped.append({"dataset": name, "error": str(exc)})
+            skipped.append({"dataset": name, "error": str(exc), "failure": failure_class(exc)})
     return BenchResult(rows=rows, skipped=skipped)
 
 

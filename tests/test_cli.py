@@ -13,8 +13,10 @@ import pytest
 from conftest import regime_change_series
 
 import intelgp
+from intelgp import harness
 from intelgp.cli import build_parser, main, parse_factor_flag
 from intelgp.engine import EngineConfig
+from intelgp.gp import NumericalError
 from intelgp.harness import CONFIG_KEYS, load_csv, records_to_jsonl, run
 from intelgp.metrics import RunMetrics
 from intelgp.mixture import VariantFactors
@@ -384,21 +386,19 @@ class TestRunCommand:
 
 
 class TestBenchCommand:
-    def test_bench_writes_table(self, dataset, tmp_path, capsys):
+    def bench(self, dataset, tmp_path, extra=()):
+        """Exit code and output directory of a bench over the series and
+        the `extra` entries, which come first."""
+        entry = {
+            "name": "series",
+            "file": dataset.name,
+            "column": "value",
+            "factors": {"f": 0.2, "l": 0.2, "n": 5},
+        }
         cfg = tmp_path / "bench.json"
         cfg.write_text(
             json.dumps(
-                {
-                    "defaults": {"init_count": 80, "seed": 0},
-                    "datasets": [
-                        {
-                            "name": "series",
-                            "file": dataset.name,
-                            "column": "value",
-                            "factors": {"f": 0.2, "l": 0.2, "n": 5},
-                        }
-                    ],
-                }
+                {"defaults": {"init_count": 80, "seed": 0}, "datasets": [*extra, entry]}
             )
         )
         out = tmp_path / "bench_out"
@@ -410,11 +410,53 @@ class TestBenchCommand:
                 "--out", str(out),
             ]
         )
+        return code, out
+
+    def test_bench_writes_table(self, dataset, tmp_path, capsys):
+        code, out = self.bench(dataset, tmp_path)
         assert code == 0
         table = json.loads((out / "table.json").read_text())
         assert {r["mode"] for r in table["rows"]} == {"intel", "sintel"}
         stdout = capsys.readouterr().out
         assert "dataset" in stdout and "nll" in stdout
+
+    def test_missing_file_exits_2_after_writing_the_other_rows(self, dataset, tmp_path):
+        missing = {"name": "missing", "file": "missing.csv"}
+        code, out = self.bench(dataset, tmp_path, [missing])
+        assert code == 2
+        table = json.loads((out / "table.json").read_text())
+        assert [(r["dataset"], r["mode"]) for r in table["rows"]] == [
+            ("series", "intel"), ("series", "sintel")
+        ]
+        assert [(s["dataset"], s["failure"]) for s in table["skipped"]] == [
+            ("missing", "input")
+        ]
+        assert "1 skipped" in (out / "table.txt").read_text()
+
+    def test_unknown_entry_key_exits_4(self, dataset, tmp_path):
+        typo = {"name": "typo", "file": dataset.name, "alpah": 0.5}
+        code, out = self.bench(dataset, tmp_path, [typo])
+        assert code == 4
+        table = json.loads((out / "table.json").read_text())
+        assert {r["dataset"] for r in table["rows"]} == {"series"}
+        assert [s["failure"] for s in table["skipped"]] == ["config"]
+
+    def test_first_skip_picks_the_exit_code(self, dataset, tmp_path):
+        typo = {"name": "typo", "file": dataset.name, "alpah": 0.5}
+        missing = {"name": "missing", "file": "missing.csv"}
+        assert self.bench(dataset, tmp_path, [typo, missing])[0] == 4
+        assert self.bench(dataset, tmp_path, [missing, typo])[0] == 2
+
+    def test_numerical_skip_exits_3(self, dataset, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise NumericalError("not positive definite")
+
+        monkeypatch.setattr(harness, "run", failing_run)
+        code, out = self.bench(dataset, tmp_path)
+        assert code == 3
+        table = json.loads((out / "table.json").read_text())
+        assert table["rows"] == []
+        assert [s["failure"] for s in table["skipped"]] == ["numerical"]
 
     def test_repeated_key_in_bench_file_is_config_error(self, dataset, capsys):
         cfg = dataset.parent / "twice.json"

@@ -16,6 +16,7 @@ from test_gp import oracle_predict
 from intelgp import fit, gp
 from intelgp.engine import (
     EngineConfig,
+    StepOutput,
     Verdict,
     classify,
     initialize,
@@ -735,6 +736,47 @@ class TestRecords:
     def test_state_from_step_holds_every_field(self):
         _, _, (state, _) = stepped_mid_stream()
         assert list(vars(state)) == [f.name for f in dataclasses.fields(state)]
+
+    def test_outputs_of_step_equal_the_keyword_built_ones(self):
+        # step stores an output's slots one by one.  Each is set and
+        # frozen, and the output is the one keyword construction builds
+        # from the values that the state before and after the step give.
+        state, rest, _ = stepped_mid_stream()
+        config = state.config
+        verdicts = set()
+        for y in rest[:45]:
+            before = state
+            t = before.current_t + 1
+            fused = predict_next(before)
+            means, variances = gp_predict(
+                before.window.times, before.window.values, before.shared_mean,
+                before.table, t, before.cache,
+            )
+            if classify(fused, y):
+                verdict, regime_start = Verdict.INLIER, None
+            elif len(before.bucket) + 1 >= config.n_outliers:
+                verdict, regime_start = Verdict.CHANGE_POINT, (before.bucket.times + (t,))[0]
+            else:
+                verdict, regime_start = Verdict.OUTLIER, None
+            state, out = step(before, y)
+            want = StepOutput(
+                t=t,
+                observation=float(y),
+                fused=fused,
+                verdict=verdict,
+                weights_after=state.weights,
+                mean_const=state.shared_mean,
+                means=means,
+                variances=variances,
+                regime_start=regime_start,
+            )
+            assert out == want
+            assert bits(out) == bits(want)
+            for f in dataclasses.fields(StepOutput):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(out, f.name, getattr(out, f.name))
+            verdicts.add(verdict)
+        assert verdicts == set(Verdict)
 
     def test_kept_records_have_no_instance_dict(self):
         _, _, (_, out) = stepped_mid_stream()

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import regime_change_series
+from hypothesis import given
+from hypothesis import strategies as st
 
 from intelgp import harness
-from intelgp.engine import EngineConfig, Verdict, initialize, step
-from intelgp.gp import KernelKind
+from intelgp.engine import EngineConfig, StepOutput, Verdict, initialize, step
+from intelgp.gp import KernelKind, PredictiveDistribution
 from intelgp.harness import (
     InputError,
     bench,
@@ -23,6 +25,7 @@ from intelgp.harness import (
     records_to_jsonl,
     run,
     slice_series,
+    step_record,
 )
 from intelgp.metrics import compute_stats
 from intelgp.mixture import VariantFactors
@@ -193,6 +196,51 @@ class TestConfigFromMapping:
 def series():
     data, _ = regime_change_series()
     return data
+
+
+# The floats at the edges of what `repr` and `json.dumps` write: a signed
+# zero, the least subnormal, the exponent notations, and the non-finite.
+EDGE_FLOATS = (-0.0, 5e-324, 1e308, 1e16, 1e-5, math.nan, math.inf, -math.inf)
+
+
+def record_floats(positive=False):
+    """An edge float or any float; `positive` for a variance."""
+    if positive:
+        return st.one_of(
+            st.sampled_from([v for v in EDGE_FLOATS if v > 0.0]),
+            st.floats(min_value=0.0, exclude_min=True),
+        )
+    return st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def step_outputs(draw):
+    """A StepOutput of 1 to 27 models with drawn floats, verdict and
+    regime start; scalar floats may be numpy float64s, as floats."""
+    m = draw(st.integers(1, 27))
+    scalar = record_floats().flatmap(lambda v: st.sampled_from([v, np.float64(v)]))
+    arrays = st.lists(record_floats(), min_size=m, max_size=m).map(np.array)
+    return StepOutput(
+        t=draw(st.integers(0, 2**62)),
+        observation=draw(scalar),
+        fused=PredictiveDistribution(draw(record_floats()), draw(record_floats(positive=True))),
+        verdict=draw(st.sampled_from(list(Verdict))),
+        weights_after=draw(arrays),
+        mean_const=draw(scalar),
+        means=draw(arrays),
+        variances=draw(arrays),
+        regime_start=draw(st.one_of(st.none(), st.integers(0, 2**62))),
+    )
+
+
+class TestRecordsToJsonl:
+    @given(step_outputs())
+    def test_each_line_is_what_json_dumps_writes(self, out):
+        record = step_record(out)
+        assert records_to_jsonl([record]) == json.dumps(record) + "\n"
+
+    def test_no_records_give_no_text(self):
+        assert records_to_jsonl([]) == ""
 
 
 class TestRun:
@@ -486,6 +534,7 @@ class TestBench:
         assert len(result.rows) == 2
         assert len(result.skipped) == 1
         assert result.skipped[0]["dataset"] == "broken"
+        assert result.skipped[0]["failure"] == "input"
 
     def test_kernel_key_reaches_the_fit(self, tmp_path, monkeypatch):
         cfg = self.make_dataset(tmp_path)
@@ -518,6 +567,7 @@ class TestBench:
         assert [r["dataset"] for r in result.rows] == ["demo", "demo"]
         assert [s["dataset"] for s in result.skipped] == ["typo"]
         assert key in result.skipped[0]["error"]
+        assert result.skipped[0]["failure"] == "config"
 
     @pytest.mark.parametrize(
         "key, value", [("tau", 2.7), ("seed", "3"), ("row_start", "100"), ("row_end", 1.5)]

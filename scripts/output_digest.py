@@ -15,16 +15,14 @@ Usage:  python3 scripts/output_digest.py
 """
 
 import hashlib
-import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from intelgp import run  # noqa: E402
-from intelgp.harness import records_to_jsonl  # noqa: E402
+from intelgp.harness import run_files  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 7)
@@ -32,11 +30,8 @@ SEEDS = (1, 7)
 
 def digests(config, series, normalization: str) -> tuple[str, str]:
     """The sha256 of steps.jsonl and of metrics.json for one run."""
-    result = run(config, series, normalization=normalization)
-    steps = records_to_jsonl(result.records)
-    doc = {"metrics": asdict(result.metrics), "summary": result.summary}
-    metrics = json.dumps(doc, indent=2) + "\n"
-    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in (steps, metrics))
+    files = run_files(run(config, series, normalization=normalization))
+    return tuple(hashlib.sha256(text.encode()).hexdigest() for text in files.values())
 
 
 def main() -> None:

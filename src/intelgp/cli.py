@@ -2,7 +2,7 @@
 the benchmark table over a dataset directory.
 
 Precedence: command-line flags override the keyed config file, which
-overrides built-in defaults.  Exit codes: 0 success, 2 input/parse error,
+overrides built-in defaults.  Exit codes: 0 success, 2 input or usage error,
 3 numerical failure, 4 configuration error; `bench` exits with the code
 of its first skipped dataset's failure.  The INTEL_LOG environment
 variable (off|info|debug) controls log verbosity.
@@ -11,6 +11,7 @@ variable (off|info|debug) controls log verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -22,13 +23,14 @@ from pathlib import Path
 from .gp import NumericalError
 from .harness import (
     CONFIG_KEYS,
+    InputError,
     bench,
     config_from_mapping,
     failure_class,
     format_bench_table,
     load_csv,
-    records_to_jsonl,
     run,
+    run_files,
     slice_series,
 )
 
@@ -89,8 +91,8 @@ def _load_config_file(path) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except FileNotFoundError:
-        raise ValueError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     except ValueError as exc:
@@ -100,7 +102,41 @@ def _load_config_file(path) -> dict:
     return doc
 
 
+def _flag_value(text: str):
+    """`int(text)`, else `float(text)`, else the text: a flag's config value."""
+    for number in (int, float):
+        with contextlib.suppress(ValueError):
+            return number(text)
+    return text
+
+
+def _out_dir(path) -> Path | None:
+    """The `--out` directory, made before any work; one that cannot be
+    made is an input error."""
+    if not path:
+        return None
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {path} cannot be made a directory: {exc.strerror}") from None
+    return out
+
+
+def _write(out_dir: Path | None, files: dict) -> None:
+    """Write each text of `files` under its name in `out_dir`, if any."""
+    if out_dir is None:
+        return
+    for name, text in files.items():
+        try:
+            (out_dir / name).write_text(text)
+        except OSError as exc:
+            raise InputError(f"--out {out_dir}: {name} cannot be written: {exc.strerror}") from None
+    log.info("wrote %s to %s", ", ".join(files), out_dir)
+
+
 def _cmd_run(args) -> int:
+    out_dir = _out_dir(args.out)
     merged = _load_config_file(args.config)
     merged.update(
         (key, flag) for key, flag in vars(args).items()
@@ -118,14 +154,8 @@ def _cmd_run(args) -> int:
     result = run(config, series, normalization=data["normalization"])
     wall = time.perf_counter() - t0  # stdout only: reruns are byte-identical
 
-    doc = {"metrics": asdict(result.metrics), "summary": result.summary}
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "steps.jsonl").write_text(records_to_jsonl(result.records))
-        (out_dir / "metrics.json").write_text(json.dumps(doc, indent=2) + "\n")
-        log.info("wrote %s and %s", out_dir / "steps.jsonl", out_dir / "metrics.json")
-    print(json.dumps(doc["metrics"]))
+    _write(out_dir, run_files(result))
+    print(json.dumps(asdict(result.metrics)))
     print(
         f"outliers={result.summary['outliers']} "
         f"change_points={result.summary['change_points']} "
@@ -135,17 +165,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    out_dir = _out_dir(args.out)
     cfg = _load_config_file(args.config)
     if "datasets" not in cfg:
         raise ValueError("bench config must have a 'datasets' list")
     result = bench(cfg, args.datasets)
     text = format_bench_table(result)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        table_doc = {"rows": result.rows, "skipped": result.skipped}
-        (out_dir / "table.json").write_text(json.dumps(table_doc, indent=2) + "\n")
-        (out_dir / "table.txt").write_text(text + "\n")
+    table_doc = {"rows": result.rows, "skipped": result.skipped}
+    _write(out_dir, {"table.json": json.dumps(table_doc, indent=2) + "\n",
+                     "table.txt": text + "\n"})
     print(text)
     return _FAILURES[result.skipped[0]["failure"]][0] if result.skipped else 0
 
@@ -159,18 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="stream one dataset")
     p_run.add_argument("--input", required=True, help="CSV file with a header row")
-    p_run.add_argument("--column", default=None, help="value column name (default: value)")
-    p_run.add_argument("--init-count", dest="init_count", type=int, default=None)
-    p_run.add_argument("--tau", type=int, default=None)
-    p_run.add_argument("--alpha", type=float, default=None)
-    p_run.add_argument("--n-outliers", dest="n_outliers", type=int, default=None)
-    p_run.add_argument("--mean-period", dest="mean_period", type=int, default=None)
-    p_run.add_argument("--kernel", choices=["matern52", "se"], default=None)
-    p_run.add_argument("--factors", default=None, help="e.g. f=0.2,n=5; empty for SINTEL")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--normalization", choices=["init", "full"], default=None)
-    p_run.add_argument("--row-start", dest="row_start", type=int, default=None)
-    p_run.add_argument("--row-end", dest="row_end", type=int, default=None)
+    kept_as_text = {"column": "value column name (default: value)",
+                    "factors": "e.g. f=0.2,n=5; empty for SINTEL"}
+    for key in CONFIG_KEYS:  # config_from_mapping checks every value
+        p_run.add_argument("--" + key.replace("_", "-"), help=kept_as_text.get(key),
+                           type=None if key in kept_as_text else _flag_value)
     p_run.add_argument("--config", default=None, help="keyed JSON config file")
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)

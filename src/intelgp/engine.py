@@ -64,7 +64,8 @@ class EngineConfig:
 
     SINTEL, the template model alone, is `factors=VariantFactors()`.
     These checks are the only ones of the engine values: the config file
-    and the `run` flags pass their values here unconverted."""
+    passes its values here unconverted, a `run` flag its text read as an
+    int, a float or the text itself."""
 
     tau: int = 20
     alpha: float = 0.9
@@ -317,16 +318,20 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     Fits the template on the history, whose mean (`FitResult.mean`)
     starts the shared mean, builds the variant set, and seeds the window
     with the history points of the last `tau` time steps, the rule `step`
-    applies after every observation.  The history times must
-    be strictly increasing integers; gaps are allowed.  `fit_template`
-    checks the rest of the history, before its first start: as many
-    observations as times, at least MIN_FIT_POINTS, all finite.  The fit
-    and the precision table run with scipy's BLAS on one thread
-    (`gp.one_blas_thread`), so the state's bits do not depend on the BLAS
-    thread count.
+    applies after every observation.  The history times must be strictly
+    increasing integers below 2**53 in magnitude; gaps are allowed.
+    `fit_template` checks the rest of the history, before its first
+    start: as many observations as times, at least MIN_FIT_POINTS, all
+    finite.  The fit and the precision table run with scipy's BLAS on one
+    thread (`gp.one_blas_thread`), so the state's bits do not depend on
+    the BLAS thread count.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
+    # Below 2**53 in magnitude float64 holds every integer, and a larger
+    # one is cast to at least 2**53: the fit takes the times as float64.
+    if np.any(np.abs(ts) >= 2.0**53):
+        raise ValueError("history times must lie strictly between -2**53 and 2**53")
     if not (np.all(np.isfinite(ts) & (ts == np.round(ts))) and np.all(np.diff(ts) > 0)):
         raise ValueError("history times must be strictly increasing integers")
 

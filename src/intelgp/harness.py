@@ -26,44 +26,40 @@ def load_csv(path, column: str) -> np.ndarray:
     """Read one numeric column from a headered CSV; row order is time order.
 
     Raises InputError naming the offending row on blank lines, short rows,
-    or non-numeric values, and naming the column if it is missing.
+    or non-numeric values, naming the column if it is missing, and for a
+    file that cannot be read or decoded.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
+    try:
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputError(f"{path}: cannot be read as CSV text: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in rows[0]]
+    if column not in header:
+        raise InputError(f"{path}: column {column!r} not found; header has {header}")
+    idx = header.index(column)
     values: list[float] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        if column not in header:
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            raise InputError(f"{path}: blank line at row {row_no}")
+        if idx >= len(row):
             raise InputError(
-                f"{path}: column {column!r} not found; header has {header}"
+                f"{path}: row {row_no} has {len(row)} fields, "
+                f"column {column!r} needs at least {idx + 1}"
             )
-        idx = header.index(column)
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                raise InputError(f"{path}: blank line at row {row_no}")
-            if idx >= len(row):
-                raise InputError(
-                    f"{path}: row {row_no} has {len(row)} fields, "
-                    f"column {column!r} needs at least {idx + 1}"
-                )
-            cell = row[idx].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"{path}: non-numeric value {cell!r} at row {row_no}"
-                ) from None
-            if not np.isfinite(value):
-                raise InputError(
-                    f"{path}: non-finite value {cell!r} at row {row_no}"
-                )
-            values.append(value)
+        cell = row[idx].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise InputError(f"{path}: non-numeric value {cell!r} at row {row_no}") from None
+        if not np.isfinite(value):
+            raise InputError(f"{path}: non-finite value {cell!r} at row {row_no}")
+        values.append(value)
     if not values:
         raise InputError(f"{path}: no data rows")
     return np.array(values)
@@ -114,6 +110,15 @@ class RunResult:
     summary: dict
 
 
+def run_files(result: RunResult) -> dict[str, str]:
+    """The texts `intelgp run --out` writes, by file name."""
+    doc = {"metrics": asdict(result.metrics), "summary": result.summary}
+    return {
+        "steps.jsonl": records_to_jsonl(result.records),
+        "metrics.json": json.dumps(doc, indent=2) + "\n",
+    }
+
+
 def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
     """Normalize, initialize on the leading segment, stream the remainder.
 
@@ -134,7 +139,7 @@ def run(config: EngineConfig, series, normalization: str = "init") -> RunResult:
             "leaves nothing to stream"
         )
     if normalization not in ("init", "full"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+        raise ValueError(f"'normalization' must be 'init' or 'full', got {normalization!r}")
     stats_segment = series[: config.init_count] if normalization == "init" else series
     stats = compute_stats(stats_segment)
     z = stats.normalize(series)
@@ -214,8 +219,9 @@ def _built(key: str, build, value):
 # sets kernel_kind), their values passed to it unconverted but for the two
 # that name an object, "factors" and "kernel", which are built first;
 # EngineConfig and VariantFactors check every engine value.  The data keys
-# select the data, are checked here and default to `_DATA_DEFAULTS`.
-# `intelgp run` takes each key from the flag of the same dest.
+# select the data, are checked here (normalization by `run`) and default to
+# `_DATA_DEFAULTS`.  `intelgp run` takes each key from the flag of the same
+# dest.
 _ENGINE_KEYS = ("tau", "alpha", "n_outliers", "mean_period", "init_count", "factors",
                 "kernel", "seed")
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
@@ -239,9 +245,8 @@ def config_from_mapping(doc: dict) -> tuple[EngineConfig, dict]:
     if "kernel" in engine:
         engine["kernel_kind"] = _built("kernel", KernelKind, engine.pop("kernel"))
     data = {key: doc.get(key, default) for key, default in _DATA_DEFAULTS.items()}
-    for key in ("column", "normalization"):
-        if not isinstance(data[key], str):
-            raise ValueError(f"{key!r} must be a string, got {data[key]!r}")
+    if not isinstance(data["column"], str):
+        raise ValueError(f"'column' must be a string, got {data['column']!r}")
     for key in ("row_start", "row_end"):
         if data[key] is not None:
             check_integer(key, data[key])

@@ -200,18 +200,40 @@ class TestRunCommand:
         assert code == 4
         assert "'signal' factors must not repeat" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, flag, value", [("tau", "--tau", 2.5), ("kernel", "--kernel", "foo")])
-    def test_value_argparse_rejects_is_usage_error_as_flag(
-        self, dataset, tmp_path, capsys, key, flag, value
+    @pytest.mark.parametrize(
+        "key, text, value",
+        [("tau", "2.5", 2.5), ("kernel", "foo", "foo"), ("row_start", "1.5", 1.5),
+         ("seed", "true", "true"), ("normalization", "foo", "foo")],
+    )
+    def test_rejected_flag_value_is_config_error_as_in_a_config_file(
+        self, dataset, tmp_path, capsys, key, text, value
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--input", str(dataset), "--init-count", "80", flag, str(value)])
-        assert exc.value.code == 2
+        flag = "--" + key.replace("_", "-")
+        assert main(["run", "--input", str(dataset), "--init-count", "80", flag, text]) == 4
+        err = capsys.readouterr().err
+        assert repr(key) in err
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"init_count": 80, key: value}))
-        capsys.readouterr()
         assert main(["run", "--input", str(dataset), "--config", str(cfg)]) == 4
-        assert repr(key) in capsys.readouterr().err
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("args", [["--tau"], ["--taus", "20"]], ids=["missing", "unknown"])
+    def test_missing_or_unknown_flag_is_usage_error(self, dataset, args):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(dataset), "--init-count", "80", *args])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, text, key, value",
+        [("--alpha", ".5", "alpha", 0.5), ("--tau", "020", "tau", 20), ("--tau", " 20", "tau", 20),
+         ("--row-end", "-5", "row_end", -5), ("--init-count", "1_000", "init_count", 1000),
+         ("--seed", "1e3", "seed", 1000.0), ("--kernel", "se", "kernel", "se"),
+         ("--column", "5", "column", "5"), ("--factors", "f=2", "factors", "f=2")],
+    )
+    def test_flag_text_is_read_as_int_float_or_text(self, flag, text, key, value):
+        args = build_parser().parse_args(["run", "--input", "series.csv", flag, text])
+        assert getattr(args, key) == value
+        assert type(getattr(args, key)) is type(value)
 
     def test_overflowing_factor_fails_before_streaming(self, dataset, capsys):
         code = main(["run", "--input", str(dataset), "--init-count", "80", "--factors", "f=1e200"])
@@ -342,6 +364,33 @@ class TestRunCommand:
         assert code == 4
         assert f"{key!r} is repeated" in capsys.readouterr().err
 
+    def test_config_file_that_is_a_directory_is_config_error(self, dataset, tmp_path, capsys):
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--config", str(tmp_path)])
+        assert code == 4
+        assert "cannot be read" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_is_input_error_before_the_run(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(intelgp.cli, "run", lambda *args, **kwargs: pytest.fail("ran"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--out", str(taken)])
+        assert code == 2
+        assert "input error: --out" in capsys.readouterr().err
+
+    def test_out_file_that_cannot_be_written_is_input_error(self, dataset, tmp_path, capsys):
+        (tmp_path / "steps.jsonl").mkdir()
+        code = main(["run", "--input", str(dataset), "--init-count", "80", "--out", str(tmp_path)])
+        assert code == 2
+        assert "steps.jsonl cannot be written" in capsys.readouterr().err
+
+    def test_input_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(b"t,value\n0,1.0\n1,\xff\n")
+        assert main(["run", "--input", str(p), "--init-count", "8"]) == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_config_json_is_config_error(self, dataset, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -467,6 +516,19 @@ class TestBenchCommand:
         code = main(["bench", "--datasets", str(dataset.parent), "--config", str(cfg)])
         assert code == 4
         assert "'seed' is repeated" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_is_input_error_before_the_bench(
+        self, dataset, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(intelgp.cli, "bench", lambda *args: pytest.fail("ran"))
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"datasets": [{"file": dataset.name}]}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = main(["bench", "--datasets", str(dataset.parent), "--config", str(cfg),
+                     "--out", str(taken)])
+        assert code == 2
+        assert "input error: --out" in capsys.readouterr().err
 
     def test_bench_requires_datasets_key(self, tmp_path):
         cfg = tmp_path / "empty.json"

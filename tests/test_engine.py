@@ -122,6 +122,23 @@ class TestInitialize:
         with pytest.raises(ValueError, match="increasing"):
             initialize(np.arange(60)[::-1], history, SINGLETON)
 
+    @pytest.mark.parametrize(
+        "times", [1e20 + 2.0**20 * np.arange(60), np.arange(2**60, 2**60 + 60)],
+        ids=["float-1e20", "int64-2**60"],
+    )
+    def test_times_float64_cannot_hold_rejected_naming_the_bound(self, times):
+        # The fit takes the times as float64: the first history failed only
+        # in the first step, the second was refused as not increasing.
+        history, _ = flat_stream(61)
+        with pytest.raises(ValueError, match=r"between -2\*\*53 and 2\*\*53"):
+            initialize(times, history, SINGLETON)
+
+    def test_times_just_below_the_bound_stream(self):
+        history, stream = flat_stream(61)
+        state = initialize(np.arange(2**53 - 60, 2**53), history, SINGLETON)
+        state, out = step(state, stream[0])
+        assert out.t == 2**53
+
     @pytest.mark.parametrize("n_obs, match", [(59, "60 times but 59 observations"),
                                               (61, "60 times but 61 observations")])
     def test_history_lengths_differing_rejected_before_the_fit(self, n_obs, match, monkeypatch):

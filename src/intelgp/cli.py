@@ -166,10 +166,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     out_dir = _out_dir(args.out)
-    cfg = _load_config_file(args.config)
-    if "datasets" not in cfg:
-        raise ValueError("bench config must have a 'datasets' list")
-    result = bench(cfg, args.datasets)
+    result = bench(_load_config_file(args.config), args.datasets)
     text = format_bench_table(result)
     table_doc = {"rows": result.rows, "skipped": result.skipped}
     _write(out_dir, {"table.json": json.dumps(table_doc, indent=2) + "\n",

@@ -204,10 +204,11 @@ def classify(pred: PredictiveDistribution, y: float) -> bool:
 
 def _predict(state: EngineState):
     """The models' means and variances, the predictive weights, and the
-    fused prediction for time current_t + 1."""
+    fused prediction for time t* = current_t + 1, from the window's offsets."""
+    t_star = state.current_t + 1
     means, variances = gp_predict(
-        state.window.times, state.window.values, state.shared_mean, state.table,
-        state.current_t + 1, state.cache,
+        tuple([t_star - t for t in state.window.times]), state.window.values,
+        state.shared_mean, state.table, state.cache,
     )
     w_hat = predictive_weights(state.weights, state.config.alpha)
     fused = fuse_poe(means, variances, w_hat)

@@ -6,13 +6,14 @@ in log-parameter space.  All solves go through a Cholesky factorization,
 and every LAPACK routine is called directly, through a handle fetched once
 at import, without scipy.linalg's per-call checks.  Prediction reads each
 model's covariance over the offsets 0..tau and its inverse, the precision,
-formed once per model set with LAPACK trtrs; a new window factors one
-small block per model, taken from whichever of the two is smaller for it,
-with one banded LAPACK pbtrf call for the whole set and solves with one
-pbtrs call.  Its index bookkeeping (the window's positions, their checks,
-and the rows and columns it gathers) is done on Python ints: a window
-holds at most tau + 1 of them, too few for numpy's per-call cost to pay
-off.  The fit's gradient needs only the per-distance sums of V⁻¹:
+formed once per model set with LAPACK trtrs.  A window is the tuple of its
+integer offsets t* - t_i, its key in the predictor cache; a new one factors
+one small block per model, taken from whichever of the two is smaller for
+it, with one banded LAPACK pbtrf call for the whole set and solves with
+one pbtrs call.  Its index bookkeeping (the offsets' checks, their
+positions, and the rows and columns it gathers) is done on Python ints: a
+window holds at most tau + 1 of them, too few for numpy's per-call cost to
+pay off.  The fit's gradient needs only the per-distance sums of V⁻¹:
 on equally spaced sorted inputs, where V is Toeplitz, they come from one
 more column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on
 any other inputs from V⁻¹ itself, formed with LAPACK potri.
@@ -363,13 +364,16 @@ def precision_table(models, span: int) -> np.ndarray:
     return table
 
 
-def predictor(offsets: np.ndarray, table: np.ndarray):
-    """Per model, for training inputs at the integer `offsets` = t* - t_i
-    from the test input: the mean weights a = K⁻¹k* and the floored
-    predictive variance, as read-only arrays of shapes (M, n) and (M,).  A
-    model's mean is c + a·(y - c).  `table` is the models'
-    `precision_table`, over a span that covers every distance between the
-    offsets and 0.
+def predictor(offsets, table: np.ndarray):
+    """Per model, for training inputs at the `offsets` = t* - t_i from the
+    test input: the mean weights a = K⁻¹k* and the floored predictive
+    variance, as read-only arrays of shapes (M, n) and (M,).  A model's
+    mean is c + a·(y - c).  `table` is the models' `precision_table`.
+
+    The one check of a window's offsets: each must be an integer (an int,
+    a numpy integer or an integral float), else a ValueError saying so, in
+    one pass; they and 0 must be distinct and lie within the table's span
+    of each other, else a ValueError saying so or naming the span.
 
     The kernel is stationary, so both depend on the inputs only through
     these offsets: a window shifted in time has the same predictor.  The
@@ -384,17 +388,19 @@ def predictor(offsets: np.ndarray, table: np.ndarray):
     - |R| > |S|: A = V_F[(S,t),(S,t)], plain conditioning on the window,
       so var = 1/z_t and a = -z_S/z_t.
 
-    The positions, the span and distinctness checks, R, and the rows and
-    columns of the gather are worked out on Python ints from
-    `offsets.tolist()`, and pick the gather's flat indices from a cached
-    index of the table's entries: with at most span + 1 offsets, a dozen
-    numpy calls on such short arrays cost more than the LAPACK calls.
-    Raises a ValueError naming the span if the offsets and 0 reach further
-    apart than it, or if they are not distinct.
+    The checks, the positions, R and the gather's rows and columns are
+    worked out on Python ints, then pick flat indices from a cached index
+    of the table: with at most span + 1 offsets, a dozen numpy calls on
+    such short arrays cost more than the LAPACK calls.
     """
     precision, covariance = table
     models, width = precision.shape[:2]
-    x = offsets.tolist()
+    try:
+        x = [i for v in offsets if (i := int(v)) == v]
+    except (TypeError, ValueError, OverflowError):  # "a", None, nan, inf
+        x = None
+    if x is None or len(x) != len(offsets):
+        raise ValueError("window offsets must be integers")
     x.append(0)
     low = min(x)
     reach = max(x) - low
@@ -480,31 +486,28 @@ def solve_triangular(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gp_predict(
-    train_t,
+    offsets: tuple,
     train_y,
     mean: float,
     table: np.ndarray,
-    t_star: int,
     cache: dict,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-step posterior predictive of the observation at `t_star` under
-    each model of `table` (their `precision_table`) with the constant
-    prior mean `mean`: the M means and the M variances, as arrays.
-
-    Times are integers (integral floats are accepted, anything else is a
-    ValueError), the training times distinct and none equal to `t_star`.
-    The table's span must cover every distance between them and `t_star`,
-    or the prediction raises a ValueError naming the span.
+    """One-step posterior predictive under each model of `table` (their
+    `precision_table`) with the constant prior mean `mean`: the M means and
+    the M variances, as arrays.  The window is the tuple of its `offsets`
+    t* - t_i from the test time, one per value of `train_y`.
 
     The variances are in observation space: they include the noise
     variance at the test point, so the prior (empty training set) is
     signal_scale**2 + noise_scale**2, up to the rounding of the precision.
 
-    `cache` maps offset patterns to predictors of the table's models (see
-    `predictor`); it must only ever be used with one model set (`{}` for a
-    one-off call).  Each entry is a function of its key, the offsets' int64
-    bytes, alone, so a cache can be shared by any number of streams.  A hit
-    only reads it; a miss inserts its entry once `predictor` has returned,
+    `cache` maps offsets tuples to predictors of the table's models (see
+    `predictor`, which checks the offsets on a miss); it must only ever be
+    used with one model set (`{}` for a one-off call).  Each entry is a
+    function of its key alone, so a cache can be shared by any number of
+    streams.  Keys equal by value (3, 3.0, np.int32(3)) share an entry, and
+    a hit needs no check: its key equals a checked one.  A hit only reads
+    the cache; a miss inserts its entry once `predictor` has returned,
     first dropping the oldest entry of a cache holding
     PREDICTOR_CACHE_SIZE.  The means are mean + a·(y - mean), one row-wise
     product for all models with the entry's mean weights, so a hit gives
@@ -512,33 +515,17 @@ def gp_predict(
     product rounds a row differently depending on how many rows there
     are), so a model's mean does not depend on the other models of the set.
     """
-    ts = np.asarray(train_t)
     ys = np.asarray(train_y, dtype=float)
-    if ts.shape != ys.shape:
-        raise ValueError("train_t and train_y must have the same length")
-    if ts.dtype.type is not np.int64 or not isinstance(t_star, (int, np.signedinteger)):
-        ts, t_star = _integer_times(ts, t_star)
-    offsets = t_star - ts
-    key = offsets.tobytes()
-    hit = cache.get(key)
+    if ys.shape != (len(offsets),):
+        raise ValueError("offsets and train_y must have the same length")
+    hit = cache.get(offsets)
     if hit is None:
         hit = predictor(offsets, table)
         if len(cache) >= PREDICTOR_CACHE_SIZE:
             del cache[next(iter(cache))]
-        cache[key] = hit
+        cache[offsets] = hit
     a, var = hit
     return mean + np.vecdot(a, ys - mean), var
-
-
-def _integer_times(ts: np.ndarray, t_star) -> tuple[np.ndarray, np.int64]:
-    """The training times and the test time as int64, or a ValueError if
-    any of them is not an integer.  An empty window is a float array."""
-    t = np.append(ts, t_star)
-    if t.dtype.kind not in "iu":
-        if not np.all((np.abs(t) <= 2.0**53) & (t == np.round(t))):
-            raise ValueError("training and test times must be integers")
-    t = t.astype(np.int64)
-    return t[:-1], t[-1]
 
 
 def log_marginal_likelihood(

@@ -25,15 +25,16 @@ class InputError(ValueError):
 def load_csv(path, column: str) -> np.ndarray:
     """Read one numeric column from a headered CSV; row order is time order.
 
-    Raises InputError naming the offending row on blank lines, short rows,
-    or non-numeric values, naming the column if it is missing, and for a
-    file that cannot be read or decoded.
+    The file is UTF-8, with or without a byte-order mark, whatever the
+    locale.  Raises InputError naming the offending row on blank lines,
+    short rows, or non-numeric values, naming the column if it is missing,
+    and for a file that cannot be read or decoded.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"input file not found: {path}")
     try:
-        with path.open(newline="") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputError(f"{path}: cannot be read as CSV text: {exc}") from None
@@ -275,25 +276,38 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
     """Run INTEL and SINTEL (the template model alone) over every
     configured dataset.
 
-    A dataset's config is `defaults` overlaid with its entry, less the
-    entry's `name` and `file` (see `config_from_mapping`).  Per-dataset
-    failures (bad input or config, a missing key, a numerical failure) are
-    reported in `skipped`, each with its message and its
-    `failure_class`; the remaining datasets still run.  Any other exception is a fault in the program and
-    propagates.  Each row carries the dataset name, mode, and metrics.
+    `bench_config` holds a `datasets` list of entry objects and may hold a
+    `defaults` object; any other key or layout is a ValueError before any
+    dataset runs.  A dataset's config is `defaults` overlaid with its
+    entry, less the entry's `name` and `file` (see `config_from_mapping`).
+    Per-dataset failures (bad input or config, no `file` string, a
+    numerical failure) are reported in `skipped`, each with its message and
+    its `failure_class`; the remaining datasets still run.  Any other
+    exception is a fault in the program and propagates.  Each row carries
+    the dataset name, mode, and metrics.
     """
-    dataset_dir = Path(dataset_dir)
+    unknown = set(bench_config) - {"defaults", "datasets"}
+    if unknown:
+        raise ValueError(f"unknown bench keys {sorted(unknown)}; expected defaults, datasets")
     defaults = bench_config.get("defaults", {})
-    entries = bench_config.get("datasets", [])
+    entries = bench_config.get("datasets")
+    if not isinstance(entries, list):
+        raise ValueError(f"bench config must have a 'datasets' list, got {entries!r}")
+    if not all(isinstance(doc, dict) for doc in (defaults, *entries)):
+        raise ValueError("bench config 'defaults' and each 'datasets' entry must be objects")
+    dataset_dir = Path(dataset_dir)
     rows: list[dict] = []
     skipped: list[dict] = []
     for entry in entries:
         name = entry.get("name") or entry.get("file", "<unnamed>")
         try:
+            file = entry.get("file")
+            if not isinstance(file, str):
+                raise ValueError(f"a dataset entry needs a 'file' string, got {file!r}")
             config, data = config_from_mapping(
                 {**defaults, **{k: v for k, v in entry.items() if k not in ("name", "file")}}
             )
-            series = slice_series(load_csv(dataset_dir / entry["file"], data["column"]), data)
+            series = slice_series(load_csv(dataset_dir / file, data["column"]), data)
             sintel = replace(config, factors=VariantFactors())
             for mode, cfg in (("intel", config), ("sintel", sintel)):
                 result = run(cfg, series, normalization=data["normalization"])
@@ -306,7 +320,7 @@ def bench(bench_config: dict, dataset_dir) -> BenchResult:
                         "change_points": result.summary["change_points"],
                     }
                 )
-        except (ValueError, KeyError, NumericalError) as exc:
+        except (ValueError, NumericalError) as exc:
             log.warning("bench: skipping %s: %s", name, exc)
             skipped.append({"dataset": name, "error": str(exc), "failure": failure_class(exc)})
     return BenchResult(rows=rows, skipped=skipped)

@@ -530,6 +530,19 @@ class TestBenchCommand:
         assert code == 2
         assert "input error: --out" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"datasets": {"a": 1}},
+        {"datasets": ["x.csv"]},
+        {"defaults": [1], "datasets": [{"file": "x.csv"}]},
+        {"default": {"tau": 2.5}, "datasets": []},
+    ])
+    def test_bad_bench_file_layout_is_config_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["bench", "--datasets", str(tmp_path), "--config", str(cfg)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_bench_requires_datasets_key(self, tmp_path):
         cfg = tmp_path / "empty.json"
         cfg.write_text("{}")

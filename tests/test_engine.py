@@ -47,6 +47,12 @@ def gapped_shift_stream(seed: int):
     return history, stream
 
 
+def window_offsets(state):
+    """The offsets t* - t_i of the state's window from the next time."""
+    t_star = state.current_t + 1
+    return tuple(t_star - t for t in state.window.times)
+
+
 def stream_through(state, values):
     outputs = []
     for y in values:
@@ -340,12 +346,7 @@ class TestPredictNext:
         state = initialize(np.arange(60), history, SINGLETON)
         fused = predict_next(state)
         means, variances = gp_predict(
-            state.window.times,
-            state.window.values,
-            state.shared_mean,
-            state.table,
-            state.current_t + 1,
-            {},
+            window_offsets(state), state.window.values, state.shared_mean, state.table, {}
         )
         assert fused.mean == means[0]
         assert fused.variance == variances[0]
@@ -355,12 +356,7 @@ class TestPredictNext:
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         fused = predict_next(state)
         means, variances = gp_predict(
-            state.window.times,
-            state.window.values,
-            state.shared_mean,
-            state.table,
-            state.current_t + 1,
-            {},
+            window_offsets(state), state.window.values, state.shared_mean, state.table, {}
         )
         w_hat = predictive_weights(state.weights, state.config.alpha)
         ref = fuse_poe(means, variances, w_hat)
@@ -634,8 +630,7 @@ class TestPredictorCache:
         verdicts, most_gaps, fullest = [], 0, 0
         for y in stream:
             means, variances = gp_predict(
-                state.window.times, state.window.values, state.shared_mean, state.table,
-                state.current_t + 1, {},
+                window_offsets(state), state.window.values, state.shared_mean, state.table, {}
             )
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
@@ -649,6 +644,26 @@ class TestPredictorCache:
         assert verdicts.count(Verdict.OUTLIER) >= 2
         assert Verdict.CHANGE_POINT in verdicts
         assert fullest == gp.PREDICTOR_CACHE_SIZE
+
+    def test_each_distinct_window_key_misses_once(self, monkeypatch):
+        # The cache key is the key perfbench/spans.window_keys counts, so no
+        # two equal windows miss twice and its repeat share is the hit share.
+        missed = []
+
+        def counted(offsets, table, _original=gp.predictor):
+            missed.append(offsets)
+            return _original(offsets, table)
+
+        monkeypatch.setattr(gp, "predictor", counted)
+        history, stream = gapped_shift_stream(52)
+        state = initialize(np.arange(60), history, EIGHT_MODEL)
+        keys = set()
+        for y in stream:
+            keys.add(window_offsets(state))
+            state, _ = step(state, y)
+        assert len(missed) == len(set(missed)) == len(keys) < gp.PREDICTOR_CACHE_SIZE
+        assert set(missed) == keys
+        assert len(keys) < len(stream)
 
     def test_every_initialize_starts_cold(self):
         history, stream = flat_stream(53)
@@ -664,13 +679,14 @@ class TestPredictorCache:
         table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
         mean = 0.0
         cache = {}
-        windows = [np.arange(n, 20) for n in (0, 1, 2)]
-        for ts in (windows[0], windows[1], windows[0], windows[2]):
-            got = gp_predict(ts, np.sin(ts), mean, table, 20, cache)
-            want = gp_predict(ts, np.sin(ts), mean, table, 20, {})
+        windows = [tuple(range(20 - n, 0, -1)) for n in (0, 1, 2)]
+        for offsets in (windows[0], windows[1], windows[0], windows[2]):
+            ys = np.sin(20 - np.array(offsets))
+            got = gp_predict(offsets, ys, mean, table, cache)
+            want = gp_predict(offsets, ys, mean, table, {})
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-        assert list(cache) == [(20 - windows[i]).tobytes() for i in (1, 2)]
+        assert list(cache) == [windows[i] for i in (1, 2)]
 
     def test_a_hit_never_writes(self):
         class CountingDict(dict):
@@ -682,11 +698,11 @@ class TestPredictorCache:
 
         table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
         cache = CountingDict()
-        a, b = np.arange(0, 20), np.arange(1, 20)
-        for ts in (a, b, a):
-            gp_predict(ts, np.sin(ts), 0.0, table, 20, cache)
+        a, b = tuple(range(20, 0, -1)), tuple(range(19, 0, -1))
+        for offsets in (a, b, a):
+            gp_predict(offsets, np.sin(20 - np.array(offsets)), 0.0, table, cache)
         assert cache.writes == 2
-        assert list(cache) == [(20 - a).tobytes(), (20 - b).tobytes()]
+        assert list(cache) == [a, b]
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)
@@ -766,8 +782,8 @@ class TestRecords:
             t = before.current_t + 1
             fused = predict_next(before)
             means, variances = gp_predict(
-                before.window.times, before.window.values, before.shared_mean,
-                before.table, t, before.cache,
+                window_offsets(before), before.window.values, before.shared_mean,
+                before.table, before.cache,
             )
             if classify(fused, y):
                 verdict, regime_start = Verdict.INLIER, None

@@ -119,7 +119,8 @@ def table_for(models, ts, t_star):
 
 def predict(ts, ys, mean, models, t_star):
     """The models' predictive means and variances, uncached."""
-    return gp_predict(ts, ys, mean, table_for(models, ts, t_star), t_star, {})
+    offsets = tuple(np.subtract(t_star, ts).tolist())
+    return gp_predict(offsets, ys, mean, table_for(models, ts, t_star), {})
 
 
 def predict_one(ts, ys, mean, hyper, t_star):
@@ -281,7 +282,7 @@ class TestGpPredict:
     def test_length_mismatch_rejected(self):
         hyper = Hyperparameters(KernelKind.MATERN52, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            gp_predict([0.0, 1.0], [0.5], 0.0, precision_table((hyper,), 2), 2.0, {})
+            gp_predict((2.0, 1.0), [0.5], 0.0, precision_table((hyper,), 2), {})
 
     def test_mixed_kernel_kinds_rejected(self):
         models = (
@@ -347,7 +348,8 @@ class TestBatchedPredictor:
         # 18, a 19x19 system of the covariance.
         models, ts, ys, mean, shift = case
         table = precision_table(models, 40)
-        uncached = gp_predict(ts, ys, mean, table, 1000.0, {})
+        offsets = tuple((1000.0 - ts).tolist())
+        uncached = gp_predict(offsets, ys, mean, table, {})
         means, variances = uncached
         assert means.shape == variances.shape == (len(models),)
         for h, m, v in zip(models, means, variances):
@@ -356,14 +358,15 @@ class TestBatchedPredictor:
             assert v == pytest.approx(v_ref, abs=1e-8)
         cache = {}
         for _ in range(2):  # a miss, then a hit
-            cached = gp_predict(ts, ys, mean, table, 1000.0, cache)
+            cached = gp_predict(offsets, ys, mean, table, cache)
             assert as_bytes(cached) == as_bytes(uncached)
-        shifted = gp_predict(ts + shift, ys, mean, table, 1000.0 + shift, {})
+        moved = (1000.0 + shift) - (ts + shift)
+        shifted = gp_predict(tuple(moved.tolist()), ys, mean, table, {})
         assert as_bytes(shifted) == as_bytes(uncached)
         # Each model's row is the one its own precision table gives, bit
         # for bit: it does not depend on the other models of the set.
         for m, h in enumerate(models):
-            alone = gp_predict(ts, ys, mean, precision_table((h,), 40), 1000.0, {})
+            alone = gp_predict(offsets, ys, mean, precision_table((h,), 40), {})
             assert as_bytes(alone) == (means[m:m + 1].tobytes(), variances[m:m + 1].tobytes())
 
     @pytest.mark.parametrize("order, n", [("C", 1), ("F", 1), ("F", 7)])
@@ -397,7 +400,7 @@ class TestBatchedPredictor:
         cache = {}
         while len(cache) < gp.PREDICTOR_CACHE_SIZE:
             ts = np.sort(1000.0 - rng.choice(np.arange(1.0, 41.0), tau, replace=False))
-            gp_predict(ts, np.sin(ts), 0.0, table, 1000.0, cache)
+            gp_predict(tuple((1000.0 - ts).tolist()), np.sin(ts), 0.0, table, cache)
         total = 0
         for a, var in cache.values():
             assert a.shape == (len(models), tau)
@@ -595,10 +598,10 @@ class TestWrappedNames:
         calls.clear()
         ts = np.array([981, 982, 984, 985, 988, 990, 991, 995, 996, 999])
         cache = {}
-        gp_predict(ts, np.sin(ts), 0.1, table, 1000, cache)
+        gp_predict(tuple((1000 - ts).tolist()), np.sin(ts), 0.1, table, cache)
         assert calls == {"chol_with_jitter": 1}
         calls.clear()
-        gp_predict(ts + 7, np.cos(ts), 0.1, table, 1007, cache)
+        gp_predict(tuple((1007 - (ts + 7)).tolist()), np.cos(ts), 0.1, table, cache)
         assert calls == {}
 
     def test_the_build_factors_and_solves_once_per_model(self, calls):
@@ -643,52 +646,52 @@ class TestKernelTable:
         prior = np.array([row[0] for row in rows])
         cond = [window_condition(row, 3) for row in rows]
         cache = {}
-        for train_t in ((), [], np.array([], dtype=np.int64)):
-            for c in ({}, cache):  # uncached, then a miss and hits
-                means, variances = gp_predict(train_t, (), 0.4, table, 7, c)
-                assert means.tolist() == [0.4, 0.4]
-                assert np.all(np.abs(variances - prior) <= np.multiply(cond, EPS) * prior)
-        assert list(cache) == [b""]
+        for c in ({}, cache, cache):  # uncached, a miss, a hit
+            means, variances = gp_predict((), (), 0.4, table, c)
+            assert means.tolist() == [0.4, 0.4]
+            assert np.all(np.abs(variances - prior) <= np.multiply(cond, EPS) * prior)
+        assert list(cache) == [()]
 
     @pytest.mark.parametrize(
-        "train_t, t_star",
-        [([0.5, 1.5], 2.5), ([0, 1], 2.5), ([0.0, 1.0], 2.0000001), ([0.0, np.nan], 2.0)],
+        "offsets",
+        [(2.5, 1), (2, np.float64(1.5)), (2, 1.0000001), (2, np.nan), (np.inf, 1), ("3", 1),
+         (2, None)],
     )
-    def test_non_integral_times_rejected(self, train_t, t_star):
+    def test_non_integer_offsets_rejected(self, offsets):
         table = precision_table(self.MODELS, 5)
-        cache = {}
+        cache = {"x": None}
         with pytest.raises(ValueError, match="integers"):
-            gp_predict(train_t, [0.1, 0.2], 0.0, table, t_star, cache)
-        assert cache == {}
+            gp_predict(offsets, [0.1, 0.2], 0.0, table, cache)
+        assert cache == {"x": None}
 
     def test_offset_beyond_the_span_rejected(self):
         table = precision_table(self.MODELS, 5)
         cache = {b"x": None}
         with pytest.raises(ValueError, match="span 5"):
-            gp_predict([0, 1], [0.1, 0.2], 0.0, table, 6, cache)
+            gp_predict((6, 5), [0.1, 0.2], 0.0, table, cache)
         with pytest.raises(ValueError, match="span 5"):
-            gp_predict([0, 4], [0.1, 0.2], 0.0, table, -2, {})
+            gp_predict((-2, -6), [0.1, 0.2], 0.0, table, {})
         assert list(cache) == [b"x"]  # a failed miss evicts and stores nothing
-        gp_predict([0, 1], [0.1, 0.2], 0.0, table, 5, cache)
+        gp_predict((5, 4), [0.1, 0.2], 0.0, table, cache)
 
-    @pytest.mark.parametrize("train_t, t_star", [([0, 1, 2, 3, 4], 2), ([1, 1], 3)])
-    def test_repeated_time_rejected(self, train_t, t_star):
+    @pytest.mark.parametrize("offsets", [(2, 1, 0, -1, -2), (2, 2)])
+    def test_repeated_time_rejected(self, offsets):
         # Two inputs on one position would make a singular covariance.
         table = precision_table(self.MODELS, 5)
         with pytest.raises(ValueError, match="distinct"):
-            gp_predict(train_t, np.zeros(len(train_t)), 0.0, table, t_star, {})
+            gp_predict(offsets, np.zeros(len(offsets)), 0.0, table, {})
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.int16, np.uint32])
-    def test_any_integer_dtype_keys_the_cache_as_int64(self, dtype):
-        # The window [5, 10] at t* = 10 repeats the test time.  As int32 its
-        # offsets (5, 0) have the bytes of the one-point window [5] as int64.
+    @pytest.mark.parametrize("first", [int, np.int32, np.uint32, float])
+    def test_integer_types_of_one_window_share_one_entry(self, first):
+        # Equal keys hash alike: whichever type misses first, the others
+        # hit its entry, with the bits of an int window's miss.
         table = precision_table(self.MODELS, 5)
+        want = as_bytes(gp_predict((5, 2), [0.1, 0.2], 0.0, table, {}))
         cache = {}
-        gp_predict(np.array([5]), [0.1], 0.0, table, 10, cache)
-        with pytest.raises(ValueError, match="distinct"):
-            gp_predict(np.array([5, 10], dtype=dtype), [0.1, 0.2], 0.0, table, 10, cache)
-        gp_predict(np.array([5], dtype=dtype), [0.1], 0.0, table, 10, cache)
-        assert list(cache) == [np.array([5], dtype=np.int64).tobytes()]
+        for cast in (first, int, np.int32, np.uint32, float, np.float64):
+            offsets = (cast(5), cast(2))
+            assert as_bytes(gp_predict(offsets, [0.1, 0.2], 0.0, table, cache)) == want
+        assert list(cache) == [(5, 2)] and type(next(iter(cache))[0]) is first
 
     @pytest.mark.parametrize("scale", ["f", "n"])
     def test_non_finite_table_raises_without_a_warning(self, scale):
@@ -772,6 +775,7 @@ class TestMissBookkeeping:
         offsets = np.array(offsets, dtype=np.int64)
         t_star = 1_000
         ts = t_star - offsets
+        key = tuple(offsets.tolist())
         cache = {b"x": None}
         x = [*offsets.tolist(), 0]
         if max(x) - min(x) > span:
@@ -784,7 +788,7 @@ class TestMissBookkeeping:
             with pytest.raises(ValueError, match=error):
                 predictor(offsets, table)
             with pytest.raises(ValueError, match=error):
-                gp_predict(ts, np.sin(ts), 0.2, table, t_star, cache)
+                gp_predict(key, np.sin(ts), 0.2, table, cache)
             assert cache == {b"x": None}
             return
         a, var = predictor(offsets, table)
@@ -800,9 +804,9 @@ class TestMissBookkeeping:
             a_ref, var_ref = exact_predictor(row, offsets)
             assert np.abs(a[m] - a_ref).sum() <= tolerance
             assert abs(var[m] - var_ref) <= tolerance * var_ref
-        means, variances = gp_predict(ts, np.sin(ts), 0.2, table, t_star, cache)
-        assert list(cache) == [b"x", offsets.tobytes()]
-        hit_a, hit_var = cache[offsets.tobytes()]
+        means, variances = gp_predict(key, np.sin(ts), 0.2, table, cache)
+        assert list(cache) == [b"x", key]
+        hit_a, hit_var = cache[key]
         assert (hit_a.tobytes(), hit_var.tobytes()) == (a.tobytes(), var.tobytes())
         assert means.tobytes() == (0.2 + np.vecdot(a, np.sin(ts) - 0.2)).tobytes()
         assert variances.tobytes() == var.tobytes()

@@ -3,6 +3,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -83,6 +86,25 @@ class TestLoadCsv:
         p = write_csv(tmp_path / "g.csv", [])
         with pytest.raises(InputError, match="no data rows"):
             load_csv(p, "value")
+
+    def test_utf8_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfvalue,t\n1.5,0\n2.5,1\n")
+        np.testing.assert_array_equal(load_csv(p, "value"), [1.5, 2.5])
+
+    def test_utf8_is_read_under_an_ascii_locale(self, tmp_path):
+        p = tmp_path / "note.csv"
+        p.write_bytes("value,note\n1.5,\u00b5\n2.5,\u00e9t\u00e9\n".encode())
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        code = (
+            "import locale, sys; from intelgp.harness import load_csv; "
+            "print(locale.getpreferredencoding(False), load_csv(sys.argv[1], 'value').tolist())"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(p)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split(" ", 1)[1] == "[1.5, 2.5]\n"
 
 
 class TestParseFactors:
@@ -524,6 +546,31 @@ class TestBench:
         result = bench(cfg, empty)
         assert result.rows == []
         assert len(result.skipped) == 1
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"datasets": {"a": 1}}, "'datasets' list"),
+        ({"defaults": {}}, "'datasets' list, got None"),
+        ({"datasets": ["x.csv"]}, "must be objects"),
+        ({"defaults": [1], "datasets": [{"file": "x.csv"}]}, "must be objects"),
+        ({"default": {"tau": 2.5}, "datasets": []}, r"unknown bench keys \['default'\]"),
+    ])
+    def test_bad_layout_is_rejected_before_any_dataset(self, tmp_path, monkeypatch, doc, message):
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: pytest.fail("ran"))
+        with pytest.raises(ValueError, match=message):
+            bench(doc, tmp_path)
+
+    def test_entry_without_a_file_string_skips_naming_the_key(self, tmp_path):
+        cfg = self.make_dataset(tmp_path)
+        cfg["datasets"][:0] = [{"name": "nofile"}, {"name": "number", "file": 5}]
+        result = bench(cfg, tmp_path)
+        assert len(result.rows) == 2
+        assert [(s["dataset"], s["failure"]) for s in result.skipped] == [
+            ("nofile", "config"), ("number", "config")
+        ]
+        assert [s["error"] for s in result.skipped] == [
+            "a dataset entry needs a 'file' string, got None",
+            "a dataset entry needs a 'file' string, got 5",
+        ]
 
     def test_failures_do_not_stop_other_datasets(self, tmp_path):
         cfg = self.make_dataset(tmp_path)

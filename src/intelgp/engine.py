@@ -248,15 +248,22 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
     mean = state.shared_mean
     inliers = state.inliers_since_refresh
     regime_start: Optional[int] = None
+    horizon = t_next + 1 - config.tau
 
     if inlier:
         verdict = Verdict.INLIER
-        window = window.appended(t_next, y_next)
+        # One window built: the refresh averages the appended values before
+        # the trim.  The window lies within tau of t_next, the span of the
+        # offsets just predicted from, so the trim drops at most one point.
+        times = window.times + (t_next,)
+        values = window.values + (y_next,)
         bucket = _EMPTY_WINDOW
         inliers += 1
         if inliers >= config.mean_period:
-            mean = _mean(window.values[-config.mean_period:])
+            mean = _mean(values[-config.mean_period:])
             inliers = 0
+        keep = 1 if times[0] < horizon else 0
+        window = TrainingWindow(times[keep:], values[keep:])
     else:
         bucket = bucket.appended(t_next, y_next)
         if len(bucket) >= config.n_outliers:
@@ -270,6 +277,7 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         else:
             verdict = Verdict.OUTLIER
             log.info("outlier declared at t=%d", t_next)
+        window = window.trimmed(horizon)
 
     if inlier:
         likelihoods = step_likelihoods(means, variances, y_next)
@@ -278,8 +286,6 @@ def step(state: EngineState, y_next: float) -> tuple[EngineState, StepOutput]:
         with np.errstate(over="ignore"):
             likelihoods = step_likelihoods(means, variances, y_next)
     weights = update_weights(w_hat, likelihoods)
-
-    window = window.trimmed(t_next + 1 - config.tau)
 
     # The next step replaces this state, so it is built with one store of
     # its whole __dict__ rather than __init__'s object.__setattr__ per

@@ -87,12 +87,48 @@ def build_model_set(
     )
 
 
+# Below this many models the re-weighting runs on Python floats, bit for
+# bit: numpy's pairwise sum adds fewer than 8 values one at a time, left to
+# right, and IEEE +, -, *, / and comparisons round alike in Python and
+# numpy.  Numpy keeps the power, log, exp and the fused mean's dot product,
+# whose SIMD and BLAS kernels may round unlike `math`'s or a Python loop.
+# From 8 models on, each function runs its numpy code.  The Python code
+# uses explicit loops: on Python 3.11 a list comprehension costs a
+# function call, more than the arithmetic of a few models.
+PAIRWISE_BLOCK = 8
+
+
+def _floored(values: list[float], total: float) -> tuple[list[float], float]:
+    """Each value over total, then np.maximum with WEIGHT_FLOOR, so a nan
+    stays nan; and the sum of the results, added left to right as
+    np.add.reduce adds fewer than PAIRWISE_BLOCK values.  Not the built-in
+    sum, which compensates its rounding on Python 3.12 and later."""
+    out = []
+    out_total = 0.0
+    for x in values:
+        v = x / total
+        if v < WEIGHT_FLOOR:
+            v = WEIGHT_FLOOR
+        out.append(v)
+        out_total += v
+    return out, out_total
+
+
 def predictive_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
     """Flatten weights toward uniform by exponentiation with the forgetting
     parameter alpha in (0, 1], then renormalize."""
     if alpha == 1.0:
         return weights.copy()
     p = weights**alpha
+    if len(p) < PAIRWISE_BLOCK:
+        p = p.tolist()
+        total = 0.0
+        for v in p:
+            total += v
+        out = []
+        for v in p:
+            out.append(v / total)
+        return np.array(out)
     p /= np.add.reduce(p)
     return p
 
@@ -106,6 +142,16 @@ def update_weights(pred_weights: np.ndarray, likelihoods: np.ndarray) -> np.ndar
     `step_likelihoods` of the same models, whose largest value is exactly
     1.  So the product has a positive sum.
     """
+    if len(pred_weights) < PAIRWISE_BLOCK:
+        w = []
+        total = 0.0
+        for p, q in zip(pred_weights.tolist(), likelihoods.tolist()):
+            v = p * q
+            w.append(v)
+            total += v
+        # Each division by the sum is floored before the next sum is taken
+        w, total = _floored(w, total)
+        return np.array(_floored(w, total)[0])
     w = pred_weights * likelihoods
     w /= np.add.reduce(w)
     np.maximum(w, WEIGHT_FLOOR, out=w)
@@ -124,6 +170,23 @@ def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.n
     out that (y - mean)^2 / variance overflows for every model is flat
     evidence: all likelihoods are 1.
     """
+    if len(means) < PAIRWISE_BLOCK:
+        q = []
+        lowest = math.inf
+        for m, v, log_v in zip(means.tolist(), variances.tolist(), np.log(variances).tolist()):
+            resid = y - m
+            qi = resid * resid / v + log_v  # -2 log density, less a constant
+            q.append(qi)
+            # np.minimum.reduce: a nan, wherever it sits, is the minimum
+            if qi < lowest or qi != qi:
+                lowest = qi
+        if lowest == math.inf:
+            return np.ones(len(q))
+        out = []
+        for qi in q:
+            out.append((lowest - qi) * 0.5)
+        out = np.array(out)
+        return np.exp(out, out=out)
     resid = y - means
     q = resid * resid / variances
     q += np.log(variances)  # -2 log density, less a constant
@@ -136,7 +199,9 @@ def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.n
     return np.exp(q, out=q)
 
 
-def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> PredictiveDistribution:
+def fuse_poe(
+    means: np.ndarray, variances: np.ndarray, pred_weights: np.ndarray
+) -> PredictiveDistribution:
     """Weighted product-of-experts fusion of Gaussian predictions.
 
     Each model contributes its precision scaled by its predictive weight;
@@ -145,9 +210,23 @@ def fuse_poe(means: np.ndarray, variances: np.ndarray, pred_weights) -> Predicti
     r over their weighted sum: a single model (weight 1) comes back exactly,
     where 1/(1/v) would round.  The three arrays have one entry per model.
     """
-    r = np.minimum.reduce(variances)
-    wp = r / variances
-    wp *= pred_weights
+    if len(variances) < PAIRWISE_BLOCK:
+        v = variances.tolist()
+        r = v[0]
+        for x in v:
+            if x < r or x != x:  # np.minimum.reduce: a nan is the minimum
+                r = x
+        wp = []
+        total = 0.0
+        for x, w in zip(v, pred_weights.tolist()):
+            p = r / x * w
+            wp.append(p)
+            total += p
+        wp = np.array(wp)
+    else:
+        r = float(np.minimum.reduce(variances))
+        wp = r / variances
+        wp *= pred_weights
+        total = float(np.add.reduce(wp))
     # Python floats divide with the same IEEE rounding as numpy scalars
-    total = float(np.add.reduce(wp))
-    return PredictiveDistribution(float(means @ wp) / total, max(float(r) / total, VAR_FLOOR))
+    return PredictiveDistribution(float(means @ wp) / total, max(r / total, VAR_FLOOR))

@@ -602,6 +602,19 @@ class TestMeanRefresh:
         for k in (9, 19, 29):
             assert outputs[k].mean_const == float(np.mean(stream[k - 9 : k + 1]))
 
+    def test_refresh_longer_than_tau_averages_the_window_before_its_trim(self):
+        # With mean_period > tau the refresh takes the whole window with the
+        # new value appended: tau + 1 values, one more than the trim keeps.
+        history, stream = flat_stream(52, n_stream=12)
+        config = EngineConfig(
+            init_count=60, tau=5, mean_period=12, factors=VariantFactors(), seed=0
+        )
+        state = initialize(np.arange(60), history, config)
+        _, outputs = stream_through(state, stream)
+        assert all(o.verdict is Verdict.INLIER for o in outputs)
+        assert outputs[-1].mean_const == float(np.mean(stream[-6:]))
+        assert outputs[-1].mean_const != float(np.mean(stream[-5:]))
+
     @pytest.mark.parametrize("n_outliers", [3, 9])
     def test_change_point_mean_is_the_bucket_mean(self, n_outliers):
         history, stream, _ = shift_stream(58)

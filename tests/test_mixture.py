@@ -14,6 +14,7 @@ from intelgp.gp import (
     PredictiveDistribution,
 )
 from intelgp.mixture import (
+    PAIRWISE_BLOCK,
     WEIGHT_FLOOR,
     VariantFactors,
     build_model_set,
@@ -164,6 +165,14 @@ class TestUpdateWeights:
         out = update_weights(np.array([0.5, 0.5]), np.array([0.2, 0.6]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
+    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_nan_likelihood_makes_every_weight_nan(self, m, at):
+        # As numpy's maximum, the floor keeps a nan rather than flooring it.
+        likelihoods = np.ones(m)
+        likelihoods[at] = np.nan
+        assert np.isnan(update_weights(np.full(m, 1.0 / m), likelihoods)).all()
+
     def test_simplex_preserved_over_random_cycles(self):
         rng = np.random.default_rng(23)
         w = np.full(8, 1.0 / 8.0)
@@ -207,6 +216,15 @@ class TestModelLikelihood:
         logs = [model_log_likelihood(m, v, 1000.0) for m, v in zip(means, variances)]
         np.testing.assert_allclose(lik, np.exp(logs - np.max(logs)))
 
+    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_nan_variance_makes_every_likelihood_nan(self, m, at):
+        # As numpy's minimum: the smallest -2 log density is nan wherever
+        # the nan sits, so every rescaled likelihood is nan.
+        variances = np.ones(m)
+        variances[at] = np.nan
+        assert np.isnan(step_likelihoods(np.zeros(m), variances, 0.5)).all()
+
 
 class TestFusePoe:
     def test_one_hot_reproduces_selected_model(self):
@@ -246,11 +264,15 @@ class TestFusePoe:
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
 
-    def test_nan_variance_rejected(self):
-        # The fused variance is nan; the forecast record refuses it.
-        w = np.array([0.5, 0.5])
+    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_nan_variance_rejected(self, m, at):
+        # The fused variance is nan wherever the nan sits; the forecast
+        # record refuses it.
+        variances = np.ones(m)
+        variances[at] = np.nan
         with pytest.raises(ValueError, match="variance must be positive, got nan"):
-            fuse_poe(np.zeros(2), np.array([np.nan, 1.0]), w)
+            fuse_poe(np.zeros(m), variances, np.full(m, 1.0 / m))
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -284,6 +306,8 @@ def oracle_fuse_poe(means, variances, pred_weights):
 def oracle_step_likelihoods(means, variances, y):
     resid = y - means
     q = resid * resid / variances + np.log(variances)
+    if q.min() == math.inf:  # overflow for every model: flat evidence
+        return np.ones_like(q)
     return np.exp(0.5 * (q.min() - q))
 
 
@@ -310,8 +334,12 @@ def bits(x) -> bytes:
 @st.composite
 def mixture_steps(draw):
     """Weights on the floored simplex, per-model means and variances, an
-    observation and a forgetting parameter, for M of 1, 2, 8 or 27 models."""
-    m = draw(st.sampled_from([1, 2, 8, 27]))
+    observation and a forgetting parameter, for M of 1 to 8 or 27 models:
+    every size below PAIRWISE_BLOCK, where the re-weighting runs on Python
+    floats, and two sizes of its numpy code.  Observations of +-1e160
+    overflow (y - mean)^2 for every model; 1e150 overflows it over the
+    smaller variances."""
+    m = draw(st.sampled_from([*range(1, 9), 27]))
 
     def vector(**kw):
         return np.array(draw(st.lists(st.floats(**kw), min_size=m, max_size=m)))
@@ -322,7 +350,11 @@ def mixture_steps(draw):
     w /= w.sum()
     means = vector(min_value=-1e6, max_value=1e6)
     variances = vector(min_value=VAR_FLOOR, max_value=1e6)
-    y = draw(st.one_of(st.floats(-1e6, 1e6), st.sampled_from(list(means))))
+    y = draw(st.one_of(
+        st.floats(-1e6, 1e6),
+        st.sampled_from(list(means)),
+        st.sampled_from([1e160, -1e160, 1e150]),
+    ))
     alpha = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
     return w, means, variances, y, alpha
 
@@ -334,18 +366,51 @@ class TestLeanStepComposition:
         w, means, variances, y, alpha = case
         w_hat_want = oracle_predictive_weights(w, alpha)
         fused_want = oracle_fuse_poe(means, variances, w_hat_want)
-        after_want = oracle_update_weights(
-            w_hat_want, oracle_step_likelihoods(means, variances, y)
-        )
+        # As step runs the likelihoods of an observation that is not an inlier
+        with np.errstate(over="ignore"):
+            after_want = oracle_update_weights(
+                w_hat_want, oracle_step_likelihoods(means, variances, y)
+            )
 
         w_hat = predictive_weights(w, alpha)
         fused = fuse_poe(means, variances, w_hat)
-        after = update_weights(w_hat, step_likelihoods(means, variances, y))
+        with np.errstate(over="ignore"):
+            after = update_weights(w_hat, step_likelihoods(means, variances, y))
 
         assert w_hat.tobytes() == w_hat_want.tobytes()
         assert bits(fused.mean) == bits(fused_want.mean)
         assert bits(fused.variance) == bits(fused_want.variance)
         assert after.tobytes() == after_want.tobytes()
+
+
+class TestPairwiseBlock:
+    """The assumption of the re-weighting below PAIRWISE_BLOCK models, on
+    the installed numpy: its sum of fewer than PAIRWISE_BLOCK values adds
+    them one at a time, left to right, as the Python loop does."""
+
+    @staticmethod
+    def left_to_right(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    @pytest.mark.parametrize("n", range(1, PAIRWISE_BLOCK))
+    def test_add_reduce_adds_left_to_right(self, n):
+        # Each adversarial sum changes with the order or the start: grouped
+        # from the right, [1e16, 1, 1] gives 1e16 + 2, and [-0.0] summed
+        # from its first value gives -0.0, from 0 it gives 0.
+        adversarial = [
+            [1e16] + [1.0] * (n - 1),
+            [1.0] * (n - 1) + [1e16],
+            ([1.0, 1e16, -1e16] + [0.0] * n)[:n],
+            [-0.0] * n,
+        ]
+        rng = np.random.default_rng(n)
+        drawn = rng.choice([-1.0, 1.0], (2000, n)) * 10.0 ** rng.uniform(-30, 30, (2000, n))
+        for values in adversarial + drawn.tolist():
+            got = np.add.reduce(np.array(values))
+            assert bits(got) == bits(self.left_to_right(values)), values
 
 
 class TestFuseUnweighted:

@@ -30,6 +30,7 @@ from .gp import (
 )
 from .mixture import (
     VariantFactors,
+    add_reduce,
     build_model_set,
     eq_by_value,
     fuse_poe,
@@ -102,9 +103,9 @@ class EngineConfig:
 
 
 def _mean(values: tuple[float, ...]) -> float:
-    """`float(np.mean(values))` bit for bit without its dispatch: numpy's
+    """`float(np.mean(values))` bit for bit without an array: numpy's
     pairwise sum, then the same IEEE division by the count."""
-    return float(np.add.reduce(np.array(values))) / len(values)
+    return add_reduce(values) / len(values)
 
 
 @dataclass(frozen=True)

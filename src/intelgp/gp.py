@@ -155,8 +155,8 @@ class Hyperparameters:
 @dataclass(frozen=True, slots=True)
 class PredictiveDistribution:
     """A Gaussian one-step forecast.  Slotted: a run keeps one per step.
-    The two fields are stored as Python floats; a caller that passes them
-    (as `mixture.fuse_poe` does) skips the conversion."""
+    The two fields are stored as Python floats.  `predictive_distribution`
+    builds one from two Python floats without the constructor."""
 
     mean: float
     variance: float
@@ -166,12 +166,33 @@ class PredictiveDistribution:
             object.__setattr__(self, "mean", float(self.mean))
         if type(self.variance) is not float:
             object.__setattr__(self, "variance", float(self.variance))
-        if not (self.variance > 0.0):
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        _check_variance(self.variance)
 
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
+
+
+def _check_variance(variance: float) -> None:
+    if not (variance > 0.0):
+        raise ValueError(f"variance must be positive, got {variance}")
+
+
+_set_mean = PredictiveDistribution.mean.__set__
+_set_variance = PredictiveDistribution.variance.__set__
+
+
+def predictive_distribution(mean: float, variance: float) -> PredictiveDistribution:
+    """`PredictiveDistribution(mean, variance)` for two Python floats, with
+    its variance check, built by one store per slot.  The frozen `__init__`
+    stores each field through `object.__setattr__` and then runs
+    `__post_init__`: 0.51 µs against 0.31 µs (Python 3.11), paid once per
+    step by `mixture.fuse_poe`."""
+    _check_variance(variance)
+    out = object.__new__(PredictiveDistribution)
+    _set_mean(out, mean)
+    _set_variance(out, variance)
+    return out
 
 
 # Scaled distances are clamped here; the exponential factor has underflowed

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .gp import VAR_FLOOR, Hyperparameters, PredictiveDistribution
+from .gp import VAR_FLOOR, Hyperparameters, PredictiveDistribution, predictive_distribution
 
 # Weights never fall below this; a weight driven to exact zero by one
 # extreme likelihood ratio could otherwise never recover.
@@ -87,31 +87,72 @@ def build_model_set(
     )
 
 
-# Below this many models the re-weighting runs on Python floats, bit for
-# bit: numpy's pairwise sum adds fewer than 8 values one at a time, left to
-# right, and IEEE +, -, *, / and comparisons round alike in Python and
-# numpy.  Numpy keeps the power, log, exp and the fused mean's dot product,
-# whose SIMD and BLAS kernels may round unlike `math`'s or a Python loop.
-# From 8 models on, each function runs its numpy code.  The Python code
-# uses explicit loops: on Python 3.11 a list comprehension costs a
-# function call, more than the arithmetic of a few models.
-PAIRWISE_BLOCK = 8
+# Below this many models the re-weighting does its sums, minima, floors and
+# most of its +, -, *, / on Python floats, bit for bit: `add_reduce` adds
+# in numpy's pairwise order, and IEEE arithmetic and comparisons round
+# alike in Python and numpy.  Numpy keeps the power, log, exp and the fused
+# mean's dot product, whose SIMD and BLAS kernels may round unlike `math`'s
+# or a Python loop.  From this many models on, each function runs its
+# numpy code, the faster there: its calls cost about the same at any small
+# size, while the Python loops grow with the models.  On random inputs
+# (Python 3.11, numpy 2.4.6) the four functions on Python floats took
+# 0.94-1.01 of numpy's time at 13 models, 0.98-1.01 at 14, 1.03-1.06 at 15
+# and 16, and 1.46-1.55 at 27.  The loops are written out: on Python 3.11
+# a list comprehension costs a function call, more than the arithmetic of
+# a few models.
+NUMPY_FROM = 14
 
 
-def _floored(values: list[float], total: float) -> tuple[list[float], float]:
+def add_reduce(xs) -> float:
+    """`np.add.reduce` of a sequence of Python floats, bit for bit, in
+    numpy's pairwise order: fewer than 8 values left to right; up to 128
+    into 8 partial sums, one per position modulo 8 over the leading
+    multiple of 8, combined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest
+    left to right; more than 128 as the sums of two halves split at a
+    multiple of 8.  The whole is added to 0, so -0.0 comes back as 0.0.
+    Not the built-in sum, which compensates its rounding on Python 3.12
+    and later."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return add_reduce(xs[:half]) + add_reduce(xs[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = xs[:8]
+    # While loops: a range object costs more than the few rounds here
+    i = 8
+    end = n - n % 8
+    while i < end:
+        r0 += xs[i]
+        r1 += xs[i + 1]
+        r2 += xs[i + 2]
+        r3 += xs[i + 3]
+        r4 += xs[i + 4]
+        r5 += xs[i + 5]
+        r6 += xs[i + 6]
+        r7 += xs[i + 7]
+        i += 8
+    total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    while i < n:
+        total += xs[i]
+        i += 1
+    return 0.0 + total
+
+
+def _floored(values: list[float], total: float) -> list[float]:
     """Each value over total, then np.maximum with WEIGHT_FLOOR, so a nan
-    stays nan; and the sum of the results, added left to right as
-    np.add.reduce adds fewer than PAIRWISE_BLOCK values.  Not the built-in
-    sum, which compensates its rounding on Python 3.12 and later."""
+    stays nan."""
     out = []
-    out_total = 0.0
     for x in values:
         v = x / total
         if v < WEIGHT_FLOOR:
             v = WEIGHT_FLOOR
         out.append(v)
-        out_total += v
-    return out, out_total
+    return out
 
 
 def predictive_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
@@ -120,16 +161,7 @@ def predictive_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         return weights.copy()
     p = weights**alpha
-    if len(p) < PAIRWISE_BLOCK:
-        p = p.tolist()
-        total = 0.0
-        for v in p:
-            total += v
-        out = []
-        for v in p:
-            out.append(v / total)
-        return np.array(out)
-    p /= np.add.reduce(p)
+    p /= add_reduce(p.tolist()) if len(p) < NUMPY_FROM else np.add.reduce(p)
     return p
 
 
@@ -142,16 +174,11 @@ def update_weights(pred_weights: np.ndarray, likelihoods: np.ndarray) -> np.ndar
     `step_likelihoods` of the same models, whose largest value is exactly
     1.  So the product has a positive sum.
     """
-    if len(pred_weights) < PAIRWISE_BLOCK:
-        w = []
-        total = 0.0
-        for p, q in zip(pred_weights.tolist(), likelihoods.tolist()):
-            v = p * q
-            w.append(v)
-            total += v
+    if len(pred_weights) < NUMPY_FROM:
+        w = (pred_weights * likelihoods).tolist()
         # Each division by the sum is floored before the next sum is taken
-        w, total = _floored(w, total)
-        return np.array(_floored(w, total)[0])
+        w = _floored(w, add_reduce(w))
+        return np.array(_floored(w, add_reduce(w)))
     w = pred_weights * likelihoods
     w /= np.add.reduce(w)
     np.maximum(w, WEIGHT_FLOOR, out=w)
@@ -170,7 +197,7 @@ def step_likelihoods(means: np.ndarray, variances: np.ndarray, y: float) -> np.n
     out that (y - mean)^2 / variance overflows for every model is flat
     evidence: all likelihoods are 1.
     """
-    if len(means) < PAIRWISE_BLOCK:
+    if len(means) < NUMPY_FROM:
         q = []
         lowest = math.inf
         for m, v, log_v in zip(means.tolist(), variances.tolist(), np.log(variances).tolist()):
@@ -210,23 +237,26 @@ def fuse_poe(
     r over their weighted sum: a single model (weight 1) comes back exactly,
     where 1/(1/v) would round.  The three arrays have one entry per model.
     """
-    if len(variances) < PAIRWISE_BLOCK:
+    if len(variances) < NUMPY_FROM:
         v = variances.tolist()
         r = v[0]
         for x in v:
             if x < r or x != x:  # np.minimum.reduce: a nan is the minimum
                 r = x
         wp = []
-        total = 0.0
         for x, w in zip(v, pred_weights.tolist()):
-            p = r / x * w
-            wp.append(p)
-            total += p
+            wp.append(r / x * w)
+        total = add_reduce(wp)
         wp = np.array(wp)
     else:
         r = float(np.minimum.reduce(variances))
         wp = r / variances
         wp *= pred_weights
         total = float(np.add.reduce(wp))
-    # Python floats divide with the same IEEE rounding as numpy scalars
-    return PredictiveDistribution(float(means @ wp) / total, max(r / total, VAR_FLOOR))
+    # `.dot` calls the same BLAS ddot as `@` from two models on, but
+    # multiplies a single model's mean as a scalar: [-0.0].[1.0] is -0.0
+    # there and 0.0 through `@`, hence the + 0.0.  Python floats divide
+    # with the same IEEE rounding as numpy scalars.
+    return predictive_distribution(
+        (float(means.dot(wp)) + 0.0) / total, max(r / total, VAR_FLOOR)
+    )

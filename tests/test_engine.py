@@ -18,6 +18,7 @@ from intelgp.engine import (
     EngineConfig,
     StepOutput,
     Verdict,
+    _mean,
     classify,
     initialize,
     predict_next,
@@ -614,6 +615,15 @@ class TestMeanRefresh:
         assert all(o.verdict is Verdict.INLIER for o in outputs)
         assert outputs[-1].mean_const == float(np.mean(stream[-6:]))
         assert outputs[-1].mean_const != float(np.mean(stream[-5:]))
+
+    def test_mean_is_numpys_bit_for_bit(self):
+        # The refresh slices the window's tuple; past 7 values numpy sums
+        # in 8 lanes, past 128 in halves.
+        rng = np.random.default_rng(61)
+        for n in range(1, 301):
+            for values in (rng.normal(3.0, 1e3, n), 10.0 ** rng.uniform(-20, 20, n)):
+                values = tuple(values.tolist())
+                assert bits(_mean(values)) == bits(float(np.mean(values))), values
 
     @pytest.mark.parametrize("n_outliers", [3, 9])
     def test_change_point_mean_is_the_bucket_mean(self, n_outliers):

@@ -35,6 +35,7 @@ from intelgp.gp import (
     log_marginal_likelihood,
     noisy_covariance,
     precision_table,
+    predictive_distribution,
     predictor,
 )
 
@@ -149,6 +150,16 @@ class TestPredictiveDistribution:
     def test_non_positive_variance_rejected(self, variance):
         with pytest.raises(ValueError, match="variance must be positive"):
             PredictiveDistribution(0.0, variance)
+
+    def test_slot_built_equals_constructed(self):
+        pred = predictive_distribution(-0.5, 2.0)
+        assert type(pred) is PredictiveDistribution
+        assert pred == PredictiveDistribution(-0.5, 2.0)
+
+    @pytest.mark.parametrize("variance", [0.0, -1.0, math.nan])
+    def test_slot_built_rejects_non_positive_variance(self, variance):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            predictive_distribution(0.0, variance)
 
 
 class TestKernelEval:

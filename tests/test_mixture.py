@@ -14,9 +14,10 @@ from intelgp.gp import (
     PredictiveDistribution,
 )
 from intelgp.mixture import (
-    PAIRWISE_BLOCK,
+    NUMPY_FROM,
     WEIGHT_FLOOR,
     VariantFactors,
+    add_reduce,
     build_model_set,
     fuse_poe,
     predictive_weights,
@@ -165,7 +166,7 @@ class TestUpdateWeights:
         out = update_weights(np.array([0.5, 0.5]), np.array([0.2, 0.6]))
         np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("m", [2, 9, 27])
     @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
     def test_nan_likelihood_makes_every_weight_nan(self, m, at):
         # As numpy's maximum, the floor keeps a nan rather than flooring it.
@@ -216,7 +217,7 @@ class TestModelLikelihood:
         logs = [model_log_likelihood(m, v, 1000.0) for m, v in zip(means, variances)]
         np.testing.assert_allclose(lik, np.exp(logs - np.max(logs)))
 
-    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("m", [2, 9, 27])
     @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
     def test_nan_variance_makes_every_likelihood_nan(self, m, at):
         # As numpy's minimum: the smallest -2 log density is nan wherever
@@ -264,7 +265,7 @@ class TestFusePoe:
         assert fused_p.mean == pytest.approx(fused.mean, abs=1e-12)
         assert fused_p.variance == pytest.approx(fused.variance, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [2, 27])
+    @pytest.mark.parametrize("m", [2, 9, 27])
     @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
     def test_nan_variance_rejected(self, m, at):
         # The fused variance is nan wherever the nan sits; the forecast
@@ -273,6 +274,12 @@ class TestFusePoe:
         variances[at] = np.nan
         with pytest.raises(ValueError, match="variance must be positive, got nan"):
             fuse_poe(np.zeros(m), variances, np.full(m, 1.0 / m))
+
+    def test_single_negative_zero_mean_fuses_to_zero(self):
+        # As `means @ wp`, which adds the product to 0: a scalar product
+        # alone would keep the sign of -0.0.
+        fused = fuse_poe(np.array([-0.0]), np.array([1.0]), np.array([1.0]))
+        assert bits(fused.mean) == bits(0.0)
 
     @settings(deadline=None, derandomize=True)
     @given(
@@ -334,12 +341,12 @@ def bits(x) -> bytes:
 @st.composite
 def mixture_steps(draw):
     """Weights on the floored simplex, per-model means and variances, an
-    observation and a forgetting parameter, for M of 1 to 8 or 27 models:
-    every size below PAIRWISE_BLOCK, where the re-weighting runs on Python
-    floats, and two sizes of its numpy code.  Observations of +-1e160
-    overflow (y - mean)^2 for every model; 1e150 overflows it over the
-    smaller variances."""
-    m = draw(st.sampled_from([*range(1, 9), 27]))
+    observation and a forgetting parameter, for M of 1 to NUMPY_FROM or 27
+    models: every size below NUMPY_FROM, where the re-weighting runs on
+    Python floats, and two sizes of its numpy code.  Observations of
+    +-1e160 overflow (y - mean)^2 for every model; 1e150 overflows it over
+    the smaller variances."""
+    m = draw(st.sampled_from([*range(1, NUMPY_FROM + 1), 27]))
 
     def vector(**kw):
         return np.array(draw(st.lists(st.floats(**kw), min_size=m, max_size=m)))
@@ -360,7 +367,7 @@ def mixture_steps(draw):
 
 
 class TestLeanStepComposition:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=500, deadline=None, derandomize=True)
     @given(mixture_steps())
     def test_step_matches_the_plain_composition_bit_for_bit(self, case):
         w, means, variances, y, alpha = case
@@ -383,34 +390,51 @@ class TestLeanStepComposition:
         assert after.tobytes() == after_want.tobytes()
 
 
+def sums_to_check(n: int) -> list[list[float]]:
+    """Lists of n floats whose sum changes with the order of the additions
+    or with their start, and sums drawn over 60 decades: 2,000 at each
+    length below 8, 300 at each longer one.  Grouped from the
+    right, [1e16, 1, 1] gives 1e16 + 2; [-0.0] summed from its first value
+    gives -0.0, from 0 it gives 0.  A 1e16 in each of the 8 lanes in turn,
+    a cancelling pair across two lanes and values near 1e-300 make the
+    lane sums and their combination differ from any other grouping; a nan
+    or an infinity sits first, in the middle or last."""
+    adversarial = [
+        [1e16] + [1.0] * (n - 1),
+        [1.0] * (n - 1) + [1e16],
+        ([1.0, 1e16, -1e16] + [0.0] * n)[:n],
+        ([1e16, 1.0, 1.0, -1e16] * n)[:n],
+        [-0.0] * n,
+        [(-1.0) ** i * 1e-300 * (i + 1) for i in range(n)],
+        [(i % 3 - 1) * 2.0 ** (i % 60) for i in range(n)],
+    ]
+    for lane in range(min(n, 8)):
+        adversarial.append([1e16 if i == lane else 1.0 for i in range(n)])
+    for special in (math.nan, math.inf, -math.inf):
+        for at in (0, n // 2, n - 1):
+            values = [1.0] * n
+            values[at] = special
+            adversarial.append(values)
+    if n > 1:
+        adversarial.append([math.inf] + [1.0] * (n - 2) + [-math.inf])
+    rng = np.random.default_rng(n)
+    shape = (2000 if n < 8 else 300, n)
+    drawn = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-30, 30, shape)
+    return adversarial + drawn.tolist()
+
+
 class TestPairwiseBlock:
-    """The assumption of the re-weighting below PAIRWISE_BLOCK models, on
-    the installed numpy: its sum of fewer than PAIRWISE_BLOCK values adds
-    them one at a time, left to right, as the Python loop does."""
+    """The Python-float sum of the re-weighting against the installed
+    numpy's: `add_reduce` adds fewer than 8 values left to right, up to 128
+    in 8 lanes with the rest after them, and more than 128 in halves."""
 
-    @staticmethod
-    def left_to_right(values):
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-
-    @pytest.mark.parametrize("n", range(1, PAIRWISE_BLOCK))
-    def test_add_reduce_adds_left_to_right(self, n):
-        # Each adversarial sum changes with the order or the start: grouped
-        # from the right, [1e16, 1, 1] gives 1e16 + 2, and [-0.0] summed
-        # from its first value gives -0.0, from 0 it gives 0.
-        adversarial = [
-            [1e16] + [1.0] * (n - 1),
-            [1.0] * (n - 1) + [1e16],
-            ([1.0, 1e16, -1e16] + [0.0] * n)[:n],
-            [-0.0] * n,
-        ]
-        rng = np.random.default_rng(n)
-        drawn = rng.choice([-1.0, 1.0], (2000, n)) * 10.0 ** rng.uniform(-30, 30, (2000, n))
-        for values in adversarial + drawn.tolist():
-            got = np.add.reduce(np.array(values))
-            assert bits(got) == bits(self.left_to_right(values)), values
+    @pytest.mark.parametrize("n", range(1, 301))
+    def test_add_reduce_matches_numpy_bit_for_bit(self, n):
+        with np.errstate(invalid="ignore"):
+            for values in sums_to_check(n):
+                want = bits(np.add.reduce(np.array(values)))
+                assert bits(add_reduce(values)) == want, values
+                assert bits(add_reduce(tuple(values))) == want, values
 
 
 class TestFuseUnweighted:

@@ -149,10 +149,13 @@ class EngineState:
     inverse, the precision, at [0], from which a prediction gathers its
     matrices; every window lies within `tau` of the next time.  `cache` is
     the predictor cache (see `gp.gp_predict`), which only a miss writes
-    to.  `initialize` builds both, the kernel checked finite and each
-    model's jitter chosen there, and `step` passes them on, so a stream
-    and its forks share them.  Both are left out of equality, which
-    compares the weights by value, and out of the repr.
+    to: it adds its entry, or, for a window of the offsets 1..tau less one
+    or two of them, the entries of every such window with as many gaps,
+    where the cache has room for them all.  `initialize` builds both, the
+    kernel checked finite and each model's jitter chosen there, and `step`
+    passes them on, so a stream and its forks share them.  Both are left
+    out of equality, which compares the weights by value, and out of the
+    repr.
     """
 
     window: TrainingWindow
@@ -221,9 +224,10 @@ def predict_next(state: EngineState) -> PredictiveDistribution:
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
-    parameter, and fuses.  The only write is a miss's new entry in the
-    state's predictor cache, whose entries depend on their keys alone.
-    The per-model means and variances are in the `StepOutput` of `step`.
+    parameter, and fuses.  The only write is a miss's new entry or gap
+    class in the state's predictor cache, whose entries depend on their
+    keys alone.  The per-model means and variances are in the `StepOutput`
+    of `step`.
     """
     return _predict(state)[3]
 

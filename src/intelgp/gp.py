@@ -13,15 +13,19 @@ it, with one banded LAPACK pbtrf call for the whole set and solves with
 one pbtrs call.  Its index bookkeeping (the offsets' checks, their
 positions, and the rows and columns it gathers) is done on Python ints: a
 window holds at most tau + 1 of them, too few for numpy's per-call cost to
-pay off.  The fit's gradient needs only the per-distance sums of V⁻¹:
-on equally spaced sorted inputs, where V is Toeplitz, they come from one
-more column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on
-any other inputs from V⁻¹ itself, formed with LAPACK potri.
+pay off.  A new window that is the offsets 1..tau less one or two of them
+fills the cache with its whole gap class, solved in batches through the
+same gather, factorization and solve.  The fit's gradient needs only the
+per-distance sums of V⁻¹: on equally spaced sorted inputs, where V is
+Toeplitz, they come from one more column of the potrs solve, V⁻¹e₁, by the
+Gohberg–Semencul formula; on any other inputs from V⁻¹ itself, formed with
+LAPACK potri.
 """
 
 from __future__ import annotations
 
 import ctypes
+import itertools
 import logging
 import math
 from contextlib import contextmanager
@@ -48,6 +52,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # whose windows rarely repeat an offset pattern (an entry holds M x tau mean
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
+
+# Floats one batch of a gap-class fill gathers at most (256 KiB), so that
+# a fill adds little to a stream's peak memory.
+_FILL_GATHER = 1 << 15
 
 # LAPACK's triangular solve, Cholesky factorization, and inverse and solve
 # from a Cholesky factor, and banded Cholesky factorization and solve for
@@ -412,10 +420,19 @@ def predictor(offsets, table: np.ndarray):
     The checks, the positions, R and the gather's rows and columns are
     worked out on Python ints, then pick flat indices from a cached index
     of the table: with at most span + 1 offsets, a dozen numpy calls on
-    such short arrays cost more than the LAPACK calls.
+    such short arrays cost more than the LAPACK calls (`_window_index`).
+    `_solve_windows` solves the systems, as a batch of one.
     """
-    precision, covariance = table
-    models, width = precision.shape[:2]
+    index, precision_side = _window_index(offsets, table.shape[-1])
+    return _solve_windows(index[None], table, precision_side)
+
+
+def _window_index(offsets, width: int):
+    """`predictor`'s checks of a window's `offsets` and the gather index of
+    its systems: the (rows, k+1) flat indices into one model's width x
+    width table of the rows and columns they gather, the system's k + 1
+    rows first, test position last, then on the precision side the
+    window's rows; and whether the systems are the precision's."""
     try:
         x = [i for v in offsets if (i := int(v)) == v]
     except (TypeError, ValueError, OverflowError):  # "a", None, nan, inf
@@ -434,34 +451,94 @@ def predictor(offsets, table: np.ndarray):
     if len(taken) != len(position):
         raise ValueError("training times must be distinct and differ from the test time")
     rest = [p for p in range(width) if p not in taken]
-    # One gather takes the systems, test position last in each, and on the
-    # precision side the window's rows below them.  A gather by flat index
-    # with take comes out C-ordered: over a strided one, the row-wise
-    # product below would round a model's row differently depending on
-    # how many models there are.
     window = position[:-1]
-    if len(rest) <= len(window):
+    precision_side = len(rest) <= len(window)
+    if precision_side:
         block = rest + position[-1:]
-        rows, source = block + window, precision
+        rows = block + window
     else:
         block = rows = position
-        source = covariance
-    k = len(block) - 1
-    index = _flat_index(width).take(rows, axis=0).take(block, axis=1)
-    gathered = source.reshape(models, -1).take(index, axis=1)
-    rhs = np.zeros((models + 1, k + 1))
+    return _flat_index(width).take(rows, axis=0).take(block, axis=1), precision_side
+
+
+def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
+    """`predictor`'s mean weights and variances for K windows of one
+    shape, from their `_window_index` indices stacked to (K, rows, k+1).
+    The result is read-only, of shapes (M·K, n) and (M·K,), model-major:
+    (M, n) and (M,) for one window.
+
+    One gather takes the M·K systems from the side's half of `table`, one
+    `chol_with_jitter` call factors them, one LAPACK pbtrs call solves
+    them, and on the precision side one `einsum` gives the mean weights.
+    Each block factors and solves as if alone, and each einsum row is its
+    own dot product, so a window's entry is the same, bit for bit, in a
+    batch of K as alone.
+    """
+    precision, covariance = table
+    _, rows, size = index.shape
+    k = size - 1
+    # A gather by flat index with take comes out C-ordered: over a strided
+    # one, the row-wise product below would round a model's row
+    # differently depending on how many rows there are.
+    source = precision if precision_side else covariance
+    stack = source.reshape(len(source), -1).take(index, axis=1).reshape(-1, rows, size)
+    blocks = len(stack)
+    rhs = np.zeros((blocks + 1, k + 1))
     rhs[:, k] = 1.0
     # pbtrs reports only illegal arguments, which these shapes rule out.
-    z = _pbtrs(chol_with_jitter(gathered[:, :k + 1]), rhs.reshape(-1, 1), 1, overwrite_b=1)[0]
-    z = z.reshape(models + 1, k + 1)[:models]
-    if source is precision:
+    z = _pbtrs(chol_with_jitter(stack[:, :k + 1]), rhs.reshape(-1, 1), 1, overwrite_b=1)[0]
+    z = z.reshape(blocks + 1, k + 1)[:blocks]
+    if precision_side:
         var = np.maximum(z[:, k], VAR_FLOOR)
-        a = np.einsum("msq,mq->ms", gathered[:, k + 1:], -z)
+        a = np.einsum("msq,mq->ms", stack[:, k + 1:], -z)
     else:
         var = np.maximum(1.0 / z[:, k], VAR_FLOOR)
         a = z[:, :k] / -z[:, k:]
     a.flags.writeable = var.flags.writeable = False
     return a, var
+
+
+@lru_cache(maxsize=4)  # an index takes up to 16 MiB, at a span of 1024
+def _gap_class(span: int, gaps: int):
+    """The windows of the offsets 1..span less `gaps` of them, their gap
+    class: their keys as the engine builds them, tuples of ints in
+    descending order; their `_window_index` indices, stacked to (K, rows,
+    k+1); and whether their systems are the precision's."""
+    full = range(span, 0, -1)
+    keys = tuple(
+        tuple(p for p in full if p not in holes) for holes in itertools.combinations(full, gaps)
+    )
+    indices, sides = zip(*(_window_index(key, span + 1) for key in keys))
+    index = np.array(indices)
+    index.flags.writeable = False  # shared by every call through the cache
+    return keys, index, sides[0]
+
+
+def _class_entries(offsets: tuple, table: np.ndarray, room: int):
+    """The predictor of every window of the gap class of `offsets`, keyed
+    as the engine keys them, where `offsets` is one of its windows and
+    `room` entries hold them all; else None.  The windows are solved in
+    batches whose gather holds at most _FILL_GATHER floats, one
+    `_solve_windows` call each; at M=2 and tau=20 a class is one batch."""
+    span = table.shape[-1] - 1
+    gaps = span - len(offsets)
+    if gaps not in (1, 2) or math.comb(span, gaps) > room:
+        return None
+    keys, index, precision_side = _gap_class(span, gaps)
+    if offsets not in keys:
+        return None
+    models = table.shape[1]
+    batch = max(1, _FILL_GATHER // (models * index[0].size))
+    entries = []
+    for start in range(0, len(keys), batch):
+        part = index[start:start + batch]
+        a, var = _solve_windows(part, table, precision_side)
+        # Each window's entry contiguous, as a single miss's is.
+        a = np.ascontiguousarray(a.reshape(models, len(part), a.shape[1]).swapaxes(0, 1))
+        var = np.ascontiguousarray(var.reshape(models, len(part)).T)
+        a.flags.writeable = var.flags.writeable = False
+        entries += zip(a, var)
+    return dict(zip(keys, entries))
 
 
 def cholesky(V: np.ndarray) -> np.ndarray:
@@ -528,23 +605,38 @@ def gp_predict(
     function of its key alone, so a cache can be shared by any number of
     streams.  Keys equal by value (3, 3.0, np.int32(3)) share an entry, and
     a hit needs no check: its key equals a checked one.  A hit only reads
-    the cache; a miss inserts its entry once `predictor` has returned,
-    first dropping the oldest entry of a cache holding
-    PREDICTOR_CACHE_SIZE.  The means are mean + a·(y - mean), one row-wise
-    product for all models with the entry's mean weights, so a hit gives
-    the bits of a miss.  Each row is its own dot product (a matrix-vector
-    product rounds a row differently depending on how many rows there
-    are), so a model's mean does not depend on the other models of the set.
+    the cache; a miss adds its entry or its gap class, once computed.
+
+    The gap class of a window that is the offsets 1..span less g = 1 or 2
+    of them (span the table's) is all C(span, g) such windows, keyed as
+    tuples of ints in descending order, as the engine keys a window.  A
+    class entry is the bits of its window's own miss.  The class is added
+    only where the cache has room for all of it, so a fill drops no entry,
+    and a class is filled at most once per cache: only a full cache drops
+    entries, and it has no room for a fill.  Any other miss adds its own
+    entry, first dropping the oldest entry of a cache holding
+    PREDICTOR_CACHE_SIZE.
+
+    The means are mean + a·(y - mean), one row-wise product for all
+    models with the entry's mean weights, so a hit gives the bits of a
+    miss.  Each row is its own dot product (a matrix-vector product rounds
+    a row differently depending on how many rows there are), so a model's
+    mean does not depend on the other models of the set.
     """
     ys = np.asarray(train_y, dtype=float)
     if ys.shape != (len(offsets),):
         raise ValueError("offsets and train_y must have the same length")
     hit = cache.get(offsets)
     if hit is None:
-        hit = predictor(offsets, table)
-        if len(cache) >= PREDICTOR_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[offsets] = hit
+        filled = _class_entries(offsets, table, PREDICTOR_CACHE_SIZE - len(cache))
+        if filled is None:
+            hit = predictor(offsets, table)
+            if len(cache) >= PREDICTOR_CACHE_SIZE:
+                del cache[next(iter(cache))]
+            cache[offsets] = hit
+        else:
+            cache.update(filled)
+            hit = filled[offsets]
     a, var = hit
     return mean + np.vecdot(a, ys - mean), var
 

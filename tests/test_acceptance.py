@@ -3,6 +3,11 @@
 Each test prints one `ACCEPTANCE PASS|FAIL <name>` line (run with -s to
 stream them).  The two real-dataset reproductions skip with a pointer to
 scripts/fetch_datasets.py when data/ has not been populated.
+
+The time bounds are on the process's CPU time (`time.process_time`), the
+time the code under test ran, whatever other processes hold the cores.
+conftest.py runs BLAS on one thread, so it is not more than the wall time
+on an idle machine; BLAS threads of its own would add their time to it.
 """
 
 import math
@@ -58,7 +63,7 @@ def require_dataset(path, name):
 def test_gp_correctness_oracle():
     with criterion("gp-correctness-oracle"):
         rng = np.random.default_rng(501)
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         for _ in range(200):
             kind = (
                 KernelKind.MATERN52
@@ -82,7 +87,7 @@ def test_gp_correctness_oracle():
             m_ref, v_ref = oracle_predict(hyper, c, ts, ys, t_star)
             assert abs(mean - m_ref) < 1e-8
             assert abs(var - v_ref) < 1e-8
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
@@ -125,7 +130,7 @@ def test_gradient_check():
 
 def test_hyperparameter_recovery():
     with criterion("hyperparameter-recovery"):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         true = Hyperparameters(KernelKind.MATERN52, 1.0, 3.0, 0.1)
         ts = np.arange(200.0)
         V = noisy_covariance(true, ts)
@@ -137,7 +142,7 @@ def test_hyperparameter_recovery():
             fit = fit_template(ts, ys, seed=trial)
             err = np.abs(fit.hyper.to_log_vector() - true.to_log_vector())
             recovered += bool(np.all(err < 0.5))
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         assert recovered >= 4, f"recovered {recovered} of 5"
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
@@ -183,7 +188,7 @@ def test_weight_machinery():
 
 def test_synthetic_anomaly_scenarios():
     with criterion("synthetic-anomaly-scenarios"):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         config = EngineConfig(init_count=60, factors=VariantFactors(), seed=0)
 
         history, stream, at = spike_stream(38)
@@ -227,7 +232,7 @@ def test_synthetic_anomaly_scenarios():
             verdicts.append(out.verdict)
         assert all(v is Verdict.INLIER for v in verdicts)
 
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
 
@@ -243,9 +248,9 @@ def test_paper_reproduction_well_log():
             factors=VariantFactors((1.0, 0.2), (1.0, 0.2), (1.0, 5.0)),
             seed=0,
         )
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         r_intel = run(EngineConfig(**base), sliced, normalization="full")
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         r_sintel = run(
             EngineConfig(**{**base, "factors": VariantFactors()}), sliced, normalization="full"
         )
@@ -267,9 +272,9 @@ def test_paper_reproduction_cpu_usage():
             factors=VariantFactors(signal=(1.0, 0.2)),
             seed=0,
         )
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         result = run(config, series, normalization="full")
-        elapsed = time.perf_counter() - t0
+        elapsed = time.process_time() - t0
         # records are indexed by t; the regime shift lands at t=2971
         by_t = {r["t"]: r for r in result.records}
         hit = None

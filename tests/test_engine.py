@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import flat_stream, shift_stream, spike_stream
-from test_gp import oracle_predict
+from test_gp import gap_class, oracle_predict
 
 from intelgp import fit, gp
 from intelgp.engine import (
@@ -670,23 +670,56 @@ class TestPredictorCache:
 
     def test_each_distinct_window_key_misses_once(self, monkeypatch):
         # The cache key is the key perfbench/spans.window_keys counts, so no
-        # two equal windows miss twice and its repeat share is the hit share.
-        missed = []
+        # key is computed twice, a single miss's or a gap class's, and its
+        # repeat share is at most the hit share.
+        computed = []
 
         def counted(offsets, table, _original=gp.predictor):
-            missed.append(offsets)
+            computed.append(offsets)
             return _original(offsets, table)
 
+        def counted_class(offsets, table, room, _original=gp._class_entries):
+            filled = _original(offsets, table, room)
+            computed.extend(filled or ())
+            return filled
+
         monkeypatch.setattr(gp, "predictor", counted)
+        monkeypatch.setattr(gp, "_class_entries", counted_class)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         keys = set()
         for y in stream:
             keys.add(window_offsets(state))
             state, _ = step(state, y)
-        assert len(missed) == len(set(missed)) == len(keys) < gp.PREDICTOR_CACHE_SIZE
-        assert set(missed) == keys
+        assert len(computed) == len(set(computed)) == len(state.cache) < gp.PREDICTOR_CACHE_SIZE
+        assert set(computed) >= keys
         assert len(keys) < len(stream)
+
+    def test_matches_uncached_gp_predict_with_gap_class_fills(self):
+        # At the default limit the one- and two-gap windows of the stream
+        # fill their gap classes, and every step still gives the bits of
+        # an uncached prediction.
+        history, stream = gapped_shift_stream(52)
+        state = initialize(np.arange(60), history, EIGHT_MODEL)
+        tau = EIGHT_MODEL.tau
+        most_gaps, fills = 0, Counter()
+        for y in stream:
+            offsets = window_offsets(state)
+            means, variances = gp_predict(
+                offsets, state.window.values, state.shared_mean, state.table, {}
+            )
+            times = state.window.times
+            most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
+            before = len(state.cache)
+            state, out = step(state, y)
+            assert out.means.tobytes() == means.tobytes()
+            assert out.variances.tobytes() == variances.tobytes()
+            if len(state.cache) - before > 1:
+                fills[tau - len(offsets)] += 1
+        assert most_gaps == 2
+        assert fills == {1: 1, 2: 1}
+        assert gap_class(tau, 1) | gap_class(tau, 2) <= set(state.cache)
+        assert len(state.cache) < gp.PREDICTOR_CACHE_SIZE
 
     def test_every_initialize_starts_cold(self):
         history, stream = flat_stream(53)
@@ -713,19 +746,30 @@ class TestPredictorCache:
 
     def test_a_hit_never_writes(self):
         class CountingDict(dict):
+            """Counts the entries written."""
+
             writes = 0
 
             def __setitem__(self, key, value):
                 self.writes += 1
                 super().__setitem__(key, value)
 
+            def update(self, other):
+                self.writes += len(other)
+                super().update(other)
+
         table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
         cache = CountingDict()
+        # a is the full window and misses alone; b lacks offset 20, so its
+        # miss adds the 20 windows of 1..20 less one offset.
         a, b = tuple(range(20, 0, -1)), tuple(range(19, 0, -1))
-        for offsets in (a, b, a):
+        one_gap = gap_class(20, 1)
+        writes = []
+        for offsets in (a, b, a, b, *one_gap):
             gp_predict(offsets, np.sin(20 - np.array(offsets)), 0.0, table, cache)
-        assert cache.writes == 2
-        assert list(cache) == [a, b]
+            writes.append(cache.writes)
+        assert writes == [1] + [21] * (len(writes) - 1)
+        assert list(cache)[0] == a and set(list(cache)[1:]) == one_gap
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)

@@ -7,6 +7,7 @@ prediction path it checks.
 """
 
 import dataclasses
+import itertools
 import logging
 import math
 import warnings
@@ -615,6 +616,18 @@ class TestWrappedNames:
         gp_predict(tuple((1007 - (ts + 7)).tolist()), np.cos(ts), 0.1, table, cache)
         assert calls == {}
 
+    def test_a_fill_factors_once_and_its_windows_then_hit(self, calls):
+        # At M=2 and tau=20 a gap class is one batch.
+        table = precision_table(fixed_case(2, [])[0], 20)
+        calls.clear()
+        cache = {}
+        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.1, table, cache)
+        assert calls == {"chol_with_jitter": 1} and len(cache) == 190
+        calls.clear()
+        for key in list(cache):
+            gp_predict(key, np.cos(key), 0.1, table, cache)
+        assert calls == {} and len(cache) == 190
+
     def test_the_build_factors_and_solves_once_per_model(self, calls):
         models = (TestStackFallback.GOOD, TestStackFallback.BAD, TestStackFallback.GOOD)
         precision_table(models, 20)
@@ -816,11 +829,124 @@ class TestMissBookkeeping:
             assert np.abs(a[m] - a_ref).sum() <= tolerance
             assert abs(var[m] - var_ref) <= tolerance * var_ref
         means, variances = gp_predict(key, np.sin(ts), 0.2, table, cache)
-        assert list(cache) == [b"x", key]
+        # The miss adds its own entry, or, for the offsets 1..span less one
+        # or two of them in descending order, the entries of its gap class.
+        gaps = span - len(key)
+        added = math.comb(span, gaps) if gaps in (1, 2) and key in gap_class(span, gaps) else 1
+        assert list(cache)[0] == b"x" and key in cache and len(cache) == 1 + added
         hit_a, hit_var = cache[key]
         assert (hit_a.tobytes(), hit_var.tobytes()) == (a.tobytes(), var.tobytes())
         assert means.tobytes() == (0.2 + np.vecdot(a, np.sin(ts) - 0.2)).tobytes()
         assert variances.tobytes() == var.tobytes()
+
+
+def gap_class(span, gaps):
+    """The windows of the offsets 1..span less `gaps` of them, as the
+    engine keys them: tuples of ints in descending order."""
+    full = range(span, 0, -1)
+    return {
+        tuple(p for p in full if p not in holes)
+        for holes in itertools.combinations(full, gaps)
+    }
+
+
+class TestGapClassFill:
+    """A miss of the offsets 1..span less one or two of them adds the
+    entries of every such window, where the cache has room for them all."""
+
+    @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
+    @pytest.mark.parametrize("span, gaps", [
+        (span, gaps) for span in (1, 2, 3, 6, 20) for gaps in (1, 2) if gaps <= span
+    ])
+    def test_every_entry_is_its_own_miss_bit_for_bit(self, n_models, span, gaps):
+        # Spans 1 to 3 take both sides: the empty window, and systems of
+        # the covariance where the gaps outnumber the window's offsets.
+        table = precision_table(fixed_case(n_models, [])[0], span)
+        keys = gap_class(span, gaps)
+        first = max(keys)
+        cache = {}
+        gp_predict(first, np.sin(first), 0.3, table, cache)
+        assert set(cache) == keys and len(cache) == math.comb(span, gaps)
+        for key, (a, var) in cache.items():
+            assert all(type(v) is int for v in key)
+            want_a, want_var = predictor(key, table)
+            assert a.shape == want_a.shape and a.flags.c_contiguous
+            assert var.shape == want_var.shape and var.flags.c_contiguous
+            assert not a.flags.writeable and not var.flags.writeable
+            assert a.tobytes() == want_a.tobytes()
+            assert var.tobytes() == want_var.tobytes()
+
+    def test_batches_give_the_bits_of_one(self, monkeypatch):
+        # At M=27 the two-gap class is solved in several batches.
+        table = precision_table(fixed_case(27, [])[0], 20)
+        whole = {}
+        monkeypatch.setattr(gp, "_FILL_GATHER", 1 << 30)
+        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, whole)
+        monkeypatch.setattr(gp, "_FILL_GATHER", 1)
+        one_each = {}
+        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, one_each)
+        assert list(whole) == list(one_each) and len(whole) == 190
+        for key, (a, var) in whole.items():
+            assert (a.tobytes(), var.tobytes()) == tuple(x.tobytes() for x in one_each[key])
+
+    def test_a_fill_drops_no_entry(self):
+        table = precision_table(TestKernelTable.MODELS, 20)
+        cache = {("old", i): None for i in range(gp.PREDICTOR_CACHE_SIZE - 190)}
+        older = list(cache)
+        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, cache)
+        assert len(cache) == gp.PREDICTOR_CACHE_SIZE
+        assert list(cache)[:len(older)] == older
+        assert set(list(cache)[len(older):]) == gap_class(20, 2)
+
+    @pytest.mark.parametrize("limit, key", [
+        (2, tuple(range(20, 2, -1))),
+        (190, tuple(range(20, 2, -1))),
+        (2, tuple(range(19, 0, -1))),
+        (20, tuple(range(19, 0, -1))),
+    ])
+    def test_without_room_a_miss_adds_only_its_own_entry(self, monkeypatch, limit, key):
+        # With one entry held, a class of C(20, g) windows needs a limit
+        # of at least C(20, g) + 1.
+        monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", limit)
+        table = precision_table(TestKernelTable.MODELS, 20)
+        cache = {"held": None}
+        gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+        assert list(cache) == ["held", key]
+
+    @pytest.mark.parametrize("offsets, error", [
+        ((*range(20, 3, -1), 2.5), "integers"),
+        ((*range(20, 3, -1), 20), "distinct"),
+        ((*range(20, 3, -1), 0), "distinct"),
+        ((*range(21, 4, -1), 1), "span 20"),
+        ((*range(20, 3, -1), -1), "span 20"),
+    ])
+    def test_a_rejected_window_leaves_the_cache_as_it_was(self, offsets, error):
+        # Windows of 18 offsets, as long as the two-gap class's.
+        table = precision_table(TestKernelTable.MODELS, 20)
+        cache = {"held": None}
+        with pytest.raises(ValueError, match=error):
+            gp_predict(offsets, np.zeros(18), 0.0, table, cache)
+        assert cache == {"held": None}
+
+    def test_a_window_out_of_order_adds_only_its_own_entry(self):
+        # The class's offsets in ascending order: a key of its own.
+        table = precision_table(TestKernelTable.MODELS, 20)
+        cache = {}
+        key = tuple(range(1, 19))
+        gp_predict(key, np.zeros(18), 0.0, table, cache)
+        assert list(cache) == [key]
+
+    @pytest.mark.parametrize("cast", [np.int32, float])
+    def test_a_key_of_another_integer_type_fills_its_class(self, cast):
+        # Equal by value to a class key, it is served from the class.
+        table = precision_table(TestKernelTable.MODELS, 6)
+        cache = {}
+        key = tuple(cast(v) for v in (6, 5, 4, 3, 1))
+        ys = np.sin(key)
+        got = gp_predict(key, ys, 0.1, table, cache)
+        assert set(cache) == gap_class(6, 1)
+        a, var = predictor((6, 5, 4, 3, 1), table)
+        assert as_bytes(got) == as_bytes((0.1 + np.vecdot(a, ys - 0.1), var))
 
 
 class TestStackFallback:

@@ -151,7 +151,8 @@ class EngineState:
     the predictor cache (see `gp.gp_predict`), which only a miss writes
     to: it adds its entry, or, for a window of the offsets 1..tau less one
     or two of them, the entries of every such window with as many gaps,
-    where the cache has room for them all.  `initialize` builds both, the
+    where they are few enough for one batch (`gp._FILL_GATHER`) and the
+    cache has room for them all.  `initialize` builds both, the
     kernel checked finite and each model's jitter chosen there, and `step`
     passes them on, so a stream and its forks share them.  Both are left
     out of equality, which compares the weights by value, and out of the

@@ -14,12 +14,12 @@ one pbtrs call.  Its index bookkeeping (the offsets' checks, their
 positions, and the rows and columns it gathers) is done on Python ints: a
 window holds at most tau + 1 of them, too few for numpy's per-call cost to
 pay off.  A new window that is the offsets 1..tau less one or two of them
-fills the cache with its whole gap class, solved in batches through the
-same gather, factorization and solve.  The fit's gradient needs only the
-per-distance sums of V⁻¹: on equally spaced sorted inputs, where V is
-Toeplitz, they come from one more column of the potrs solve, V⁻¹e₁, by the
-Gohberg–Semencul formula; on any other inputs from V⁻¹ itself, formed with
-LAPACK potri.
+fills the cache with its whole gap class, where the class is small
+enough to solve in one batch through the same gather, factorization and
+solve.  The fit's gradient needs only the per-distance sums of V⁻¹: on
+equally spaced sorted inputs, where V is Toeplitz, they come from one more
+column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on any
+other inputs from V⁻¹ itself, formed with LAPACK potri.
 """
 
 from __future__ import annotations
@@ -53,8 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# Floats one batch of a gap-class fill gathers at most (256 KiB), so that
-# a fill adds little to a stream's peak memory.
+# Floats a gap-class fill gathers at most (256 KiB).  A larger class is not
+# filled, so a fill is one batch, adds little to a stream's peak memory and
+# costs its step at most about seven misses' time.  At tau=20 both classes
+# are filled up to M=2 and the one-gap class up to M=39.
 _FILL_GATHER = 1 << 15
 
 # LAPACK's triangular solve, Cholesky factorization, and inverse and solve
@@ -424,7 +426,7 @@ def predictor(offsets, table: np.ndarray):
     `_solve_windows` solves the systems, as a batch of one.
     """
     index, precision_side = _window_index(offsets, table.shape[-1])
-    return _solve_windows(index[None], table, precision_side)
+    return _solve_windows(index, table, precision_side)
 
 
 def _window_index(offsets, width: int):
@@ -463,9 +465,9 @@ def _window_index(offsets, width: int):
 
 def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
     """`predictor`'s mean weights and variances for K windows of one
-    shape, from their `_window_index` indices stacked to (K, rows, k+1).
-    The result is read-only, of shapes (M·K, n) and (M·K,), model-major:
-    (M, n) and (M,) for one window.
+    shape, from their `_window_index` indices stacked to (K, rows, k+1),
+    or one window's (rows, k+1).  The result is read-only, of shapes
+    (M·K, n) and (M·K,), model-major: (M, n) and (M,) for one window.
 
     One gather takes the M·K systems from the side's half of `table`, one
     `chol_with_jitter` call factors them, one LAPACK pbtrs call solves
@@ -475,13 +477,15 @@ def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
     batch of K as alone.
     """
     precision, covariance = table
-    _, rows, size = index.shape
+    rows, size = index.shape[-2:]
     k = size - 1
     # A gather by flat index with take comes out C-ordered: over a strided
     # one, the row-wise product below would round a model's row
     # differently depending on how many rows there are.
     source = precision if precision_side else covariance
-    stack = source.reshape(len(source), -1).take(index, axis=1).reshape(-1, rows, size)
+    stack = source.reshape(len(source), -1).take(index, axis=1)
+    if stack.ndim > 3:  # (M, K, rows, k+1): the M·K systems, model-major
+        stack = stack.reshape(-1, rows, size)
     blocks = len(stack)
     rhs = np.zeros((blocks + 1, k + 1))
     rhs[:, k] = 1.0
@@ -516,29 +520,23 @@ def _gap_class(span: int, gaps: int):
 
 def _class_entries(offsets: tuple, table: np.ndarray, room: int):
     """The predictor of every window of the gap class of `offsets`, keyed
-    as the engine keys them, where `offsets` is one of its windows and
-    `room` entries hold them all; else None.  The windows are solved in
-    batches whose gather holds at most _FILL_GATHER floats, one
-    `_solve_windows` call each; at M=2 and tau=20 a class is one batch."""
+    as the engine keys them, where `offsets` is one of its windows, `room`
+    entries hold them all and their gather holds at most _FILL_GATHER
+    floats; else None.  One `_solve_windows` call solves the class."""
     span = table.shape[-1] - 1
     gaps = span - len(offsets)
     if gaps not in (1, 2) or math.comb(span, gaps) > room:
         return None
     keys, index, precision_side = _gap_class(span, gaps)
-    if offsets not in keys:
-        return None
     models = table.shape[1]
-    batch = max(1, _FILL_GATHER // (models * index[0].size))
-    entries = []
-    for start in range(0, len(keys), batch):
-        part = index[start:start + batch]
-        a, var = _solve_windows(part, table, precision_side)
-        # Each window's entry contiguous, as a single miss's is.
-        a = np.ascontiguousarray(a.reshape(models, len(part), a.shape[1]).swapaxes(0, 1))
-        var = np.ascontiguousarray(var.reshape(models, len(part)).T)
-        a.flags.writeable = var.flags.writeable = False
-        entries += zip(a, var)
-    return dict(zip(keys, entries))
+    if models * index.size > _FILL_GATHER or offsets not in keys:
+        return None
+    a, var = _solve_windows(index, table, precision_side)
+    # Each window's entry contiguous, as a single miss's is.
+    a = np.ascontiguousarray(a.reshape(models, len(keys), a.shape[1]).swapaxes(0, 1))
+    var = np.ascontiguousarray(var.reshape(models, len(keys)).T)
+    a.flags.writeable = var.flags.writeable = False
+    return dict(zip(keys, zip(a, var)))
 
 
 def cholesky(V: np.ndarray) -> np.ndarray:
@@ -611,10 +609,13 @@ def gp_predict(
     of them (span the table's) is all C(span, g) such windows, keyed as
     tuples of ints in descending order, as the engine keys a window.  A
     class entry is the bits of its window's own miss.  The class is added
-    only where the cache has room for all of it, so a fill drops no entry,
-    and a class is filled at most once per cache: only a full cache drops
-    entries, and it has no room for a fill.  Any other miss adds its own
-    entry, first dropping the oldest entry of a cache holding
+    only where its gather holds at most _FILL_GATHER floats, so a fill is
+    one batch of bounded cost, and where the cache has room for all of it,
+    so a fill drops no entry and a class is filled at most once per cache:
+    only a full cache drops entries, and it has no room for a fill.  At
+    tau=20 that fills both classes up to M=2 and the one-gap class up to
+    M=39; a larger M leaves such windows to single misses.  Any other miss
+    adds its own entry, first dropping the oldest entry of a cache holding
     PREDICTOR_CACHE_SIZE.
 
     The means are mean + a·(y - mean), one row-wise product for all

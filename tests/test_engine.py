@@ -695,10 +695,14 @@ class TestPredictorCache:
         assert set(computed) >= keys
         assert len(keys) < len(stream)
 
-    def test_matches_uncached_gp_predict_with_gap_class_fills(self):
+    @pytest.mark.parametrize("gather, classes", [(None, (1,)), (1 << 30, (1, 2))])
+    def test_matches_uncached_gp_predict_with_gap_class_fills(self, monkeypatch, gather, classes):
         # At the default limit the one- and two-gap windows of the stream
-        # fill their gap classes, and every step still gives the bits of
+        # fill the gap classes that fit the gather cap (at M=8 the one-gap
+        # class, without it both), and every step still gives the bits of
         # an uncached prediction.
+        if gather is not None:
+            monkeypatch.setattr(gp, "_FILL_GATHER", gather)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         tau = EIGHT_MODEL.tau
@@ -717,8 +721,9 @@ class TestPredictorCache:
             if len(state.cache) - before > 1:
                 fills[tau - len(offsets)] += 1
         assert most_gaps == 2
-        assert fills == {1: 1, 2: 1}
-        assert gap_class(tau, 1) | gap_class(tau, 2) <= set(state.cache)
+        assert fills == dict.fromkeys(classes, 1)
+        for gaps in classes:
+            assert gap_class(tau, gaps) <= set(state.cache)
         assert len(state.cache) < gp.PREDICTOR_CACHE_SIZE
 
     def test_every_initialize_starts_cold(self):

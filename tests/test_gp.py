@@ -858,9 +858,12 @@ class TestGapClassFill:
     @pytest.mark.parametrize("span, gaps", [
         (span, gaps) for span in (1, 2, 3, 6, 20) for gaps in (1, 2) if gaps <= span
     ])
-    def test_every_entry_is_its_own_miss_bit_for_bit(self, n_models, span, gaps):
+    def test_every_entry_is_its_own_miss_bit_for_bit(self, monkeypatch, n_models, span, gaps):
         # Spans 1 to 3 take both sides: the empty window, and systems of
         # the covariance where the gaps outnumber the window's offsets.
+        # Without the gather cap, every class is filled, in one batch of
+        # up to 190 windows of 27 models.
+        monkeypatch.setattr(gp, "_FILL_GATHER", 1 << 30)
         table = precision_table(fixed_case(n_models, [])[0], span)
         keys = gap_class(span, gaps)
         first = max(keys)
@@ -876,18 +879,24 @@ class TestGapClassFill:
             assert a.tobytes() == want_a.tobytes()
             assert var.tobytes() == want_var.tobytes()
 
-    def test_batches_give_the_bits_of_one(self, monkeypatch):
-        # At M=27 the two-gap class is solved in several batches.
-        table = precision_table(fixed_case(27, [])[0], 20)
-        whole = {}
-        monkeypatch.setattr(gp, "_FILL_GATHER", 1 << 30)
-        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, whole)
-        monkeypatch.setattr(gp, "_FILL_GATHER", 1)
-        one_each = {}
-        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, one_each)
-        assert list(whole) == list(one_each) and len(whole) == 190
-        for key, (a, var) in whole.items():
-            assert (a.tobytes(), var.tobytes()) == tuple(x.tobytes() for x in one_each[key])
+    @pytest.mark.parametrize("n_models, key, filled", [
+        (2, tuple(range(20, 2, -1)), 190),
+        (3, tuple(range(20, 2, -1)), 0),
+        (27, tuple(range(20, 2, -1)), 0),
+        (39, tuple(range(19, 0, -1)), 20),
+        (40, tuple(range(19, 0, -1)), 0),
+    ])
+    def test_a_class_whose_gather_exceeds_the_cap_is_not_filled(self, n_models, key, filled):
+        # A one-gap window gathers 21 x 2 floats per model, a two-gap
+        # window 21 x 3, so at tau=20 the 32,768-float cap fills the
+        # one-gap class up to M=39 and the two-gap class up to M=2.
+        table = precision_table((fixed_case(27, [])[0] * 2)[:n_models], 20)
+        cache = {}
+        gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+        assert len(cache) == (filled or 1) and key in cache
+        a, var = cache[key]
+        want_a, want_var = predictor(key, table)
+        assert (a.tobytes(), var.tobytes()) == (want_a.tobytes(), want_var.tobytes())
 
     def test_a_fill_drops_no_entry(self):
         table = precision_table(TestKernelTable.MODELS, 20)

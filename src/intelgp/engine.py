@@ -24,6 +24,7 @@ from .gp import (
     Hyperparameters,
     KernelKind,
     PredictiveDistribution,
+    gap_fill,
     gp_predict,
     one_blas_thread,
     precision_table,
@@ -148,15 +149,14 @@ class EngineState:
     each model's noisy covariance over the offsets 0..tau at [1] and its
     inverse, the precision, at [0], from which a prediction gathers its
     matrices; every window lies within `tau` of the next time.  `cache` is
-    the predictor cache (see `gp.gp_predict`), which only a miss writes
-    to: it adds its entry, or, for a window of the offsets 1..tau less one
-    or two of them, the entries of every such window with as many gaps,
-    where they are few enough for one batch (`gp._FILL_GATHER`) and the
-    cache has room for them all.  `initialize` builds both, the
-    kernel checked finite and each model's jitter chosen there, and `step`
-    passes them on, so a stream and its forks share them.  Both are left
-    out of equality, which compares the weights by value, and out of the
-    repr.
+    the predictor cache (see `gp.gp_predict`), which `initialize` starts
+    with the windows of the offsets 1..tau less one or two of them, each
+    such gap class few enough for one batch (`gp.gap_fill`), and to which
+    only a miss writes, adding its own entry.  `initialize` builds both,
+    the kernel checked finite and each model's jitter chosen there, and
+    `step` passes them on, so a stream and its forks share them.  Both
+    are left out of equality, which compares the weights by value, and out
+    of the repr.
     """
 
     window: TrainingWindow
@@ -225,10 +225,9 @@ def predict_next(state: EngineState) -> PredictiveDistribution:
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
-    parameter, and fuses.  The only write is a miss's new entry or gap
-    class in the state's predictor cache, whose entries depend on their
-    keys alone.  The per-model means and variances are in the `StepOutput`
-    of `step`.
+    parameter, and fuses.  The only write is a miss's new entry in the
+    state's predictor cache, whose entries depend on their keys alone.
+    The per-model means and variances are in the `StepOutput` of `step`.
     """
     return _predict(state)[3]
 
@@ -337,7 +336,8 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     start: as many observations as times, at least MIN_FIT_POINTS, all
     finite.  The fit and the precision table run with scipy's BLAS on one
     thread (`gp.one_blas_thread`), so the state's bits do not depend on
-    the BLAS thread count.
+    the BLAS thread count.  A new predictor cache starts with the table's
+    gap classes (`gp.gap_fill`), computed as misses are, outside that pin.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)
@@ -352,6 +352,7 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         fit = fit_template(ts, ys, kind=config.kernel_kind, seed=config.seed)
         models = build_model_set(fit.hyper, config.factors)
         table = precision_table(models, config.tau)
+    cache = gap_fill(table)
 
     current_t = int(history_t[-1])
     window = TrainingWindow(
@@ -369,4 +370,5 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
         inliers_since_refresh=0,
         current_t=current_t,
         fit=fit,
+        cache=cache,
     )

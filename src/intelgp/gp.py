@@ -13,13 +13,13 @@ it, with one banded LAPACK pbtrf call for the whole set and solves with
 one pbtrs call.  Its index bookkeeping (the offsets' checks, their
 positions, and the rows and columns it gathers) is done on Python ints: a
 window holds at most tau + 1 of them, too few for numpy's per-call cost to
-pay off.  A new window that is the offsets 1..tau less one or two of them
-fills the cache with its whole gap class, where the class is small
-enough to solve in one batch through the same gather, factorization and
-solve.  The fit's gradient needs only the per-distance sums of V⁻¹: on
-equally spaced sorted inputs, where V is Toeplitz, they come from one more
-column of the potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on any
-other inputs from V⁻¹ itself, formed with LAPACK potri.
+pay off.  A cache starts with the windows of the offsets 1..tau less one
+or two of them, each such gap class that is small enough to solve in one
+batch through the same gather, factorization and solve.  The fit's
+gradient needs only the per-distance sums of V⁻¹: on equally spaced
+sorted inputs, where V is Toeplitz, they come from one more column of the
+potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on any other inputs
+from V⁻¹ itself, formed with LAPACK potri.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# Floats a gap-class fill gathers at most (256 KiB).  A larger class is not
-# filled, so a fill is one batch, adds little to a stream's peak memory and
-# costs its step at most about seven misses' time.  At tau=20 both classes
-# are filled up to M=2 and the one-gap class up to M=39.
+# Floats a gap class's fill gathers at most (256 KiB).  A larger class is
+# not filled, so a fill is one batch, adds little to peak memory and costs
+# `engine.initialize` at most about seven misses' time.  At tau=20 both
+# classes are filled up to M=2 and the one-gap class up to M=39.
 _FILL_GATHER = 1 << 15
 
 # LAPACK's triangular solve, Cholesky factorization, and inverse and solve
@@ -502,7 +502,7 @@ def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
     return a, var
 
 
-@lru_cache(maxsize=4)  # an index takes up to 16 MiB, at a span of 1024
+@lru_cache(maxsize=4)  # an index holds at most _FILL_GATHER entries
 def _gap_class(span: int, gaps: int):
     """The windows of the offsets 1..span less `gaps` of them, their gap
     class: their keys as the engine builds them, tuples of ints in
@@ -518,25 +518,28 @@ def _gap_class(span: int, gaps: int):
     return keys, index, sides[0]
 
 
-def _class_entries(offsets: tuple, table: np.ndarray, room: int):
-    """The predictor of every window of the gap class of `offsets`, keyed
-    as the engine keys them, where `offsets` is one of its windows, `room`
-    entries hold them all and their gather holds at most _FILL_GATHER
-    floats; else None.  One `_solve_windows` call solves the class."""
+def gap_fill(table: np.ndarray) -> dict:
+    """A predictor cache's starting entries for the models of `table`
+    (their `precision_table`): the predictor of every window of each gap
+    class of its span (g = 1 or 2) whose gather holds at most _FILL_GATHER
+    floats, keyed as the engine keys a window.  A class's windows share
+    one shape, so one window sizes the gather before `_gap_class` builds
+    the class's index, and one `_solve_windows` call solves the class."""
     span = table.shape[-1] - 1
-    gaps = span - len(offsets)
-    if gaps not in (1, 2) or math.comb(span, gaps) > room:
-        return None
-    keys, index, precision_side = _gap_class(span, gaps)
     models = table.shape[1]
-    if models * index.size > _FILL_GATHER or offsets not in keys:
-        return None
-    a, var = _solve_windows(index, table, precision_side)
-    # Each window's entry contiguous, as a single miss's is.
-    a = np.ascontiguousarray(a.reshape(models, len(keys), a.shape[1]).swapaxes(0, 1))
-    var = np.ascontiguousarray(var.reshape(models, len(keys)).T)
-    a.flags.writeable = var.flags.writeable = False
-    return dict(zip(keys, zip(a, var)))
+    entries = {}
+    for gaps in range(1, min(span, 2) + 1):
+        window, _ = _window_index(range(span - gaps, 0, -1), span + 1)
+        if models * math.comb(span, gaps) * window.size > _FILL_GATHER:
+            continue
+        keys, index, precision_side = _gap_class(span, gaps)
+        a, var = _solve_windows(index, table, precision_side)
+        # Each window's entry contiguous, as a single miss's is.
+        a = np.ascontiguousarray(a.reshape(models, len(keys), a.shape[1]).swapaxes(0, 1))
+        var = np.ascontiguousarray(var.reshape(models, len(keys)).T)
+        a.flags.writeable = var.flags.writeable = False
+        entries.update(zip(keys, zip(a, var)))
+    return entries
 
 
 def cholesky(V: np.ndarray) -> np.ndarray:
@@ -603,20 +606,10 @@ def gp_predict(
     function of its key alone, so a cache can be shared by any number of
     streams.  Keys equal by value (3, 3.0, np.int32(3)) share an entry, and
     a hit needs no check: its key equals a checked one.  A hit only reads
-    the cache; a miss adds its entry or its gap class, once computed.
-
-    The gap class of a window that is the offsets 1..span less g = 1 or 2
-    of them (span the table's) is all C(span, g) such windows, keyed as
-    tuples of ints in descending order, as the engine keys a window.  A
-    class entry is the bits of its window's own miss.  The class is added
-    only where its gather holds at most _FILL_GATHER floats, so a fill is
-    one batch of bounded cost, and where the cache has room for all of it,
-    so a fill drops no entry and a class is filled at most once per cache:
-    only a full cache drops entries, and it has no room for a fill.  At
-    tau=20 that fills both classes up to M=2 and the one-gap class up to
-    M=39; a larger M leaves such windows to single misses.  Any other miss
-    adds its own entry, first dropping the oldest entry of a cache holding
-    PREDICTOR_CACHE_SIZE.
+    the cache.  A miss adds its own entry, first dropping the oldest entry
+    of a cache holding PREDICTOR_CACHE_SIZE.  `engine.initialize` starts a
+    cache with the gap classes of `gap_fill`, each entry the bits of its
+    window's own miss.
 
     The means are mean + a·(y - mean), one row-wise product for all
     models with the entry's mean weights, so a hit gives the bits of a
@@ -629,15 +622,10 @@ def gp_predict(
         raise ValueError("offsets and train_y must have the same length")
     hit = cache.get(offsets)
     if hit is None:
-        filled = _class_entries(offsets, table, PREDICTOR_CACHE_SIZE - len(cache))
-        if filled is None:
-            hit = predictor(offsets, table)
-            if len(cache) >= PREDICTOR_CACHE_SIZE:
-                del cache[next(iter(cache))]
-            cache[offsets] = hit
-        else:
-            cache.update(filled)
-            hit = filled[offsets]
+        hit = predictor(offsets, table)
+        if len(cache) >= PREDICTOR_CACHE_SIZE:
+            del cache[next(iter(cache))]
+        cache[offsets] = hit
     a, var = hit
     return mean + np.vecdot(a, ys - mean), var
 

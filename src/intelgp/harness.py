@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -216,15 +216,14 @@ def _built(key: str, build, value):
         raise ValueError(f"{key!r}: {exc}") from None
 
 
-# The config keys.  The engine keys are EngineConfig's fields ("kernel"
-# sets kernel_kind), their values passed to it unconverted but for the two
-# that name an object, "factors" and "kernel", which are built first;
-# EngineConfig and VariantFactors check every engine value.  The data keys
-# select the data, are checked here (normalization by `run`) and default to
-# `_DATA_DEFAULTS`.  `intelgp run` takes each key from the flag of the same
-# dest.
-_ENGINE_KEYS = ("tau", "alpha", "n_outliers", "mean_period", "init_count", "factors",
-                "kernel", "seed")
+# The config keys.  The engine keys are EngineConfig's fields, in their
+# order ("kernel" sets kernel_kind), their values passed to it unconverted
+# but for the two that name an object, "factors" and "kernel", which are
+# built first; EngineConfig and VariantFactors check every engine value.
+# The data keys select the data, are checked here (normalization by `run`)
+# and default to `_DATA_DEFAULTS`.  `intelgp run` takes each key from the
+# flag of the same dest.
+_ENGINE_KEYS = tuple("kernel" if f.name == "kernel_kind" else f.name for f in fields(EngineConfig))
 _DATA_DEFAULTS = {"column": "value", "normalization": "init", "row_start": None, "row_end": None}
 CONFIG_KEYS = _ENGINE_KEYS + tuple(_DATA_DEFAULTS)
 

@@ -645,8 +645,10 @@ class TestMeanRefresh:
 
 class TestPredictorCache:
     def test_matches_uncached_gp_predict_at_every_step(self, monkeypatch):
-        # A small limit makes the cache evict entries within the stream.
+        # A small limit makes the cache evict entries within the stream,
+        # and with no gap class filled every window is a single miss.
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 4)
+        monkeypatch.setattr(gp, "_FILL_GATHER", 0)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         assert len(state.cache) == 0
@@ -670,23 +672,18 @@ class TestPredictorCache:
 
     def test_each_distinct_window_key_misses_once(self, monkeypatch):
         # The cache key is the key perfbench/spans.window_keys counts, so no
-        # key is computed twice, a single miss's or a gap class's, and its
-        # repeat share is at most the hit share.
+        # key is computed twice, a single miss's or one `initialize` fills,
+        # and its repeat share is at most the hit share.
         computed = []
 
         def counted(offsets, table, _original=gp.predictor):
             computed.append(offsets)
             return _original(offsets, table)
 
-        def counted_class(offsets, table, room, _original=gp._class_entries):
-            filled = _original(offsets, table, room)
-            computed.extend(filled or ())
-            return filled
-
         monkeypatch.setattr(gp, "predictor", counted)
-        monkeypatch.setattr(gp, "_class_entries", counted_class)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
+        computed.extend(state.cache)
         keys = set()
         for y in stream:
             keys.add(window_offsets(state))
@@ -697,16 +694,18 @@ class TestPredictorCache:
 
     @pytest.mark.parametrize("gather, classes", [(None, (1,)), (1 << 30, (1, 2))])
     def test_matches_uncached_gp_predict_with_gap_class_fills(self, monkeypatch, gather, classes):
-        # At the default limit the one- and two-gap windows of the stream
-        # fill the gap classes that fit the gather cap (at M=8 the one-gap
-        # class, without it both), and every step still gives the bits of
+        # `initialize` fills the gap classes that fit the gather cap (at
+        # M=8 the one-gap class, without it both), the stream's one- and
+        # two-gap windows hit them, and every step still gives the bits of
         # an uncached prediction.
         if gather is not None:
             monkeypatch.setattr(gp, "_FILL_GATHER", gather)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         tau = EIGHT_MODEL.tau
-        most_gaps, fills = 0, Counter()
+        filled = set().union(*(gap_class(tau, gaps) for gaps in classes))
+        assert set(state.cache) == filled
+        most_gaps, served = 0, Counter()
         for y in stream:
             offsets = window_offsets(state)
             means, variances = gp_predict(
@@ -715,24 +714,27 @@ class TestPredictorCache:
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
             before = len(state.cache)
+            miss = offsets not in state.cache
             state, out = step(state, y)
             assert out.means.tobytes() == means.tobytes()
             assert out.variances.tobytes() == variances.tobytes()
-            if len(state.cache) - before > 1:
-                fills[tau - len(offsets)] += 1
+            assert len(state.cache) - before == miss
+            if offsets in filled:
+                served[tau - len(offsets)] += 1
         assert most_gaps == 2
-        assert fills == dict.fromkeys(classes, 1)
-        for gaps in classes:
-            assert gap_class(tau, gaps) <= set(state.cache)
+        assert set(served) == set(classes)
         assert len(state.cache) < gp.PREDICTOR_CACHE_SIZE
 
-    def test_every_initialize_starts_cold(self):
+    def test_every_initialize_starts_a_new_cache_of_the_classes_that_fit(self):
+        # At M=8 and tau=20 the one-gap class fits the gather cap and the
+        # two-gap class does not.
         history, stream = flat_stream(53)
         first = initialize(np.arange(60), history, EIGHT_MODEL)
+        assert set(first.cache) == gap_class(20, 1)
         stream_through(first, stream[:20])
-        assert len(first.cache) > 0
+        assert len(first.cache) > 20
         second = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert len(second.cache) == 0
+        assert set(second.cache) == gap_class(20, 1)
         assert second.cache is not first.cache
 
     def test_full_cache_drops_its_oldest_insertion(self, monkeypatch):
@@ -763,18 +765,20 @@ class TestPredictorCache:
                 self.writes += len(other)
                 super().update(other)
 
-        table = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL).table
-        cache = CountingDict()
-        # a is the full window and misses alone; b lacks offset 20, so its
-        # miss adds the 20 windows of 1..20 less one offset.
+        state = initialize(np.arange(60), flat_stream(56)[0], EIGHT_MODEL)
+        table = state.table
+        cache = CountingDict(state.cache)
+        # a is the full window and misses; b lacks offset 20, a window of
+        # the one-gap class that `initialize` filled, and hits.
         a, b = tuple(range(20, 0, -1)), tuple(range(19, 0, -1))
         one_gap = gap_class(20, 1)
+        assert set(cache) == one_gap
         writes = []
         for offsets in (a, b, a, b, *one_gap):
             gp_predict(offsets, np.sin(20 - np.array(offsets)), 0.0, table, cache)
             writes.append(cache.writes)
-        assert writes == [1] + [21] * (len(writes) - 1)
-        assert list(cache)[0] == a and set(list(cache)[1:]) == one_gap
+        assert writes == [1] * len(writes)
+        assert set(list(cache)[:-1]) == one_gap and list(cache)[-1] == a
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)

@@ -617,16 +617,15 @@ class TestWrappedNames:
         assert calls == {}
 
     def test_a_fill_factors_once_and_its_windows_then_hit(self, calls):
-        # At M=2 and tau=20 a gap class is one batch.
+        # At M=2 and tau=20 both gap classes fit, each one batch.
         table = precision_table(fixed_case(2, [])[0], 20)
         calls.clear()
-        cache = {}
-        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.1, table, cache)
-        assert calls == {"chol_with_jitter": 1} and len(cache) == 190
+        cache = gp.gap_fill(table)
+        assert calls == {"chol_with_jitter": 2} and len(cache) == 20 + 190
         calls.clear()
         for key in list(cache):
             gp_predict(key, np.cos(key), 0.1, table, cache)
-        assert calls == {} and len(cache) == 190
+        assert calls == {} and len(cache) == 20 + 190
 
     def test_the_build_factors_and_solves_once_per_model(self, calls):
         models = (TestStackFallback.GOOD, TestStackFallback.BAD, TestStackFallback.GOOD)
@@ -829,11 +828,8 @@ class TestMissBookkeeping:
             assert np.abs(a[m] - a_ref).sum() <= tolerance
             assert abs(var[m] - var_ref) <= tolerance * var_ref
         means, variances = gp_predict(key, np.sin(ts), 0.2, table, cache)
-        # The miss adds its own entry, or, for the offsets 1..span less one
-        # or two of them in descending order, the entries of its gap class.
-        gaps = span - len(key)
-        added = math.comb(span, gaps) if gaps in (1, 2) and key in gap_class(span, gaps) else 1
-        assert list(cache)[0] == b"x" and key in cache and len(cache) == 1 + added
+        # The miss adds its own entry, whatever its gaps.
+        assert list(cache) == [b"x", key]
         hit_a, hit_var = cache[key]
         assert (hit_a.tobytes(), hit_var.tobytes()) == (a.tobytes(), var.tobytes())
         assert means.tobytes() == (0.2 + np.vecdot(a, np.sin(ts) - 0.2)).tobytes()
@@ -851,8 +847,9 @@ def gap_class(span, gaps):
 
 
 class TestGapClassFill:
-    """A miss of the offsets 1..span less one or two of them adds the
-    entries of every such window, where the cache has room for them all."""
+    """`gap_fill` gives the entries of every window of the offsets 1..span
+    less one or two of them, each such class whose gather fits the cap, and
+    a miss adds only its own entry."""
 
     @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
     @pytest.mark.parametrize("span, gaps", [
@@ -866,11 +863,10 @@ class TestGapClassFill:
         monkeypatch.setattr(gp, "_FILL_GATHER", 1 << 30)
         table = precision_table(fixed_case(n_models, [])[0], span)
         keys = gap_class(span, gaps)
-        first = max(keys)
-        cache = {}
-        gp_predict(first, np.sin(first), 0.3, table, cache)
-        assert set(cache) == keys and len(cache) == math.comb(span, gaps)
-        for key, (a, var) in cache.items():
+        filled = gp.gap_fill(table)
+        assert set(filled) == set().union(*(gap_class(span, g) for g in (1, 2) if g <= span))
+        for key in keys:
+            a, var = filled[key]
             assert all(type(v) is int for v in key)
             want_a, want_var = predictor(key, table)
             assert a.shape == want_a.shape and a.flags.c_contiguous
@@ -889,33 +885,50 @@ class TestGapClassFill:
     def test_a_class_whose_gather_exceeds_the_cap_is_not_filled(self, n_models, key, filled):
         # A one-gap window gathers 21 x 2 floats per model, a two-gap
         # window 21 x 3, so at tau=20 the 32,768-float cap fills the
-        # one-gap class up to M=39 and the two-gap class up to M=2.
+        # one-gap class up to M=39 and the two-gap class up to M=2.  A
+        # window of a class left out is a single miss.
         table = precision_table((fixed_case(27, [])[0] * 2)[:n_models], 20)
-        cache = {}
+        cache = gp.gap_fill(table)
+        assert len(set(cache) & gap_class(20, 20 - len(key))) == filled
+        assert (key in cache) == (filled > 0)
         gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
-        assert len(cache) == (filled or 1) and key in cache
         a, var = cache[key]
         want_a, want_var = predictor(key, table)
         assert (a.tobytes(), var.tobytes()) == (want_a.tobytes(), want_var.tobytes())
 
-    def test_a_fill_drops_no_entry(self):
-        table = precision_table(TestKernelTable.MODELS, 20)
-        cache = {("old", i): None for i in range(gp.PREDICTOR_CACHE_SIZE - 190)}
-        older = list(cache)
-        gp_predict(tuple(range(20, 2, -1)), np.zeros(18), 0.0, table, cache)
-        assert len(cache) == gp.PREDICTOR_CACHE_SIZE
-        assert list(cache)[:len(older)] == older
-        assert set(list(cache)[len(older):]) == gap_class(20, 2)
+    def test_no_starting_cache_exceeds_the_cache_size(self):
+        # One model gathers the least, so it fills the most: both classes
+        # up to tau=27 (27 + 351 windows), the one-gap class alone up to
+        # tau=127, none past it.  No fill need drop an entry.
+        model = fixed_case(1, [])[0]
+        sizes = {span: len(gp.gap_fill(precision_table(model, span))) for span in range(1, 131)}
+        assert max(sizes.values()) == sizes[27] == 378 <= gp.PREDICTOR_CACHE_SIZE
+        assert sizes[28] == 28 and sizes[127] == 127 and sizes[128] == 0
+
+    @pytest.mark.parametrize("span, built", [(20, [(20, 1)]), (200, [])])
+    def test_the_cap_is_checked_before_a_class_index_is_built(self, monkeypatch, span, built):
+        # At M=8 the two-gap class at tau=20, and both classes at
+        # tau=200, exceed the cap: their indices are never built.
+        calls = []
+
+        def counted(*args, _original=gp._gap_class):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(gp, "_gap_class", counted)
+        gp.gap_fill(precision_table(fixed_case(8, [])[0], span))
+        assert calls == built
 
     @pytest.mark.parametrize("limit, key", [
         (2, tuple(range(20, 2, -1))),
         (190, tuple(range(20, 2, -1))),
         (2, tuple(range(19, 0, -1))),
         (20, tuple(range(19, 0, -1))),
+        (1024, tuple(range(20, 2, -1))),
+        (1024, tuple(range(19, 0, -1))),
     ])
     def test_without_room_a_miss_adds_only_its_own_entry(self, monkeypatch, limit, key):
-        # With one entry held, a class of C(20, g) windows needs a limit
-        # of at least C(20, g) + 1.
+        # Whatever the room, a miss of a gap-class window fills no class.
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", limit)
         table = precision_table(TestKernelTable.MODELS, 20)
         cache = {"held": None}
@@ -946,14 +959,15 @@ class TestGapClassFill:
         assert list(cache) == [key]
 
     @pytest.mark.parametrize("cast", [np.int32, float])
-    def test_a_key_of_another_integer_type_fills_its_class(self, cast):
+    def test_a_key_of_another_integer_type_hits_its_class_entry(self, cast):
         # Equal by value to a class key, it is served from the class.
         table = precision_table(TestKernelTable.MODELS, 6)
-        cache = {}
+        cache = gp.gap_fill(table)
+        filled = list(cache)
         key = tuple(cast(v) for v in (6, 5, 4, 3, 1))
         ys = np.sin(key)
         got = gp_predict(key, ys, 0.1, table, cache)
-        assert set(cache) == gap_class(6, 1)
+        assert list(cache) == filled
         a, var = predictor((6, 5, 4, 3, 1), table)
         assert as_bytes(got) == as_bytes((0.1 + np.vecdot(a, ys - 0.1), var))
 

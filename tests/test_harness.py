@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, the run loop, and the benchmark harness."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -19,6 +20,7 @@ from intelgp import harness
 from intelgp.engine import EngineConfig, StepOutput, Verdict, initialize, step
 from intelgp.gp import KernelKind, PredictiveDistribution
 from intelgp.harness import (
+    CONFIG_KEYS,
     InputError,
     bench,
     config_from_mapping,
@@ -170,6 +172,28 @@ class TestConfigFromMapping:
         assert data == {
             "column": "reading", "normalization": "full", "row_start": 5, "row_end": 50
         }
+
+    # Per EngineConfig field: its config key, a value there and the
+    # field's value from it, none of them the default.
+    FIELD_SETTINGS = {
+        "tau": ("tau", 7, 7),
+        "alpha": ("alpha", 0.5, 0.5),
+        "n_outliers": ("n_outliers", 2, 2),
+        "mean_period": ("mean_period", 4, 4),
+        "init_count": ("init_count", 90, 90),
+        "factors": ("factors", {"l": 0.2}, VariantFactors(length=(1.0, 0.2))),
+        "kernel_kind": ("kernel", "se", KernelKind.SQUARED_EXPONENTIAL),
+        "seed": ("seed", 3, 3),
+    }
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(EngineConfig)])
+    def test_every_engine_config_field_can_be_set(self, field):
+        # A field added to EngineConfig is a config key, and `intelgp run`
+        # flag, with no list of keys to extend.
+        key, value, want = self.FIELD_SETTINGS[field]
+        assert key in CONFIG_KEYS
+        assert want != getattr(EngineConfig(), field)
+        assert getattr(config_from_mapping({key: value})[0], field) == want
 
     def test_paper_bench_config_parses(self):
         doc = json.loads((Path(__file__).parent.parent / "benchmarks" / "paper.json").read_text())

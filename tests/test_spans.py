@@ -34,17 +34,21 @@ def test_every_boundary_fires_on_a_short_stream():
 def test_a_miss_on_a_gapped_window_factors_inside_gp_predict():
     # gp.chol_us_p50 is the median, over the engine.gp_predict spans, of
     # their gp.chol_with_jitter children: a miss that factored outside
-    # that name would read 0 there on glitchy_27m instead of failing.
+    # that name would read 0 there on glitchy_27m instead of failing.  At
+    # M=2 `initialize` fills the one- and two-gap classes, so the window
+    # takes three gaps to miss.
     config = EngineConfig(init_count=60, factors=VariantFactors((1.0, 0.2)), seed=0)
     history, stream = flat_stream(58)
     state = initialize(np.arange(60), history, config)
-    for y in stream[:4]:
-        state, _ = step(state, y)
-    state, out = step(state, stream[4] + 5.0)
-    assert out.verdict is Verdict.OUTLIER  # kept out of the window: a gap
+    for i, y in enumerate(stream[:11]):
+        spike = i in (4, 7, 10)
+        state, out = step(state, y + 5.0 if spike else y)
+        assert (out.verdict is Verdict.OUTLIER) == spike  # kept out of the window: a gap
+    t_star = state.current_t + 1
+    assert tuple(t_star - t for t in state.window.times) not in state.cache
     tracer = spans.Tracer()
     with spans.installed(tracer):
-        step(state, stream[5])
+        step(state, stream[11])
     names = tracer.name
     assert any(
         name == "gp.chol_with_jitter" and parent >= 0 and names[parent] == "engine.gp_predict"
@@ -56,7 +60,8 @@ def test_one_factorization_per_fit_evaluation():
     # Each evaluation of the fit objective factors the covariance once and
     # solves once; the reported LML at the chosen point is one more
     # covariance, factorization and solve.  The precision table then
-    # factors and solves once per model.  No rung of the jitter ladder is
+    # factors and solves once per model, and the predictor cache's fill
+    # factors once per gap class, with pbtrf, not `gp.cholesky`.  No rung of the jitter ladder is
     # needed here, so each factorization is one `gp.cholesky` call.  The
     # benchmark reads its layers through these names, so a call moved out
     # of them fails here.
@@ -69,7 +74,9 @@ def test_one_factorization_per_fit_evaluation():
     models = len(state.models)
     assert evaluations > 0
     assert models == 2
-    assert tracer.count("gp.chol_with_jitter") == evaluations + 1 + models
+    classes = 2  # both gap classes fit at M=2, tau=20: 20 + 190 windows
+    assert len(state.cache) == 20 + 190
+    assert tracer.count("gp.chol_with_jitter") == evaluations + 1 + models + classes
     assert tracer.count("gp.cholesky") == evaluations + 1 + models
     assert tracer.count("gp.cho_solve") == evaluations + 1
     assert tracer.count("gp.noisy_covariance") == 1

@@ -151,8 +151,9 @@ class EngineState:
     matrices; every window lies within `tau` of the next time.  `cache` is
     the predictor cache (see `gp.gp_predict`), which `initialize` starts
     with the windows of the offsets 1..tau less one or two of them, each
-    such gap class few enough for one batch (`gp.gap_fill`), and to which
-    only a miss writes, adding its own entry.  `initialize` builds both,
+    such gap class few enough for one batch, and with the windows of the
+    newest 1..tau-1 offsets, which a change point regrows (`gp.gap_fill`),
+    and to which only a miss writes, adding its own entry.  `initialize` builds both,
     the kernel checked finite and each model's jitter chosen there, and
     `step` passes them on, so a stream and its forks share them.  Both
     are left out of equality, which compares the weights by value, and out
@@ -337,7 +338,8 @@ def initialize(history_t, history_y, config: EngineConfig) -> EngineState:
     finite.  The fit and the precision table run with scipy's BLAS on one
     thread (`gp.one_blas_thread`), so the state's bits do not depend on
     the BLAS thread count.  A new predictor cache starts with the table's
-    gap classes (`gp.gap_fill`), computed as misses are, outside that pin.
+    gap classes and the windows a change point regrows (`gp.gap_fill`),
+    computed as misses are, outside that pin.
     """
     ts = np.asarray(history_t, dtype=float)
     ys = np.asarray(history_y, dtype=float)

@@ -15,7 +15,8 @@ positions, and the rows and columns it gathers) is done on Python ints: a
 window holds at most tau + 1 of them, too few for numpy's per-call cost to
 pay off.  A cache starts with the windows of the offsets 1..tau less one
 or two of them, each such gap class that is small enough to solve in one
-batch through the same gather, factorization and solve.  The fit's
+batch through the same gather, factorization and solve, and with the
+windows a change point regrows, the newest 1..tau-1 offsets.  The fit's
 gradient needs only the per-distance sums of V⁻¹: on equally spaced
 sorted inputs, where V is Toeplitz, they come from one more column of the
 potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on any other inputs
@@ -53,11 +54,12 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # weights and M variances); a full cache drops its oldest entry.
 PREDICTOR_CACHE_SIZE = 1024
 
-# Floats a gap class's fill gathers at most (256 KiB).  A larger class is
-# not filled, so a fill is one batch, adds little to peak memory and costs
-# `engine.initialize` at most about seven misses' time.  At tau=20 both
-# classes are filled up to M=2 and the one-gap class up to M=39.
-_FILL_GATHER = 1 << 15
+# Floats a fill gathers at most, per gap class and for the change-point
+# family (1 MiB).  A larger class is not filled, so a class's fill is one
+# batch and adds little to peak memory.  At tau=20 the two-gap class is
+# filled up to M=10 (95,760 floats at M=8, 323,190 at M=27), the one-gap
+# class up to M=156 and the change-point family up to M=76.
+_FILL_GATHER = 1 << 17
 
 # LAPACK's triangular solve, Cholesky factorization, and inverse and solve
 # from a Cholesky factor, and banded Cholesky factorization and solve for
@@ -245,13 +247,24 @@ def distance_table(xs) -> tuple[np.ndarray, np.ndarray, bool]:
     alone would not show it: the distances of 0, 1e-20 and 1 round to
     three distinct values, in order from the first input, yet |1e-20 - 1|
     rounds to 1.
+
+    Equally spaced integers below 2**53 in magnitude, the times the engine
+    fits on, skip the sort: each step between neighbours is exact, so the
+    distances are the step times 0..n-1, each rounded once, as the
+    subtraction rounds it, and the table is the one `np.unique` would
+    build, bit for bit.  The sort of n² distances costs 1.3 ms at n=200.
     """
     x = np.asarray(xs, dtype=float)
     n = x.size
+    i = np.arange(n)
+    lags = np.abs(i[:, None] - i[None, :])
+    step = x[1] - x[0] if n > 1 else 1.0
+    if (n and step != 0.0 and np.all(np.abs(x) < 2.0**53)
+            and np.array_equal(x, np.round(x)) and np.all(np.diff(x) == step)):
+        return abs(step) * i, lags, True
     d, where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
     where = where.reshape(n, n)
-    i = np.arange(n)
-    toeplitz = d.size == n and np.array_equal(where, np.abs(i[:, None] - i[None, :]))
+    toeplitz = d.size == n and np.array_equal(where, lags)
     return d, where, bool(toeplitz)
 
 
@@ -502,35 +515,65 @@ def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
     return a, var
 
 
+def _gather_floats(span: int, n: int) -> int:
+    """Floats one model's system gathers for a window of n offsets within
+    1..span (`_window_index`): span + 1 rows of the span - n gaps and the
+    test position on the precision side, where the gaps are no more than
+    the offsets, else the n + 1 rows and columns of the window and the test
+    position."""
+    gaps = span - n
+    return (span + 1) * (gaps + 1) if gaps <= n else (n + 1) * (n + 1)
+
+
 @lru_cache(maxsize=4)  # an index holds at most _FILL_GATHER entries
 def _gap_class(span: int, gaps: int):
     """The windows of the offsets 1..span less `gaps` of them, their gap
     class: their keys as the engine builds them, tuples of ints in
     descending order; their `_window_index` indices, stacked to (K, rows,
-    k+1); and whether their systems are the precision's."""
-    full = range(span, 0, -1)
-    keys = tuple(
-        tuple(p for p in full if p not in holes) for holes in itertools.combinations(full, gaps)
-    )
-    indices, sides = zip(*(_window_index(key, span + 1) for key in keys))
-    index = np.array(indices)
+    k+1); and whether their systems are the precision's.
+
+    Every window holds the test position 0, so its positions are its
+    offsets and the rest is its gaps, in ascending order: the index is
+    worked out from the gaps of all K windows at once, without a
+    `_window_index` call per window."""
+    holes = np.array(list(itertools.combinations(range(span, 0, -1), gaps))).reshape(-1, gaps)
+    kept = np.ones((len(holes), span), dtype=bool)
+    np.put_along_axis(kept, span - holes, False, axis=1)  # offset p is column span - p
+    windows = np.broadcast_to(np.arange(span, 0, -1), kept.shape)[kept].reshape(len(holes), -1)
+    test = np.zeros((len(holes), 1), dtype=windows.dtype)
+    precision_side = gaps <= span - gaps
+    if precision_side:
+        block = np.concatenate((holes[:, ::-1], test), axis=1)
+        rows = np.concatenate((block, windows), axis=1)
+    else:
+        block = rows = np.concatenate((windows, test), axis=1)
+    index = rows[:, :, None] * (span + 1) + block[:, None, :]
     index.flags.writeable = False  # shared by every call through the cache
-    return keys, index, sides[0]
+    return tuple(map(tuple, windows.tolist())), index, precision_side
 
 
 def gap_fill(table: np.ndarray) -> dict:
     """A predictor cache's starting entries for the models of `table`
-    (their `precision_table`): the predictor of every window of each gap
-    class of its span (g = 1 or 2) whose gather holds at most _FILL_GATHER
-    floats, keyed as the engine keys a window.  A class's windows share
-    one shape, so one window sizes the gather before `_gap_class` builds
-    the class's index, and one `_solve_windows` call solves the class."""
+    (their `precision_table`), keyed as the engine keys a window: the
+    predictor of every window of each gap class of its span (the offsets
+    1..span less g = 1 or 2 of them), then of each window a change point
+    regrows (the newest n offsets n..1, for n < span, not in a class).
+
+    A class, or the change-point family as a whole, is filled only when
+    its gather holds at most _FILL_GATHER floats and the entries so far
+    and its own number at most PREDICTOR_CACHE_SIZE, so no start drops an
+    entry.  Both are sized by arithmetic before any index is built.  A
+    class's windows share one shape: one `_solve_windows` call solves the
+    class.  The family's windows differ in shape: each is a batch of one,
+    as its miss is.  The full window span..1 is left out: it is the first
+    step's miss on any contiguous history."""
     span = table.shape[-1] - 1
     models = table.shape[1]
     entries = {}
     for gaps in range(1, min(span, 2) + 1):
-        window, _ = _window_index(range(span - gaps, 0, -1), span + 1)
-        if models * math.comb(span, gaps) * window.size > _FILL_GATHER:
+        count = math.comb(span, gaps)
+        if (models * count * _gather_floats(span, span - gaps) > _FILL_GATHER
+                or len(entries) + count > PREDICTOR_CACHE_SIZE):
             continue
         keys, index, precision_side = _gap_class(span, gaps)
         a, var = _solve_windows(index, table, precision_side)
@@ -539,6 +582,12 @@ def gap_fill(table: np.ndarray) -> dict:
         var = np.ascontiguousarray(var.reshape(models, len(keys)).T)
         a.flags.writeable = var.flags.writeable = False
         entries.update(zip(keys, zip(a, var)))
+    regrown = [key for n in range(1, span) if (key := tuple(range(n, 0, -1))) not in entries]
+    if (models * sum(_gather_floats(span, len(key)) for key in regrown) <= _FILL_GATHER
+            and len(entries) + len(regrown) <= PREDICTOR_CACHE_SIZE):
+        for key in regrown:
+            index, precision_side = _window_index(key, span + 1)
+            entries[key] = _solve_windows(index, table, precision_side)
     return entries
 
 
@@ -608,8 +657,8 @@ def gp_predict(
     a hit needs no check: its key equals a checked one.  A hit only reads
     the cache.  A miss adds its own entry, first dropping the oldest entry
     of a cache holding PREDICTOR_CACHE_SIZE.  `engine.initialize` starts a
-    cache with the gap classes of `gap_fill`, each entry the bits of its
-    window's own miss.
+    cache with `gap_fill`'s gap classes and change-point windows, each
+    entry the bits of its window's own miss.
 
     The means are mean + a·(y - mean), one row-wise product for all
     models with the entry's mean weights, so a hit gives the bits of a

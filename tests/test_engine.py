@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import flat_stream, shift_stream, spike_stream
-from test_gp import gap_class, oracle_predict
+from test_gp import change_point_windows, gap_class, oracle_predict
 
 from intelgp import fit, gp
 from intelgp.engine import (
@@ -692,18 +692,22 @@ class TestPredictorCache:
         assert set(computed) >= keys
         assert len(keys) < len(stream)
 
-    @pytest.mark.parametrize("gather, classes", [(None, (1,)), (1 << 30, (1, 2))])
+    @pytest.mark.parametrize("gather, classes", [
+        (None, (1, 2)), (1 << 30, (1, 2)), (1 << 15, (1,)),
+    ])
     def test_matches_uncached_gp_predict_with_gap_class_fills(self, monkeypatch, gather, classes):
         # `initialize` fills the gap classes that fit the gather cap (at
-        # M=8 the one-gap class, without it both), the stream's one- and
-        # two-gap windows hit them, and every step still gives the bits of
-        # an uncached prediction.
+        # M=8 both, as without the cap; one under a quarter of it) and the
+        # windows a change point regrows.  The stream's one- and two-gap
+        # windows and its regrowing window hit them, and every step still
+        # gives the bits of an uncached prediction.
         if gather is not None:
             monkeypatch.setattr(gp, "_FILL_GATHER", gather)
         history, stream = gapped_shift_stream(52)
         state = initialize(np.arange(60), history, EIGHT_MODEL)
         tau = EIGHT_MODEL.tau
-        filled = set().union(*(gap_class(tau, gaps) for gaps in classes))
+        regrown = change_point_windows(tau)
+        filled = set().union(*(gap_class(tau, gaps) for gaps in classes), regrown)
         assert set(state.cache) == filled
         most_gaps, served = 0, Counter()
         for y in stream:
@@ -719,23 +723,42 @@ class TestPredictorCache:
             assert out.means.tobytes() == means.tobytes()
             assert out.variances.tobytes() == variances.tobytes()
             assert len(state.cache) - before == miss
-            if offsets in filled:
+            if offsets in regrown:
+                served["change point"] += 1
+            elif offsets in filled:
                 served[tau - len(offsets)] += 1
         assert most_gaps == 2
-        assert set(served) == set(classes)
+        assert set(served) == {*classes, "change point"}
         assert len(state.cache) < gp.PREDICTOR_CACHE_SIZE
 
     def test_every_initialize_starts_a_new_cache_of_the_classes_that_fit(self):
-        # At M=8 and tau=20 the one-gap class fits the gather cap and the
-        # two-gap class does not.
+        # At M=8 and tau=20 both gap classes fit the gather cap, and so do
+        # the windows a change point regrows.
+        start = gap_class(20, 1) | gap_class(20, 2) | change_point_windows(20)
         history, stream = flat_stream(53)
         first = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert set(first.cache) == gap_class(20, 1)
+        assert set(first.cache) == start
         stream_through(first, stream[:20])
-        assert len(first.cache) > 20
+        assert len(first.cache) > len(start)
         second = initialize(np.arange(60), history, EIGHT_MODEL)
-        assert set(second.cache) == gap_class(20, 1)
+        assert set(second.cache) == start
         assert second.cache is not first.cache
+
+    def test_a_change_point_regrows_its_window_without_a_miss(self):
+        # From the bucket's 3..1 the window grows one offset a step until
+        # it is full again; the full window 20..1 was the first step's
+        # miss, and `initialize` filled the others.
+        history, stream, onset = shift_stream(57)
+        state, outputs = stream_through(initialize(np.arange(60), history, EIGHT_MODEL),
+                                        stream[:onset + 3])
+        assert [out.verdict for out in outputs[onset:]] == [Verdict.OUTLIER] * 2 + [
+            Verdict.CHANGE_POINT]
+        entries = len(state.cache)
+        for n in range(3, 21):
+            assert window_offsets(state) == tuple(range(n, 0, -1))
+            state, out = step(state, stream[onset + n])
+            assert out.verdict is Verdict.INLIER
+            assert len(state.cache) == entries
 
     def test_full_cache_drops_its_oldest_insertion(self, monkeypatch):
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", 2)
@@ -771,14 +794,14 @@ class TestPredictorCache:
         # a is the full window and misses; b lacks offset 20, a window of
         # the one-gap class that `initialize` filled, and hits.
         a, b = tuple(range(20, 0, -1)), tuple(range(19, 0, -1))
-        one_gap = gap_class(20, 1)
-        assert set(cache) == one_gap
+        start = set(cache)
+        assert b in start and a not in start
         writes = []
-        for offsets in (a, b, a, b, *one_gap):
+        for offsets in (a, b, a, b, *start):
             gp_predict(offsets, np.sin(20 - np.array(offsets)), 0.0, table, cache)
             writes.append(cache.writes)
         assert writes == [1] * len(writes)
-        assert set(list(cache)[:-1]) == one_gap and list(cache)[-1] == a
+        assert set(list(cache)[:-1]) == start and list(cache)[-1] == a
 
     def test_cache_is_out_of_equality_and_repr(self):
         history, stream = flat_stream(54)

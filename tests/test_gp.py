@@ -617,15 +617,16 @@ class TestWrappedNames:
         assert calls == {}
 
     def test_a_fill_factors_once_and_its_windows_then_hit(self, calls):
-        # At M=2 and tau=20 both gap classes fit, each one batch.
+        # At M=2 and tau=20 both gap classes fit, each one batch, and the
+        # 17 windows a change point regrows outside them are one each.
         table = precision_table(fixed_case(2, [])[0], 20)
         calls.clear()
         cache = gp.gap_fill(table)
-        assert calls == {"chol_with_jitter": 2} and len(cache) == 20 + 190
+        assert calls == {"chol_with_jitter": 2 + 17} and len(cache) == 20 + 190 + 17
         calls.clear()
         for key in list(cache):
             gp_predict(key, np.cos(key), 0.1, table, cache)
-        assert calls == {} and len(cache) == 20 + 190
+        assert calls == {} and len(cache) == 20 + 190 + 17
 
     def test_the_build_factors_and_solves_once_per_model(self, calls):
         models = (TestStackFallback.GOOD, TestStackFallback.BAD, TestStackFallback.GOOD)
@@ -846,10 +847,29 @@ def gap_class(span, gaps):
     }
 
 
+def change_point_windows(span):
+    """The windows a change point regrows within the offsets 1..span, the
+    newest n..1 for n < span, as the engine keys them."""
+    return {tuple(range(n, 0, -1)) for n in range(1, span)}
+
+
+def assert_own_miss(entry, key, table):
+    """A starting entry holds the bits, shapes and flags of its key's miss."""
+    a, var = entry
+    assert all(type(v) is int for v in key)
+    want_a, want_var = predictor(key, table)
+    assert a.shape == want_a.shape and a.flags.c_contiguous
+    assert var.shape == want_var.shape and var.flags.c_contiguous
+    assert not a.flags.writeable and not var.flags.writeable
+    assert a.tobytes() == want_a.tobytes()
+    assert var.tobytes() == want_var.tobytes()
+
+
 class TestGapClassFill:
     """`gap_fill` gives the entries of every window of the offsets 1..span
     less one or two of them, each such class whose gather fits the cap, and
-    a miss adds only its own entry."""
+    of every window a change point regrows, and a miss adds only its own
+    entry."""
 
     @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
     @pytest.mark.parametrize("span, gaps", [
@@ -862,52 +882,95 @@ class TestGapClassFill:
         # up to 190 windows of 27 models.
         monkeypatch.setattr(gp, "_FILL_GATHER", 1 << 30)
         table = precision_table(fixed_case(n_models, [])[0], span)
-        keys = gap_class(span, gaps)
         filled = gp.gap_fill(table)
-        assert set(filled) == set().union(*(gap_class(span, g) for g in (1, 2) if g <= span))
-        for key in keys:
-            a, var = filled[key]
-            assert all(type(v) is int for v in key)
-            want_a, want_var = predictor(key, table)
-            assert a.shape == want_a.shape and a.flags.c_contiguous
-            assert var.shape == want_var.shape and var.flags.c_contiguous
-            assert not a.flags.writeable and not var.flags.writeable
-            assert a.tobytes() == want_a.tobytes()
-            assert var.tobytes() == want_var.tobytes()
+        assert set(filled) == set().union(
+            *(gap_class(span, g) for g in (1, 2) if g <= span), change_point_windows(span)
+        )
+        for key in gap_class(span, gaps):
+            assert_own_miss(filled[key], key, table)
+
+    @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
+    @pytest.mark.parametrize("span", range(1, 21))
+    def test_every_change_point_entry_is_its_own_miss_bit_for_bit(self, n_models, span):
+        # Under the default cap: the windows n..1 that no class holds are
+        # solved one by one, each on the side its own miss takes.
+        table = precision_table(fixed_case(n_models, [])[0], span)
+        filled = gp.gap_fill(table)
+        assert change_point_windows(span) <= set(filled)
+        assert tuple(range(span, 0, -1)) not in filled  # the full window: the first miss
+        for key in change_point_windows(span):
+            assert_own_miss(filled[key], key, table)
+
+    @pytest.mark.parametrize("span, gaps", [
+        (span, gaps) for span in range(1, 21) for gaps in (1, 2) if gaps <= span
+    ])
+    def test_a_class_index_is_the_stack_of_its_windows_indices(self, span, gaps):
+        # Worked out from the gaps of the whole class, it equals one
+        # `_window_index` call per window, stacked, dtype included.
+        keys, index, precision_side = gp._gap_class(span, gaps)
+        full = range(span, 0, -1)
+        assert keys == tuple(
+            tuple(p for p in full if p not in holes)
+            for holes in itertools.combinations(full, gaps)
+        )
+        assert all(type(v) is int for key in keys for v in key)
+        indices, sides = zip(*(gp._window_index(key, span + 1) for key in keys))
+        want = np.array(indices)
+        assert (index.dtype, index.shape) == (want.dtype, want.shape)
+        assert index.tobytes() == want.tobytes()
+        assert set(sides) == {precision_side}
+        assert not index.flags.writeable
 
     @pytest.mark.parametrize("n_models, key, filled", [
         (2, tuple(range(20, 2, -1)), 190),
-        (3, tuple(range(20, 2, -1)), 0),
-        (27, tuple(range(20, 2, -1)), 0),
+        (10, tuple(range(20, 2, -1)), 190),
+        (27, tuple(range(20, 2, -1)), 1),
         (39, tuple(range(19, 0, -1)), 20),
-        (40, tuple(range(19, 0, -1)), 0),
+        (157, tuple(range(19, 0, -1)), 0),
+        (11, tuple(range(20, 2, -1)), 1),
+        (156, tuple(range(19, 0, -1)), 20),
     ])
     def test_a_class_whose_gather_exceeds_the_cap_is_not_filled(self, n_models, key, filled):
         # A one-gap window gathers 21 x 2 floats per model, a two-gap
-        # window 21 x 3, so at tau=20 the 32,768-float cap fills the
-        # one-gap class up to M=39 and the two-gap class up to M=2.  A
-        # window of a class left out is a single miss.
-        table = precision_table((fixed_case(27, [])[0] * 2)[:n_models], 20)
+        # window 21 x 3, so at tau=20 the 131,072-float cap fills the
+        # one-gap class up to M=156 and the two-gap class up to M=10.  A
+        # window of a class left out is a single miss, unless it is one a
+        # change point regrows: the family, filled up to M=76, then holds
+        # 18..1 of the two-gap class.
+        table = precision_table((fixed_case(27, [])[0] * 6)[:n_models], 20)
         cache = gp.gap_fill(table)
-        assert len(set(cache) & gap_class(20, 20 - len(key))) == filled
-        assert (key in cache) == (filled > 0)
+        windows = gap_class(20, 20 - len(key))
+        assert len(set(cache) & windows) == filled
+        assert (key in cache) == (filled == len(windows))
         gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
         a, var = cache[key]
         want_a, want_var = predictor(key, table)
         assert (a.tobytes(), var.tobytes()) == (want_a.tobytes(), want_var.tobytes())
 
-    def test_no_starting_cache_exceeds_the_cache_size(self):
-        # One model gathers the least, so it fills the most: both classes
-        # up to tau=27 (27 + 351 windows), the one-gap class alone up to
-        # tau=127, none past it.  No fill need drop an entry.
-        model = fixed_case(1, [])[0]
-        sizes = {span: len(gp.gap_fill(precision_table(model, span))) for span in range(1, 131)}
-        assert max(sizes.values()) == sizes[27] == 378 <= gp.PREDICTOR_CACHE_SIZE
-        assert sizes[28] == 28 and sizes[127] == 127 and sizes[128] == 0
+    @pytest.mark.parametrize("n_models", [1, 2])
+    def test_no_starting_cache_exceeds_the_cache_size(self, n_models):
+        # Few models gather the least, so they fill the most.  One model
+        # fills both classes and the change-point family up to tau=43;
+        # at tau=44 the family's 41 windows would take the start to 1,031
+        # entries, so it is left out.  Two models fill all three up to
+        # tau=35.  Then the one-gap class and the family fill to tau=90
+        # (M=1) or 71 (M=2), and the one-gap class alone past it.  No fill
+        # need drop an entry.
+        models = fixed_case(n_models, [])[0]
+        sizes = {span: len(gp.gap_fill(precision_table(models, span))) for span in range(1, 131)}
+        assert max(sizes.values()) <= gp.PREDICTOR_CACHE_SIZE
+        assert sizes[20] == 20 + 190 + 17
+        if n_models == 1:
+            assert max(sizes.values()) == sizes[44] == 44 + 946
+            assert sizes[43] == 43 + 903 + 40 and sizes[45] == 45 + 43
+            assert sizes[90] == 90 + 88 and sizes[91] == 91 and sizes[130] == 130
+        else:
+            assert max(sizes.values()) == sizes[35] == 35 + 595 + 32
+            assert sizes[36] == 36 + 34 and sizes[71] == 71 + 69 and sizes[72] == 72
 
     @pytest.mark.parametrize("span, built", [(20, [(20, 1)]), (200, [])])
     def test_the_cap_is_checked_before_a_class_index_is_built(self, monkeypatch, span, built):
-        # At M=8 the two-gap class at tau=20, and both classes at
+        # At M=27 the two-gap class at tau=20, and both classes at
         # tau=200, exceed the cap: their indices are never built.
         calls = []
 
@@ -916,7 +979,7 @@ class TestGapClassFill:
             return _original(*args)
 
         monkeypatch.setattr(gp, "_gap_class", counted)
-        gp.gap_fill(precision_table(fixed_case(8, [])[0], span))
+        gp.gap_fill(precision_table(fixed_case(27, [])[0], span))
         assert calls == built
 
     @pytest.mark.parametrize("limit, key", [
@@ -1242,6 +1305,51 @@ class TestDistanceTable:
         d, where, _ = distance_table(xs)
         assert d.size == n_distinct and np.all(np.diff(d) > 0)
         assert np.array_equal(d[where], np.abs(xs[:, None] - xs[None, :]))
+
+    @staticmethod
+    def counted_unique(monkeypatch):
+        """Count the calls of np.unique, the sort of the general path."""
+        calls = []
+
+        def counted(*args, _original=np.unique, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        return calls
+
+    @pytest.mark.parametrize("xs", [
+        np.arange(200.0),  # the engine's history times
+        np.arange(12.0)[::-1],  # descending
+        -7.0 + 3.0 * np.arange(30),  # step k, negative start
+        [5.0],  # n = 1
+        [4.0, -2.0],  # n = 2
+        [-(2.0**53 - 1), 2.0**53 - 1],  # a step of 2**54 - 2, still exact
+    ])
+    def test_equally_spaced_integers_skip_the_sort_to_the_same_bits(self, xs, monkeypatch):
+        x = np.asarray(xs, dtype=float)
+        n = x.size
+        want_d, want_where = np.unique(np.abs(x[:, None] - x[None, :]).ravel(), return_inverse=True)
+        want_where = want_where.reshape(n, n)
+        calls = self.counted_unique(monkeypatch)
+        d, where, toeplitz = distance_table(xs)
+        assert calls == [] and toeplitz is True
+        for got, want in ((d, want_d), (where, want_where)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("xs, toeplitz", [
+        ([0.0, 1.0, 1.0, 2.0], False),  # repeated
+        ([0.0, 0.0, 0.0], False),  # a step of 0
+        ([0.0, 0.5, 1.0, 1.5], True),  # equally spaced, not integers
+        ([0.0, 1e-20, 1.0], False),
+        ([0.0, 1.0, 3.0, 4.0], False),  # gapped
+        ([0.0, 2.0**53], True),  # beyond 2**53
+    ])
+    def test_other_inputs_take_the_sort(self, xs, toeplitz, monkeypatch):
+        calls = self.counted_unique(monkeypatch)
+        assert distance_table(xs)[2] is toeplitz
+        assert len(calls) == 1
 
 
 class TestDirectLapack:

@@ -947,8 +947,7 @@ class TestGapClassFill:
         want_a, want_var = predictor(key, table)
         assert (a.tobytes(), var.tobytes()) == (want_a.tobytes(), want_var.tobytes())
 
-    @pytest.mark.parametrize("n_models", [1, 2])
-    def test_no_starting_cache_exceeds_the_cache_size(self, n_models):
+    def test_no_starting_cache_exceeds_the_cache_size(self):
         # Few models gather the least, so they fill the most.  One model
         # fills both classes and the change-point family up to tau=43;
         # at tau=44 the family's 41 windows would take the start to 1,031
@@ -956,17 +955,18 @@ class TestGapClassFill:
         # tau=35.  Then the one-gap class and the family fill to tau=90
         # (M=1) or 71 (M=2), and the one-gap class alone past it.  No fill
         # need drop an entry.
-        models = fixed_case(n_models, [])[0]
-        sizes = {span: len(gp.gap_fill(precision_table(models, span))) for span in range(1, 131)}
-        assert max(sizes.values()) <= gp.PREDICTOR_CACHE_SIZE
-        assert sizes[20] == 20 + 190 + 17
-        if n_models == 1:
-            assert max(sizes.values()) == sizes[44] == 44 + 946
-            assert sizes[43] == 43 + 903 + 40 and sizes[45] == 45 + 43
-            assert sizes[90] == 90 + 88 and sizes[91] == 91 and sizes[130] == 130
-        else:
-            assert max(sizes.values()) == sizes[35] == 35 + 595 + 32
-            assert sizes[36] == 36 + 34 and sizes[71] == 71 + 69 and sizes[72] == 72
+        for n_models in (1, 2):
+            models = fixed_case(n_models, [])[0]
+            sizes = {span: len(gp.gap_fill(precision_table(models, span))) for span in range(1, 131)}
+            assert max(sizes.values()) <= gp.PREDICTOR_CACHE_SIZE
+            assert sizes[20] == 20 + 190 + 17
+            if n_models == 1:
+                assert max(sizes.values()) == sizes[44] == 44 + 946
+                assert sizes[43] == 43 + 903 + 40 and sizes[45] == 45 + 43
+                assert sizes[90] == 90 + 88 and sizes[91] == 91 and sizes[130] == 130
+            else:
+                assert max(sizes.values()) == sizes[35] == 35 + 595 + 32
+                assert sizes[36] == 36 + 34 and sizes[71] == 71 + 69 and sizes[72] == 72
 
     @pytest.mark.parametrize("span, built", [(20, [(20, 1)]), (200, [])])
     def test_the_cap_is_checked_before_a_class_index_is_built(self, monkeypatch, span, built):

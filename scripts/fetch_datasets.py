@@ -54,7 +54,7 @@ def parse_nab_csv(raw: bytes) -> list:
 
 
 def write_series(values: list, path: Path) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "value"])
         for i, v in enumerate(values):

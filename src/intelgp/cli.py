@@ -89,7 +89,7 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"config file {path} cannot be read: {exc.strerror}") from None
@@ -129,7 +129,7 @@ def _write(out_dir: Path | None, files: dict) -> None:
         return
     for name, text in files.items():
         try:
-            (out_dir / name).write_text(text)
+            (out_dir / name).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise InputError(f"--out {out_dir}: {name} cannot be written: {exc.strerror}") from None
     log.info("wrote %s to %s", ", ".join(files), out_dir)

@@ -8,6 +8,7 @@ quasi-Newton method (L-BFGS-B with analytic gradients).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +108,7 @@ def fit_template(
                 value, grad = lml_gradient(hyper, mean, table, ys)
         except (NumericalError, ValueError, OverflowError):
             return _FAILED_OBJECTIVE, np.zeros(3)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(value) or not np.all(np.isfinite(grad)):
             return _FAILED_OBJECTIVE, np.zeros(3)
         return -value, -grad
 

@@ -37,7 +37,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
 # Predictive variances are floored here so downstream precision sums and
@@ -220,19 +219,26 @@ _MAX_SCALED_DIST = 705.0
 _SE_FLUSH = 1e-150
 
 
-def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray) -> np.ndarray:
+def _kernel_values(kind: KernelKind, signal_scale, length_scale, d: np.ndarray,
+                   return_length_derivative: bool = False):
     """Kernel value as a function of pairwise distance |xi - xj|.  The
     scales are floats, or arrays that broadcast against `d` to evaluate
-    several models at once."""
+    several models at once.  With `return_length_derivative`, the pair
+    (kernel, its derivative w.r.t. log length_scale), from one exponential
+    pass; the kernel's bits are the same either way."""
     # x * x instead of x**2: Python float pow raises OverflowError where
     # IEEE multiplication yields inf, which the finiteness checks then catch
     sf2 = signal_scale * signal_scale
     if kind is KernelKind.MATERN52:
         u = np.minimum((math.sqrt(5.0) / length_scale) * d, _MAX_SCALED_DIST)
-        return sf2 * (1.0 + u + u * u / 3.0) * np.exp(-u)
-    # KernelKind.SQUARED_EXPONENTIAL
-    e = np.exp(-np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST))
-    return np.where(e < _SE_FLUSH, 0.0, sf2 * e)
+        e = np.exp(-u)
+        k = sf2 * (1.0 + u + u * u / 3.0) * e
+        return (k, sf2 * (u * u * (1.0 + u) / 3.0) * e) if return_length_derivative else k
+    # KernelKind.SQUARED_EXPONENTIAL: where it is flushed to 0, so is its derivative
+    s = np.minimum((d / length_scale) ** 2, _MAX_SCALED_DIST)
+    e = np.exp(-s)
+    k = np.where(e < _SE_FLUSH, 0.0, sf2 * e)
+    return (k, k * 2.0 * s) if return_length_derivative else k
 
 
 def distance_table(xs) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -702,21 +708,9 @@ def _lml(resid: np.ndarray, L: np.ndarray, alpha: np.ndarray) -> float:
     with Cholesky factor L, from alpha = (LLᵀ)⁻¹ resid."""
     return float(
         -0.5 * resid @ alpha
-        - np.sum(np.log(np.diag(L)))
+        - np.add.reduce(np.log(L.diagonal()))
         - 0.5 * resid.size * _LOG_2PI
     )
-
-
-def _dk_dlog_length(hyper: Hyperparameters, d: np.ndarray) -> np.ndarray:
-    """Derivative of the kernel at distances `d` w.r.t. log length_scale."""
-    sf2 = hyper.signal_scale * hyper.signal_scale
-    if hyper.kind is KernelKind.MATERN52:
-        u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, _MAX_SCALED_DIST)
-        return sf2 * (u * u * (1.0 + u) / 3.0) * np.exp(-u)
-    # KernelKind.SQUARED_EXPONENTIAL: 0 where the kernel is flushed to 0
-    s = np.minimum((d / hyper.length_scale) ** 2, _MAX_SCALED_DIST)
-    e = np.exp(-s)
-    return np.where(e < _SE_FLUSH, 0.0, sf2 * e * 2.0 * s)
 
 
 def lml_gradient(
@@ -741,7 +735,7 @@ def lml_gradient(
     derivative is 2·noise²·I.
 
     Where the table's index is |i - j| (equally spaced sorted inputs), V is
-    Toeplitz: it is copied straight from the n kernel values, α and
+    Toeplitz: it is a view of its 2n - 1 diagonals' values, α and
     x = V⁻¹e₁ come from one two-column `cho_solve`, and the sums from
     `_toeplitz_diagonal_sums`, three correlations.  Any other inputs,
     gapped, unsorted or repeated, gather V through the index, and take the
@@ -752,14 +746,15 @@ def lml_gradient(
     ys = np.asarray(ys, dtype=float)
     n = ys.size
     noise2 = hyper.noise_scale * hyper.noise_scale
-    k = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d)
+    k, dk = _kernel_values(hyper.kind, hyper.signal_scale, hyper.length_scale, d,
+                           return_length_derivative=True)
     resid = ys - mean
     if toeplitz:
-        # Row i of V is c[n-1-i : 2n-1-i].  V is symmetric, so the transpose
-        # of its C-ordered copy is V in the Fortran order LAPACK reads.
+        # V[i, j] = c[n-1-i+j]: a strided view of c's 8-byte floats, which
+        # the potrf wrapper copies once into the Fortran order LAPACK reads.
         c = np.concatenate((k[:0:-1], k))
         c[n - 1] += noise2
-        V = np.ascontiguousarray(sliding_window_view(c, n)[::-1]).T
+        V = np.ndarray((n, n), buffer=c, offset=8 * (n - 1), strides=(-8, 8))
         L = chol_with_jitter(V)
         rhs = np.zeros((2, n))
         rhs[0] = resid
@@ -783,11 +778,7 @@ def lml_gradient(
         B -= np.tril(P, -1).T
         per_distance = np.bincount(where.ravel(), weights=B.ravel(), minlength=d.size)
         trace = np.trace(B)
-    grad = np.array([
-        per_distance @ k,
-        0.5 * (per_distance @ _dk_dlog_length(hyper, d)),
-        noise2 * trace,
-    ])
+    grad = np.array([per_distance @ k, 0.5 * (per_distance @ dk), noise2 * trace])
     return _lml(resid, L, alpha), grad
 
 
@@ -807,7 +798,7 @@ def _toeplitz_diagonal_sums(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     n = alpha.size
     y = np.zeros(n)
     y[1:] = x[:0:-1]
-    weights = np.arange(n, 0, -1.0)
+    weights = _countdown(n)
     inverse = np.correlate(weights * x, x, "full")[n - 1:]
     inverse -= np.correlate(weights * y, y, "full")[n - 1:]
     inverse /= x[0]
@@ -815,3 +806,11 @@ def _toeplitz_diagonal_sums(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     sums -= inverse
     sums[1:] *= 2.0
     return sums
+
+
+@lru_cache
+def _countdown(n: int) -> np.ndarray:
+    """The weights n, n-1, ..., 1 of `_toeplitz_diagonal_sums`."""
+    weights = np.arange(n, 0, -1.0)
+    weights.flags.writeable = False  # shared by every call through the cache
+    return weights

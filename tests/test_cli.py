@@ -434,6 +434,32 @@ class TestRunCommand:
             assert one == two, f"{name} differs between one and two BLAS threads"
 
 
+def test_files_are_read_and_written_in_utf8_whatever_the_locale(dataset, tmp_path):
+    # An open() without an encoding takes the locale's; -X
+    # warn_default_encoding flags each such call with an EncodingWarning,
+    # made an error here.  run reads a config file and writes steps.jsonl
+    # and metrics.json; bench reads its bench file and writes table.json
+    # and table.txt.
+    env = dict(os.environ, PYTHONPATH=str(Path(intelgp.__file__).resolve().parents[1]))
+    cli = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+           "-m", "intelgp.cli"]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"init_count": 80}), encoding="utf-8")
+    bench_file = tmp_path / "bench.json"
+    bench_file.write_text(json.dumps({"defaults": {"init_count": 80},
+                                      "datasets": [{"file": dataset.name}]}), encoding="utf-8")
+    for args in (
+        ["run", "--input", str(dataset), "--config", str(config), "--out", str(tmp_path / "run")],
+        ["bench", "--datasets", str(dataset.parent), "--config", str(bench_file),
+         "--out", str(tmp_path / "bench")],
+    ):
+        done = subprocess.run([*cli, *args], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "EncodingWarning" not in done.stderr
+    assert (tmp_path / "run" / "metrics.json").is_file()
+    assert (tmp_path / "bench" / "table.txt").is_file()
+
+
 class TestBenchCommand:
     def bench(self, dataset, tmp_path, extra=()):
         """Exit code and output directory of a bench over the series and

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.stats import multivariate_normal
 
@@ -94,10 +95,24 @@ def kernel_row(hyper: Hyperparameters, span: int) -> np.ndarray:
     return row
 
 
+def oracle_dk_dlog_length(hyper: Hyperparameters, d) -> np.ndarray:
+    """The kernel's derivative w.r.t. log length_scale at distances `d`,
+    in closed form: sf²·u²(1+u)/3·e^(-u) with u = √5·d/ℓ for Matérn 5/2,
+    2·s·sf²·e^(-s) with s = (d/ℓ)² for SE.  It differs from the package's
+    only where the package flushes the SE kernel to 0, by under 1e-146·sf²
+    (`TestOracleDerivative` checks it against central differences)."""
+    sf2 = hyper.signal_scale**2
+    if hyper.kind is KernelKind.MATERN52:
+        u = math.sqrt(5.0) * np.asarray(d) / hyper.length_scale
+        return sf2 * u**2 * (1.0 + u) / 3.0 * np.exp(-u)
+    s = (np.asarray(d) / hyper.length_scale) ** 2
+    return 2.0 * s * sf2 * np.exp(-s)
+
+
 def oracle_lml_gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
     """The LML gradient from the full-matrix formula tr(B dV)/2, with
     B = ααᵀ - V⁻¹, V⁻¹ from the Cholesky factor, and every dV built as an
-    n x n matrix."""
+    n x n matrix, the length derivative's from `oracle_dk_dlog_length`."""
     ts = np.asarray(ts, dtype=float)
     d = np.abs(ts[:, None] - ts[None, :])
     noise2 = hyper.noise_scale**2
@@ -105,7 +120,7 @@ def oracle_lml_gradient(hyper: Hyperparameters, mean, ts, ys) -> np.ndarray:
     L = chol_with_jitter(K + noise2 * np.eye(ts.size))
     alpha = cho_solve((L, True), np.asarray(ys) - mean)
     B = np.outer(alpha, alpha) - cho_solve((L, True), np.eye(ts.size))
-    dV = (2.0 * K, gp._dk_dlog_length(hyper, d), 2.0 * noise2 * np.eye(ts.size))
+    dV = (2.0 * K, oracle_dk_dlog_length(hyper, d), 2.0 * noise2 * np.eye(ts.size))
     return 0.5 * np.array([np.sum(B * dv) for dv in dV])
 
 
@@ -1185,6 +1200,99 @@ class TestLmlGradient:
         assert value == log_marginal_likelihood(hyper, mean, ts, ys)
         want = oracle_lml_gradient(hyper, mean, ts, ys)
         assert np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+class TestOracleDerivative:
+    @pytest.mark.parametrize("kind", KernelKind)
+    def test_closed_form_matches_central_differences_of_the_kernel(self, kind):
+        # Distances out to where the SE kernel is flushed to 0 (d/ℓ > 18.6).
+        d = np.linspace(0.0, 60.0, 241)
+        step = 1e-5
+        for sf, ell in [(1.0, 1.0), (0.3, 3.0), (2.5, 20.0)]:
+            hyper = Hyperparameters(kind, sf, ell, 0.1)
+            up = kernel_values(hyper.scaled(l=math.exp(step)), d)
+            down = kernel_values(hyper.scaled(l=math.exp(-step)), d)
+            fd = (up - down) / (2.0 * step)
+            np.testing.assert_allclose(
+                oracle_dk_dlog_length(hyper, d), fd, rtol=1e-7, atol=1e-10 * sf * sf
+            )
+
+
+def toeplitz_lml_gradient(hyper: Hyperparameters, mean, table, ys):
+    """`lml_gradient` on a Toeplitz table, as it was first written: separate
+    kernel and derivative passes, V copied C-ordered out of a
+    `sliding_window_view` of its diagonals' values, the Gohberg–Semencul
+    weights built per call and the log determinant through np.sum and
+    np.diag.  The LAPACK calls are the package's, as there."""
+    d, _, toeplitz = table
+    assert toeplitz
+    ys = np.asarray(ys, dtype=float)
+    n = ys.size
+    noise2 = hyper.noise_scale * hyper.noise_scale
+    k = kernel_values(hyper, d)
+    sf2 = hyper.signal_scale * hyper.signal_scale
+    if hyper.kind is KernelKind.MATERN52:
+        u = np.minimum((math.sqrt(5.0) / hyper.length_scale) * d, gp._MAX_SCALED_DIST)
+        dk = sf2 * (u * u * (1.0 + u) / 3.0) * np.exp(-u)
+    else:
+        s = np.minimum((d / hyper.length_scale) ** 2, gp._MAX_SCALED_DIST)
+        e = np.exp(-s)
+        dk = np.where(e < gp._SE_FLUSH, 0.0, sf2 * e * 2.0 * s)
+    resid = ys - mean
+    c = np.concatenate((k[:0:-1], k))
+    c[n - 1] += noise2
+    L = chol_with_jitter(np.ascontiguousarray(sliding_window_view(c, n)[::-1]).T)
+    rhs = np.zeros((2, n))
+    rhs[0] = resid
+    rhs[1, 0] = 1.0
+    alpha, x = gp.cho_solve(L, rhs.T).T
+    y = np.zeros(n)
+    y[1:] = x[:0:-1]
+    weights = np.arange(n, 0, -1.0)
+    inverse = np.correlate(weights * x, x, "full")[n - 1:]
+    inverse -= np.correlate(weights * y, y, "full")[n - 1:]
+    inverse /= x[0]
+    sums = np.correlate(alpha, alpha, "full")[n - 1:]
+    sums -= inverse
+    sums[1:] *= 2.0
+    grad = np.array([sums @ k, 0.5 * (sums @ dk), noise2 * sums[0]])
+    lml = float(-0.5 * resid @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * gp._LOG_2PI)
+    return lml, grad
+
+
+class TestToeplitzEvaluationBits:
+    """The Toeplitz branch of `lml_gradient` shares one exponential pass
+    between the kernel and its derivative and hands potrf V as a strided
+    view of its diagonals' values.  Its value and gradient are those of
+    `toeplitz_lml_gradient` bit for bit, so a fit's scales are too."""
+
+    @staticmethod
+    def check(hyper, ts, seed):
+        rng = np.random.default_rng(seed)
+        ys = rng.normal(size=len(ts))
+        mean = float(rng.normal())
+        table = distance_table(ts)
+        value, grad = lml_gradient(hyper, mean, table, ys)
+        want_value, want_grad = toeplitz_lml_gradient(hyper, mean, table, ys)
+        assert value.hex() == want_value.hex()
+        assert grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 201])
+    @pytest.mark.parametrize("kind", KernelKind)
+    def test_drawn_scales(self, kind, n):
+        rng = np.random.default_rng(n)
+        for draw in range(6):
+            log_scales = rng.uniform((-2.0, -1.5, -4.0), (2.0, 5.5, 0.5))
+            hyper = Hyperparameters.from_log_vector(kind, log_scales)
+            # Exact in binary, so every spacing rounds alike: V is Toeplitz.
+            start, spacing = rng.integers(-5, 6), rng.choice([1.0, 2.5, -0.5])
+            self.check(hyper, start + spacing * np.arange(n), draw)
+
+    def test_a_jittered_factorization(self):
+        hyper = Hyperparameters(KernelKind.SQUARED_EXPONENTIAL, 1.0, 1e4, 1e-9)
+        ts = np.arange(12.0)
+        assert chol_with_jitter(noisy_covariance(hyper, ts), return_jitter=True)[1] > 0.0
+        self.check(hyper, ts, 0)
 
 
 class PotriCalled(Exception):

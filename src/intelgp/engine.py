@@ -153,7 +153,9 @@ class EngineState:
     with the windows of the offsets 1..tau less one or two of them, each
     such gap class few enough for one batch, and with the windows of the
     newest 1..tau-1 offsets, which a change point regrows (`gp.gap_fill`),
-    and to which only a miss writes, adding its own entry.  `initialize` builds both,
+    and to which only a miss writes: its own entry and, for a window that
+    holds the oldest offset tau with a few gaps, the entry of the window
+    the next inlier step slides it to.  `initialize` builds both,
     the kernel checked finite and each model's jitter chosen there, and
     `step` passes them on, so a stream and its forks share them.  Both
     are left out of equality, which compares the weights by value, and out
@@ -226,8 +228,9 @@ def predict_next(state: EngineState) -> PredictiveDistribution:
 
     Pure: evaluates every model over the current window with the shared
     mean in one batched prediction, flattens the weights by the forgetting
-    parameter, and fuses.  The only write is a miss's new entry in the
-    state's predictor cache, whose entries depend on their keys alone.
+    parameter, and fuses.  The only writes are a miss's new entries in the
+    state's predictor cache, its own and, where it pairs, its window's next
+    slide's (`gp.gp_predict`), whose entries depend on their keys alone.
     The per-model means and variances are in the `StepOutput` of `step`.
     """
     return _predict(state)[3]

@@ -16,7 +16,9 @@ window holds at most tau + 1 of them, too few for numpy's per-call cost to
 pay off.  A cache starts with the windows of the offsets 1..tau less one
 or two of them, each such gap class that is small enough to solve in one
 batch through the same gather, factorization and solve, and with the
-windows a change point regrows, the newest 1..tau-1 offsets.  The fit's
+windows a change point regrows, the newest 1..tau-1 offsets.  A miss of
+a window that holds the oldest offset tau, with a few gaps, also solves
+the window it slides to at the next inlier step, in the same batch.  The fit's
 gradient needs only the per-distance sums of V⁻¹: on equally spaced
 sorted inputs, where V is Toeplitz, they come from one more column of the
 potrs solve, V⁻¹e₁, by the Gohberg–Semencul formula; on any other inputs
@@ -531,6 +533,54 @@ def _gather_floats(span: int, n: int) -> int:
     return (span + 1) * (gaps + 1) if gaps <= n else (n + 1) * (n + 1)
 
 
+def _batch_entries(a: np.ndarray, var: np.ndarray, count: int):
+    """Each window's (a, var) entry of a `_solve_windows` batch of `count`
+    windows, in batch order: read-only views of its model-major rows, of
+    shapes (M, n) and (M,).  A row of a is contiguous, so `gp_predict`'s
+    row-wise product gives a view the bits of a copy."""
+    models = len(var) // count
+    return zip(a.reshape(models, count, a.shape[1]).swapaxes(0, 1), var.reshape(models, count).T)
+
+
+@lru_cache
+def _slide_layout(width: int, n: int):
+    """How a miss of n offsets within 1..span, span = width - 1, solves
+    with the window's next slide, or None where it does not pair.
+
+    A window that holds the oldest offset span moves on, once the next
+    step's observation is kept, to its slide: its other offsets one older
+    and the new offset 1.  Its gaps move one offset older too, so the
+    slide has as many, and its systems take the same side and shape.  It
+    pairs where it has at least one gap and no more gaps than offsets (the
+    precision side), and where the two gather no more floats per model
+    than the widest single window: 1 to 4 gaps at span 20.
+
+    Both windows hold the test position 0, so their positions are their
+    offsets.  Against the miss's `_window_index` rows (its gaps, the test
+    position, then its offsets in key order), the slide's are the same
+    positions one older, the test position's aside, except that span, the
+    first offset, gives way to offset 1 as the last row; its columns are
+    its gaps one older and the test position.  So the pair's gather index
+    is the miss's with its rows permuted, plus a fixed shift: the result
+    is (take, add), each of shape (2, width, gaps + 1), for one `take`
+    from the miss's index and one add."""
+    span = width - 1
+    gaps = span - n
+    widest = max(_gather_floats(span, m) for m in range(width))
+    if not 0 < gaps <= n or 2 * _gather_floats(span, n) > widest:
+        return None
+    size = gaps + 1
+    rows = np.array([*range(size), *range(size + 1, width), size])
+    row_shift = np.array([1] * gaps + [0] + [1] * (n - 1) + [1 - span])
+    column_shift = np.array([1] * gaps + [0])
+    take = np.stack((np.arange(width * size).reshape(width, size),
+                     rows[:, None] * size + np.arange(size)))
+    add = np.stack((np.zeros((width, size), dtype=np.intp),
+                    row_shift[:, None] * width + column_shift))
+    take.flags.writeable = add.flags.writeable = False  # shared through the cache
+    return take, add
+
+
 @lru_cache(maxsize=4)  # an index holds at most _FILL_GATHER entries
 def _gap_class(span: int, gaps: int):
     """The windows of the offsets 1..span less `gaps` of them, their gap
@@ -583,11 +633,7 @@ def gap_fill(table: np.ndarray) -> dict:
             continue
         keys, index, precision_side = _gap_class(span, gaps)
         a, var = _solve_windows(index, table, precision_side)
-        # Each window's entry contiguous, as a single miss's is.
-        a = np.ascontiguousarray(a.reshape(models, len(keys), a.shape[1]).swapaxes(0, 1))
-        var = np.ascontiguousarray(var.reshape(models, len(keys)).T)
-        a.flags.writeable = var.flags.writeable = False
-        entries.update(zip(keys, zip(a, var)))
+        entries.update(zip(keys, _batch_entries(a, var, len(keys))))
     regrown = [key for n in range(1, span) if (key := tuple(range(n, 0, -1))) not in entries]
     if (models * sum(_gather_floats(span, len(key)) for key in regrown) <= _FILL_GATHER
             and len(entries) + len(regrown) <= PREDICTOR_CACHE_SIZE):
@@ -656,15 +702,21 @@ def gp_predict(
     signal_scale**2 + noise_scale**2, up to the rounding of the precision.
 
     `cache` maps offsets tuples to predictors of the table's models (see
-    `predictor`, which checks the offsets on a miss); it must only ever be
-    used with one model set (`{}` for a one-off call).  Each entry is a
+    `predictor`, whose checks a miss makes); it must only ever be used
+    with one model set (`{}` for a one-off call).  Each entry is a
     function of its key alone, so a cache can be shared by any number of
     streams.  Keys equal by value (3, 3.0, np.int32(3)) share an entry, and
     a hit needs no check: its key equals a checked one.  A hit only reads
-    the cache.  A miss adds its own entry, first dropping the oldest entry
-    of a cache holding PREDICTOR_CACHE_SIZE.  `engine.initialize` starts a
-    cache with `gap_fill`'s gap classes and change-point windows, each
-    entry the bits of its window's own miss.
+    the cache.  A miss adds its own entry.  Where its window holds the
+    oldest offset span and has a few gaps (`_slide_layout`: 1 to 4 at span
+    20), the same `_solve_windows` call also gives the entry of the
+    window's next slide, `tuple(x + 1 for x in offsets[1:]) + (1,)`, the
+    window an inlier step moves it to, which the miss adds too unless the
+    cache holds it.  Each new entry first drops the oldest entry of a
+    cache holding PREDICTOR_CACHE_SIZE.  `engine.initialize` starts a
+    cache with `gap_fill`'s gap classes and change-point windows.  Every
+    entry, a slide's and a fill's included, holds the bits of its window's
+    own miss.
 
     The means are mean + a·(y - mean), one row-wise product for all
     models with the entry's mean weights, so a hit gives the bits of a
@@ -677,12 +729,39 @@ def gp_predict(
         raise ValueError("offsets and train_y must have the same length")
     hit = cache.get(offsets)
     if hit is None:
-        hit = predictor(offsets, table)
-        if len(cache) >= PREDICTOR_CACHE_SIZE:
-            del cache[next(iter(cache))]
-        cache[offsets] = hit
+        hit = _miss(offsets, table, cache)
     a, var = hit
     return mean + np.vecdot(a, ys - mean), var
+
+
+def _miss(offsets: tuple, table: np.ndarray, cache: dict):
+    """`gp_predict`'s miss: the window's predictor, stored in `cache` with,
+    where the window pairs (`_slide_layout`) and its slide has no entry
+    yet, the slide's, both from one `_solve_windows` call.  Each store
+    first drops the oldest entry of a full cache."""
+    width = table.shape[-1]
+    index, precision_side = _window_index(offsets, width)
+    layout = _slide_layout(width, len(offsets))
+    if layout is not None and offsets[0] == width - 1:
+        slide = tuple([x + 1 for x in offsets[1:]]) + (1,)
+        if slide not in cache:
+            take, add = layout
+            a, var = _solve_windows(index.take(take) + add, table, precision_side)
+            hit, ahead = _batch_entries(a, var, 2)
+            _store(cache, offsets, hit)
+            _store(cache, slide, ahead)
+            return hit
+    hit = _solve_windows(index, table, precision_side)
+    _store(cache, offsets, hit)
+    return hit
+
+
+def _store(cache: dict, key: tuple, entry) -> None:
+    """Add `entry` under `key`, first dropping the oldest entry of a cache
+    holding PREDICTOR_CACHE_SIZE."""
+    if len(cache) >= PREDICTOR_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = entry
 
 
 def log_marginal_likelihood(

@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import flat_stream, shift_stream, spike_stream
-from test_gp import change_point_windows, gap_class, oracle_predict
+from test_gp import change_point_windows, gap_class, oracle_predict, paired_slide
 
 from intelgp import fit, gp
 from intelgp.engine import (
@@ -672,25 +672,44 @@ class TestPredictorCache:
 
     def test_each_distinct_window_key_misses_once(self, monkeypatch):
         # The cache key is the key perfbench/spans.window_keys counts, so no
-        # key is computed twice, a single miss's or one `initialize` fills,
-        # and its repeat share is at most the hit share.
-        computed = []
+        # key is computed twice, one `initialize` fills, a miss's own or a
+        # slide a miss solves with it, every window solved is stored, and
+        # the repeat share is at most the hit share.  Under a quarter of
+        # the gather cap the two-gap class is not filled, and its windows'
+        # misses pair.
+        solved = []
 
-        def counted(offsets, table, _original=gp.predictor):
-            computed.append(offsets)
-            return _original(offsets, table)
+        def counted(index, *args, _original=gp._solve_windows):
+            solved.append(1 if index.ndim == 2 else len(index))
+            return _original(index, *args)
 
-        monkeypatch.setattr(gp, "predictor", counted)
+        class Written(dict):
+            """Logs the keys written."""
+
+            def __setitem__(self, key, value):
+                computed.append(key)
+                super().__setitem__(key, value)
+
         history, stream = gapped_shift_stream(52)
-        state = initialize(np.arange(60), history, EIGHT_MODEL)
-        computed.extend(state.cache)
-        keys = set()
-        for y in stream:
-            keys.add(window_offsets(state))
-            state, _ = step(state, y)
-        assert len(computed) == len(set(computed)) == len(state.cache) < gp.PREDICTOR_CACHE_SIZE
-        assert set(computed) >= keys
-        assert len(keys) < len(stream)
+        for gather in (None, 1 << 15):
+            if gather is not None:
+                monkeypatch.setattr(gp, "_FILL_GATHER", gather)
+            state = initialize(np.arange(60), history, EIGHT_MODEL)
+            computed = list(state.cache)
+            start = len(computed)
+            state = dataclasses.replace(state, cache=Written(state.cache))
+            solved.clear()
+            monkeypatch.setattr(gp, "_solve_windows", counted)
+            keys = set()
+            for y in stream:
+                keys.add(window_offsets(state))
+                state, _ = step(state, y)
+            monkeypatch.undo()
+            assert len(computed) == len(set(computed)) == len(state.cache) < gp.PREDICTOR_CACHE_SIZE
+            assert sum(solved) == len(computed) - start
+            assert set(computed) >= keys
+            assert len(keys) < len(stream)
+            assert (max(solved) == 2) == (gather is not None)
 
     @pytest.mark.parametrize("gather, classes", [
         (None, (1, 2)), (1 << 30, (1, 2)), (1 << 15, (1,)),
@@ -699,8 +718,9 @@ class TestPredictorCache:
         # `initialize` fills the gap classes that fit the gather cap (at
         # M=8 both, as without the cap; one under a quarter of it) and the
         # windows a change point regrows.  The stream's one- and two-gap
-        # windows and its regrowing window hit them, and every step still
-        # gives the bits of an uncached prediction.
+        # windows and its regrowing window hit them, or, for the two-gap
+        # class left out, the slide a miss solved with it, and every step
+        # still gives the bits of an uncached prediction.
         if gather is not None:
             monkeypatch.setattr(gp, "_FILL_GATHER", gather)
         history, stream = gapped_shift_stream(52)
@@ -709,7 +729,7 @@ class TestPredictorCache:
         regrown = change_point_windows(tau)
         filled = set().union(*(gap_class(tau, gaps) for gaps in classes), regrown)
         assert set(state.cache) == filled
-        most_gaps, served = 0, Counter()
+        most_gaps, served, slides = 0, Counter(), set()
         for y in stream:
             offsets = window_offsets(state)
             means, variances = gp_predict(
@@ -717,19 +737,59 @@ class TestPredictorCache:
             )
             times = state.window.times
             most_gaps = max(most_gaps, times[-1] - times[0] + 1 - len(times))
-            before = len(state.cache)
-            miss = offsets not in state.cache
+            before = list(state.cache)
+            slide = paired_slide(offsets, tau) if offsets not in state.cache else None
             state, out = step(state, y)
             assert out.means.tobytes() == means.tobytes()
             assert out.variances.tobytes() == variances.tobytes()
-            assert len(state.cache) - before == miss
-            if offsets in regrown:
+            if offsets in before:
+                assert list(state.cache) == before
+            else:
+                added = [offsets] + ([slide] if slide and slide not in before else [])
+                assert list(state.cache) == before + added
+                slides.update(added[1:])
+            if offsets in slides:
+                served["slide"] += 1
+            elif offsets in regrown:
                 served["change point"] += 1
             elif offsets in filled:
                 served[tau - len(offsets)] += 1
         assert most_gaps == 2
-        assert set(served) == {*classes, "change point"}
+        assert set(served) == {*classes, "change point"} | ({"slide"} if 2 not in classes else set())
         assert len(state.cache) < gp.PREDICTOR_CACHE_SIZE
+
+    def test_the_step_after_an_isolated_outlier_in_a_3_gap_window_solves_nothing(
+            self, monkeypatch):
+        # At M=27 the two-gap class is not filled.  Spikes at rows 30, 33
+        # and 36 leave gaps at offsets 1, 4 and 7 of the window the next
+        # step predicts from, which holds offset 20: its miss also solves
+        # the window an inlier moves it to, so the step after that makes
+        # no `_solve_windows` call.
+        history, stream = flat_stream(52)
+        stream = stream.copy()
+        stream[[30, 33, 36]] += 3.0
+        config = EngineConfig(init_count=60, factors=VariantFactors(
+            (1.0, 0.2, 5.0), (1.0, 0.2, 5.0), (1.0, 0.2, 5.0)), seed=0)
+        state, outputs = stream_through(initialize(np.arange(60), history, config), stream[:37])
+        assert len(state.weights) == 27
+        # The window spans rows 17 to 36; an early row may be an outlier.
+        assert [i for i, out in enumerate(outputs)
+                if i >= 17 and out.verdict is not Verdict.INLIER] == [30, 33, 36]
+        offsets = window_offsets(state)
+        assert offsets == tuple(p for p in range(20, 0, -1) if p not in (1, 4, 7))
+        assert offsets not in state.cache
+        solved = []
+
+        def counted(index, *args, _original=gp._solve_windows):
+            solved.append(index.shape)
+            return _original(index, *args)
+
+        monkeypatch.setattr(gp, "_solve_windows", counted)
+        state, out = step(state, stream[37])
+        assert out.verdict is Verdict.INLIER and solved == [(2, 21, 4)]
+        assert window_offsets(state) == tuple(p for p in range(20, 0, -1) if p not in (2, 5, 8))
+        state, out = step(state, stream[38])
+        assert out.verdict is Verdict.INLIER and solved == [(2, 21, 4)]
 
     def test_every_initialize_starts_a_new_cache_of_the_classes_that_fit(self):
         # At M=8 and tau=20 both gap classes fit the gather cap, and so do

@@ -800,7 +800,8 @@ class TestMissBookkeeping:
     @given(offset_patterns())
     @example(pattern(6, []))  # empty window
     @example(pattern(6, [3, 2, 1]))  # |R| = 3 > |S|: the covariance side
-    @example(pattern(6, [6, 5, 3, 2, 1]))  # |R| = 1 <= |S|: the precision side
+    @example(pattern(6, [6, 5, 3, 2, 1]))  # |R| = 1 <= |S|: the precision side, paired
+    @example(pattern(6, [5, 6, 3, 2, 1]))  # the oldest offset not first: not paired
     @example(pattern(6, [2, 1, -1, -3]))  # training times after the test time
     @example(pattern(6, [-6]))  # the test time at position 6
     @example(pattern(6, [7]))  # one past the span
@@ -844,12 +845,15 @@ class TestMissBookkeeping:
             assert np.abs(a[m] - a_ref).sum() <= tolerance
             assert abs(var[m] - var_ref) <= tolerance * var_ref
         means, variances = gp_predict(key, np.sin(ts), 0.2, table, cache)
-        # The miss adds its own entry, whatever its gaps.
-        assert list(cache) == [b"x", key]
+        # The miss adds its own entry, and its slide's where it pairs.
+        slide = paired_slide(key, span)
+        assert list(cache) == [b"x", key] + ([slide] if slide else [])
         hit_a, hit_var = cache[key]
         assert (hit_a.tobytes(), hit_var.tobytes()) == (a.tobytes(), var.tobytes())
         assert means.tobytes() == (0.2 + np.vecdot(a, np.sin(ts) - 0.2)).tobytes()
         assert variances.tobytes() == var.tobytes()
+        if slide:
+            assert_own_miss(cache[slide], slide, table)
 
 
 def gap_class(span, gaps):
@@ -868,23 +872,49 @@ def change_point_windows(span):
     return {tuple(range(n, 0, -1)) for n in range(1, span)}
 
 
+def gather_floats(span, n):
+    """Floats one model's system gathers for a window of n offsets within
+    1..span: the span + 1 rows of its gaps and the test position where the
+    gaps are no more than the offsets, else its offsets' and the test
+    position's n + 1 rows and columns."""
+    gaps = span - n
+    return (span + 1) * (gaps + 1) if gaps <= n else (n + 1) ** 2
+
+
+def paired_slide(key, span):
+    """The window a miss of the valid window `key` also solves, or None:
+    its next slide, the other offsets one older and the new offset 1,
+    where the key holds the oldest offset `span` first, has at least one
+    gap and no more gaps than offsets, and the two gather no more floats
+    per model than the widest window of the span."""
+    n = len(key)
+    widest = max(gather_floats(span, m) for m in range(span + 1))
+    if not (n and key[0] == span and 0 < span - n <= n and 2 * gather_floats(span, n) <= widest):
+        return None
+    return tuple(x + 1 for x in key[1:]) + (1,)
+
+
 def assert_own_miss(entry, key, table):
-    """A starting entry holds the bits, shapes and flags of its key's miss."""
+    """A cache entry holds the bits, shapes and flags of its key's miss,
+    and read back through `gp_predict` gives the miss's bits: it may be a
+    view of a batch's rows."""
     a, var = entry
     assert all(type(v) is int for v in key)
     want_a, want_var = predictor(key, table)
-    assert a.shape == want_a.shape and a.flags.c_contiguous
-    assert var.shape == want_var.shape and var.flags.c_contiguous
+    assert a.shape == want_a.shape and var.shape == want_var.shape
     assert not a.flags.writeable and not var.flags.writeable
     assert a.tobytes() == want_a.tobytes()
     assert var.tobytes() == want_var.tobytes()
+    ys = np.sin(np.arange(len(key)) + 0.5)
+    assert as_bytes(gp_predict(key, ys, 0.3, table, {key: entry})) == as_bytes(
+        (0.3 + np.vecdot(want_a, ys - 0.3), want_var)
+    )
 
 
 class TestGapClassFill:
     """`gap_fill` gives the entries of every window of the offsets 1..span
     less one or two of them, each such class whose gather fits the cap, and
-    of every window a change point regrows, and a miss adds only its own
-    entry."""
+    of every window a change point regrows, and a miss fills no class."""
 
     @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
     @pytest.mark.parametrize("span, gaps", [
@@ -1006,12 +1036,15 @@ class TestGapClassFill:
         (1024, tuple(range(19, 0, -1))),
     ])
     def test_without_room_a_miss_adds_only_its_own_entry(self, monkeypatch, limit, key):
-        # Whatever the room, a miss of a gap-class window fills no class.
+        # Whatever the room, a miss of a gap-class window fills no class:
+        # it adds its own entry, and 20..4, 1 where it is 20..3 and pairs,
+        # and a full cache drops one of its oldest entries for each.
         monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", limit)
         table = precision_table(TestKernelTable.MODELS, 20)
         cache = {"held": None}
         gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
-        assert list(cache) == ["held", key]
+        added = [key] if key[0] == 19 else [key, (*range(20, 3, -1), 1)]
+        assert list(cache) == (["held"] + added)[-limit:]
 
     @pytest.mark.parametrize("offsets, error", [
         ((*range(20, 3, -1), 2.5), "integers"),
@@ -1048,6 +1081,109 @@ class TestGapClassFill:
         assert list(cache) == filled
         a, var = predictor((6, 5, 4, 3, 1), table)
         assert as_bytes(got) == as_bytes((0.1 + np.vecdot(a, ys - 0.1), var))
+
+
+def paired_windows(span):
+    """Every window of the offsets 1..span that holds span, first, as the
+    engine keys it, and pairs, with its slide: each gap set of each
+    window length that `paired_slide` pairs."""
+    for n in range(1, span + 1):
+        if paired_slide(tuple(range(span, span - n, -1)), span) is None:
+            continue
+        for gaps in itertools.combinations(range(span - 1, 0, -1), span - n):
+            key = tuple(p for p in range(span, 0, -1) if p not in gaps)
+            yield key, paired_slide(key, span)
+
+
+class TestSlidePair:
+    """A miss of a window that holds the oldest offset and has a few gaps
+    solves the window's next slide with it, in one batch, and adds both
+    entries, each the bits of its window's own miss."""
+
+    @pytest.mark.parametrize("n_models", [1, 2, 8, 27])
+    def test_every_paired_entry_is_its_own_miss_bit_for_bit(self, n_models):
+        # Every gap set the bound pairs at spans 1 to 20: 5,035 at span 20
+        # (1 to 4 gaps), read back through `gp_predict`.
+        models = fixed_case(n_models, [])[0]
+        pairs = 0
+        for span in range(1, 21):
+            table = precision_table(models, span)
+            for key, slide in paired_windows(span):
+                cache = {}
+                gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+                assert list(cache) == [key, slide]
+                assert_own_miss(cache[key], key, table)
+                assert_own_miss(cache[slide], slide, table)
+                pairs += 1
+        assert pairs == 14_682
+
+    @pytest.mark.parametrize("span", range(1, 21))
+    def test_the_pair_index_is_the_stack_of_both_windows_indices(self, span):
+        # One take and one add turn the miss's index into the pair's,
+        # dtype included, on the side both windows take.
+        for n in range(span + 1):
+            held = tuple(range(span, span - n, -1))
+            assert (gp._slide_layout(span + 1, n) is None) == (
+                not held or paired_slide(held, span) is None)
+        for key, slide in paired_windows(span):
+            (index, side), (slide_index, slide_side) = (
+                gp._window_index(w, span + 1) for w in (key, slide))
+            take, add = gp._slide_layout(span + 1, len(key))
+            want = np.array([index, slide_index])
+            got = index.take(take) + add
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            assert side and slide_side
+
+    def test_at_span_20_windows_of_1_to_4_gaps_pair(self):
+        assert [n for n in range(21) if gp._slide_layout(21, n)] == [16, 17, 18, 19]
+
+    @pytest.mark.parametrize("span", range(1, 21))
+    def test_the_empty_and_the_full_window_never_pair(self, span):
+        # The full window's slide would be itself.
+        table = precision_table(TestKernelTable.MODELS, span)
+        for key in ((), tuple(range(span, 0, -1))):
+            cache = {}
+            gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+            assert list(cache) == [key]
+
+    def test_a_miss_whose_slide_is_held_adds_only_its_own_entry(self, monkeypatch):
+        solved = []
+
+        def counted(index, *args, _original=gp._solve_windows):
+            solved.append(index.shape)
+            return _original(index, *args)
+
+        monkeypatch.setattr(gp, "_solve_windows", counted)
+        table = precision_table(TestKernelTable.MODELS, 20)
+        key, slide = (*range(20, 3, -1), 2), (*range(20, 4, -1), 3, 1)
+        cache = {slide: "held"}
+        gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+        assert list(cache) == [slide, key] and cache[slide] == "held"
+        assert solved == [(21, 3)]
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 4])
+    def test_a_full_cache_drops_one_oldest_entry_per_entry_added(self, monkeypatch, limit):
+        monkeypatch.setattr(gp, "PREDICTOR_CACHE_SIZE", limit)
+        table = precision_table(TestKernelTable.MODELS, 20)
+        held = [("held", i) for i in range(limit)]
+        cache = dict.fromkeys(held)
+        key = (*range(20, 3, -1), 2)
+        gp_predict(key, np.zeros(len(key)), 0.0, table, cache)
+        assert list(cache) == (held + [key, (*range(20, 4, -1), 3, 1)])[-limit:]
+
+    @pytest.mark.parametrize("offsets, error", [
+        ((20, *range(18, 3, -1), 2.5), "integers"),
+        ((20, *range(18, 3, -1), 18), "distinct"),
+        ((20, *range(18, 3, -1), 0), "distinct"),
+        ((20, *range(18, 3, -1), -1), "span 20"),
+    ])
+    def test_a_rejected_window_that_would_pair_leaves_the_cache_as_it_was(self, offsets, error):
+        table = precision_table(TestKernelTable.MODELS, 20)
+        cache = {"held": None}
+        with pytest.raises(ValueError, match=error):
+            gp_predict(offsets, np.zeros(17), 0.0, table, cache)
+        assert cache == {"held": None}
 
 
 class TestStackFallback:

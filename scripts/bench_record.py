@@ -9,18 +9,25 @@ last line), and writes one JSON file:
 
 - `commit`: the git HEAD the runs measured, from the first run's
   environment record;
-- `environment`: the rest of that record;
+- `environment`: the rest of that record, and `scipy_blas_threads`, the
+  thread count of the OpenBLAS bundled with scipy, next to numpy's
+  `blas_threads`;
 - `load_average`: the 1, 5 and 15 minute load averages before the first run;
 - `runs`: the seeds, seconds and command of the runs;
 - `end_to_end`: per workload and metric, the unit, the median, the lower
   and upper quartiles, their distance (IQR) and the values in seed order;
-- `per_layer`: per workload and metric, the unit and the traced run's value.
+- `per_layer`: per workload and metric, the unit and the traced run's value;
+- `census`: per workload, the predictor cache of stream 0 at each seed,
+  streamed in this process as `intelgp run` streams it: the entries it
+  starts with, the steps, the misses (the step's window has no entry), the
+  paired misses (a miss that adds two entries, its own and its window's
+  next slide's) and the share of steps that hit.  It holds no timing.
 
 A run that exits non-zero stops the recording with its exit code, and no
 file is written.  With `--compare`, the ratio of each median (and traced
 value) to the same figure in an earlier BENCH file is printed.
 
-Usage:  python3 scripts/bench_record.py --out BENCH_35.json [--compare BENCH_34.json]
+Usage:  python3 scripts/bench_record.py --out BENCH_36.json [--compare BENCH_35.json]
 """
 
 from __future__ import annotations
@@ -33,8 +40,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from intelgp import gp  # noqa: E402
+from intelgp.engine import initialize, step  # noqa: E402
+from intelgp.metrics import compute_stats  # noqa: E402
+from workloads import WORKLOADS as WORKLOAD_SPECS  # noqa: E402
 
 WORKLOADS = ("well_log_8m", "cpu_shift_2m", "glitchy_27m")
 SEEDS = (1, 2, 3, 4, 5)
@@ -59,6 +74,48 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     its first and its last line, each one JSON object."""
     lines = stdout.strip().splitlines()
     return json.loads(lines[0]), json.loads(lines[-1])
+
+
+def cache_census(config, series, normalization: str) -> dict:
+    """The predictor cache's census of one stream: normalised as `intelgp
+    run` normalises it, the engine initialised on its first
+    `config.init_count` points, then one step per point after them."""
+    init = config.init_count
+    series = np.asarray(series, dtype=float)
+    z = compute_stats(series if normalization == "full" else series[:init]).normalize(series)
+    state = initialize(np.arange(init), z[:init], config)
+    start = len(state.cache)
+    misses = paired = 0
+    for y in z[init:]:
+        t_star = state.current_t + 1
+        missed = tuple(t_star - t for t in state.window.times) not in state.cache
+        before = set(state.cache) if missed else ()
+        state, _ = step(state, y)
+        misses += missed
+        # new keys, not the cache's growth: a full cache drops one per key
+        paired += missed and sum(key not in before for key in state.cache) == 2
+    steps = z.size - init
+    return {"start": start, "steps": steps, "misses": misses, "paired": paired,
+            "hit_share": (steps - misses) / steps}
+
+
+def census() -> dict:
+    """`cache_census` of stream 0 of every workload at every seed: per
+    workload, each figure's values in seed order."""
+    out = {}
+    for workload in WORKLOADS:
+        spec = WORKLOAD_SPECS[workload]
+        rows = [cache_census(spec.config, spec.series(seed), spec.normalization)
+                for seed in SEEDS]
+        out[workload] = {name: [row[name] for row in rows] for name in rows[0]}
+    return out
+
+
+def scipy_blas_threads() -> int | None:
+    """Threads the OpenBLAS bundled with scipy will use, where it can be
+    asked (`gp.one_blas_thread` pins the fit to one of them)."""
+    calls = gp._blas_thread_count_calls()
+    return None if calls is None else calls[0]()
 
 
 def quartiles(values: list[float]) -> dict:
@@ -128,6 +185,7 @@ def main(argv=None) -> int:
         traced[workload] = run_benchmark(workload, SEEDS[0], 1)[1]
 
     commit = environment.pop("commit")
+    environment["scipy_blas_threads"] = scipy_blas_threads()
     bench = {
         "commit": commit,
         "environment": environment,
@@ -136,6 +194,7 @@ def main(argv=None) -> int:
                  "command": "python3 perfbench/run.py --workload W --seed S "
                             f"--seconds {SECONDS} --trace T"},
         **summarize(plain, traced),
+        "census": census(),
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
     if old is not None:

@@ -78,15 +78,19 @@ def fit_template(
     that is for numerical failure only.
 
     The inputs are checked here, before any start, and nowhere after:
-    `ts` and `ys` of equal length, at least MIN_FIT_POINTS of them, all
-    finite, and `kind` a KernelKind (a ValueError otherwise).  The
-    likelihood functions trust them.  After the checks the prior mean is
-    taken, a constant: the mean of `ys`, returned as `FitResult.mean`.
+    `ts` and `ys` two 1-D arrays of one length, at least MIN_FIT_POINTS
+    of them, all finite, and `kind` a KernelKind (a ValueError
+    otherwise).  The likelihood functions trust them.  After the checks
+    the prior mean is taken, a constant: the mean of `ys`, returned as
+    `FitResult.mean`.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if ts.shape != ys.shape:
-        raise ValueError(f"fit_template got {ts.size} times but {ys.size} observations")
+    if ts.ndim != 1 or ts.shape != ys.shape:
+        raise ValueError(
+            f"fit_template needs two 1-D arrays of one length, got {ts.size} times "
+            f"but {ys.size} observations, of shapes {ts.shape} and {ys.shape}"
+        )
     if ts.size < MIN_FIT_POINTS:
         raise ValueError(
             f"fit_template requires at least {MIN_FIT_POINTS} data points, got {ts.size}"

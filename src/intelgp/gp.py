@@ -379,8 +379,9 @@ def precision_table(models, span: int) -> np.ndarray:
     ever falls on the diagonal of a covariance over them: each V_F is
     gathered from the model's kernel at the distances 0..span, whose entry
     0 holds signal_scale**2 + noise_scale**2, the variance of one
-    observation.  The models must share a kernel kind (a ValueError
-    otherwise); their scales are trusted, as `Hyperparameters` checked.
+    observation.  There must be at least one model, and the models must
+    share a kernel kind (a ValueError otherwise); their scales are
+    trusted, as `Hyperparameters` checked.
 
     Each V_F is factored on its own with the jitter ladder, so a model
     whose V_F needs jitter gets it here, once per model set, and the table
@@ -392,6 +393,8 @@ def precision_table(models, span: int) -> np.ndarray:
     precision is not finite, so no stack gathered from the table needs a
     check of its own.
     """
+    if not models:
+        raise ValueError("precision_table needs at least one model")
     kind = models[0].kind
     if any(h.kind is not kind for h in models):
         raise ValueError("the models of one prediction must share a kernel kind")
@@ -416,24 +419,27 @@ def precision_table(models, span: int) -> np.ndarray:
     return table
 
 
-def predictor(offsets, table: np.ndarray):
-    """Per model, for training inputs at the `offsets` = t* - t_i from the
-    test input: the mean weights a = K⁻¹k* and the floored predictive
-    variance, as read-only arrays of shapes (M, n) and (M,).  A model's
-    mean is c + a·(y - c).  `table` is the models' `precision_table`.
+def _window_index(offsets, width: int):
+    """The one check of a window's `offsets`, and the gather index of its
+    systems in a table of width - 1 = span: the (rows, k+1) flat indices
+    into one model's width x width table of the rows and columns they
+    gather, the system's k + 1 rows first, test position last, then on the
+    precision side the window's rows; and whether the systems are the
+    precision's.
 
-    The one check of a window's offsets: each must be an integer (an int,
-    a numpy integer or an integral float), else a ValueError saying so, in
-    one pass; they and 0 must be distinct and lie within the table's span
-    of each other, else a ValueError saying so or naming the span.
+    Each offset must be an integer (an int, a numpy integer or an integral
+    float), else a ValueError saying so, in one pass; they and 0 must be
+    distinct and lie within the table's span of each other, else a
+    ValueError saying so or naming the span.
 
-    The kernel is stationary, so both depend on the inputs only through
-    these offsets: a window shifted in time has the same predictor.  The
+    A window's predictor is, per model, the mean weights a = K⁻¹k* and the
+    floored predictive variance; a model's mean is c + a·(y - c).  The
+    kernel is stationary, so both depend on the inputs only through the
+    offsets t* - t_i: a window shifted in time has the same predictor.  The
     offsets and 0, shifted by their minimum, are positions in the table's
     0..span: S those of the window, t that of the test input, and R the
     rest.  Each model solves one system A z = e_t of size k + 1, k =
-    min(|R|, |S|), all M of them with one `chol_with_jitter` call over the
-    stack and one LAPACK pbtrs call:
+    min(|R|, |S|):
 
     - |R| <= |S|: A = Λ[(R,t),(R,t)], the precision with R marginalised
       out, so var = z_t and a = -Λ[S,(R,t)]·z;
@@ -443,19 +449,9 @@ def predictor(offsets, table: np.ndarray):
     The checks, the positions, R and the gather's rows and columns are
     worked out on Python ints, then pick flat indices from a cached index
     of the table: with at most span + 1 offsets, a dozen numpy calls on
-    such short arrays cost more than the LAPACK calls (`_window_index`).
-    `_solve_windows` solves the systems, as a batch of one.
+    such short arrays cost more than the LAPACK calls.  `_solve_windows`
+    solves the systems.
     """
-    index, precision_side = _window_index(offsets, table.shape[-1])
-    return _solve_windows(index, table, precision_side)
-
-
-def _window_index(offsets, width: int):
-    """`predictor`'s checks of a window's `offsets` and the gather index of
-    its systems: the (rows, k+1) flat indices into one model's width x
-    width table of the rows and columns they gather, the system's k + 1
-    rows first, test position last, then on the precision side the
-    window's rows; and whether the systems are the precision's."""
     try:
         x = [i for v in offsets if (i := int(v)) == v]
     except (TypeError, ValueError, OverflowError):  # "a", None, nan, inf
@@ -485,9 +481,9 @@ def _window_index(offsets, width: int):
 
 
 def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
-    """`predictor`'s mean weights and variances for K windows of one
-    shape, from their `_window_index` indices stacked to (K, rows, k+1),
-    or one window's (rows, k+1).  The result is read-only, of shapes
+    """The predictors of K windows of one shape: their mean weights and
+    variances, from their `_window_index` indices stacked to (K, rows,
+    k+1), or one window's (rows, k+1).  The result is read-only, of shapes
     (M·K, n) and (M·K,), model-major: (M, n) and (M,) for one window.
 
     One gather takes the M·K systems from the side's half of `table`, one
@@ -504,9 +500,9 @@ def _solve_windows(index: np.ndarray, table: np.ndarray, precision_side: bool):
     # one, the row-wise product below would round a model's row
     # differently depending on how many rows there are.
     source = precision if precision_side else covariance
-    stack = source.reshape(len(source), -1).take(index, axis=1)
-    if stack.ndim > 3:  # (M, K, rows, k+1): the M·K systems, model-major
-        stack = stack.reshape(-1, rows, size)
+    # (M, K, rows, k+1), or (M, rows, k+1) for one window: the M·K
+    # systems, model-major
+    stack = source.reshape(len(source), -1).take(index, axis=1).reshape(-1, rows, size)
     blocks = len(stack)
     rhs = np.zeros((blocks + 1, k + 1))
     rhs[:, k] = 1.0
@@ -585,27 +581,15 @@ def _slide_layout(width: int, n: int):
 def _gap_class(span: int, gaps: int):
     """The windows of the offsets 1..span less `gaps` of them, their gap
     class: their keys as the engine builds them, tuples of ints in
-    descending order; their `_window_index` indices, stacked to (K, rows,
-    k+1); and whether their systems are the precision's.
-
-    Every window holds the test position 0, so its positions are its
-    offsets and the rest is its gaps, in ascending order: the index is
-    worked out from the gaps of all K windows at once, without a
-    `_window_index` call per window."""
-    holes = np.array(list(itertools.combinations(range(span, 0, -1), gaps))).reshape(-1, gaps)
-    kept = np.ones((len(holes), span), dtype=bool)
-    np.put_along_axis(kept, span - holes, False, axis=1)  # offset p is column span - p
-    windows = np.broadcast_to(np.arange(span, 0, -1), kept.shape)[kept].reshape(len(holes), -1)
-    test = np.zeros((len(holes), 1), dtype=windows.dtype)
-    precision_side = gaps <= span - gaps
-    if precision_side:
-        block = np.concatenate((holes[:, ::-1], test), axis=1)
-        rows = np.concatenate((block, windows), axis=1)
-    else:
-        block = rows = np.concatenate((windows, test), axis=1)
-    index = rows[:, :, None] * (span + 1) + block[:, None, :]
+    descending order, in the order of their gaps' combinations; their
+    `_window_index` indices, stacked to (K, rows, k+1); and whether their
+    systems are the precision's, as they all are or none."""
+    # The windows' combinations come in the reverse order of their gaps'
+    keys = tuple(itertools.combinations(range(span, 0, -1), span - gaps))[::-1]
+    indices, sides = zip(*(_window_index(key, span + 1) for key in keys))
+    index = np.array(indices)
     index.flags.writeable = False  # shared by every call through the cache
-    return tuple(map(tuple, windows.tolist())), index, precision_side
+    return keys, index, sides[0]
 
 
 def gap_fill(table: np.ndarray) -> dict:
@@ -620,9 +604,10 @@ def gap_fill(table: np.ndarray) -> dict:
     and its own number at most PREDICTOR_CACHE_SIZE, so no start drops an
     entry.  Both are sized by arithmetic before any index is built.  A
     class's windows share one shape: one `_solve_windows` call solves the
-    class.  The family's windows differ in shape: each is a batch of one,
-    as its miss is.  The full window span..1 is left out: it is the first
-    step's miss on any contiguous history."""
+    class.  The family's windows differ in shape: each is stored by its
+    own miss, `_miss`, and none holds the offset span, so none pairs.  The
+    full window span..1 is left out: it is the first step's miss on any
+    contiguous history."""
     span = table.shape[-1] - 1
     models = table.shape[1]
     entries = {}
@@ -638,8 +623,7 @@ def gap_fill(table: np.ndarray) -> dict:
     if (models * sum(_gather_floats(span, len(key)) for key in regrown) <= _FILL_GATHER
             and len(entries) + len(regrown) <= PREDICTOR_CACHE_SIZE):
         for key in regrown:
-            index, precision_side = _window_index(key, span + 1)
-            entries[key] = _solve_windows(index, table, precision_side)
+            _miss(key, table, entries)
     return entries
 
 
@@ -702,7 +686,7 @@ def gp_predict(
     signal_scale**2 + noise_scale**2, up to the rounding of the precision.
 
     `cache` maps offsets tuples to predictors of the table's models (see
-    `predictor`, whose checks a miss makes); it must only ever be used
+    `_window_index`, whose checks a miss makes); it must only ever be used
     with one model set (`{}` for a one-off call).  Each entry is a
     function of its key alone, so a cache can be shared by any number of
     streams.  Keys equal by value (3, 3.0, np.int32(3)) share an entry, and

@@ -1,11 +1,16 @@
 """The BENCH recorder (scripts/bench_record.py) aggregates the output of
-`perfbench/run.py`; here on canned output, without running it."""
+`perfbench/run.py`; here on canned output, without running it.  Its cache
+census runs the engine, here on a short stream."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import flat_stream
+
+from intelgp import EngineConfig, VariantFactors
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
 
@@ -72,6 +77,8 @@ def test_main_writes_the_bench_file_and_compares(tmp_path, monkeypatch, capsys):
         return bench_record.parse_output(canned_output(workload, seed, metrics))
 
     monkeypatch.setattr(bench_record, "run_benchmark", fake_run)
+    monkeypatch.setattr(bench_record, "census", lambda: {"w": {"misses": [1]}})
+    monkeypatch.setattr(bench_record, "scipy_blas_threads", lambda: 1)
     monkeypatch.setattr(bench_record.os, "getloadavg", lambda: (0.5, 0.25, 0.125))
     first = tmp_path / "BENCH_1.json"
     assert bench_record.main(["--out", str(first)]) == 0
@@ -81,6 +88,8 @@ def test_main_writes_the_bench_file_and_compares(tmp_path, monkeypatch, capsys):
     bench = json.loads(first.read_text())
     assert bench["commit"] == "abc123"
     assert "commit" not in bench["environment"]
+    assert bench["environment"]["scipy_blas_threads"] == 1
+    assert bench["census"] == {"w": {"misses": [1]}}
     assert bench["load_average"] == [0.5, 0.25, 0.125]
     assert set(bench["end_to_end"]) == set(bench["per_layer"]) == set(workloads)
     assert capsys.readouterr().out == ""
@@ -107,3 +116,23 @@ def test_a_failing_run_stops_the_recording_with_its_code(tmp_path, monkeypatch):
         bench_record.main(["--out", str(out)])
     assert exit_info.value.code == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spikes, misses, paired", [
+    ([], 1, 0),
+    ([40, 43, 46], 8, 7),
+])
+def test_the_census_counts_misses_and_paired_misses(spikes, misses, paired):
+    # One model, tau=20, a contiguous history: the start holds the 20
+    # one-gap and 190 two-gap windows and the 17 a change point regrows,
+    # and the first step misses the full window.  Three isolated spikes,
+    # three steps apart, leave three gaps, which no start holds: the
+    # window then misses with its slide every other step, 7 times, until
+    # its oldest gap reaches offset 20, then hits in the classes and the
+    # full window again.
+    config = EngineConfig(init_count=60, factors=VariantFactors())
+    history, stream = flat_stream(5)
+    stream[spikes] += 3.0
+    census = bench_record.cache_census(config, np.concatenate((history, stream)), "init")
+    assert census == {"start": 20 + 190 + 17, "steps": 120, "misses": misses,
+                      "paired": paired, "hit_share": (120 - misses) / 120}

@@ -156,6 +156,15 @@ class TestInitialize:
             initialize(np.arange(60), history, SINGLETON)
         assert evaluations == []
 
+    @pytest.mark.parametrize("shape", [(60, 1), (6, 10)])
+    def test_a_two_d_history_rejected_before_the_fit(self, shape, monkeypatch):
+        evaluations = []
+        monkeypatch.setattr(fit, "lml_gradient", lambda *args: evaluations.append(args))
+        history = np.random.default_rng(64).normal(size=shape)
+        with pytest.raises(ValueError, match=rf"shapes \({shape[0]}, {shape[1]}\) and"):
+            initialize(np.arange(60).reshape(shape), history, SINGLETON)
+        assert evaluations == []
+
     def test_short_history_rejected_before_the_fit(self, monkeypatch):
         evaluations = []
         monkeypatch.setattr(fit, "lml_gradient", lambda *args: evaluations.append(args))

@@ -173,6 +173,29 @@ class TestFitTemplate:
         assert evaluations == []
         assert "failed on every start" not in caplog.text
 
+    @pytest.mark.parametrize("ts_shape, ys_shape", [
+        ((12, 1), (12,)),
+        ((12,), (12, 1)),
+        ((12, 1), (12, 1)),
+        ((3, 4), (3, 4)),
+        ((), ()),
+    ])
+    def test_inputs_not_two_one_d_arrays_rejected_naming_both_shapes(
+        self, ts_shape, ys_shape, monkeypatch
+    ):
+        # Sizes alone do not tell these apart: (12, 1) against (12,) has
+        # twelve of each.  Both (12, 1) would fail every start, and (3, 4)
+        # would reach an ambiguous truth value in the distance table.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a start ran")
+
+        monkeypatch.setattr(fit, "minimize", refuse)
+        ts = np.arange(float(np.prod(ts_shape, dtype=int))).reshape(ts_shape)
+        ys = np.random.default_rng(19).normal(size=ys_shape)
+        with pytest.raises(ValueError, match="two 1-D arrays of one length") as error:
+            fit_template(ts, ys)
+        assert f"shapes {ts_shape} and {ys_shape}" in str(error.value)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_template(np.arange(5.0), np.zeros(5))

@@ -38,8 +38,15 @@ from intelgp.gp import (
     noisy_covariance,
     precision_table,
     predictive_distribution,
-    predictor,
 )
+
+
+def predictor(offsets, table):
+    """A window's predictor as its miss computes it: per model, the mean
+    weights and the floored variance (`gp._window_index`)."""
+    index, precision_side = gp._window_index(offsets, table.shape[-1])
+    return gp._solve_windows(index, table, precision_side)
+
 
 # Frozen from a 30-digit evaluation of (1 + sqrt(5) + 5/3) * exp(-sqrt(5)).
 MATERN_AT_UNIT_DISTANCE = 0.5239941088318203
@@ -318,6 +325,10 @@ class TestGpPredict:
         )
         with pytest.raises(ValueError, match="share a kernel kind"):
             precision_table(models, 2)
+
+    def test_an_empty_model_set_rejected(self):
+        with pytest.raises(ValueError, match="at least one model"):
+            precision_table((), 2)
 
 
 @st.composite
@@ -604,7 +615,7 @@ class TestBandedStack:
 
 
 class TestWrappedNames:
-    """`predictor` and `precision_table` call the LAPACK helpers by their
+    """A miss, a fill and `precision_table` call the LAPACK helpers by their
     module-level names, so that code replacing those names (a tracer, say)
     sees every call."""
 

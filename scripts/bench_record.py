@@ -10,8 +10,8 @@ last line), and writes one JSON file:
 - `commit`: the git HEAD the runs measured, from the first run's
   environment record;
 - `environment`: the rest of that record, and `scipy_blas_threads`, the
-  thread count of the OpenBLAS bundled with scipy, next to numpy's
-  `blas_threads`;
+  thread count of the OpenBLAS bundled with scipy in a run, next to
+  numpy's `blas_threads`;
 - `load_average`: the 1, 5 and 15 minute load averages before the first run;
 - `runs`: the seeds, seconds and command of the runs;
 - `end_to_end`: per workload and metric, the unit, the median, the lower
@@ -46,7 +46,6 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from intelgp import gp  # noqa: E402
 from intelgp.engine import initialize, step  # noqa: E402
 from intelgp.metrics import compute_stats  # noqa: E402
 from workloads import WORKLOADS as WORKLOAD_SPECS  # noqa: E402
@@ -112,10 +111,15 @@ def census() -> dict:
 
 
 def scipy_blas_threads() -> int | None:
-    """Threads the OpenBLAS bundled with scipy will use, where it can be
-    asked (`gp.one_blas_thread` pins the fit to one of them)."""
-    calls = gp._blas_thread_count_calls()
-    return None if calls is None else calls[0]()
+    """Threads the OpenBLAS bundled with scipy uses in a benchmark run,
+    where it can be asked: read in a process that `perfbench/run.py`'s
+    `bootstrap` set up, as it sets up each run's."""
+    probe = ("import json, run; run.bootstrap(); from intelgp import gp; "
+             "calls = gp._blas_thread_count_calls(); "
+             "print(json.dumps(None if calls is None else calls[0]()))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=RUN.parent,
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
 
 
 def quartiles(values: list[float]) -> dict:

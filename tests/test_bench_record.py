@@ -136,3 +136,9 @@ def test_the_census_counts_misses_and_paired_misses(spikes, misses, paired):
     census = bench_record.cache_census(config, np.concatenate((history, stream)), "init")
     assert census == {"start": 20 + 190 + 17, "steps": 120, "misses": misses,
                       "paired": paired, "hit_share": (120 - misses) / 120}
+
+
+def test_scipys_blas_threads_are_read_as_a_run_sets_them():
+    # `perfbench/run.py` pins BLAS to one thread before numpy loads;
+    # None where scipy's OpenBLAS cannot be asked.
+    assert bench_record.scipy_blas_threads() in (1, None)
